@@ -187,15 +187,17 @@ fn run_level(
         let plan = planner.plan(pair.pool.topology(), pair.pool.field());
         let p = pair.pool.apply_epoch(&plan, &mut pool_queue, params.budget).expect("pool epoch");
         let d = pair.dim.apply_epoch(&plan, &mut dim_queue, params.budget).expect("dim epoch");
-        let g = ght.apply_epoch(
-            &mut ght_topology,
-            ght_transport.as_mut(),
-            &plan.joins,
-            &plan.deaths,
-            &plan.moves,
-            &mut ght_queue,
-            params.budget,
-        );
+        let g = ght
+            .apply_epoch(
+                &mut ght_topology,
+                ght_transport.as_mut(),
+                &plan.joins,
+                &plan.deaths,
+                &plan.moves,
+                &mut ght_queue,
+                params.budget,
+            )
+            .expect("ght epoch");
         // The acceptance pin: per-epoch repair traffic never exceeds the
         // budget (strict on the loss-free radio).
         for (system, spent) in

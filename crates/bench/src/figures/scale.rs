@@ -379,6 +379,7 @@ fn run_ght(
         CHURN_BUDGET,
     );
     let churn_ms = elapsed_ms(start);
+    let report = report.expect("ght epoch");
 
     SystemRow {
         system: "ght",

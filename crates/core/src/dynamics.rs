@@ -23,7 +23,7 @@
 //!   benchmark drivers can replay the *same* plan stream against Pool, DIM,
 //!   and GHT.
 //! * [`PoolSystem::apply_epoch`] — applies one plan to a live Pool system:
-//!   one transport rebuild for the whole batch, zero-message index
+//!   one transport refresh for the whole batch, zero-message index
 //!   re-election, store triage (retain / migrate / recover / lose), and a
 //!   budgeted FIFO drain of the repair queue.
 //! * [`ChurnScenario`] — the orchestrator tying planner, energy ledger,
@@ -32,6 +32,7 @@
 use crate::event::Event;
 use crate::failure::{take_backup, BackupCopy, FailureReport};
 use crate::grid::CellCoord;
+use crate::storage::StoredEvent;
 use crate::system::PoolSystem;
 use crate::PoolError;
 use pool_netsim::energy::{EnergyLedger, EnergyModel};
@@ -44,6 +45,7 @@ use pool_transport::TrafficLayer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Battery provisioning for energy-driven deaths.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -261,9 +263,10 @@ impl PoolSystem {
     /// The epoch proceeds in phases:
     ///
     /// 1. **Mutate the radio network**: joins (dense new ids), waypoint
-    ///    moves, then deaths — one [`pool_transport::Transport::rebuild`]
-    ///    for the whole batch (generation bump, memo invalidation, ledger
-    ///    and clock growth).
+    ///    moves, then deaths — one [`pool_transport::apply_change`] for the
+    ///    whole batch, whose [`pool_transport::Transport::refresh`]
+    ///    re-planarizes only the rows the batch dirtied (generation bump,
+    ///    memo invalidation, ledger and clock growth).
     /// 2. **Re-elect** the index node of every pool cell from the new live
     ///    population (§2's nearest-to-center rule; a purely local,
     ///    zero-message election).
@@ -298,39 +301,23 @@ impl PoolSystem {
         let ledger_before = LedgerSnapshot::of(self.transport.ledger());
         let mut report = FailureReport { epochs: 1, ..FailureReport::default() };
 
-        // Phase 1: joins, then moves, then deaths, on a scratch topology —
-        // nothing touches `self` until the plan is validated. One clone for
-        // the whole epoch; every event mutates the scratch copy in place
-        // (`O(degree)` overlay patches), and one compaction folds the
-        // overlay before the swap.
-        let mut topo = self.topology().clone();
-        for &p in &plan.joins {
-            topo.add_node(p);
-        }
-        let nodes = topo.len();
-        if let Some(&(bad, _)) = plan.moves.iter().find(|&&(id, _)| id.index() >= nodes) {
-            return Err(PoolError::UnknownNode { node: bad, nodes });
-        }
-        if let Some(&bad) = plan.deaths.iter().find(|d| d.index() >= nodes) {
-            return Err(PoolError::UnknownNode { node: bad, nodes });
-        }
-        for &(id, dest) in &plan.moves {
-            if topo.is_alive(id) {
-                topo.move_node(id, dest);
-            }
-        }
-        let mut victims: Vec<NodeId> =
-            plan.deaths.iter().copied().filter(|&d| topo.is_alive(d)).collect();
-        victims.sort_unstable();
-        victims.dedup();
-        report.failed_nodes = victims.len();
-        topo.fail_nodes(&victims);
-        topo.compact();
-        report.partitioned = !topo.is_connected();
+        // Phase 1: joins, then moves, then deaths, written into the
+        // topology in place (`O(degree)` overlay patches per event, one
+        // compaction) once the plan is validated; the transport refreshes
+        // over the rows the epoch dirtied.
+        let change = pool_transport::apply_change(
+            Arc::make_mut(&mut self.topology),
+            self.transport.as_mut(),
+            &plan.joins,
+            &plan.moves,
+            &plan.deaths,
+        )?;
+        report.failed_nodes = change.victims.len();
+        report.partitioned = change.partitioned;
         if report.partitioned {
-            report.nodes_unreachable = topo.alive_count() - topo.largest_component_members().len();
+            report.nodes_unreachable =
+                self.topology.alive_count() - self.topology.largest_component_members().len();
         }
-        self.replace_network(topo);
 
         // Phase 2: re-elect every cell's index node locally. Queries must
         // never find a pool cell without a live index node mid-churn.
@@ -370,108 +357,88 @@ impl PoolSystem {
         // 3a. Refresh the carried-over queue against the new topology.
         let carried: Vec<RepairTask> = queue.tasks.drain(..).collect();
         for mut task in carried {
-            if self.topology().is_alive(task.source) {
-                // Still sound; keep the event's surviving backup attached.
-                if let Some(b) =
-                    take_backup(&mut old_backups, task.cell, &task.event, self.topology())
-                {
-                    kept.entry(task.cell)
-                        .or_default()
-                        .push(BackupCopy { event: task.event.clone(), holder: b });
-                }
-                queue.tasks.push_back(task);
-            } else {
-                match task.kind {
-                    // The primary this Backup task was going to copy died;
-                    // the store walk below re-triages that event.
-                    TaskKind::Backup => {}
-                    TaskKind::Migrate | TaskKind::Recover => {
-                        // The queued payload source died while waiting.
-                        // Fall back to a surviving backup, or lose the
-                        // event.
-                        match take_backup(&mut old_backups, task.cell, &task.event, self.topology())
-                        {
-                            Some(b) => {
-                                kept.entry(task.cell)
-                                    .or_default()
-                                    .push(BackupCopy { event: task.event.clone(), holder: b });
-                                task.source = b;
-                                task.kind = TaskKind::Recover;
-                                queue.tasks.push_back(task);
-                            }
-                            None => report.events_lost += 1,
-                        }
-                    }
-                }
+            let alive = self.topology().is_alive(task.source);
+            if !alive && task.kind == TaskKind::Backup {
+                // The primary this Backup task was going to copy died; the
+                // store walk below re-triages that event.
+                continue;
             }
+            // A sound task keeps the event's surviving backup attached; a
+            // Migrate/Recover whose payload source died while waiting falls
+            // back to that backup, or the event is lost.
+            let backup = take_backup(&mut old_backups, task.cell, &task.event, self.topology());
+            if !alive {
+                let Some(copy) = &backup else {
+                    report.events_lost += 1;
+                    continue;
+                };
+                task.source = copy.holder;
+                task.kind = TaskKind::Recover;
+            }
+            if let Some(copy) = backup {
+                kept.entry(task.cell).or_default().push(copy);
+            }
+            queue.tasks.push_back(task);
         }
 
         // 3b. Walk the store: retain, hand off, recover, or lose. Cells
         // are visited in coordinate order — the walk feeds the FIFO repair
         // queue, and the budget cutoff must not depend on HashMap
-        // iteration order (the determinism contract covers churn).
-        let mut cells: Vec<(&CellCoord, &[crate::storage::StoredEvent])> =
-            old_store.iter().collect();
-        cells.sort_unstable_by_key(|(c, _)| **c);
+        // iteration order (the determinism contract covers churn). The
+        // store is consumed: each event moves to where it goes next, and
+        // only a re-backup task takes a copy of its own.
+        let mut cells: Vec<(CellCoord, Vec<StoredEvent>)> = old_store.into_cells().collect();
+        cells.sort_unstable_by_key(|&(cell, _)| cell);
         for (cell, stored) in cells {
-            let cell = *cell;
             let index_node = self.index_node_of(cell).expect("pool cells keep index nodes");
-            for s in stored {
-                if self.topology().is_alive(s.holder) {
-                    let backup = take_backup(&mut old_backups, cell, &s.event, self.topology());
-                    if let Some(b) = backup {
-                        kept.entry(cell)
-                            .or_default()
-                            .push(BackupCopy { event: s.event.clone(), holder: b });
-                    }
-                    if s.holder == index_node {
-                        report.events_retained += 1;
-                        self.restore_event(cell, s.event.clone(), s.holder);
-                        if backup.is_none() && self.config().replicate {
-                            // A Backup task for this event may already sit
-                            // in the carried-over queue (budget starvation);
-                            // re-discovering it here must not duplicate the
-                            // repair, or starved queues grow without bound.
-                            let queued = queue.tasks.iter().any(|t| {
-                                t.kind == TaskKind::Backup && t.cell == cell && t.event == s.event
-                            });
-                            if !queued {
-                                queue.tasks.push_back(RepairTask {
-                                    cell,
-                                    event: s.event.clone(),
-                                    source: index_node,
-                                    kind: TaskKind::Backup,
-                                });
-                            }
-                        }
-                    } else {
-                        // Deposed holder: the event leaves the
-                        // query-visible store until its handoff lands.
-                        queue.tasks.push_back(RepairTask {
-                            cell,
-                            event: s.event.clone(),
-                            source: s.holder,
-                            kind: TaskKind::Migrate,
-                        });
-                    }
-                    continue;
+            for StoredEvent { event, holder } in stored {
+                // A surviving backup stays the event's backup wherever the
+                // primary ends up (in place, handed off, or recovered).
+                let backup = take_backup(&mut old_backups, cell, &event, self.topology());
+                let backup_holder = backup.as_ref().map(|copy| copy.holder);
+                if let Some(copy) = backup {
+                    kept.entry(cell).or_default().push(copy);
                 }
-                // Holder died: recover from a surviving backup, if any.
-                match take_backup(&mut old_backups, cell, &s.event, self.topology()) {
-                    Some(b) => {
-                        // The copy at `b` stays the event's backup after
-                        // the recovery lands at the index node.
-                        kept.entry(cell)
-                            .or_default()
-                            .push(BackupCopy { event: s.event.clone(), holder: b });
+                if !self.topology().is_alive(holder) {
+                    // Holder died: recover from the surviving backup, if any.
+                    match backup_holder {
+                        Some(source) => queue.tasks.push_back(RepairTask {
+                            cell,
+                            event,
+                            source,
+                            kind: TaskKind::Recover,
+                        }),
+                        None => report.events_lost += 1,
+                    }
+                } else if holder == index_node {
+                    report.events_retained += 1;
+                    // A Backup task for this event may already sit in the
+                    // carried-over queue (budget starvation); re-discovering
+                    // it here must not duplicate the repair, or starved
+                    // queues grow without bound.
+                    if backup_holder.is_none()
+                        && self.config().replicate
+                        && !queue.tasks.iter().any(|t| {
+                            t.kind == TaskKind::Backup && t.cell == cell && t.event == event
+                        })
+                    {
                         queue.tasks.push_back(RepairTask {
                             cell,
-                            event: s.event.clone(),
-                            source: b,
-                            kind: TaskKind::Recover,
+                            event: event.clone(),
+                            source: index_node,
+                            kind: TaskKind::Backup,
                         });
                     }
-                    None => report.events_lost += 1,
+                    self.restore_event(cell, event, holder);
+                } else {
+                    // Deposed holder: the event leaves the query-visible
+                    // store until its handoff lands.
+                    queue.tasks.push_back(RepairTask {
+                        cell,
+                        event,
+                        source: holder,
+                        kind: TaskKind::Migrate,
+                    });
                 }
             }
         }

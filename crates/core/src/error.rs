@@ -97,6 +97,12 @@ impl From<pool_gpsr::RouteError> for PoolError {
     }
 }
 
+impl From<pool_transport::UnknownNode> for PoolError {
+    fn from(e: pool_transport::UnknownNode) -> Self {
+        PoolError::UnknownNode { node: e.node, nodes: e.nodes }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,6 +25,7 @@ use pool_transport::metrics::LedgerSnapshot;
 use pool_transport::trace::TraceOp;
 use pool_transport::TrafficLayer;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Outcome of a failure-injection step (or of a run of churn epochs, when
 /// produced by [`crate::dynamics::ChurnScenario`]).
@@ -137,7 +138,7 @@ pub(crate) struct BackupCopy {
 
 impl PoolSystem {
     /// Fails `dead` nodes and repairs the system: re-elects index nodes,
-    /// rebuilds the routing substrate over the survivors, migrates or
+    /// refreshes the routing substrate over the survivors, migrates or
     /// recovers affected events, and drops continuous queries whose sinks
     /// died.
     ///
@@ -161,32 +162,29 @@ impl PoolSystem {
     /// with nobody left to kill returns an all-zero report without
     /// touching the network.
     pub fn fail_nodes(&mut self, dead: &[NodeId]) -> Result<FailureReport, PoolError> {
-        let nodes = self.topology().len();
-        if let Some(&bad) = dead.iter().find(|d| d.index() >= nodes) {
-            return Err(PoolError::UnknownNode { node: bad, nodes });
-        }
-        let mut victims: Vec<NodeId> =
-            dead.iter().copied().filter(|&d| self.topology().is_alive(d)).collect();
-        victims.sort_unstable();
-        victims.dedup();
-        if victims.is_empty() {
-            return Ok(FailureReport::default());
-        }
         let ledger_before = LedgerSnapshot::of(self.transport.ledger());
-        let mut report = FailureReport { failed_nodes: victims.len(), ..FailureReport::default() };
 
-        // 1. Take the nodes out of the radio network and rebuild routing.
-        //    Transport::rebuild re-planarizes, bumps the topology
-        //    generation, and invalidates any memoized routes. A partition
-        //    is recorded, not fatal: each surviving component keeps
-        //    operating on its own slice of the field.
-        let new_topology = self.topology().without_nodes(&victims);
-        report.partitioned = !new_topology.is_connected();
+        // 1. Take the nodes out of the radio network and bring routing up
+        //    to date over the rows that lost a neighbor. A partition is
+        //    recorded, not fatal: each surviving component keeps operating
+        //    on its own slice of the field.
+        let Some(change) = pool_transport::apply_failures(
+            Arc::make_mut(&mut self.topology),
+            self.transport.as_mut(),
+            dead,
+        )?
+        else {
+            return Ok(FailureReport::default());
+        };
+        let mut report = FailureReport {
+            failed_nodes: change.victims.len(),
+            partitioned: change.partitioned,
+            ..FailureReport::default()
+        };
         if report.partitioned {
             report.nodes_unreachable =
-                new_topology.len() - new_topology.largest_component_members().len();
+                self.topology.len() - self.topology.largest_component_members().len();
         }
-        self.replace_network(new_topology);
 
         // 2. Re-elect index nodes for every pool cell.
         let mut new_index: HashMap<CellCoord, NodeId> = HashMap::new();
@@ -256,10 +254,10 @@ impl PoolSystem {
                 // Holder died: look for a surviving backup copy.
                 let recovered = take_backup(&mut old_backups, cell, &s.event, self.topology());
                 match recovered {
-                    Some(backup_holder) => {
+                    Some(backup) => {
                         match self.route_and_record(
                             TraceOp::Repair,
-                            backup_holder,
+                            backup.holder,
                             index_node,
                             TrafficLayer::Repair,
                         ) {
@@ -299,16 +297,17 @@ impl PoolSystem {
     }
 }
 
-/// Removes and returns a surviving backup holder for `event` in `cell`.
+/// Removes and returns a backup copy of `event` in `cell` whose holder
+/// survives.
 pub(crate) fn take_backup(
     backups: &mut HashMap<CellCoord, Vec<BackupCopy>>,
     cell: CellCoord,
     event: &Event,
     topology: &pool_netsim::topology::Topology,
-) -> Option<NodeId> {
+) -> Option<BackupCopy> {
     let copies = backups.get_mut(&cell)?;
     let idx = copies.iter().position(|c| &c.event == event && topology.is_alive(c.holder))?;
-    Some(copies.swap_remove(idx).holder)
+    Some(copies.swap_remove(idx))
 }
 
 /// Helper: rebuilt-store utilities live on [`PoolSystem`] but the heavy
@@ -548,6 +547,30 @@ mod tests {
         );
         assert_eq!(pool.store().len(), stored);
         assert!(err.to_string().contains("unknown node"), "{err}");
+    }
+
+    /// Regression: `fail_nodes` went through the clone-and-overlay
+    /// `Topology::without_nodes` and never compacted, so every failure's
+    /// rows stayed in the overlay for the life of the system and each later
+    /// lookup on them paid the indirection.
+    #[test]
+    fn failures_and_epochs_leave_no_overlay_rows() {
+        use crate::dynamics::{EpochPlan, RepairQueue};
+        let mut pool = build_system(9, PoolConfig::paper().with_replication());
+        load(&mut pool, 100, 19);
+        let victims: Vec<NodeId> = loaded_nodes(&pool).into_iter().take(3).collect();
+        pool.fail_nodes(&victims).unwrap();
+        assert_eq!(pool.topology().patched_rows(), 0, "fail_nodes must compact");
+        let mover = loaded_nodes(&pool)[0];
+        let plan = EpochPlan {
+            joins: vec![pool.field().center()],
+            deaths: vec![loaded_nodes(&pool)[1]],
+            moves: vec![(mover, pool.field().center())],
+        };
+        pool.apply_epoch(&plan, &mut RepairQueue::default(), u64::MAX).unwrap();
+        assert_eq!(pool.topology().patched_rows(), 0, "apply_epoch must compact");
+        let got = pool.query_from(mover, &all_query()).unwrap();
+        assert_eq!(got.events.len(), pool.store().len());
     }
 
     #[test]

@@ -179,11 +179,12 @@ impl PoolSystem {
         pool.cells()
             .map(|c| self.index_nodes[&c])
             .min_by(|&a, &b| {
+                // total_cmp: a NaN distance (a sink at an undeployable
+                // position) must order deterministically, not panic.
                 self.topology
                     .position(a)
                     .distance_sq(sink_pos)
-                    .partial_cmp(&self.topology.position(b).distance_sq(sink_pos))
-                    .expect("positions are finite")
+                    .total_cmp(&self.topology.position(b).distance_sq(sink_pos))
                     .then(a.cmp(&b))
             })
             .expect("pools have at least one cell")
@@ -722,6 +723,36 @@ mod tests {
     use super::*;
     use crate::config::PoolConfig;
     use crate::system::testkit::{build_system, ev};
+
+    /// Regression: `splitter_of` ordered index nodes with
+    /// `partial_cmp().expect("positions are finite")`, so a sink with an
+    /// undefined (NaN) position — a joiner deployed at a corrupt waypoint —
+    /// panicked the public query path. With `total_cmp` a splitter is
+    /// picked deterministically and the query degrades instead.
+    #[test]
+    fn nan_sink_position_picks_a_splitter_without_panicking() {
+        use crate::dynamics::{EpochPlan, RepairQueue};
+        use pool_netsim::geometry::Point;
+        let mut pool = build_system(300, 15, PoolConfig::paper());
+        pool.insert_from(NodeId(0), ev(&[0.62, 0.3, 0.11])).unwrap();
+        let plan = EpochPlan {
+            joins: vec![Point::new(f64::NAN, f64::NAN)],
+            deaths: vec![],
+            moves: vec![],
+        };
+        pool.apply_epoch(&plan, &mut RepairQueue::default(), u64::MAX).unwrap();
+        let lost = NodeId(300);
+        assert!(pool.topology().neighbors(lost).is_empty(), "a NaN node hears nobody");
+        for dim in 0..3 {
+            let splitter = pool.splitter_of(dim, lost);
+            assert_eq!(splitter, pool.splitter_of(dim, lost), "the pick is deterministic");
+            assert!(pool.layout().pool(dim).cells().any(|c| pool.index_nodes[&c] == splitter));
+        }
+        let q = RangeQuery::exact(vec![(0.6, 0.7), (0.2, 0.4), (0.0, 0.5)]).unwrap();
+        let result = pool.query_from(lost, &q).unwrap();
+        assert!(!result.completeness.is_complete(), "an isolated sink reaches no cell");
+        assert!(result.events.is_empty());
+    }
 
     #[test]
     fn insert_and_exact_query_roundtrip() {

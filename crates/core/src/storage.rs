@@ -71,6 +71,12 @@ impl CellStore {
         self.count_by_node.values().filter(|&&c| c > 0).count()
     }
 
+    /// Consumes the store into its `(cell, stored events)` pairs, in
+    /// unspecified order.
+    pub(crate) fn into_cells(self) -> impl Iterator<Item = (CellCoord, Vec<StoredEvent>)> {
+        self.by_cell.into_iter()
+    }
+
     /// Iterates over all `(cell, stored events)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&CellCoord, &[StoredEvent])> {
         self.by_cell.iter().map(|(c, v)| (c, v.as_slice()))

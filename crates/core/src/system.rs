@@ -355,11 +355,6 @@ impl PoolSystem {
 
     // ----- crate-internal hooks used by the failure/repair module -------
 
-    pub(crate) fn replace_network(&mut self, topology: Topology) {
-        self.transport.rebuild(&topology);
-        self.topology = Arc::new(topology);
-    }
-
     pub(crate) fn replace_index_nodes(&mut self, index_nodes: HashMap<CellCoord, NodeId>) {
         self.index_nodes = index_nodes;
     }

@@ -19,6 +19,7 @@ use pool_transport::metrics::LedgerSnapshot;
 use pool_transport::trace::TraceOp;
 use pool_transport::TrafficLayer;
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 #[derive(Debug, Clone, PartialEq)]
 struct DimHandoff {
@@ -51,7 +52,7 @@ impl DimRepairQueue {
 
 impl DimSystem {
     /// Applies one epoch of churn: joins, moves, then deaths (one
-    /// transport rebuild), re-elects the owners of dead or displaced
+    /// transport refresh), re-elects the owners of dead or displaced
     /// zones, and drains the handoff queue FIFO under `budget` radio
     /// messages.
     ///
@@ -74,42 +75,24 @@ impl DimSystem {
         let ledger_before = LedgerSnapshot::of(self.transport.ledger());
         let mut report = FailureReport { epochs: 1, ..FailureReport::default() };
 
-        // Mutate the radio network on a scratch topology first: one clone
-        // per epoch, in-place overlay patches per event, one compaction.
-        let mut topo = self.topology.as_ref().clone();
-        for &p in &plan.joins {
-            topo.add_node(p);
-        }
-        let nodes = topo.len();
-        if let Some(&(bad, _)) = plan.moves.iter().find(|&&(id, _)| id.index() >= nodes) {
-            return Err(PoolError::UnknownNode { node: bad, nodes });
-        }
-        if let Some(&bad) = plan.deaths.iter().find(|d| d.index() >= nodes) {
-            return Err(PoolError::UnknownNode { node: bad, nodes });
-        }
-        let mut displaced = Vec::new();
-        for &(id, dest) in &plan.moves {
-            if topo.is_alive(id) {
-                topo.move_node(id, dest);
-                displaced.push(id);
-            }
-        }
-        let mut victims: Vec<NodeId> =
-            plan.deaths.iter().copied().filter(|&d| topo.is_alive(d)).collect();
-        victims.sort_unstable();
-        victims.dedup();
-        report.failed_nodes = victims.len();
-        topo.fail_nodes(&victims);
-        topo.compact();
-        report.partitioned = !topo.is_connected();
+        // Joins, moves, then deaths, written in place once the plan is
+        // validated; the transport refreshes over the rows they dirtied.
+        let change = pool_transport::apply_change(
+            Arc::make_mut(&mut self.topology),
+            self.transport.as_mut(),
+            &plan.joins,
+            &plan.moves,
+            &plan.deaths,
+        )?;
+        report.failed_nodes = change.victims.len();
+        report.partitioned = change.partitioned;
         if report.partitioned {
-            report.nodes_unreachable = topo.alive_count() - topo.largest_component_members().len();
+            report.nodes_unreachable =
+                self.topology.alive_count() - self.topology.largest_component_members().len();
         }
-        self.transport.rebuild(&topo);
-        self.topology = std::sync::Arc::new(topo);
 
         // Re-elect the owners of dead and displaced zones.
-        let changed = self.tree.re_elect_owners(&self.topology, &displaced);
+        let changed = self.tree.re_elect_owners(&self.topology, &change.displaced);
         report.cells_reassigned = changed.len();
         if report.partitioned {
             let main: HashSet<NodeId> =
@@ -328,6 +311,21 @@ mod tests {
         };
         assert!(dim.apply_epoch(&plan, &mut queue, u64::MAX).is_err());
         assert_eq!(dim.topology().len(), 300);
+    }
+
+    /// Regression: `DimSystem::fail_nodes` overlaid its victims' rows and
+    /// never compacted them.
+    #[test]
+    fn dim_failures_and_epochs_leave_no_overlay_rows() {
+        let (mut dim, field) = build(300, 46);
+        load(&mut dim, 50, 5);
+        let victim = dim.tree().zones()[0].owner;
+        dim.fail_nodes(&[victim]).unwrap();
+        assert_eq!(dim.topology().patched_rows(), 0, "fail_nodes must compact");
+        let mut planner = ChurnPlanner::new(ChurnConfig::new(23).with_rates(2, 3, 3));
+        let plan = planner.plan(dim.topology(), field);
+        dim.apply_epoch(&plan, &mut DimRepairQueue::default(), u64::MAX).unwrap();
+        assert_eq!(dim.topology().patched_rows(), 0, "apply_epoch must compact");
     }
 
     #[test]

@@ -685,7 +685,7 @@ impl DimSystem {
 
     /// Fails `dead` nodes: the events they owned are lost (DIM keeps no
     /// replicas), their zones are absorbed by the nearest survivors, and
-    /// routing is rebuilt over the live network.
+    /// routing is refreshed over the live network.
     ///
     /// A failure that splits the survivors no longer aborts — the report's
     /// [`DimFailureReport::partitioned`] flag is set and the unreachable
@@ -698,23 +698,16 @@ impl DimSystem {
     /// duplicates and corpses are filtered out before counting, mirroring
     /// [`pool_core::system::PoolSystem`]'s `fail_nodes`.
     pub fn fail_nodes(&mut self, dead: &[NodeId]) -> Result<DimFailureReport, PoolError> {
-        let nodes = self.topology.len();
-        if let Some(&bad) = dead.iter().find(|d| d.index() >= nodes) {
-            return Err(PoolError::UnknownNode { node: bad, nodes });
-        }
-        let mut victims: Vec<NodeId> =
-            dead.iter().copied().filter(|&d| self.topology.is_alive(d)).collect();
-        victims.sort_unstable();
-        victims.dedup();
-        if victims.is_empty() {
+        let Some(change) = pool_transport::apply_failures(
+            Arc::make_mut(&mut self.topology),
+            self.transport.as_mut(),
+            dead,
+        )?
+        else {
             return Ok(DimFailureReport::default());
-        }
-        let dead = victims.as_slice();
-        let failed_nodes = dead.len();
-        let new_topology = self.topology.without_nodes(dead);
-        let partitioned = !new_topology.is_connected();
-        self.transport.rebuild(&new_topology);
-        self.topology = Arc::new(new_topology);
+        };
+        let failed_nodes = change.victims.len();
+        let partitioned = change.partitioned;
 
         // Events held by dead owners are gone.
         let mut events_lost = 0usize;

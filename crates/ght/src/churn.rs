@@ -17,7 +17,7 @@ use crate::table::GhtTable;
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
-use pool_transport::{TrafficLayer, Transport};
+use pool_transport::{apply_change, TrafficLayer, Transport, UnknownNode};
 use std::collections::VecDeque;
 
 /// Outcome of one GHT churn epoch (counters add across epochs via
@@ -104,7 +104,7 @@ impl<V: Clone> GhtTable<V> {
 
     /// Applies one epoch of churn to the table and its network: `joins`
     /// (new nodes at the given positions), `moves` (waypoint relocations
-    /// of live nodes), then `deaths` — one transport rebuild for the whole
+    /// of live nodes), then `deaths` — one transport refresh for the whole
     /// batch. Every surviving value whose key no longer homes at its
     /// holder is handed off to the new home, FIFO under `budget` radio
     /// messages (charged to [`TrafficLayer::Repair`]); the remainder waits
@@ -114,9 +114,10 @@ impl<V: Clone> GhtTable<V> {
     /// `topology` and `transport` are updated in place; values at dead
     /// nodes are lost (plain GHT keeps no replicas).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `deaths` or `moves` name a node that was never deployed.
+    /// [`UnknownNode`] if `deaths` or `moves` name a node that was never
+    /// deployed; nothing is applied.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_epoch(
         &mut self,
@@ -127,35 +128,16 @@ impl<V: Clone> GhtTable<V> {
         moves: &[(NodeId, Point)],
         queue: &mut GhtRepairQueue<V>,
         budget: u64,
-    ) -> GhtChurnReport {
-        let mut report = GhtChurnReport::default();
-
-        // Mutate the radio network: joins, moves, then deaths — one clone
-        // per epoch, in-place overlay patches per event, one compaction.
-        let mut topo = topology.clone();
-        for &p in joins {
-            topo.add_node(p);
-        }
-        let nodes = topo.len();
-        for &(id, dest) in moves {
-            assert!(id.index() < nodes, "unknown node {id}: the deployment has {nodes} nodes");
-            if topo.is_alive(id) {
-                topo.move_node(id, dest);
-            }
-        }
-        for &d in deaths {
-            assert!(d.index() < nodes, "unknown node {d}: the deployment has {nodes} nodes");
-        }
-        let mut victims: Vec<NodeId> =
-            deaths.iter().copied().filter(|&d| topo.is_alive(d)).collect();
-        victims.sort_unstable();
-        victims.dedup();
-        report.failed_nodes = victims.len();
-        topo.fail_nodes(&victims);
-        topo.compact();
-        report.partitioned = !topo.is_connected();
-        transport.rebuild(&topo);
-        *topology = topo;
+    ) -> Result<GhtChurnReport, UnknownNode> {
+        // Joins, moves, then deaths, written in place once every id is
+        // known; the transport refreshes over the rows they dirtied.
+        let change = apply_change(topology, transport, joins, moves, deaths)?;
+        let victims = change.victims;
+        let mut report = GhtChurnReport {
+            failed_nodes: victims.len(),
+            partitioned: change.partitioned,
+            ..GhtChurnReport::default()
+        };
         self.grow_to(topology.len());
 
         // Values at dead nodes are gone; carried handoffs whose holder
@@ -202,7 +184,7 @@ impl<V: Clone> GhtTable<V> {
 
         self.drain_handoffs(topology, transport, queue, budget, &mut report);
         report.deferred_repairs = queue.tasks.len() as u64;
-        report
+        Ok(report)
     }
 
     /// Drains `queue` front-to-back until the next handoff would exceed
@@ -305,8 +287,9 @@ mod tests {
             .collect();
         homes.sort_unstable_by(|a, b| b.cmp(a));
         let victims: Vec<NodeId> = homes.iter().take(10).map(|&(_, n)| n).collect();
-        let report =
-            ght.apply_epoch(&mut topo, t.as_mut(), &[], &victims, &[], &mut queue, u64::MAX);
+        let report = ght
+            .apply_epoch(&mut topo, t.as_mut(), &[], &victims, &[], &mut queue, u64::MAX)
+            .unwrap();
         assert_eq!(report.failed_nodes, 10);
         assert!(report.values_lost > 0, "dead homes lose their values: {report:?}");
         assert_eq!(
@@ -338,8 +321,9 @@ mod tests {
                 .filter(|&n| topo.is_alive(n) && rng.gen_bool(0.02))
                 .collect();
             let before = t.ledger().layer_total(TrafficLayer::Repair);
-            let report =
-                ght.apply_epoch(&mut topo, t.as_mut(), &[], &victims, &[], &mut queue, budget);
+            let report = ght
+                .apply_epoch(&mut topo, t.as_mut(), &[], &victims, &[], &mut queue, budget)
+                .unwrap();
             let after = t.ledger().layer_total(TrafficLayer::Repair);
             assert!(after - before <= budget, "epoch spent {} > {budget}", after - before);
             assert_eq!(report.repair_messages, after - before);
@@ -350,7 +334,7 @@ mod tests {
             if queue.is_empty() {
                 break;
             }
-            ght.apply_epoch(&mut topo, t.as_mut(), &[], &[], &[], &mut queue, budget);
+            ght.apply_epoch(&mut topo, t.as_mut(), &[], &[], &[], &mut queue, budget).unwrap();
         }
         assert!(queue.is_empty(), "the queue must drain when churn stops");
     }
@@ -364,8 +348,9 @@ mod tests {
         let mut queue = GhtRepairQueue::default();
         let joins = [Point::new(100.0, 100.0), topo.bounds().center()];
         let moves = [(NodeId(5), Point::new(20.0, 20.0)), (NodeId(9), topo.bounds().center())];
-        let report =
-            ght.apply_epoch(&mut topo, t.as_mut(), &joins, &[], &moves, &mut queue, u64::MAX);
+        let report = ght
+            .apply_epoch(&mut topo, t.as_mut(), &joins, &[], &moves, &mut queue, u64::MAX)
+            .unwrap();
         assert_eq!(report.failed_nodes, 0);
         assert_eq!(report.values_lost, 0, "nobody died: {report:?}");
         assert_eq!(
@@ -375,7 +360,8 @@ mod tests {
         );
         assert_eq!(topo.len(), 252);
         // Every key now lives at its current home: a fresh walk is a no-op.
-        let report = ght.apply_epoch(&mut topo, t.as_mut(), &[], &[], &[], &mut queue, u64::MAX);
+        let report =
+            ght.apply_epoch(&mut topo, t.as_mut(), &[], &[], &[], &mut queue, u64::MAX).unwrap();
         assert_eq!(report.values_rehomed, 0, "{report:?}");
         assert_eq!(report.repair_messages, 0);
     }
@@ -406,12 +392,35 @@ mod tests {
         assert!(m.partitioned);
     }
 
+    /// The GHT twin of Pool's and DIM's test: an id that was never deployed
+    /// is a typed error raised before the first write — even when valid
+    /// joins and moves precede it in the plan — not a panic mid-mutation.
     #[test]
-    #[should_panic(expected = "unknown node")]
-    fn unknown_death_panics_with_a_clear_message() {
+    fn unknown_nodes_in_a_plan_are_typed_errors_and_nothing_applies() {
         let (mut topo, mut t) = setup(204);
         let mut ght: GhtTable<u32> = GhtTable::new(&topo);
+        load(&mut ght, &topo, t.as_mut(), 40, 4);
+        let stored = ght.total_stored();
+        let reference = topo.clone();
         let mut queue = GhtRepairQueue::default();
-        ght.apply_epoch(&mut topo, t.as_mut(), &[], &[NodeId(9999)], &[], &mut queue, u64::MAX);
+        let joins = [Point::new(10.0, 10.0)];
+        let moves = [(NodeId(3), Point::new(50.0, 50.0))];
+        let err = ght
+            .apply_epoch(&mut topo, t.as_mut(), &joins, &[NodeId(9999)], &moves, &mut queue, 50)
+            .unwrap_err();
+        assert_eq!(err, UnknownNode { node: NodeId(9999), nodes: 251 });
+        assert!(err.to_string().contains("unknown node"), "{err}");
+        let bad_move = [(NodeId(251), Point::new(1.0, 1.0))];
+        let err = ght
+            .apply_epoch(&mut topo, t.as_mut(), &joins, &[], &bad_move, &mut queue, 50)
+            .unwrap_err();
+        assert_eq!(err.node, NodeId(251), "a mover may not name this epoch's joiner + 1");
+        // Nothing applied: no joiner, no move, no refresh, no value touched.
+        assert_eq!(topo.len(), reference.len());
+        assert_eq!(topo.position(NodeId(3)), reference.position(NodeId(3)));
+        assert_eq!(topo.patched_rows(), 0);
+        assert_eq!(t.generation(), 0);
+        assert_eq!(ght.total_stored(), stored);
+        assert!(queue.is_empty());
     }
 }

@@ -45,8 +45,8 @@ pub enum Planarization {
 /// ```
 /// Stored as a flat CSR arena (one offsets array into one contiguous link
 /// array) like [`Topology`]'s adjacency, so a 100k-node planarization is
-/// two allocations rather than 100k.
-#[derive(Debug, Clone)]
+/// two allocations rather than 100k. Equal graphs have equal rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanarGraph {
     method: Planarization,
     /// The planar neighbors of node `i` are
@@ -56,35 +56,53 @@ pub struct PlanarGraph {
 }
 
 impl PlanarGraph {
-    /// Extracts the chosen planar subgraph from `topology`.
+    /// Extracts the chosen planar subgraph from `topology`: the refresh of
+    /// a graph that has no rows yet, so every row is computed.
     pub fn build(topology: &Topology, method: Planarization) -> Self {
+        let mut graph = PlanarGraph { method, offsets: vec![0], links: Vec::new() };
+        graph.refresh(topology, &[]);
+        graph
+    }
+
+    /// Brings the graph up to date with a changed `topology`, recomputing
+    /// only the rows in `dirty` (plus any row past the old node count) and
+    /// carrying every other row over unchanged.
+    ///
+    /// A node's planar row depends only on its own neighbor table and on
+    /// the positions of itself and those neighbors, so `dirty` must hold
+    /// every node whose table was written or that has a neighbor that
+    /// moved since the graph was last brought up to date —
+    /// [`Topology::compact`] returns exactly that set. A superset is
+    /// harmless; ids outside the topology are ignored.
+    pub fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
         let n = topology.len();
+        let old_rows = self.offsets.len() - 1;
+        // The dirty ids in row order, consumed in step with the rows below.
+        // An empty set allocates nothing, so a build allocates exactly its
+        // two arenas.
+        let mut pending: Vec<NodeId> = dirty.to_vec();
+        pending.sort_unstable();
+        let mut pending = pending.into_iter().peekable();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut links = Vec::new();
+        let mut links = Vec::with_capacity(self.links.len());
         let mut kept = Vec::new();
         offsets.push(0u32);
-        for u in 0..n {
-            let u = NodeId(u as u32);
-            let pu = topology.position(u);
-            kept.clear();
-            kept.extend(
-                topology
-                    .neighbors(u)
-                    .iter()
-                    .copied()
-                    .filter(|&v| keep_edge(topology, method, u, v)),
-            );
-            kept.sort_by(|&a, &b| {
-                let aa = pu.angle_to(topology.position(a));
-                let ab = pu.angle_to(topology.position(b));
-                // total_cmp: a NaN angle (undeployable position) must order
-                // deterministically, not panic.
-                aa.total_cmp(&ab).then(a.cmp(&b))
-            });
-            links.extend_from_slice(&kept);
+        for i in 0..n {
+            let u = NodeId(i as u32);
+            let mut recompute = i >= old_rows;
+            while pending.next_if_eq(&u).is_some() {
+                recompute = true;
+            }
+            if recompute {
+                planar_row(topology, self.method, u, &mut kept);
+                links.extend_from_slice(&kept);
+            } else {
+                links.extend_from_slice(self.neighbors(u));
+            }
             offsets.push(links.len() as u32);
         }
-        PlanarGraph { method, offsets, links }
+        self.offsets = offsets;
+        self.links = links;
     }
 
     /// The planarization method used.
@@ -140,6 +158,23 @@ impl PlanarGraph {
     }
 }
 
+/// The one row kernel: `u`'s planar neighbors into `kept`, sorted by edge
+/// angle. Reads nothing but `u`'s neighbor table and those nodes' positions.
+fn planar_row(topology: &Topology, method: Planarization, u: NodeId, kept: &mut Vec<NodeId>) {
+    let pu = topology.position(u);
+    kept.clear();
+    kept.extend(
+        topology.neighbors(u).iter().copied().filter(|&v| keep_edge(topology, method, u, v)),
+    );
+    kept.sort_by(|&a, &b| {
+        let aa = pu.angle_to(topology.position(a));
+        let ab = pu.angle_to(topology.position(b));
+        // total_cmp: a NaN angle (undeployable position) must order
+        // deterministically, not panic.
+        aa.total_cmp(&ab).then(a.cmp(&b))
+    });
+}
+
 /// The distributed witness test for one directed edge. Both endpoints apply
 /// the same symmetric predicate, so the resulting graph is undirected.
 fn keep_edge(topology: &Topology, method: Planarization, u: NodeId, v: NodeId) -> bool {
@@ -184,6 +219,9 @@ mod tests {
     use pool_netsim::deployment::{Deployment, Placement};
     use pool_netsim::geometry::Rect;
     use pool_netsim::node::Node;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn random_topo(n: usize, side: f64, range: f64, seed: u64) -> Topology {
         let nodes = Deployment::new(Rect::square(side), n, Placement::Uniform, seed).nodes();
@@ -314,6 +352,118 @@ mod tests {
             let g = PlanarGraph::build(&topo, method);
             assert!(g.has_edge(NodeId(0), NodeId(1)), "{method:?}: finite edge survives");
             assert!(g.neighbors(NodeId(2)).is_empty(), "{method:?}: NaN node is isolated");
+        }
+    }
+
+    const METHODS: [Planarization; 2] =
+        [Planarization::Gabriel, Planarization::RelativeNeighborhood];
+
+    /// An unchanged topology and an empty dirty set carry every row over.
+    #[test]
+    fn refresh_with_nothing_dirty_changes_nothing() {
+        let topo = random_topo(80, 100.0, 28.0, 41);
+        for method in METHODS {
+            let built = PlanarGraph::build(&topo, method);
+            let mut refreshed = built.clone();
+            refreshed.refresh(&topo, &[]);
+            assert_eq!(refreshed, built);
+        }
+    }
+
+    /// Joins grow the graph: rows past the old node count are computed even
+    /// when the caller's dirty set does not name them.
+    #[test]
+    fn refresh_computes_rows_past_the_old_node_count() {
+        let mut topo = random_topo(60, 80.0, 25.0, 42);
+        let mut graphs = METHODS.map(|m| PlanarGraph::build(&topo, m));
+        let a = topo.add_node(Point::new(40.0, 40.0));
+        let b = topo.add_node(Point::new(41.0, 44.0));
+        let mut dirty = topo.compact();
+        dirty.retain(|&id| id != a && id != b);
+        for graph in &mut graphs {
+            graph.refresh(&topo, &dirty);
+            assert_eq!(*graph, PlanarGraph::build(&topo, graph.method()));
+            assert!(graph.has_edge(a, b), "{:?}: the joiners are 4 m apart", graph.method());
+        }
+    }
+
+    /// A survivor whose whole neighborhood died ends with an empty row.
+    #[test]
+    fn refresh_isolates_a_node_whose_neighborhood_died() {
+        let mut topo = random_topo(90, 100.0, 25.0, 43);
+        let mut graphs = METHODS.map(|m| PlanarGraph::build(&topo, m));
+        let lonely = NodeId(17);
+        let around = topo.neighbors(lonely).to_vec();
+        assert!(!around.is_empty());
+        topo.fail_nodes(&around);
+        let dirty = topo.compact();
+        for graph in &mut graphs {
+            graph.refresh(&topo, &dirty);
+            assert!(graph.neighbors(lonely).is_empty());
+            assert_eq!(*graph, PlanarGraph::build(&topo, graph.method()));
+        }
+    }
+
+    /// Negative control for the equality checks above and below: leaving a
+    /// changed row out of the dirty set leaves a graph that differs from
+    /// the full build, so a refresh that skipped dirty rows would be caught.
+    #[test]
+    fn a_skipped_dirty_row_is_visible_in_the_comparison() {
+        let mut topo = random_topo(90, 100.0, 25.0, 44);
+        let stale = PlanarGraph::build(&topo, Planarization::Gabriel);
+        let victim = NodeId(5);
+        let witness = stale.neighbors(victim)[0];
+        topo.fail_nodes(&[victim]);
+        let dirty = topo.compact();
+        assert!(dirty.contains(&witness));
+        let skipped: Vec<NodeId> = dirty.iter().copied().filter(|&id| id != witness).collect();
+        let mut refreshed = stale.clone();
+        refreshed.refresh(&topo, &skipped);
+        assert!(refreshed.has_edge(witness, victim), "the stale row still names the corpse");
+        assert_ne!(refreshed, PlanarGraph::build(&topo, Planarization::Gabriel));
+        refreshed.refresh(&topo, &[witness]);
+        assert_eq!(refreshed, PlanarGraph::build(&topo, Planarization::Gabriel));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Any interleaving of joins, moves and deaths, compacted once per
+        /// epoch and refreshed from what `compact` returned (padded with
+        /// unrelated rows: a dirty superset), leaves exactly the graph a
+        /// full build of the new topology gives, epoch after epoch.
+        #[test]
+        fn refresh_equals_full_build_under_random_churn(
+            seed in 0u64..100_000,
+            n in 40usize..140,
+            epochs in 1usize..5,
+            padding in 0usize..6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut topo = random_topo(n, 100.0, 25.0, seed);
+            let mut graphs = METHODS.map(|m| PlanarGraph::build(&topo, m));
+            let somewhere =
+                |rng: &mut StdRng| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
+            for _ in 0..epochs {
+                for _ in 0..rng.gen_range(0..8) {
+                    let id = NodeId(rng.gen_range(0..topo.len() as u32));
+                    match rng.gen_range(0..3) {
+                        0 => {
+                            topo.add_node(somewhere(&mut rng));
+                        }
+                        1 if topo.is_alive(id) => topo.move_node(id, somewhere(&mut rng)),
+                        _ => topo.fail_nodes(&[id]),
+                    }
+                }
+                let mut dirty = topo.compact();
+                for _ in 0..padding {
+                    dirty.push(NodeId(rng.gen_range(0..topo.len() as u32)));
+                }
+                for graph in &mut graphs {
+                    graph.refresh(&topo, &dirty);
+                    prop_assert_eq!(&*graph, &PlanarGraph::build(&topo, graph.method()));
+                }
+            }
         }
     }
 

@@ -121,6 +121,13 @@ impl Gpsr {
         Gpsr { planar: PlanarGraph::build(topology, method), metric: GreedyMetric::Distance }
     }
 
+    /// Brings the router up to date with a changed `topology` by
+    /// re-planarizing only the `dirty` rows ([`PlanarGraph::refresh`]
+    /// states what `dirty` must cover). The greedy metric is kept.
+    pub fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
+        self.planar.refresh(topology, dirty);
+    }
+
     /// Switches the greedy forwarding rule (routing-substrate ablation).
     pub fn with_metric(mut self, metric: GreedyMetric) -> Self {
         self.metric = metric;

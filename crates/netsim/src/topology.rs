@@ -23,7 +23,8 @@
 //! ([`Topology::fail_nodes`], [`Topology::add_node`],
 //! [`Topology::move_node`]) copy only the touched rows into a small
 //! *overlay* (`O(degree)` per event), which [`Topology::compact`] folds
-//! back into the flat arenas — callers compact once per churn epoch. The
+//! back into the flat arenas — callers compact once per churn epoch, and
+//! get back the ids of the rows the epoch wrote. The
 //! persistent copy-on-write API (`without_nodes` / `with_node` /
 //! `with_moved_node`) survives as clone-then-mutate wrappers, where a clone
 //! is now a handful of flat `memcpy`s instead of `n` per-row allocations.
@@ -428,13 +429,24 @@ impl Topology {
     /// `O(n + links)` pass over the adjacency plus a counting-sort rebuild
     /// of the spatial grid. Call once per churn epoch — between calls,
     /// lookups on overlaid rows pay one extra indirection but stay exact.
-    pub fn compact(&mut self) {
+    ///
+    /// Returns the ids of the rows it folded, ascending: every node whose
+    /// neighbor table was written since the last compaction. The mutators
+    /// write the row of each node that gains, loses, or keeps a link to a
+    /// joined, moved, or failed node, so this is also every node that has
+    /// a neighbor whose position changed — the set a per-node structure
+    /// derived from one-hop tables (a planarization) must recompute.
+    pub fn compact(&mut self) -> Vec<NodeId> {
+        let mut folded = Vec::with_capacity(self.patch_rows.len());
         if !self.patch_rows.is_empty() {
             let n = self.nodes.len();
             let mut offsets = Vec::with_capacity(n + 1);
             let mut links = Vec::with_capacity(self.adj_links.len());
             offsets.push(0u32);
             for i in 0..n {
+                if self.row_patch[i] != UNPATCHED {
+                    folded.push(NodeId(i as u32));
+                }
                 links.extend_from_slice(self.row(i));
                 offsets.push(links.len() as u32);
             }
@@ -447,6 +459,7 @@ impl Topology {
         if !self.grid.patched.is_empty() || self.row_patch.len() != self.alive.len() {
             self.grid.rebuild(&self.nodes, &self.alive, self.bucket_size);
         }
+        folded
     }
 
     /// Number of adjacency rows currently overlaid (not yet compacted).
@@ -1224,9 +1237,36 @@ mod arena_tests {
     fn compact_without_mutations_changes_nothing() {
         let mut topo = sample(50, 60.0, 20.0, 23);
         let reference = topo.clone();
-        topo.compact();
+        assert!(topo.compact().is_empty(), "nothing was written, nothing is folded");
         assert_same_tables(&topo, &reference);
         assert_eq!(topo.patched_rows(), 0);
+    }
+
+    /// compact() hands back the rows the overlay held, ascending, and they
+    /// cover every node whose table changed or that neighbors a node whose
+    /// position changed — including a mover's neighbors that stayed in range.
+    #[test]
+    fn compact_returns_every_row_the_epoch_touched() {
+        let base = sample(120, 100.0, 22.0, 25);
+        let mut topo = base.clone();
+        let joined = topo.add_node(Point::new(50.0, 50.0));
+        let mover = NodeId(9);
+        let nudged = Point::new(base.position(mover).x + 0.5, base.position(mover).y);
+        topo.move_node(mover, nudged);
+        topo.fail_nodes(&[NodeId(30)]);
+        let patched = topo.patched_rows();
+        let folded = topo.compact();
+        assert_eq!(folded.len(), patched);
+        assert!(folded.windows(2).all(|w| w[0] < w[1]), "ascending, no duplicates");
+        let mut expected: Vec<NodeId> = [joined, mover, NodeId(30)].to_vec();
+        expected.extend_from_slice(topo.neighbors(joined));
+        expected.extend_from_slice(base.neighbors(mover));
+        expected.extend_from_slice(topo.neighbors(mover));
+        expected.extend_from_slice(base.neighbors(NodeId(30)));
+        for id in expected {
+            assert!(folded.contains(&id), "row {id} was touched but not reported");
+        }
+        assert!(folded.len() < topo.len() / 2, "the folded set stays O(churn)");
     }
 
     /// The overlay stays O(churn): failing k nodes patches at most

@@ -42,7 +42,7 @@ const DEFAULT_CAPACITY: usize = 1 << 16;
 /// on its next use, so eviction affects wall-clock only — message and
 /// latency accounting are identical at any capacity.
 ///
-/// Invalidation: [`Transport::rebuild`] clears the memo and bumps the
+/// Invalidation: [`Transport::refresh`] clears the memo and bumps the
 /// generation counter, so no route ever crosses a topology change.
 /// Only `Ok` routes are cached — errors are recomputed, keeping failure
 /// semantics identical to [`crate::GpsrTransport`]. Charging is unaffected:
@@ -50,7 +50,6 @@ const DEFAULT_CAPACITY: usize = 1 << 16;
 #[derive(Debug, Clone)]
 pub struct CachedTransport {
     gpsr: Gpsr,
-    planarization: Planarization,
     ledger: TrafficLedger,
     clock: VirtualClock,
     generation: u64,
@@ -78,7 +77,6 @@ impl CachedTransport {
     ) -> Self {
         CachedTransport {
             gpsr: Gpsr::new(topology, planarization),
-            planarization,
             ledger: TrafficLedger::new(topology.nodes().len()),
             clock: VirtualClock::new(topology.nodes().len(), LatencyModel::default()),
             generation: 0,
@@ -100,7 +98,7 @@ impl CachedTransport {
     }
 
     /// Hit/miss/eviction counters since construction (not reset by
-    /// rebuild).
+    /// refresh).
     pub fn hit_stats(&self) -> CacheStats {
         CacheStats { hits: self.hits, misses: self.misses, evictions: self.routes.evictions() }
     }
@@ -173,8 +171,8 @@ impl Transport for CachedTransport {
         self.routes.retain(|_, route| !route.path.contains(&node)) as u64
     }
 
-    fn rebuild(&mut self, topology: &Topology) {
-        self.gpsr = Gpsr::new(topology, self.planarization);
+    fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
+        self.gpsr.refresh(topology, dirty);
         self.routes.clear();
         // Joins grow the network; the ledger and clock must keep every
         // node id addressable (counters for existing nodes are preserved).

@@ -488,11 +488,11 @@ impl Transport for FaultyTransport {
         self.inner.evict_routes_through(node)
     }
 
-    fn rebuild(&mut self, topology: &Topology) {
+    fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
         if let Some(ad) = &mut self.adaptive {
             ad.reset();
         }
-        self.inner.rebuild(topology);
+        self.inner.refresh(topology, dirty);
     }
 
     fn generation(&self) -> u64 {

@@ -18,7 +18,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct GpsrTransport {
     gpsr: Gpsr,
-    planarization: Planarization,
     ledger: TrafficLedger,
     clock: VirtualClock,
     generation: u64,
@@ -29,7 +28,6 @@ impl GpsrTransport {
     pub fn new(topology: &Topology, planarization: Planarization) -> Self {
         GpsrTransport {
             gpsr: Gpsr::new(topology, planarization),
-            planarization,
             ledger: TrafficLedger::new(topology.nodes().len()),
             clock: VirtualClock::new(topology.nodes().len(), LatencyModel::default()),
             generation: 0,
@@ -71,8 +69,8 @@ impl Transport for GpsrTransport {
         self.gpsr.route_to_node_avoiding(topology, from, to, excluded).map(Arc::new)
     }
 
-    fn rebuild(&mut self, topology: &Topology) {
-        self.gpsr = Gpsr::new(topology, self.planarization);
+    fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
+        self.gpsr.refresh(topology, dirty);
         // Joins grow the network; the ledger and clock must keep every
         // node id addressable (counters for existing nodes are preserved).
         self.ledger.grow_to(topology.len());

@@ -7,8 +7,11 @@
 //! touch [`pool_gpsr::Gpsr`] or [`pool_netsim::stats::TrafficStats`]
 //! directly:
 //!
-//! * [`Transport`] — route to a node or a location, rebuild after topology
+//! * [`Transport`] — route to a node or a location, refresh after topology
 //!   change, and account every charge in a per-layer [`TrafficLedger`].
+//! * [`apply_change`] — the one place a batch of joins, moves and deaths is
+//!   validated, written into the topology, compacted, and handed to
+//!   [`Transport::refresh`] as the set of rows it dirtied.
 //! * [`GpsrTransport`] — the reference implementation; recomputes every
 //!   route, reproducing the original message counts bit for bit.
 //! * [`CachedTransport`] — memoizes delivered routes per endpoint pair and
@@ -40,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod cached;
+pub mod change;
 pub mod clock;
 pub mod faults;
 pub mod gpsr;
@@ -50,6 +54,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use cached::CachedTransport;
+pub use change::{apply_change, apply_failures, NetworkChange, UnknownNode};
 pub use clock::{clean_hops, Hop, LatencyModel, VirtualClock};
 pub use faults::{Fault, FaultPlan, FaultyTransport, GilbertElliott};
 pub use gpsr::GpsrTransport;
@@ -147,15 +152,29 @@ pub trait Transport: fmt::Debug + Send {
         0
     }
 
-    /// Rebuilds the substrate over a changed topology (re-planarizes,
-    /// bumps [`Transport::generation`], and drops any memoized routes).
+    /// Brings the substrate up to date with a changed topology:
+    /// re-planarizes the `dirty` rows (and any row of a node that joined),
+    /// bumps [`Transport::generation`], drops every memoized route, and
+    /// grows the ledger and clock to address joiners.
+    ///
+    /// `dirty` must cover every node whose neighbor table was written or
+    /// that has a neighbor that moved since the last refresh — what
+    /// [`Topology::compact`] returns for the epoch. [`apply_change`] is the
+    /// caller that gets this right for every scheme.
     ///
     /// The ledger is preserved: node identity is stable across failures, so
     /// accumulated traffic remains attributable.
-    fn rebuild(&mut self, topology: &Topology);
+    fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]);
+
+    /// Rebuilds the substrate over an arbitrary topology: the
+    /// [`Transport::refresh`] with every row dirty.
+    fn rebuild(&mut self, topology: &Topology) {
+        let all: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
+        self.refresh(topology, &all);
+    }
 
     /// Monotonic topology generation; incremented by every
-    /// [`Transport::rebuild`]. Routes obtained under an older generation
+    /// [`Transport::refresh`]. Routes obtained under an older generation
     /// must not be reused.
     fn generation(&self) -> u64;
 

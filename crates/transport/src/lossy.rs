@@ -232,7 +232,7 @@ impl AdaptiveState {
         self.suspects.iter().copied()
     }
 
-    /// Forgets everything — called on topology rebuild, when old estimates
+    /// Forgets everything — called on topology refresh, when old estimates
     /// and suspicions no longer describe the network.
     pub fn reset(&mut self) {
         self.prr_estimate.clear();
@@ -410,7 +410,7 @@ impl DeliveryStats {
 /// A decorator that subjects every delivery of the wrapped [`Transport`]
 /// to per-hop loss with bounded ARQ.
 ///
-/// Routing (`route_to_node` / `route_to_location`), rebuilds, and the
+/// Routing (`route_to_node` / `route_to_location`), refreshes, and the
 /// ledger all delegate to the inner transport; only the `deliver*` methods
 /// change behaviour. The loss process is deterministic in
 /// [`LossyConfig::seed`].
@@ -638,12 +638,12 @@ impl Transport for LossyTransport {
         self.inner.evict_routes_through(node)
     }
 
-    fn rebuild(&mut self, topology: &Topology) {
+    fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
         // Old link estimates and suspicions describe the old topology.
         if let Some(ad) = &mut self.adaptive {
             ad.reset();
         }
-        self.inner.rebuild(topology);
+        self.inner.refresh(topology, dirty);
     }
 
     fn generation(&self) -> u64 {

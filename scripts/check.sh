@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, the full test suite, and a bench smoke run.
+# Repo gate: formatting, lints, the benchmark package's own gate, the full
+# test suite, and a bench smoke run.
 # Mirrors .github/workflows/ci.yml stage for stage.
 #
 # Usage:
@@ -32,7 +33,7 @@ report() {
     echo
     echo "Stage timings:"
     for i in "${!STAGE_NAMES[@]}"; do
-        printf '  %-28s %4ds\n' "${STAGE_NAMES[$i]}" "${STAGE_SECS[$i]}"
+        printf '  %-38s %4ds\n' "${STAGE_NAMES[$i]}" "${STAGE_SECS[$i]}"
     done
 }
 
@@ -100,6 +101,10 @@ if [ "$QUICK" -eq 1 ]; then
 fi
 
 stage "cargo build --release" cargo build --release --workspace
+# benchmark/ is its own workspace: nothing above compiles it, so a changed
+# `pub` signature under crates/ could break it unseen. Its own gate (fmt,
+# clippy, tests, every workload at smoke scale) runs here.
+stage "benchmark gate (benchmark/check.sh)" benchmark/check.sh
 stage "cargo test" cargo test --workspace -q
 stage "conservation audit" cargo test -q --test conservation
 stage "bench smoke (--smoke --jobs 2)" bench_smoke

@@ -5,10 +5,12 @@
 //! traffic ledgers are all pinned here, because every message count in the
 //! checked-in artifacts rides on them.
 
+use pool_dcs::core::dynamics::{ChurnConfig, ChurnScenario};
 use pool_dcs::core::{PoolConfig, PoolSystem};
 use pool_dcs::gpsr::{Gpsr, Planarization};
 use pool_dcs::netsim::geometry::Point;
 use pool_dcs::netsim::{Deployment, NodeId, Rect, Topology};
+use pool_dcs::transport::TransportKind;
 use pool_dcs::workloads::events::{EventDistribution, EventGenerator};
 use pool_dcs::workloads::queries::{exact_query, RangeSizeDistribution};
 use rand::rngs::StdRng;
@@ -188,4 +190,59 @@ fn ledger_totals_identical_across_representations() {
     let (results_b, ledger_b) = run(reference);
     assert_eq!(results_a, results_b, "query outcomes diverge across representations");
     assert_eq!(ledger_a, ledger_b, "ledgers diverge across representations");
+}
+
+/// The refresh contract, end to end: a 10-epoch churn scenario whose
+/// transport re-planarizes only each epoch's dirty rows equals — report for
+/// report, answer for answer, ledger row for ledger row, to the virtual
+/// nanosecond — the same scenario with every row passed as dirty after every
+/// epoch. A refresh that missed a row would route the traffic between epochs
+/// (and the next epoch's repairs) over a stale planar graph.
+#[test]
+fn dirty_row_refresh_and_all_row_refresh_are_observationally_identical() {
+    let (base, field) = connected(39);
+    let run = |kind: TransportKind, every_row: bool| {
+        let config =
+            PoolConfig::paper().with_dims(3).with_seed(5).with_replication().with_transport(kind);
+        let mut pool = PoolSystem::build(base.clone(), field, config).unwrap();
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut generator = EventGenerator::new(3, EventDistribution::Uniform);
+        let churn = ChurnConfig::new(21).with_rates(3, 5, 5).with_epochs(10).with_budget(120);
+        let mut scenario = ChurnScenario::new(churn);
+        let mut reports = Vec::new();
+        let mut answers = Vec::new();
+        for _ in 0..churn.epochs {
+            reports.push(scenario.advance(&mut pool).unwrap());
+            assert_eq!(pool.topology().patched_rows(), 0, "every epoch compacts");
+            if every_row {
+                let topology = pool.topology().clone();
+                pool.transport_mut().rebuild(&topology);
+            }
+            let members = pool.topology().largest_component_members();
+            for _ in 0..20 {
+                let src = members[rng.gen_range(0..members.len())];
+                let receipt = pool.insert_from(src, generator.generate(&mut rng)).unwrap();
+                answers.push((receipt.holder.index(), receipt.messages, 0));
+            }
+            for _ in 0..10 {
+                let sink = members[rng.gen_range(0..members.len())];
+                let query =
+                    exact_query(&mut rng, 3, RangeSizeDistribution::Exponential { mean: 0.1 });
+                let r = pool.query_from(sink, &query).unwrap();
+                answers.push((r.events.len(), r.cost.forward_messages, r.cost.reply_messages));
+            }
+        }
+        assert_eq!(scenario.epochs_run(), 10);
+        let clock = pool.transport().clock().now().to_bits();
+        (reports, answers, pool.transport().ledger().clone(), clock)
+    };
+    for kind in [TransportKind::Gpsr, TransportKind::Cached] {
+        let (reports, answers, ledger, clock) = run(kind, false);
+        let (reports_all, answers_all, ledger_all, clock_all) = run(kind, true);
+        assert!(reports.iter().any(|r| r.failed_nodes > 0 && r.repair_messages > 0));
+        assert_eq!(reports, reports_all, "{kind}: epoch reports diverge");
+        assert_eq!(answers, answers_all, "{kind}: operation outcomes diverge");
+        assert_eq!(ledger, ledger_all, "{kind}: ledgers diverge");
+        assert_eq!(clock, clock_all, "{kind}: virtual clocks diverge");
+    }
 }
