@@ -11,8 +11,52 @@ use crate::report::Table;
 use pool_transport::TransportKind;
 use std::path::PathBuf;
 
+/// The value following `flag` in `args`: `None` when the flag is absent,
+/// an error when it is the last argument.
+fn value_of<'a>(flag: &str, args: &'a [String]) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(value) => Ok(Some(value)),
+            None => Err(format!("{flag}: missing value")),
+        },
+    }
+}
+
+/// Reads `flag`'s value from `std::env::args` with `parse`; a missing or
+/// malformed value prints the error and exits with status 2 rather than
+/// silently running a different experiment than the one asked for.
+fn arg_or_exit<T>(flag: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().collect();
+    value_of(flag, &args).and_then(parse).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// The count a `flag <value>` pair asks for: `default` when the flag is
+/// absent (`value` is `None`), an error naming the flag when the value is
+/// not a non-negative integer.
+///
+/// # Examples
+///
+/// ```
+/// use pool_bench::cli::parse_usize;
+///
+/// assert_eq!(parse_usize("--nodes", None, 900), Ok(900));
+/// assert_eq!(parse_usize("--nodes", Some("300"), 900), Ok(300));
+/// assert!(parse_usize("--nodes", Some("10k"), 900).is_err());
+/// ```
+pub fn parse_usize(flag: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|e| format!("{flag}: {v:?}: {e}")),
+    }
+}
+
 /// Parses `flag <value>` from `std::env::args`, falling back to `default`
-/// when absent or malformed.
+/// when absent; exits with the parse error on a missing or malformed value
+/// (`--nodes 10k` must not benchmark the default network).
 ///
 /// # Examples
 ///
@@ -22,18 +66,13 @@ use std::path::PathBuf;
 /// assert_eq!(queries, 100);
 /// ```
 pub fn arg_usize(flag: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    arg_or_exit(flag, |value| parse_usize(flag, value, default))
 }
 
 /// Parses `flag <value>` as a routing-substrate selector (`gpsr` or
 /// `cached`), falling back to `default` when absent; exits with the parse
-/// error on a malformed value rather than silently benchmarking the wrong
-/// substrate.
+/// error on a missing or malformed value rather than silently benchmarking
+/// the wrong substrate.
 ///
 /// # Examples
 ///
@@ -44,14 +83,10 @@ pub fn arg_usize(flag: &str, default: usize) -> usize {
 /// assert_eq!(t, TransportKind::Gpsr);
 /// ```
 pub fn arg_transport(flag: &str, default: TransportKind) -> TransportKind {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("{flag}: {e}");
-            std::process::exit(2);
-        }),
-    }
+    arg_or_exit(flag, |value| match value {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|e| format!("{flag}: {e}")),
+    })
 }
 
 /// Returns whether the bare flag is present in `std::env::args`.
@@ -159,6 +194,25 @@ mod tests {
     #[test]
     fn missing_flag_yields_default() {
         assert_eq!(arg_usize("--definitely-not-passed", 7), 7);
+    }
+
+    #[test]
+    fn parse_usize_defaults_when_absent_and_rejects_malformed_values() {
+        assert_eq!(parse_usize("--nodes", None, 900), Ok(900));
+        assert_eq!(parse_usize("--nodes", Some("300"), 900), Ok(300));
+        for malformed in ["10k", "-3", "1e5", "", "--smoke"] {
+            let err = parse_usize("--nodes", Some(malformed), 900).unwrap_err();
+            assert!(err.starts_with("--nodes: "), "{err}");
+            assert!(err.contains(&format!("{malformed:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_without_a_value_is_an_error_not_the_default() {
+        let args: Vec<String> = ["fig6", "--queries", "40", "--nodes"].map(String::from).to_vec();
+        assert_eq!(value_of("--jobs", &args), Ok(None));
+        assert_eq!(value_of("--queries", &args), Ok(Some("40")));
+        assert_eq!(value_of("--nodes", &args), Err("--nodes: missing value".to_string()));
     }
 
     #[test]

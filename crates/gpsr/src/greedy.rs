@@ -37,43 +37,51 @@ pub fn greedy_next_by(
 ) -> Option<NodeId> {
     let own_pos = topology.position(at);
     let own = own_pos.distance_sq(target);
-    let mut best: Option<(f64, NodeId)> = None;
-    for &nb in topology.neighbors(at) {
-        let nb_pos = topology.position(nb);
-        let d = nb_pos.distance_sq(target);
-        if d >= own {
-            continue; // only strict progress keeps routing loop-free
+    let row = topology.neighbors(at).iter().map(|&nb| (nb, topology.position(nb)));
+    // Only strict progress keeps routing loop-free.
+    let closer = row.clone().filter(|(_, pos)| pos.distance_sq(target) < own);
+    // Smaller score is better for every metric.
+    match metric {
+        // Bounded by the node's own distance, the running minimum is the
+        // progress test and the selection in one compare.
+        GreedyMetric::Distance => {
+            first_least(own, row.map(|(nb, pos)| (nb, pos.distance_sq(target))))
         }
-        // Smaller score is better for every metric.
-        let score = match metric {
-            GreedyMetric::Distance => d,
-            GreedyMetric::MostForward => {
-                // Progress = projection of the step onto the line to the
-                // target; maximize it, i.e. minimize its negation.
-                let to_target = target.sub(own_pos);
-                let step = nb_pos.sub(own_pos);
-                let norm = to_target.distance(Point::new(0.0, 0.0));
-                -(step.x * to_target.x + step.y * to_target.y) / norm.max(1e-12)
-            }
-            GreedyMetric::Compass => {
-                let a1 = own_pos.angle_to(target);
-                let a2 = own_pos.angle_to(nb_pos);
-                let mut diff = (a1 - a2).abs();
-                if diff > std::f64::consts::PI {
-                    diff = std::f64::consts::TAU - diff;
-                }
-                diff
-            }
-        };
-        let better = match best {
-            None => true,
-            Some((bs, bid)) => score < bs || (score == bs && nb < bid),
-        };
-        if better {
-            best = Some((score, nb));
+        GreedyMetric::MostForward => {
+            // Progress = projection of the step onto the line to the
+            // target; maximize it, i.e. minimize its negation.
+            let to_target = target.sub(own_pos);
+            let norm = to_target.distance(Point::new(0.0, 0.0)).max(1e-12);
+            let score = |(nb, pos): (NodeId, Point)| {
+                let step = pos.sub(own_pos);
+                (nb, -(step.x * to_target.x + step.y * to_target.y) / norm)
+            };
+            first_least(f64::INFINITY, closer.map(score))
+        }
+        GreedyMetric::Compass => {
+            let bearing = own_pos.angle_to(target);
+            let score = |(nb, pos): (NodeId, Point)| {
+                let diff = (bearing - own_pos.angle_to(pos)).abs();
+                (nb, if diff > std::f64::consts::PI { std::f64::consts::TAU - diff } else { diff })
+            };
+            first_least(f64::INFINITY, closer.map(score))
         }
     }
-    best.map(|(_, id)| id)
+}
+
+/// The one greedy scan: the first neighbor whose score is the least one
+/// strictly below `bound`. Rows ascend by id, so "first" is the lower-id
+/// tie-break, and a new minimum is recorded O(log degree) times per step —
+/// not at every neighbor that makes progress, which is every other one.
+#[inline]
+fn first_least(bound: f64, scored: impl Iterator<Item = (NodeId, f64)>) -> Option<NodeId> {
+    let (mut least, mut best) = (bound, None);
+    for (nb, score) in scored {
+        if score < least {
+            (least, best) = (score, Some(nb));
+        }
+    }
+    best
 }
 
 /// The neighbor of `at` strictly closer to `target` than `at` itself, or
@@ -100,21 +108,7 @@ pub fn greedy_next_by(
 /// assert_eq!(greedy_next(&topo, NodeId(2), Point::new(10.0, 0.0)), None);
 /// ```
 pub fn greedy_next(topology: &Topology, at: NodeId, target: Point) -> Option<NodeId> {
-    let own = topology.position(at).distance_sq(target);
-    let mut best: Option<(f64, NodeId)> = None;
-    for &nb in topology.neighbors(at) {
-        let d = topology.position(nb).distance_sq(target);
-        if d < own {
-            let better = match best {
-                None => true,
-                Some((bd, bid)) => d < bd || (d == bd && nb < bid),
-            };
-            if better {
-                best = Some((d, nb));
-            }
-        }
-    }
-    best.map(|(_, id)| id)
+    greedy_next_by(topology, at, target, GreedyMetric::Distance)
 }
 
 #[cfg(test)]
@@ -185,6 +179,135 @@ mod metric_tests {
     use crate::Planarization;
     use pool_netsim::deployment::{Deployment, Placement};
     use pool_netsim::geometry::Rect;
+    use pool_netsim::node::Node;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const METRICS: [GreedyMetric; 3] =
+        [GreedyMetric::Distance, GreedyMetric::MostForward, GreedyMetric::Compass];
+
+    /// The scan the kernel replaced, kept as the oracle: test progress per
+    /// neighbor, score it under the metric, then a three-way compare that
+    /// spells out the lower-id tie-break instead of leaning on row order.
+    /// (Not an oracle for a NaN target, where it takes the first neighbor.)
+    fn reference_next_by(
+        topology: &Topology,
+        at: NodeId,
+        target: Point,
+        metric: GreedyMetric,
+    ) -> Option<NodeId> {
+        let own_pos = topology.position(at);
+        let own = own_pos.distance_sq(target);
+        let mut best: Option<(f64, NodeId)> = None;
+        for &nb in topology.neighbors(at) {
+            let nb_pos = topology.position(nb);
+            let d = nb_pos.distance_sq(target);
+            if d >= own {
+                continue; // only strict progress keeps routing loop-free
+            }
+            let score = match metric {
+                GreedyMetric::Distance => d,
+                GreedyMetric::MostForward => {
+                    let to_target = target.sub(own_pos);
+                    let step = nb_pos.sub(own_pos);
+                    let norm = to_target.distance(Point::new(0.0, 0.0));
+                    -(step.x * to_target.x + step.y * to_target.y) / norm.max(1e-12)
+                }
+                GreedyMetric::Compass => {
+                    let a1 = own_pos.angle_to(target);
+                    let a2 = own_pos.angle_to(nb_pos);
+                    let mut diff = (a1 - a2).abs();
+                    if diff > std::f64::consts::PI {
+                        diff = std::f64::consts::TAU - diff;
+                    }
+                    diff
+                }
+            };
+            let better = match best {
+                None => true,
+                Some((bs, bid)) => score < bs || (score == bs && nb < bid),
+            };
+            if better {
+                best = Some((score, nb));
+            }
+        }
+        best.map(|(_, id)| id)
+    }
+
+    /// Kernel and oracle agree at every live node, for every metric, on
+    /// targets chosen to tie: each node's own position, the midpoint of
+    /// each node and its first neighbor, and `extra`.
+    fn assert_kernel_matches_reference(topo: &Topology, extra: &[Point]) {
+        let mut targets = extra.to_vec();
+        for node in topo.nodes() {
+            targets.push(node.position);
+            if let Some(&nb) = topo.neighbors(node.id).first() {
+                targets.push(node.position.midpoint(topo.position(nb)));
+            }
+        }
+        for &target in &targets {
+            for node in topo.nodes() {
+                for metric in METRICS {
+                    assert_eq!(
+                        greedy_next_by(topo, node.id, target, metric),
+                        reference_next_by(topo, node.id, target, metric),
+                        "{metric:?} at {} toward {target}",
+                        node.id
+                    );
+                }
+            }
+        }
+    }
+
+    /// A point likely to tie: on another node, on a 10 m lattice, or
+    /// anywhere in (and a little around) the field.
+    fn tie_prone_point(rng: &mut StdRng, taken: &[Point]) -> Point {
+        match rng.gen_range(0..4) {
+            0 if !taken.is_empty() => taken[rng.gen_range(0..taken.len())],
+            1 => Point::new(
+                f64::from(rng.gen_range(0..8u32)) * 10.0,
+                f64::from(rng.gen_range(0..8u32)) * 10.0,
+            ),
+            _ => Point::new(rng.gen_range(-5.0..75.0), rng.gen_range(-5.0..75.0)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The kernel picks the oracle's hop on random deployments salted
+        /// with coincident positions and lattice points (exact distance
+        /// ties, where the lower id must win), and on the *uncompacted*
+        /// overlay rows a random join / move / death sequence leaves.
+        #[test]
+        fn kernel_matches_reference_scan(seed in 0u64..100_000, n in 20usize..70) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut positions: Vec<Point> = Vec::new();
+            for _ in 0..n {
+                positions.push(tie_prone_point(&mut rng, &positions));
+            }
+            let nodes =
+                positions.iter().enumerate().map(|(i, &p)| Node::new(NodeId(i as u32), p)).collect();
+            let mut topo = Topology::build(nodes, 25.0).unwrap();
+            let extra: Vec<Point> = (0..8).map(|_| tie_prone_point(&mut rng, &positions)).collect();
+            assert_kernel_matches_reference(&topo, &extra);
+
+            for _ in 0..rng.gen_range(4..16) {
+                let id = NodeId(rng.gen_range(0..topo.len() as u32));
+                let spot = tie_prone_point(&mut rng, &positions);
+                match rng.gen_range(0..3) {
+                    0 => {
+                        topo.add_node(spot);
+                    }
+                    1 if topo.is_alive(id) => topo.move_node(id, spot),
+                    _ => topo.fail_nodes(&[id]),
+                }
+            }
+            prop_assert!(topo.patched_rows() > 0, "the overlay must still be uncompacted");
+            assert_kernel_matches_reference(&topo, &extra);
+        }
+    }
 
     fn connected(n: usize, mut seed: u64) -> Topology {
         loop {
@@ -209,11 +332,27 @@ mod metric_tests {
         }
     }
 
+    /// A NaN target is closer to nobody: every metric reports a local
+    /// minimum (the router then tours the face and delivers or fails typed)
+    /// rather than hopping neighbor to neighbor until the hop budget.
+    #[test]
+    fn nan_target_is_a_local_minimum_under_every_metric() {
+        let topo = connected(80, 5);
+        for target in [Point::new(f64::NAN, f64::NAN), Point::new(50.0, f64::NAN)] {
+            for node in topo.nodes() {
+                assert_eq!(greedy_next(&topo, node.id, target), None);
+                for metric in METRICS {
+                    assert_eq!(greedy_next_by(&topo, node.id, target, metric), None, "{metric:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn all_metrics_only_make_strict_progress() {
         let topo = connected(80, 6);
         let target = Point::new(10.0, 80.0);
-        for metric in [GreedyMetric::Distance, GreedyMetric::MostForward, GreedyMetric::Compass] {
+        for metric in METRICS {
             for node in topo.nodes() {
                 if let Some(next) = greedy_next_by(&topo, node.id, target, metric) {
                     assert!(
@@ -230,7 +369,7 @@ mod metric_tests {
     #[test]
     fn every_metric_delivers_end_to_end() {
         let topo = connected(90, 7);
-        for metric in [GreedyMetric::Distance, GreedyMetric::MostForward, GreedyMetric::Compass] {
+        for metric in METRICS {
             let gpsr = Gpsr::new(&topo, Planarization::Gabriel).with_metric(metric);
             for dst in topo.nodes().iter().step_by(9) {
                 let route = gpsr.route_to_node(&topo, NodeId(0), dst.id);

@@ -1141,6 +1141,50 @@ mod mutation_tests {
         assert_buckets_sorted(&topo);
         assert_tables_consistent(&topo);
     }
+
+    /// The invariant greedy forwarding's tie-break leans on (the first of
+    /// equally close neighbors in row order is the lower id) and
+    /// `are_neighbors` binary-searches by: every row strictly ascending,
+    /// in the uncompacted overlay a churn sequence leaves and after
+    /// `compact()` folds it.
+    #[test]
+    fn neighbor_rows_ascend_strictly_before_and_after_compaction() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let assert_rows_ascend = |topo: &Topology| {
+            for node in topo.nodes() {
+                let row = topo.neighbors(node.id);
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "row of {}: {row:?}", node.id);
+            }
+        };
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut topo = sample(60, 70.0, 22.0, 40 + seed);
+            assert_rows_ascend(&topo);
+            for _epoch in 0..3 {
+                for _ in 0..rng.gen_range(5..25) {
+                    let id = NodeId(rng.gen_range(0..topo.len() as u32));
+                    // Half the destinations sit exactly on another node.
+                    let spot = if rng.gen_range(0..2) == 0 {
+                        topo.position(NodeId(rng.gen_range(0..topo.len() as u32)))
+                    } else {
+                        Point::new(rng.gen_range(0.0..70.0), rng.gen_range(0.0..70.0))
+                    };
+                    match rng.gen_range(0..3) {
+                        0 => {
+                            topo.add_node(spot);
+                        }
+                        1 if topo.is_alive(id) => topo.move_node(id, spot),
+                        _ => topo.fail_nodes(&[id]),
+                    }
+                }
+                assert!(topo.patched_rows() > 0);
+                assert_rows_ascend(&topo);
+                topo.compact();
+                assert_rows_ascend(&topo);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -115,6 +115,26 @@ impl CachedTransport {
         });
         count
     }
+
+    /// The memoized route for `key`, computing and storing it on a miss.
+    /// A route grows by doubling while it is computed; the memo keeps it
+    /// for as long as the topology stands, so it is stored at exact size.
+    fn memoized(
+        &mut self,
+        key: RouteKey,
+        compute: impl FnOnce(&Gpsr) -> Result<Route, RouteError>,
+    ) -> Result<Arc<Route>, RouteError> {
+        if let Some(route) = self.routes.get(&key) {
+            self.hits += 1;
+            return Ok(Arc::clone(route));
+        }
+        self.misses += 1;
+        let mut route = compute(&self.gpsr)?;
+        route.path.shrink_to_fit();
+        let route = Arc::new(route);
+        self.routes.insert(key, Arc::clone(&route));
+        Ok(route)
+    }
 }
 
 impl Transport for CachedTransport {
@@ -124,15 +144,7 @@ impl Transport for CachedTransport {
         from: NodeId,
         to: NodeId,
     ) -> Result<Arc<Route>, RouteError> {
-        let key = RouteKey::Node(from, to);
-        if let Some(route) = self.routes.get(&key) {
-            self.hits += 1;
-            return Ok(Arc::clone(route));
-        }
-        self.misses += 1;
-        let route = Arc::new(self.gpsr.route_to_node(topology, from, to)?);
-        self.routes.insert(key, Arc::clone(&route));
-        Ok(route)
+        self.memoized(RouteKey::Node(from, to), |gpsr| gpsr.route_to_node(topology, from, to))
     }
 
     fn route_to_location(
@@ -142,14 +154,7 @@ impl Transport for CachedTransport {
         target: Point,
     ) -> Result<Arc<Route>, RouteError> {
         let key = RouteKey::Location(from, target.x.to_bits(), target.y.to_bits());
-        if let Some(route) = self.routes.get(&key) {
-            self.hits += 1;
-            return Ok(Arc::clone(route));
-        }
-        self.misses += 1;
-        let route = Arc::new(self.gpsr.route(topology, from, target)?);
-        self.routes.insert(key, Arc::clone(&route));
-        Ok(route)
+        self.memoized(key, |gpsr| gpsr.route(topology, from, target))
     }
 
     fn route_to_node_avoiding(
@@ -217,6 +222,12 @@ mod tests {
         Topology::build(deployment.nodes(), 40.0).expect("topology")
     }
 
+    /// A location inside the field and off every node, so delivery there is
+    /// by home-node perimeter tour.
+    fn off_node_target(i: usize) -> Point {
+        Point::new((i * 13 % 40) as f64 + 0.37, (i * 29 % 20) as f64 + 0.61)
+    }
+
     #[test]
     fn cache_hit_returns_identical_route() {
         let topology = setup(5);
@@ -230,6 +241,8 @@ mod tests {
         assert_eq!(cached.cached_routes(), 1);
     }
 
+    /// Node- and location-addressed routes, through a miss and then a
+    /// hit, equal a fresh `GpsrTransport`'s.
     #[test]
     fn cached_routes_match_fresh_gpsr() {
         let topology = setup(9);
@@ -238,16 +251,35 @@ mod tests {
         let nodes = topology.nodes();
         for i in (0..nodes.len()).step_by(17) {
             let (a, b) = (nodes[i].id, nodes[(i * 7 + 3) % nodes.len()].id);
-            // Route twice through the cache: miss then hit.
-            let _ = cached.route_to_node(&topology, a, b);
-            let via_cache = cached.route_to_node(&topology, a, b);
             let via_gpsr = fresh.route_to_node(&topology, a, b);
-            match (via_cache, via_gpsr) {
-                (Ok(c), Ok(g)) => assert_eq!(c.path, g.path),
-                (Err(c), Err(g)) => assert_eq!(c, g),
-                (c, g) => panic!("cache/fresh disagree: {c:?} vs {g:?}"),
+            assert_eq!(cached.route_to_node(&topology, a, b), via_gpsr);
+            assert_eq!(cached.route_to_node(&topology, a, b), via_gpsr);
+            let target = off_node_target(i);
+            let via_gpsr = fresh.route_to_location(&topology, a, target);
+            assert_eq!(cached.route_to_location(&topology, a, target), via_gpsr);
+            assert_eq!(cached.route_to_location(&topology, a, target), via_gpsr);
+        }
+        let stats = cached.hit_stats();
+        assert_eq!(stats.hits, stats.misses, "every lookup ran once as a miss, once as a hit");
+    }
+
+    /// A route is computed into a doubling `Vec` and then kept for as long
+    /// as the topology stands: the memo must hold it without the slack.
+    #[test]
+    fn memoized_paths_hold_no_slack() {
+        let topology = setup(9);
+        let mut cached = CachedTransport::new(&topology, Planarization::Gabriel);
+        let nodes = topology.nodes();
+        for i in (0..nodes.len()).step_by(11) {
+            let (a, b) = (nodes[i].id, nodes[(i * 7 + 3) % nodes.len()].id);
+            let target = off_node_target(i);
+            let to_node = cached.route_to_node(&topology, a, b).expect("route");
+            let to_location = cached.route_to_location(&topology, a, target).expect("route");
+            for route in [to_node, to_location] {
+                assert_eq!(route.path.capacity(), route.path.len(), "{:?}", route.path);
             }
         }
+        assert!(cached.cached_routes() > 0);
     }
 
     #[test]

@@ -90,6 +90,15 @@ EOF
     echo "    ${#bins[@]} binaries ran; $artifacts artifacts validated against baselines"
 }
 
+release_audit() {
+    # The greedy kernel's correctness argument is about float compares and
+    # row order — what an optimiser may reorder — so its oracle and the
+    # transport equivalence suite also run once in the profile the
+    # artifacts ship in.
+    cargo test --release -q -p pool-gpsr kernel_matches_reference_scan
+    cargo test --release -q --test transport_equivalence
+}
+
 stage "cargo fmt --check" cargo fmt --all --check
 stage "cargo clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
 
@@ -107,6 +116,7 @@ stage "cargo build --release" cargo build --release --workspace
 stage "benchmark gate (benchmark/check.sh)" benchmark/check.sh
 stage "cargo test" cargo test --workspace -q
 stage "conservation audit" cargo test -q --test conservation
+stage "release-profile routing audit" release_audit
 stage "bench smoke (--smoke --jobs 2)" bench_smoke
 
 report

@@ -5,7 +5,7 @@
 
 use pool_dcs::gpsr::shortest::bfs_hops;
 use pool_dcs::gpsr::{Gpsr, Planarization};
-use pool_dcs::netsim::{Deployment, NodeId, Placement, Point, Rect, Topology};
+use pool_dcs::netsim::{Deployment, Node, NodeId, Placement, Point, Rect, Topology};
 use proptest::prelude::*;
 
 /// Builds a random deployment; returns `None` when it happens to be
@@ -71,6 +71,54 @@ proptest! {
                 "neighbor {nb} closer to {target} than delivery node {}",
                 route.delivered
             );
+        }
+    }
+
+    /// Greedy mode's *choice* is pinned, not just its outcome: until the
+    /// packet first meets a local minimum, every hop goes to the neighbor
+    /// strictly closer to the target with the least distance, lowest id
+    /// on ties. Half the cases snap nodes and target to a 5 m lattice, so
+    /// exact ties (and coincident nodes) are the common case there.
+    #[test]
+    fn greedy_hops_take_the_closest_neighbor_lowest_id_on_ties(
+        seed in 0u64..2000,
+        n in 30usize..120,
+        from_sel in 0usize..1000,
+        tx in 0.0f64..100.0,
+        ty in 0.0f64..100.0,
+        snap in 0usize..2,
+    ) {
+        let snapped = |v: f64| if snap == 1 { (v / 5.0).round() * 5.0 } else { v };
+        let place = |p: Point| Point::new(snapped(p.x), snapped(p.y));
+        let nodes = Deployment::new(Rect::square(100.0), n, Placement::Uniform, seed)
+            .nodes()
+            .into_iter()
+            .map(|node| Node::new(node.id, place(node.position)))
+            .collect();
+        let topo = Topology::build(nodes, 30.0).unwrap();
+        let target = place(Point::new(tx, ty));
+        let gpsr = Gpsr::new(&topo, Planarization::Gabriel);
+        // Coincident nodes can exhaust the hop budget; the hops taken
+        // before a typed error are not observable, so only routes count.
+        let Ok(route) = gpsr.route(&topo, NodeId((from_sel % n) as u32), target) else {
+            return Ok(());
+        };
+        let mut greedy_prefix = 0;
+        for hop in route.path.windows(2) {
+            let own = topo.position(hop[0]).distance_sq(target);
+            let closest = topo
+                .neighbors(hop[0])
+                .iter()
+                .map(|&nb| (topo.position(nb).distance_sq(target), nb))
+                .filter(|&(d, _)| d < own)
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let Some((_, closest)) = closest else { break };
+            prop_assert_eq!(hop[1], closest, "hop {} of {:?}", greedy_prefix, route.path);
+            greedy_prefix += 1;
+        }
+        prop_assert!(greedy_prefix <= route.greedy_hops);
+        if route.perimeter_hops == 0 {
+            prop_assert_eq!(greedy_prefix, route.hops());
         }
     }
 
