@@ -121,7 +121,6 @@ pub struct DimSystem {
     dims: usize,
     /// Events stored per zone index (index into `tree.zones()`).
     pub(crate) store: HashMap<usize, Vec<Event>>,
-    zone_index_by_code: HashMap<crate::code::ZoneCode, usize>,
     tracer: Tracer,
     /// Optional bounded operation-level retry for query legs (mirrors
     /// [`pool_core::config::PoolConfig::op_retry`]).
@@ -235,15 +234,12 @@ impl DimSystem {
         } else if let Some(lossy) = lossy {
             transport = Box::new(LossyTransport::wrap(transport, lossy));
         }
-        let zone_index_by_code =
-            tree.zones().iter().enumerate().map(|(i, z)| (z.code, i)).collect();
         Ok(DimSystem {
             topology,
             transport,
             tree,
             dims,
             store: HashMap::new(),
-            zone_index_by_code,
             tracer: Tracer::default(),
             op_retry,
         })
@@ -467,9 +463,8 @@ impl DimSystem {
             }));
         }
         let ledger_before = LedgerSnapshot::of(self.transport.ledger());
-        let zone = self.tree.zone_of_event(event.values());
-        let owner = zone.owner;
-        let zone_idx = self.zone_index_by_code[&zone.code];
+        let zone_idx = self.tree.zone_index_of_event(event.values());
+        let owner = self.tree.zones()[zone_idx].owner;
         let route = match self.transport.route_to_node(&self.topology, source, owner) {
             Ok(route) => route,
             Err(pool_gpsr::RouteError::NotDelivered { delivered, .. }) => {
@@ -526,15 +521,26 @@ impl DimSystem {
     /// single chain's cost. The result is still exact: every restricted
     /// zone that answers returns precisely its matching events.
     ///
+    /// `zones` must be strictly ascending, as the sharded backend builds
+    /// them: membership is a binary search. An unsorted slice is rejected
+    /// rather than sorted — a copy and a sort per query per shard would cost
+    /// more than the search saves — or searched, which would drop zones.
+    ///
     /// # Errors
     ///
-    /// Same conditions as [`DimSystem::query_from`].
+    /// [`PoolError::InvalidQuery`] when `zones` is not strictly ascending,
+    /// otherwise the same conditions as [`DimSystem::query_from`].
     pub fn query_zones_from(
         &mut self,
         sink: NodeId,
         query: &RangeQuery,
         zones: &[usize],
     ) -> Result<DimQueryResult, PoolError> {
+        if !zones.windows(2).all(|w| w[0] < w[1]) {
+            return Err(PoolError::InvalidQuery {
+                reason: "restricting zone indices must be strictly ascending".into(),
+            });
+        }
         self.query_restricted(sink, query, Some(zones))
     }
 
@@ -548,16 +554,12 @@ impl DimSystem {
             return Err(PoolError::DimensionMismatch { expected: self.dims, got: query.dims() });
         }
         let ledger_before = LedgerSnapshot::of(self.transport.ledger());
-        let rewritten = query.rewritten();
-        let mut relevant: Vec<(usize, NodeId)> = self
-            .tree
-            .zones_overlapping(&rewritten)
-            .iter()
-            .map(|z| (self.zone_index_by_code[&z.code], z.owner))
-            .collect();
-        if let Some(zones) = zones {
-            relevant.retain(|(zone_idx, _)| zones.contains(zone_idx));
-        }
+        let mut relevant: Vec<(usize, NodeId)> = Vec::new();
+        self.tree.for_each_overlapping(&query.rewritten(), |zone_idx| {
+            if zones.is_none_or(|own| own.binary_search(&zone_idx).is_ok()) {
+                relevant.push((zone_idx, self.tree.zones()[zone_idx].owner));
+            }
+        });
         let zones_visited = relevant.len();
 
         // Visit owners in code (DFS) order, skipping consecutive duplicates
@@ -711,7 +713,7 @@ impl DimSystem {
 
         // Events held by dead owners are gone.
         let mut events_lost = 0usize;
-        let zones = self.tree.zones().to_vec();
+        let zones = self.tree.zones();
         for (zone_idx, events) in self.store.iter_mut() {
             if !self.topology.is_alive(zones[*zone_idx].owner) {
                 events_lost += events.len();
@@ -828,6 +830,29 @@ mod tests {
         assert!(r.events.is_empty());
         assert_eq!(r.cost.reply_messages, 0);
         assert!(r.cost.forward_messages > 0, "the query still visits zones");
+    }
+
+    /// A restricted query answers exactly the restricting zones it
+    /// overlaps, and refuses a slice it cannot binary-search.
+    #[test]
+    fn restricted_query_takes_ascending_zones_and_rejects_the_rest() {
+        let mut dim = build(300, 4);
+        let q = RangeQuery::exact(vec![(0.1, 0.9), (0.1, 0.9), (0.1, 0.9)]).unwrap();
+        let mut all = Vec::new();
+        dim.tree().for_each_overlapping(&q.rewritten(), |idx| all.push(idx));
+        let odd: Vec<usize> = (0..dim.tree().zones().len()).filter(|z| z % 2 == 1).collect();
+        let got = dim.query_zones_from(NodeId(0), &q, &odd).unwrap();
+        assert_eq!(got.zones_visited, all.iter().filter(|z| *z % 2 == 1).count());
+        assert!(got.zones_visited > 0);
+
+        let before = dim.ledger().total_messages();
+        for bad in [vec![all[1], all[0]], vec![all[0], all[0]]] {
+            assert!(matches!(
+                dim.query_zones_from(NodeId(0), &q, &bad),
+                Err(PoolError::InvalidQuery { .. })
+            ));
+        }
+        assert_eq!(dim.ledger().total_messages(), before, "a rejected query charges nothing");
     }
 
     #[test]

@@ -53,7 +53,6 @@ enum Node {
 pub struct ZoneTree {
     zones: Vec<Zone>,
     root: Node,
-    dims_hint: usize,
 }
 
 impl ZoneTree {
@@ -65,7 +64,7 @@ impl ZoneTree {
         let ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
         let mut zones = Vec::new();
         let root = Self::split(topology, field, ids, ZoneCode::root(), 0, &mut zones);
-        ZoneTree { zones, root, dims_hint: 0 }
+        ZoneTree { zones, root }
     }
 
     fn split(
@@ -124,6 +123,11 @@ impl ZoneTree {
     /// The zone that stores a `k`-dimensional event with the given values:
     /// the leaf whose code is the prefix of the event's code.
     pub fn zone_of_event(&self, values: &[f64]) -> &Zone {
+        &self.zones[self.zone_index_of_event(values)]
+    }
+
+    /// Index into [`ZoneTree::zones`] of [`ZoneTree::zone_of_event`]'s zone.
+    pub fn zone_index_of_event(&self, values: &[f64]) -> usize {
         assert!(!values.is_empty(), "event has no attributes");
         let k = values.len();
         let mut ranges = vec![(0.0f64, 1.0f64); k];
@@ -131,7 +135,7 @@ impl ZoneTree {
         let mut depth = 0usize;
         loop {
             match node {
-                Node::Leaf(idx) => return &self.zones[*idx],
+                Node::Leaf(idx) => return *idx,
                 Node::Internal { children } => {
                     let dim = depth % k;
                     let (lo, hi) = ranges[dim];
@@ -152,42 +156,49 @@ impl ZoneTree {
     /// The zones whose attribute hyper-rectangles overlap the (rewritten)
     /// query, in code (DFS) order — DIM's query resolution.
     pub fn zones_overlapping(&self, rewritten: &[(f64, f64)]) -> Vec<&Zone> {
-        assert!(!rewritten.is_empty(), "query has no dimensions");
-        let k = rewritten.len();
         let mut out = Vec::new();
-        let ranges = vec![(0.0f64, 1.0f64); k];
-        self.collect_overlaps(&self.root, rewritten, ranges, 0, &mut out);
+        self.for_each_overlapping(rewritten, |idx| out.push(&self.zones[idx]));
         out
     }
 
-    fn collect_overlaps<'a>(
-        &'a self,
-        node: &'a Node,
-        query: &[(f64, f64)],
-        ranges: Vec<(f64, f64)>,
-        depth: usize,
-        out: &mut Vec<&'a Zone>,
-    ) {
-        // Prune as soon as any dimension's range misses the query.
-        for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            let (ql, qu) = query[i];
-            if hi < ql || lo > qu {
-                return;
-            }
+    /// Calls `visit` with the index into [`ZoneTree::zones`] of every zone
+    /// [`ZoneTree::zones_overlapping`] returns, in the same order.
+    pub fn for_each_overlapping(&self, rewritten: &[(f64, f64)], mut visit: impl FnMut(usize)) {
+        assert!(!rewritten.is_empty(), "query has no dimensions");
+        if rewritten.iter().any(|&(ql, qu)| 1.0 < ql || 0.0 > qu) {
+            return;
         }
+        let mut ranges = vec![(0.0f64, 1.0f64); rewritten.len()];
+        Self::walk_overlaps(&self.root, rewritten, &mut ranges, 0, &mut visit);
+    }
+
+    /// Visits the leaves under `node` that overlap `query`. `ranges` is
+    /// `node`'s attribute hyper-rectangle, which the caller found to overlap
+    /// the query, and is handed back as received. A child differs from its
+    /// parent in one bound of one dimension: the only one that can newly miss.
+    fn walk_overlaps(
+        node: &Node,
+        query: &[(f64, f64)],
+        ranges: &mut [(f64, f64)],
+        depth: usize,
+        visit: &mut impl FnMut(usize),
+    ) {
         match node {
-            Node::Leaf(idx) => out.push(&self.zones[*idx]),
+            Node::Leaf(idx) => visit(*idx),
             Node::Internal { children } => {
-                let k = query.len();
-                let dim = depth % k;
+                let dim = depth % query.len();
                 let (lo, hi) = ranges[dim];
+                let (ql, qu) = query[dim];
                 let mid = (lo + hi) / 2.0;
-                let mut lo_ranges = ranges.clone();
-                lo_ranges[dim] = (lo, mid);
-                self.collect_overlaps(&children[0], query, lo_ranges, depth + 1, out);
-                let mut hi_ranges = ranges;
-                hi_ranges[dim] = (mid, hi);
-                self.collect_overlaps(&children[1], query, hi_ranges, depth + 1, out);
+                if ql <= mid {
+                    ranges[dim] = (lo, mid);
+                    Self::walk_overlaps(&children[0], query, ranges, depth + 1, visit);
+                }
+                if mid <= qu {
+                    ranges[dim] = (mid, hi);
+                    Self::walk_overlaps(&children[1], query, ranges, depth + 1, visit);
+                }
+                ranges[dim] = (lo, hi);
             }
         }
     }
@@ -233,11 +244,6 @@ impl ZoneTree {
     /// Maximum code length (tree depth).
     pub fn depth(&self) -> usize {
         self.zones.iter().map(|z| z.code.len()).max().unwrap_or(0)
-    }
-
-    #[allow(dead_code)]
-    fn dims_hint(&self) -> usize {
-        self.dims_hint
     }
 }
 
@@ -376,6 +382,107 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The overlap walk this crate shipped before the index-yielding one:
+    /// clones the per-dimension ranges at every internal node and tests
+    /// every dimension at every node. Kept as the reference the walk is
+    /// compared against.
+    fn reference_overlaps(
+        node: &Node,
+        query: &[(f64, f64)],
+        ranges: Vec<(f64, f64)>,
+        depth: usize,
+        out: &mut Vec<usize>,
+    ) {
+        for (i, &(lo, hi)) in ranges.iter().enumerate() {
+            let (ql, qu) = query[i];
+            if hi < ql || lo > qu {
+                return;
+            }
+        }
+        match node {
+            Node::Leaf(idx) => out.push(*idx),
+            Node::Internal { children } => {
+                let dim = depth % query.len();
+                let (lo, hi) = ranges[dim];
+                let mid = (lo + hi) / 2.0;
+                let mut lo_ranges = ranges.clone();
+                lo_ranges[dim] = (lo, mid);
+                reference_overlaps(&children[0], query, lo_ranges, depth + 1, out);
+                let mut hi_ranges = ranges;
+                hi_ranges[dim] = (mid, hi);
+                reference_overlaps(&children[1], query, hi_ranges, depth + 1, out);
+            }
+        }
+    }
+
+    /// Oracle: on random deployments (co-located nodes included, so the
+    /// depth guard ends a branch) and random exact, partial, point and
+    /// midpoint-aligned queries, the walk yields the reference's zones in
+    /// the reference's order, and the `&Zone` wrappers agree with the
+    /// indices.
+    #[test]
+    fn index_walk_matches_the_cloning_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let field = Rect::square(100.0);
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(20..120usize);
+            let mut nodes: Vec<NetNode> = (0..n)
+                .map(|i| {
+                    let p = Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
+                    NetNode::new(NodeId(i as u32), p)
+                })
+                .collect();
+            for extra in 0..3 {
+                let twin = nodes[extra * 5].position;
+                nodes.push(NetNode::new(NodeId((n + extra) as u32), twin));
+            }
+            let topo = Topology::build(nodes, 150.0).unwrap();
+            let tree = ZoneTree::build(&topo, field);
+            assert_eq!(tree.depth(), 60, "co-located nodes must reach the depth guard");
+            for case in 0..200 {
+                let k = rng.gen_range(1..=4usize);
+                // Dyadic bounds land exactly on split midpoints.
+                let bound = |rng: &mut StdRng| match case % 4 {
+                    0 => rng.gen_range(0..=16u32) as f64 / 16.0,
+                    _ => rng.gen_range(0.0..1.0),
+                };
+                let query: Vec<(f64, f64)> = (0..k)
+                    .map(|dim| {
+                        let (a, b) = (bound(&mut rng), bound(&mut rng));
+                        match (case / 4 + dim) % 5 {
+                            0 => (0.0, 1.0),
+                            1 => (a, a),
+                            _ => (a.min(b), a.max(b)),
+                        }
+                    })
+                    .collect();
+                let mut want = Vec::new();
+                let unit = vec![(0.0, 1.0); k];
+                reference_overlaps(&tree.root, &query, unit, 0, &mut want);
+                let mut got = Vec::new();
+                tree.for_each_overlapping(&query, |idx| got.push(idx));
+                assert_eq!(got, want, "seed {seed} case {case} query {query:?}");
+                let zones = tree.zones_overlapping(&query);
+                assert_eq!(zones.len(), want.len());
+                for (zone, &idx) in zones.iter().zip(&want) {
+                    assert!(std::ptr::eq(*zone, &tree.zones()[idx]));
+                }
+                let point: Vec<f64> = query.iter().map(|&(lo, _)| lo).collect();
+                let idx = tree.zone_index_of_event(&point);
+                assert!(std::ptr::eq(tree.zone_of_event(&point), &tree.zones()[idx]));
+                assert!(want.contains(&idx), "a point query's zone overlaps it");
+            }
+        }
+        // A query outside the unit cube overlaps nothing.
+        let (topo, field) = figure1_topology();
+        let tree = ZoneTree::build(&topo, field);
+        for query in [[(1.5, 2.0), (0.0, 1.0)], [(0.0, 1.0), (-1.0, -0.5)]] {
+            assert!(tree.zones_overlapping(&query).is_empty());
         }
     }
 

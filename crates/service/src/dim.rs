@@ -17,14 +17,12 @@ use pool_dim::{DimSystem, ZoneTree};
 use pool_netsim::geometry::Rect;
 use pool_netsim::topology::Topology;
 use pool_transport::{FaultPlan, LossyConfig, OpRetryPolicy, RecoveryConfig, TransportKind};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The immutable router half of a sharded DIM deployment.
 #[derive(Debug)]
 pub struct DimBackend {
     tree: ZoneTree,
-    zone_idx_by_code: HashMap<pool_dim::ZoneCode, usize>,
     /// Zone index → owning shard (round-robin).
     shard_of_zone: Vec<usize>,
     shards: usize,
@@ -35,7 +33,8 @@ pub struct DimBackend {
 pub struct DimShard {
     /// The shard's system instance (own transport/ledger/clock/tracer).
     pub system: DimSystem,
-    /// The zone indices this shard owns.
+    /// The zone indices this shard owns, ascending
+    /// ([`DimSystem::query_zones_from`] binary-searches them).
     pub zones: Vec<usize>,
 }
 
@@ -64,8 +63,6 @@ impl DimBackend {
         // The router's tree is built exactly as every shard's is, so zone
         // indices agree across the whole deployment.
         let tree = ZoneTree::build(&topology, field);
-        let zone_idx_by_code: HashMap<pool_dim::ZoneCode, usize> =
-            tree.zones().iter().enumerate().map(|(i, z)| (z.code, i)).collect();
         let zone_count = tree.zones().len();
         let shards = shards.clamp(1, zone_count.max(1));
         let shard_of_zone: Vec<usize> = (0..zone_count).map(|z| z % shards).collect();
@@ -84,19 +81,7 @@ impl DimBackend {
             let zones = (0..zone_count).filter(|&z| shard_of_zone[z] == s).collect();
             shard_state.push(DimShard { system, zones });
         }
-        Ok((DimBackend { tree, zone_idx_by_code, shard_of_zone, shards }, shard_state))
-    }
-
-    fn zone_of_event(&self, values: &[f64]) -> usize {
-        self.zone_idx_by_code[&self.tree.zone_of_event(values).code]
-    }
-
-    fn zones_of_query(&self, query: &pool_core::query::RangeQuery) -> Vec<usize> {
-        self.tree
-            .zones_overlapping(&query.rewritten())
-            .iter()
-            .map(|z| self.zone_idx_by_code[&z.code])
-            .collect()
+        Ok((DimBackend { tree, shard_of_zone, shards }, shard_state))
     }
 }
 
@@ -110,11 +95,13 @@ impl ServiceBackend for DimBackend {
     fn shards_of(&self, request: &Request) -> Vec<usize> {
         match request {
             Request::Insert { event, .. } => {
-                vec![self.shard_of_zone[self.zone_of_event(event.values())]]
+                vec![self.shard_of_zone[self.tree.zone_index_of_event(event.values())]]
             }
             Request::Query { query, .. } => {
-                let mut shards: Vec<usize> =
-                    self.zones_of_query(query).iter().map(|&z| self.shard_of_zone[z]).collect();
+                let mut shards = Vec::new();
+                self.tree.for_each_overlapping(&query.rewritten(), |z| {
+                    shards.push(self.shard_of_zone[z]);
+                });
                 shards.sort_unstable();
                 shards.dedup();
                 shards
@@ -125,9 +112,13 @@ impl ServiceBackend for DimBackend {
 
     fn relevant_ids(&self, request: &Request) -> Vec<u64> {
         match request {
-            Request::Insert { event, .. } => vec![self.zone_of_event(event.values()) as u64],
+            Request::Insert { event, .. } => {
+                vec![self.tree.zone_index_of_event(event.values()) as u64]
+            }
             Request::Query { query, .. } => {
-                self.zones_of_query(query).iter().map(|&z| z as u64).collect()
+                let mut ids = Vec::new();
+                self.tree.for_each_overlapping(&query.rewritten(), |z| ids.push(z as u64));
+                ids
             }
             other => panic!("dim backend cannot serve {other:?}"),
         }
@@ -145,7 +136,7 @@ impl ServiceBackend for DimBackend {
                     }
                     Err(InsertError::Undeliverable { transmissions, .. }) => {
                         out.messages = transmissions;
-                        out.unreached = vec![self.zone_of_event(event.values()) as u64];
+                        out.unreached = vec![self.tree.zone_index_of_event(event.values()) as u64];
                     }
                     Err(InsertError::Pool(e)) => panic!("dim insert failed: {e}"),
                 }

@@ -32,7 +32,8 @@ const DEFAULT_CAPACITY: usize = 1 << 16;
 /// query workloads (the fig. 6/7 experiments re-route sink → splitter →
 /// index node for every query) therefore pay the face-traversal cost once
 /// per pair; subsequent lookups are a memo hit returning the shared
-/// [`Arc<Route>`].
+/// [`Arc<Route>`]. Memoized are the `Ok` routes to a location and to a node
+/// that is not a radio neighbour of the source.
 ///
 /// The memo is a bounded [`ShardedLru`] rather than an unbounded map: on an
 /// n-node deployment there are O(n²) endpoint pairs, which at 100k nodes
@@ -41,6 +42,19 @@ const DEFAULT_CAPACITY: usize = 1 << 16;
 /// [`CachedTransport::hit_stats`]); an evicted route is simply recomputed
 /// on its next use, so eviction affects wall-clock only — message and
 /// latency accounting are identical at any capacity.
+///
+/// Admission: a node-addressed route whose destination is in the source's
+/// neighbour row ([`Topology::are_neighbors`]) is computed every time and
+/// never probes or enters the memo. Such a route is one greedy step, and the
+/// memo cannot beat that: on `dim_cold_100k` (chains of one-hop legs between
+/// adjacent zone owners, 82 % of its lookups) computing a ≤ 2-hop route
+/// measured 456 ns, finding one in a memo this size 459 ns (five dependent
+/// cold cache lines), and storing one 589 ns — while each stored one-hop
+/// route pushed a multi-hop route, which costs microseconds to recompute,
+/// towards eviction. These lookups are counted by
+/// [`CachedTransport::bypassed`], not in [`CachedTransport::hit_stats`]:
+/// `hits + misses` is the number of lookups that consulted the memo, and
+/// `hits + misses + bypassed` the number of lookups.
 ///
 /// Invalidation: [`Transport::refresh`] clears the memo and bumps the
 /// generation counter, so no route ever crosses a topology change.
@@ -56,6 +70,7 @@ pub struct CachedTransport {
     routes: ShardedLru<RouteKey, Arc<Route>>,
     hits: u64,
     misses: u64,
+    bypassed: u64,
 }
 
 impl CachedTransport {
@@ -83,6 +98,7 @@ impl CachedTransport {
             routes: ShardedLru::new(capacity),
             hits: 0,
             misses: 0,
+            bypassed: 0,
         }
     }
 
@@ -97,10 +113,18 @@ impl CachedTransport {
         self.routes.capacity()
     }
 
-    /// Hit/miss/eviction counters since construction (not reset by
-    /// refresh).
+    /// Hit/miss/eviction counters of the memo since construction (not reset
+    /// by refresh). Lookups that never consulted it are
+    /// [`CachedTransport::bypassed`].
     pub fn hit_stats(&self) -> CacheStats {
         CacheStats { hits: self.hits, misses: self.misses, evictions: self.routes.evictions() }
+    }
+
+    /// Node-addressed lookups since construction that were answered without
+    /// consulting the memo, because the destination was a radio neighbour
+    /// of the source.
+    pub fn bypassed(&self) -> u64 {
+        self.bypassed
     }
 
     /// Number of memoized routes whose path traverses `node` (test and
@@ -144,6 +168,10 @@ impl Transport for CachedTransport {
         from: NodeId,
         to: NodeId,
     ) -> Result<Arc<Route>, RouteError> {
+        if topology.are_neighbors(from, to) {
+            self.bypassed += 1;
+            return self.gpsr.route_to_node(topology, from, to).map(Arc::new);
+        }
         self.memoized(RouteKey::Node(from, to), |gpsr| gpsr.route_to_node(topology, from, to))
     }
 
@@ -242,15 +270,18 @@ mod tests {
     }
 
     /// Node- and location-addressed routes, through a miss and then a
-    /// hit, equal a fresh `GpsrTransport`'s.
+    /// hit (two bypasses for a neighbour pair), equal a fresh
+    /// `GpsrTransport`'s.
     #[test]
     fn cached_routes_match_fresh_gpsr() {
         let topology = setup(9);
         let mut cached = CachedTransport::new(&topology, Planarization::Gabriel);
         let mut fresh = GpsrTransport::new(&topology, Planarization::Gabriel);
         let nodes = topology.nodes();
+        let mut neighbour_pairs = 0;
         for i in (0..nodes.len()).step_by(17) {
             let (a, b) = (nodes[i].id, nodes[(i * 7 + 3) % nodes.len()].id);
+            neighbour_pairs += u64::from(topology.are_neighbors(a, b));
             let via_gpsr = fresh.route_to_node(&topology, a, b);
             assert_eq!(cached.route_to_node(&topology, a, b), via_gpsr);
             assert_eq!(cached.route_to_node(&topology, a, b), via_gpsr);
@@ -260,7 +291,77 @@ mod tests {
             assert_eq!(cached.route_to_location(&topology, a, target), via_gpsr);
         }
         let stats = cached.hit_stats();
-        assert_eq!(stats.hits, stats.misses, "every lookup ran once as a miss, once as a hit");
+        assert!(neighbour_pairs > 0 && stats.hits > 0, "both admission outcomes are exercised");
+        assert_eq!(stats.hits, stats.misses, "every memoized lookup ran once as each");
+        assert_eq!(cached.bypassed(), 2 * neighbour_pairs);
+    }
+
+    /// A route to a radio neighbour is computed every time: it neither
+    /// probes nor enters the memo, and is counted apart from its probes.
+    #[test]
+    fn neighbour_routes_bypass_the_memo_and_are_counted_apart() {
+        let topology = setup(5);
+        let mut cached = CachedTransport::new(&topology, Planarization::Gabriel);
+        let mut fresh = GpsrTransport::new(&topology, Planarization::Gabriel);
+        let far = cached.route_to_node(&topology, NodeId(0), NodeId(150)).expect("route");
+        assert!(far.hops() > 1);
+        let (a, b) = (NodeId(0), topology.neighbors(NodeId(0))[0]);
+        let before = (cached.cached_routes(), cached.hit_stats());
+        let want = fresh.route_to_node(&topology, a, b);
+        assert_eq!(want.as_ref().map(|r| r.hops()), Ok(1));
+        assert_eq!(cached.route_to_node(&topology, a, b), want);
+        assert_eq!(cached.route_to_node(&topology, a, b), want);
+        assert_eq!(cached.cached_routes(), before.0);
+        assert_eq!(cached.hit_stats(), before.1, "the memo was not consulted");
+        assert_eq!(cached.bypassed(), 2);
+        assert_eq!(cached.routes_through(b), usize::from(far.path.contains(&b)));
+    }
+
+    /// Every adjacent pair of `topology` through `cached`: the answer must
+    /// be `Gpsr::route_to_node`'s, `Ok` and `Err` alike, with nothing
+    /// stored. Returns how many of the answers were errors.
+    fn check_every_adjacent_pair(topology: &Topology, cached: &mut CachedTransport) -> usize {
+        let reference = Gpsr::new(topology, Planarization::Gabriel);
+        let before = (cached.hit_stats(), cached.bypassed());
+        let (mut pairs, mut errors) = (0, 0);
+        for a in topology.nodes() {
+            for &b in topology.neighbors(a.id) {
+                let want = reference.route_to_node(topology, a.id, b).map(Arc::new);
+                assert_eq!(cached.route_to_node(topology, a.id, b), want, "{} -> {b}", a.id);
+                pairs += 1;
+                errors += usize::from(want.is_err());
+            }
+        }
+        assert_eq!(cached.cached_routes(), 0, "neighbour routes are never stored");
+        assert_eq!((cached.hit_stats(), cached.bypassed()), (before.0, before.1 + pairs));
+        errors
+    }
+
+    /// Oracle for the memo bypass, on three random topologies as built and
+    /// again after joins, moves and deaths written in place and left
+    /// uncompacted, so the neighbour test reads overlay rows. Nodes placed
+    /// exactly on another node are the case to watch: a packet for one is
+    /// delivered at whichever the walk meets first.
+    #[test]
+    fn neighbour_bypass_matches_gpsr_on_every_adjacent_pair() {
+        let mut errors = 0;
+        for seed in [31, 32, 33] {
+            let mut topology = setup(seed);
+            let mut cached = CachedTransport::new(&topology, Planarization::Gabriel);
+            errors += check_every_adjacent_pair(&topology, &mut cached);
+
+            let at = |topology: &Topology, id: u32| topology.position(NodeId(id));
+            topology.add_node(at(&topology, 7));
+            topology.add_node(Point::new(3.3, 4.4));
+            topology.move_node(NodeId(11), at(&topology, 12));
+            let near = at(&topology, 21);
+            topology.move_node(NodeId(20), Point::new(near.x + 0.5, near.y + 0.5));
+            topology.fail_nodes(&[NodeId(5), NodeId(40)]);
+            assert!(topology.patched_rows() > 0, "the overlay must still be in use");
+            cached.rebuild(&topology);
+            errors += check_every_adjacent_pair(&topology, &mut cached);
+        }
+        assert!(errors > 0, "co-located endpoints must exercise the error answer");
     }
 
     /// A route is computed into a doubling `Vec` and then kept for as long
@@ -490,7 +591,8 @@ mod tests {
         }
         assert!(cached.cached_routes() <= capacity, "memo exceeded its bound");
         let stats = cached.hit_stats();
-        assert_eq!(stats.hits + stats.misses, 1_000_000);
+        assert_eq!(stats.hits + stats.misses + cached.bypassed(), 1_000_000);
+        assert!(cached.bypassed() > 0, "a 100-node network has adjacent endpoint pairs");
         assert!(stats.evictions > 0, "soak must overflow a 512-route memo");
         assert!(stats.hits > 0, "the working set revisits keys; some must hit");
     }

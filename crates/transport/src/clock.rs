@@ -185,13 +185,48 @@ impl VirtualClock {
     /// Times one delivery leg (a sequence of hops starting at the cursor),
     /// advances the cursor to its end, and returns the elapsed time.
     pub fn time_leg(&mut self, hops: &[Hop]) -> f64 {
+        self.time_hops(hops.iter().copied())
+    }
+
+    /// [`VirtualClock::time_leg`] of a loss-free traversal of `path`
+    /// (`time_leg(&clean_hops(path))`), read off the path itself.
+    pub fn time_path(&mut self, path: &[NodeId]) -> f64 {
+        self.time_hops(clean_hops_forward(path))
+    }
+
+    fn time_hops(&mut self, hops: impl Iterator<Item = Hop>) -> f64 {
         let start = self.cursor;
         let mut t = start;
         for hop in hops {
-            t = self.time_hop(*hop, t);
+            t = self.time_hop(hop, t);
         }
         self.cursor = t;
         t - start
+    }
+
+    /// Times `copies` loss-free packets retracing `path` from its last node
+    /// to its first, launched concurrently at the cursor:
+    /// [`VirtualClock::time_fanout`] of `copies` reversed
+    /// [`clean_hops`] legs, to the bit.
+    pub fn time_path_reversed(&mut self, path: &[NodeId], copies: u64) -> f64 {
+        if copies != 1 {
+            let leg: Vec<Hop> = clean_hops_backward(path).collect();
+            return self.time_fanout(&vec![leg; copies as usize]);
+        }
+        // A lone leg has nothing to interleave with, so its hops run in
+        // order without the event queue. The queue keeps offsets from the
+        // launch instant — a hop starts at `start + (arrival - start)`, not
+        // at `arrival` — and so must this, or the last bit differs.
+        let start = self.cursor;
+        let mut arrival = start;
+        let mut offset = 0.0;
+        for hop in clean_hops_backward(path) {
+            arrival = self.time_hop(hop, start + offset);
+            offset = arrival - start;
+        }
+        let end = if arrival > start { arrival } else { start };
+        self.cursor = end;
+        end - start
     }
 
     /// Times `legs` launched concurrently at the cursor, interleaving their
@@ -255,7 +290,16 @@ impl VirtualClock {
 /// Builds the hop list of a loss-free traversal of `path` (one
 /// transmission per hop, self-hops skipped).
 pub fn clean_hops(path: &[NodeId]) -> Vec<Hop> {
-    path.windows(2).filter(|w| w[0] != w[1]).map(|w| Hop::new(w[0], w[1], 1)).collect()
+    clean_hops_forward(path).collect()
+}
+
+fn clean_hops_forward(path: &[NodeId]) -> impl Iterator<Item = Hop> + '_ {
+    path.windows(2).filter(|w| w[0] != w[1]).map(|w| Hop::new(w[0], w[1], 1))
+}
+
+/// [`clean_hops`] of `path` reversed.
+fn clean_hops_backward(path: &[NodeId]) -> impl Iterator<Item = Hop> + '_ {
+    path.windows(2).rev().filter(|w| w[0] != w[1]).map(|w| Hop::new(w[1], w[0], 1))
 }
 
 #[cfg(test)]
@@ -372,6 +416,60 @@ mod tests {
         let eb = b.time_fanout(std::slice::from_ref(&hops));
         assert_eq!(ea, eb);
         assert_eq!(a, b);
+    }
+
+    /// Oracle: the path-reading timers against the hop-vector ones they
+    /// replaced on the loss-free delivery path — `time_leg` over
+    /// `clean_hops`, and `time_fanout` over `copies` clones of the reversed
+    /// `clean_hops` — on random paths with self-hops and revisited nodes,
+    /// from a clock whose senders are still busy from earlier legs. The
+    /// whole clock and the returned latency must agree to the bit.
+    #[test]
+    fn path_timers_match_the_hop_vector_reference_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const NODES: u32 = 12;
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let random_path = |rng: &mut StdRng| -> Vec<NodeId> {
+            let len = rng.gen_range(1..=9usize);
+            let mut path = vec![NodeId(rng.gen_range(0..NODES))];
+            while path.len() < len {
+                let last = *path.last().expect("non-empty");
+                // One step in four repeats the node it stands on.
+                let next = if rng.gen_bool(0.25) { last } else { NodeId(rng.gen_range(0..NODES)) };
+                path.push(next);
+            }
+            path
+        };
+        for case in 0..400 {
+            let mut new = VirtualClock::new(NODES as usize, model(1e-3 * 1.1, 0.5e-3 / 3.0));
+            // Early instants matter: `arrival - start` rounds only while the
+            // leg is long against the time already on the clock.
+            new.seek(if (case / 6) % 2 == 0 {
+                rng.gen_range(0.0..0.004)
+            } else {
+                rng.gen_range(0.0..50.0)
+            });
+            for _ in 0..rng.gen_range(0..4usize) {
+                new.time_path(&random_path(&mut rng));
+            }
+            // Some legs start before the radios they need fall idle.
+            new.seek(new.now() * rng.gen_range(0.5..1.0));
+            let mut old = new.clone();
+            let path = random_path(&mut rng);
+
+            let forward = old.time_leg(&clean_hops(&path));
+            assert_eq!(new.time_path(&path).to_bits(), forward.to_bits(), "case {case}");
+            assert_eq!(new, old, "case {case}: forward {path:?}");
+
+            let copies = case % 6;
+            let back: Vec<NodeId> = path.iter().rev().copied().collect();
+            let legs: Vec<Vec<Hop>> = (0..copies).map(|_| clean_hops(&back)).collect();
+            let reverse = old.time_fanout(&legs);
+            let got = new.time_path_reversed(&path, copies);
+            assert_eq!(got.to_bits(), reverse.to_bits(), "case {case}: {copies} x {path:?}");
+            assert_eq!(new, old, "case {case}: {copies} x {path:?}");
+        }
     }
 
     #[test]

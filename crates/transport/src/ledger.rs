@@ -153,10 +153,11 @@ impl TrafficLedger {
         copies: u64,
         layer: TrafficLayer,
     ) -> u64 {
-        let back: Vec<NodeId> = path.iter().rev().copied().collect();
         let mut charged = 0;
         for _ in 0..copies {
-            charged += self.charge_path(&back, layer);
+            for w in path.windows(2).rev() {
+                charged += self.charge_hop(w[1], w[0], layer);
+            }
         }
         charged
     }
@@ -267,6 +268,29 @@ mod tests {
         assert_eq!(ledger.stats().load(NodeId(2)), 1);
         assert_eq!(ledger.stats().load(NodeId(1)), 1);
         assert_eq!(ledger.stats().load(NodeId(0)), 0);
+    }
+
+    /// Oracle: a reversed charge is the forward charge of the reversed
+    /// path, per node and per layer — self-hops, revisits and zero copies
+    /// included.
+    #[test]
+    fn reversed_charge_equals_charging_the_reversed_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1ed9e4);
+        let mut new = TrafficLedger::new(10);
+        let mut old = TrafficLedger::new(10);
+        for case in 0..300u64 {
+            let len = rng.gen_range(1..=8usize);
+            let path: Vec<NodeId> = (0..len).map(|_| NodeId(rng.gen_range(0..10u32))).collect();
+            let layer = TrafficLayer::ALL[rng.gen_range(0..TrafficLayer::ALL.len())];
+            let copies = case % 4;
+            let back: Vec<NodeId> = path.iter().rev().copied().collect();
+            let want: u64 = (0..copies).map(|_| old.charge_path(&back, layer)).sum();
+            assert_eq!(new.charge_path_reversed(&path, copies, layer), want, "{path:?}");
+            assert_eq!(new, old, "case {case}: {copies} x {path:?}");
+        }
+        assert!(new.total_messages() > 0);
     }
 
     #[test]

@@ -234,7 +234,7 @@ pub trait Transport: fmt::Debug + Send {
     ) -> DeliveryOutcome {
         let _ = topology;
         let transmissions = self.ledger_mut().charge_path(path, layer);
-        let latency = self.clock_mut().time_leg(&clean_hops(path));
+        let latency = self.clock_mut().time_path(path);
         let mut outcome = DeliveryOutcome::delivered_clean(path, transmissions);
         outcome.latency = latency;
         outcome
@@ -259,10 +259,7 @@ pub trait Transport: fmt::Debug + Send {
     ) -> ReverseDelivery {
         let _ = topology;
         let transmissions = self.ledger_mut().charge_path_reversed(path, copies, layer);
-        let back: Vec<NodeId> = path.iter().rev().copied().collect();
-        let leg = clean_hops(&back);
-        let legs: Vec<Vec<Hop>> = (0..copies).map(|_| leg.clone()).collect();
-        let latency = self.clock_mut().time_fanout(&legs);
+        let latency = self.clock_mut().time_path_reversed(path, copies);
         ReverseDelivery { delivered_copies: copies, transmissions, retransmissions: 0, latency }
     }
 

@@ -92,10 +92,13 @@ EOF
 
 release_audit() {
     # The greedy kernel's correctness argument is about float compares and
-    # row order — what an optimiser may reorder — so its oracle and the
-    # transport equivalence suite also run once in the profile the
-    # artifacts ship in.
+    # row order, the path-reading delivery's about float operation order —
+    # what an optimiser may change — so their oracles and the transport
+    # equivalence suite also run once in the profile the artifacts ship in.
     cargo test --release -q -p pool-gpsr kernel_matches_reference_scan
+    cargo test --release -q -p pool-transport --lib -- \
+        path_timers_match_the_hop_vector_reference_bit_for_bit \
+        reversed_charge_equals_charging_the_reversed_path
     cargo test --release -q --test transport_equivalence
 }
 

@@ -1,7 +1,8 @@
 //! The routing-substrate contract: the memoizing [`CachedTransport`] must
 //! be observationally equivalent to the reference [`GpsrTransport`] on
 //! everything the paper measures — per-query message costs and the whole
-//! traffic ledger — on a fig6-style seeded workload.
+//! traffic ledger — and on virtual time to the bit, on a fig6-style seeded
+//! workload.
 //!
 //! [`CachedTransport`]: pool_dcs::transport::CachedTransport
 //! [`GpsrTransport`]: pool_dcs::transport::GpsrTransport
@@ -9,7 +10,7 @@
 use pool_dcs::core::{Event, PoolConfig, PoolSystem, RangeQuery};
 use pool_dcs::dim::DimSystem;
 use pool_dcs::netsim::{Deployment, NodeId, Rect, Topology};
-use pool_dcs::transport::{TrafficLayer, TransportKind};
+use pool_dcs::transport::{TrafficLayer, Transport, TransportKind};
 use pool_dcs::workloads::events::{EventDistribution, EventGenerator};
 use pool_dcs::workloads::queries::{exact_query, RangeSizeDistribution};
 use rand::rngs::StdRng;
@@ -54,10 +55,26 @@ fn workload(seed: u64) -> (Placements, SinkQueries) {
     (events, queries)
 }
 
+/// The two query shapes a reply that retraces one path special-cases: one
+/// that matches nothing (no reply leg at all), and the point query of a
+/// stored event (a single owner answers, one reply retraces one chain).
+fn edge_queries(events: &Placements) -> SinkQueries {
+    let nothing = RangeQuery::exact(vec![(0.5, 0.5 + 1e-9); 3]).unwrap();
+    let stored = events[0].1.values().iter().map(|&v| (v, v)).collect();
+    vec![(NodeId(3), nothing), (NodeId(NODES as u32 - 1), RangeQuery::exact(stored).unwrap())]
+}
+
+/// Every virtual-time quantity a substrate holds, as bit patterns.
+fn clock_bits(transport: &dyn Transport) -> (u64, Vec<u64>) {
+    let clock = transport.clock();
+    (clock.now().to_bits(), clock.busy_times().iter().map(|t| t.to_bits()).collect())
+}
+
 #[test]
 fn pool_costs_identical_across_substrates() {
     let (topo, field) = connected(21);
-    let (events, queries) = workload(22);
+    let (events, mut queries) = workload(22);
+    queries.extend(edge_queries(&events));
 
     let build = |kind| {
         let config = PoolConfig::paper().with_seed(21).with_transport(kind);
@@ -76,15 +93,23 @@ fn pool_costs_identical_across_substrates() {
     // Every query costs exactly the same number of messages on both
     // substrates, and returns the same events. Queries repeat below so the
     // cache actually serves hits while being measured.
+    let mut answers = Vec::new();
     for _round in 0..2 {
         for (sink, query) in &queries {
             let a = gpsr.query_from(*sink, query).unwrap();
             let b = cached.query_from(*sink, query).unwrap();
             assert_eq!(a.cost, b.cost, "QueryCost diverges on {query}");
+            assert_eq!(a.cost.elapsed.to_bits(), b.cost.elapsed.to_bits(), "elapsed on {query}");
             assert_eq!(a.events.len(), b.events.len(), "result sets diverge on {query}");
+            answers.push(b);
         }
     }
+    // The edge queries, asked last, have the shapes they were added for.
+    let [.., none, one] = &answers[..] else { unreachable!() };
+    assert!(none.events.is_empty() && none.cost.reply_messages == 0 && none.cost.total() > 0);
+    assert!(!one.events.is_empty() && one.cost.reply_messages > 0);
 
+    assert_eq!(clock_bits(gpsr.transport()), clock_bits(cached.transport()));
     assert_eq!(gpsr.traffic().total_messages(), cached.traffic().total_messages());
     assert_eq!(gpsr.traffic().per_node(), cached.traffic().per_node());
     for layer in TrafficLayer::ALL {
@@ -99,7 +124,8 @@ fn pool_costs_identical_across_substrates() {
 #[test]
 fn dim_costs_identical_across_substrates() {
     let (topo, field) = connected(23);
-    let (events, queries) = workload(24);
+    let (events, mut queries) = workload(24);
+    queries.extend(edge_queries(&events));
 
     let build = |kind| {
         let mut dim = DimSystem::build_with_transport(topo.clone(), field, 3, kind).unwrap();
@@ -111,12 +137,22 @@ fn dim_costs_identical_across_substrates() {
     let mut gpsr = build(TransportKind::Gpsr);
     let mut cached = build(TransportKind::Cached);
 
+    let mut answers = Vec::new();
     for _round in 0..2 {
         for (sink, query) in &queries {
             let a = gpsr.query_from(*sink, query).unwrap();
             let b = cached.query_from(*sink, query).unwrap();
             assert_eq!(a.cost, b.cost, "QueryCost diverges on {query}");
+            assert_eq!(a.cost.elapsed.to_bits(), b.cost.elapsed.to_bits(), "elapsed on {query}");
+            answers.push(b);
         }
     }
+    // The edge queries, asked last, have the shapes they were added for.
+    let [.., none, one] = &answers[..] else { unreachable!() };
+    assert!(none.events.is_empty() && none.cost.reply_messages == 0 && none.cost.total() > 0);
+    assert_eq!(one.zones_visited, 1, "a point query's chain is a single owner");
+    assert!(!one.events.is_empty() && one.cost.reply_messages > 0);
+
     assert_eq!(gpsr.ledger(), cached.ledger());
+    assert_eq!(clock_bits(gpsr.transport()), clock_bits(cached.transport()));
 }
