@@ -30,7 +30,7 @@
 //!   and carry-over queue together across epochs.
 
 use crate::event::Event;
-use crate::failure::{take_backup, BackupCopy, FailureReport};
+use crate::failure::FailureReport;
 use crate::grid::CellCoord;
 use crate::storage::StoredEvent;
 use crate::system::PoolSystem;
@@ -44,7 +44,7 @@ use pool_transport::trace::TraceOp;
 use pool_transport::TrafficLayer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Battery provisioning for energy-driven deaths.
@@ -233,6 +233,10 @@ struct RepairTask {
     /// Where the payload physically sits right now.
     source: NodeId,
     kind: TaskKind,
+    /// The live node holding the event's backup copy, which stays its
+    /// backup wherever the primary ends up (`None` for [`TaskKind::Backup`]:
+    /// the task exists because there is none).
+    backup: Option<NodeId>,
 }
 
 /// Carry-over queue of repairs deferred by the per-epoch message budget.
@@ -277,7 +281,10 @@ impl PoolSystem {
     ///    holder nor a live backup are lost. Carried-over tasks from
     ///    earlier epochs are refreshed against the new topology first (a
     ///    queued source that died is replaced by a surviving backup, or
-    ///    the event is lost).
+    ///    the event is lost). A cell the epoch did not touch — every
+    ///    event still on the cell's index node, its backup on a live node —
+    ///    is counted and left where it lies, so the triage costs what
+    ///    changed, not what is stored.
     /// 4. **Drain the queue FIFO** until the next task would exceed
     ///    `budget` radio messages; the remainder waits for the next epoch
     ///    ([`FailureReport::deferred_repairs`]). On a loss-free radio the
@@ -314,50 +321,21 @@ impl PoolSystem {
         )?;
         report.failed_nodes = change.victims.len();
         report.partitioned = change.partitioned;
-        if report.partitioned {
-            report.nodes_unreachable =
-                self.topology.alive_count() - self.topology.largest_component_members().len();
-        }
 
         // Phase 2: re-elect every cell's index node locally. Queries must
         // never find a pool cell without a live index node mid-churn.
-        let mut new_index: HashMap<CellCoord, NodeId> = HashMap::new();
-        let mut reassigned = 0usize;
-        for pool in self.layout().pools().to_vec() {
-            for cell in pool.cells() {
-                let elected = self.topology().nearest_node(self.grid().center(cell));
-                if self.index_node_of(cell) != Some(elected) {
-                    reassigned += 1;
-                }
-                new_index.insert(cell, elected);
-            }
-        }
-        report.cells_reassigned = reassigned;
-        self.replace_index_nodes(new_index);
+        report.cells_reassigned = self.elect_index_nodes();
         if report.partitioned {
-            let main: HashSet<NodeId> =
-                self.topology().largest_component_members().into_iter().collect();
-            report.cells_unreachable = self
-                .layout()
-                .pools()
-                .to_vec()
-                .iter()
-                .flat_map(|p| p.cells())
-                .filter(|&c| self.index_node_of(c).is_none_or(|n| !main.contains(&n)))
-                .count();
+            self.tally_partition(&mut report);
         }
 
-        // Phase 3: triage. `kept` collects the backup copies that remain
-        // valid (live holders) for events that still exist somewhere.
-        let old_store = self.take_store();
-        let mut old_backups = self.take_backups();
+        // Phase 3: triage.
         self.clear_delegates();
-        let mut kept: HashMap<CellCoord, Vec<BackupCopy>> = HashMap::new();
 
         // 3a. Refresh the carried-over queue against the new topology.
-        let carried: Vec<RepairTask> = queue.tasks.drain(..).collect();
+        let carried = std::mem::take(&mut queue.tasks);
         for mut task in carried {
-            let alive = self.topology().is_alive(task.source);
+            let alive = self.topology.is_alive(task.source);
             if !alive && task.kind == TaskKind::Backup {
                 // The primary this Backup task was going to copy died; the
                 // store walk below re-triages that event.
@@ -366,17 +344,14 @@ impl PoolSystem {
             // A sound task keeps the event's surviving backup attached; a
             // Migrate/Recover whose payload source died while waiting falls
             // back to that backup, or the event is lost.
-            let backup = take_backup(&mut old_backups, task.cell, &task.event, self.topology());
+            task.backup = task.backup.filter(|&b| self.topology.is_alive(b));
             if !alive {
-                let Some(copy) = &backup else {
+                let Some(copy_at) = task.backup else {
                     report.events_lost += 1;
                     continue;
                 };
-                task.source = copy.holder;
+                task.source = copy_at;
                 task.kind = TaskKind::Recover;
-            }
-            if let Some(copy) = backup {
-                kept.entry(task.cell).or_default().push(copy);
             }
             queue.tasks.push_back(task);
         }
@@ -384,29 +359,31 @@ impl PoolSystem {
         // 3b. Walk the store: retain, hand off, recover, or lose. Cells
         // are visited in coordinate order — the walk feeds the FIFO repair
         // queue, and the budget cutoff must not depend on HashMap
-        // iteration order (the determinism contract covers churn). The
-        // store is consumed: each event moves to where it goes next, and
-        // only a re-backup task takes a copy of its own.
-        let mut cells: Vec<(CellCoord, Vec<StoredEvent>)> = old_store.into_cells().collect();
-        cells.sort_unstable_by_key(|&(cell, _)| cell);
-        for (cell, stored) in cells {
+        // iteration order (the determinism contract covers churn). An
+        // untouched cell would come out of the per-event walk exactly as it
+        // went in, so it stays where it is; any other cell is taken out of
+        // the store and each event moves to where it goes next (only a
+        // re-backup task takes a copy of its own).
+        for cell in self.store.occupied_cells() {
             let index_node = self.index_node_of(cell).expect("pool cells keep index nodes");
-            for StoredEvent { event, holder } in stored {
+            let stored = self.store.events_in(cell);
+            if self.cell_untouched(stored, index_node) {
+                report.events_retained += stored.len();
+                continue;
+            }
+            for StoredEvent { event, holder, backup } in self.store.take_cell(cell) {
                 // A surviving backup stays the event's backup wherever the
                 // primary ends up (in place, handed off, or recovered).
-                let backup = take_backup(&mut old_backups, cell, &event, self.topology());
-                let backup_holder = backup.as_ref().map(|copy| copy.holder);
-                if let Some(copy) = backup {
-                    kept.entry(cell).or_default().push(copy);
-                }
-                if !self.topology().is_alive(holder) {
+                let backup = backup.get().filter(|&b| self.topology.is_alive(b));
+                if !self.topology.is_alive(holder) {
                     // Holder died: recover from the surviving backup, if any.
-                    match backup_holder {
+                    match backup {
                         Some(source) => queue.tasks.push_back(RepairTask {
                             cell,
                             event,
                             source,
                             kind: TaskKind::Recover,
+                            backup,
                         }),
                         None => report.events_lost += 1,
                     }
@@ -416,8 +393,8 @@ impl PoolSystem {
                     // carried-over queue (budget starvation); re-discovering
                     // it here must not duplicate the repair, or starved
                     // queues grow without bound.
-                    if backup_holder.is_none()
-                        && self.config().replicate
+                    if backup.is_none()
+                        && self.config.replicate
                         && !queue.tasks.iter().any(|t| {
                             t.kind == TaskKind::Backup && t.cell == cell && t.event == event
                         })
@@ -427,9 +404,11 @@ impl PoolSystem {
                             event: event.clone(),
                             source: index_node,
                             kind: TaskKind::Backup,
+                            backup: None,
                         });
                     }
-                    self.restore_event(cell, event, holder);
+                    self.store
+                        .insert_stored(cell, StoredEvent { event, holder, backup: backup.into() });
                 } else {
                     // Deposed holder: the event leaves the query-visible
                     // store until its handoff lands.
@@ -438,11 +417,11 @@ impl PoolSystem {
                         event,
                         source: holder,
                         kind: TaskKind::Migrate,
+                        backup,
                     });
                 }
             }
         }
-        self.set_backups(kept);
 
         // Phase 4: budgeted FIFO drain.
         self.drain_repairs(queue, budget, &mut report);
@@ -486,9 +465,12 @@ impl PoolSystem {
                         break;
                     }
                     let task = queue.tasks.pop_front().expect("front exists");
-                    let sent = self.replicate_event(task.cell, &task.event, source);
+                    let (sent, copy_at) = self.replicate_from(source);
                     spent += sent;
                     report.repair_messages += sent;
+                    if let Some(copy_at) = copy_at {
+                        self.record_backup(&task, copy_at, queue);
+                    }
                 }
                 TaskKind::Migrate | TaskKind::Recover => {
                     let route =
@@ -524,16 +506,23 @@ impl PoolSystem {
                             TaskKind::Recover => report.events_recovered += 1,
                             TaskKind::Backup => unreachable!("handled above"),
                         }
-                        self.restore_event(task.cell, task.event.clone(), index_node);
-                        if self.config().replicate && !self.has_live_backup(task.cell, &task.event)
-                        {
+                        if self.config.replicate && task.backup.is_none() {
                             queue.tasks.push_back(RepairTask {
                                 cell: task.cell,
-                                event: task.event,
+                                event: task.event.clone(),
                                 source: index_node,
                                 kind: TaskKind::Backup,
+                                backup: None,
                             });
                         }
+                        self.store.insert_stored(
+                            task.cell,
+                            StoredEvent {
+                                event: task.event,
+                                holder: index_node,
+                                backup: task.backup.into(),
+                            },
+                        );
                     } else {
                         // ARQ exhausted mid-route: the repair is spent and
                         // the event dropped, consistent with fail_nodes.
@@ -672,15 +661,44 @@ impl ChurnScenario {
 }
 
 impl PoolSystem {
-    /// Whether `cell` still has a live backup copy of `event`.
-    fn has_live_backup(&self, cell: CellCoord, event: &Event) -> bool {
-        self.backups.get(&cell).is_some_and(|copies| {
-            copies.iter().any(|c| &c.event == event && self.topology.is_alive(c.holder))
+    /// Whether the epoch left a cell alone: every event `stored` in it is
+    /// held by the cell's (re-elected, live) `index_node` and its backup —
+    /// present exactly when replication is on — sits on a live node. The
+    /// per-event walk of [`PoolSystem::apply_epoch`] would retain each such
+    /// event with the same holder and backup, in the same order, and queue
+    /// nothing, so the cell may stay in the store as it is.
+    fn cell_untouched(&self, stored: &[StoredEvent], index_node: NodeId) -> bool {
+        #[cfg(test)]
+        if self.walk_every_cell {
+            return false;
+        }
+        stored.iter().all(|s| {
+            s.holder == index_node
+                && match s.backup.get() {
+                    Some(copy_at) => self.topology.is_alive(copy_at),
+                    None => !self.config.replicate,
+                }
         })
     }
 
-    pub(crate) fn set_backups(&mut self, backups: HashMap<CellCoord, Vec<BackupCopy>>) {
-        self.backups = backups;
+    /// Records that the copy a drained [`TaskKind::Backup`] `task` sent
+    /// now sits at `copy_at`: on the stored event it backs, or — when that
+    /// event was deposed after the task was queued and is itself waiting
+    /// in `queue` — on its pending handoff.
+    fn record_backup(&mut self, task: &RepairTask, copy_at: NodeId, queue: &mut RepairQueue) {
+        let mut stored = self.store.backups_in_mut(task.cell);
+        if let Some((_, slot)) =
+            stored.find(|(event, slot)| slot.get().is_none() && **event == task.event)
+        {
+            *slot = Some(copy_at).into();
+        } else if let Some(waiting) = queue.tasks.iter_mut().find(|t| {
+            t.kind != TaskKind::Backup
+                && t.cell == task.cell
+                && t.backup.is_none()
+                && t.event == task.event
+        }) {
+            waiting.backup = Some(copy_at);
+        }
     }
 }
 
@@ -691,6 +709,7 @@ mod tests {
     use crate::query::RangeQuery;
     use crate::system::testkit::{build_system, ev};
     use pool_transport::TrafficLayer;
+    use std::collections::HashMap;
 
     fn all_query() -> RangeQuery {
         RangeQuery::exact(vec![(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]).unwrap()
@@ -929,6 +948,228 @@ mod tests {
             "full report: {report:?}"
         );
         assert_eq!(pool.store().len(), 76);
+    }
+
+    /// A backup copy as the store walk knew it before the holder moved
+    /// onto [`StoredEvent::backup`]: an `(event, holder)` pair in a per-cell
+    /// list, claimed by `Event` equality.
+    type Copies = HashMap<CellCoord, Vec<(Event, NodeId)>>;
+
+    fn take_copy(
+        copies: &mut Copies,
+        cell: CellCoord,
+        event: &Event,
+        topology: &Topology,
+    ) -> Option<NodeId> {
+        let list = copies.get_mut(&cell)?;
+        let at = list.iter().position(|(e, holder)| e == event && topology.is_alive(*holder))?;
+        Some(list.swap_remove(at).1)
+    }
+
+    fn sorted_copies(copies: Copies) -> Vec<(CellCoord, Vec<(Event, NodeId)>)> {
+        let mut cells: Vec<_> = copies.into_iter().filter(|(_, list)| !list.is_empty()).collect();
+        cells.sort_unstable_by_key(|&(cell, _)| cell);
+        for (_, list) in &mut cells {
+            list.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        }
+        cells
+    }
+
+    /// Everything phase 3 decides, in the shape both the system and the
+    /// reference walk can be read into.
+    #[derive(Debug, PartialEq)]
+    struct Triage {
+        store: Vec<(CellCoord, Vec<(Event, NodeId)>)>,
+        copies: Vec<(CellCoord, Vec<(Event, NodeId)>)>,
+        queue: Vec<(CellCoord, Event, NodeId, TaskKind)>,
+    }
+
+    /// The system's stored events, live backup copies (stored and queued)
+    /// and queue, as a [`Triage`] plus the raw copy lists.
+    fn triage_of(pool: &PoolSystem, queue: &RepairQueue) -> (Triage, Copies) {
+        let mut copies = Copies::new();
+        let mut store = Vec::new();
+        for cell in pool.store.occupied_cells() {
+            let stored = pool.store.events_in(cell);
+            store.push((cell, stored.iter().map(|s| (s.event.clone(), s.holder)).collect()));
+            for s in stored {
+                if let Some(at) = s.backup.get() {
+                    copies.entry(cell).or_default().push((s.event.clone(), at));
+                }
+            }
+        }
+        for t in &queue.tasks {
+            if let Some(at) = t.backup {
+                copies.entry(t.cell).or_default().push((t.event.clone(), at));
+            }
+        }
+        let tasks = queue.tasks.iter().map(|t| (t.cell, t.event.clone(), t.source, t.kind));
+        let triage =
+            Triage { store, copies: sorted_copies(copies.clone()), queue: tasks.collect() };
+        (triage, copies)
+    }
+
+    /// The store walk as it stood before the untouched-cell shortcut and
+    /// before backups rode on their events: every event of every cell
+    /// claims its copy by equality from per-cell lists. Runs on the state
+    /// `before` an epoch against the topology and index nodes `after` it,
+    /// and returns what phase 3 must leave (events retained, events lost,
+    /// store, surviving copies as multisets, queue in order).
+    fn reference_walk(before: (Triage, Copies), after: &PoolSystem) -> (usize, usize, Triage) {
+        let (Triage { store: old_store, queue: carried, .. }, mut old_copies) = before;
+        let topology = after.topology();
+        let (mut retained, mut lost) = (0usize, 0usize);
+        let mut kept = Copies::new();
+        let mut queue: Vec<(CellCoord, Event, NodeId, TaskKind)> = Vec::new();
+        for (cell, event, mut source, mut kind) in carried {
+            let alive = topology.is_alive(source);
+            if !alive && kind == TaskKind::Backup {
+                continue;
+            }
+            let copy_at = take_copy(&mut old_copies, cell, &event, topology);
+            if !alive {
+                let Some(at) = copy_at else {
+                    lost += 1;
+                    continue;
+                };
+                source = at;
+                kind = TaskKind::Recover;
+            }
+            if let Some(at) = copy_at {
+                kept.entry(cell).or_default().push((event.clone(), at));
+            }
+            queue.push((cell, event, source, kind));
+        }
+        let mut store = Vec::new();
+        for (cell, stored) in old_store {
+            let index_node = after.index_node_of(cell).unwrap();
+            let mut staying = Vec::new();
+            for (event, holder) in stored {
+                let copy_at = take_copy(&mut old_copies, cell, &event, topology);
+                if let Some(at) = copy_at {
+                    kept.entry(cell).or_default().push((event.clone(), at));
+                }
+                if !topology.is_alive(holder) {
+                    match copy_at {
+                        Some(at) => queue.push((cell, event, at, TaskKind::Recover)),
+                        None => lost += 1,
+                    }
+                } else if holder == index_node {
+                    retained += 1;
+                    if copy_at.is_none()
+                        && after.config().replicate
+                        && !queue
+                            .iter()
+                            .any(|t| t.3 == TaskKind::Backup && t.0 == cell && t.1 == event)
+                    {
+                        queue.push((cell, event.clone(), index_node, TaskKind::Backup));
+                    }
+                    staying.push((event, holder));
+                } else {
+                    queue.push((cell, event, holder, TaskKind::Migrate));
+                }
+            }
+            if !staying.is_empty() {
+                store.push((cell, staying));
+            }
+        }
+        (retained, lost, Triage { store, copies: sorted_copies(kept), queue })
+    }
+
+    /// Oracle for the untouched-cell shortcut. Two identical systems — one
+    /// walking every cell event by event — go through the same random
+    /// history: inserts between epochs, budgets of 0 / starved / ample so
+    /// Backup tasks carry over, an epoch with an empty plan, and a stripe
+    /// of deaths that partitions the field. After every epoch they must
+    /// agree on the report, the queue in order, every cell of the store in
+    /// order (holders and backups included), per-node loads, and the ledger
+    /// layer by layer. On the budget-0 epochs, where nothing drains and
+    /// the state after the epoch is the state after triage, both must
+    /// also match [`reference_walk`].
+    #[test]
+    fn untouched_cells_stay_put_exactly_as_the_full_walk_leaves_them() {
+        use crate::config::SharingPolicy;
+        use pool_transport::LossyConfig;
+        let configs = [
+            PoolConfig::paper(),
+            PoolConfig::paper().with_replication(),
+            PoolConfig::paper().with_replication().with_sharing(SharingPolicy::new(4)),
+            PoolConfig::paper().with_replication().with_lossy(LossyConfig::fixed(0.85, 3)),
+        ];
+        let budgets = [0, 12, u64::MAX, 0, 40, 0];
+        let mut seen = FailureReport::default();
+        for (history, config) in configs.into_iter().enumerate() {
+            let seed = 60 + history as u64;
+            let mut fast = build_system(300, seed, config.clone());
+            let mut full = build_system(300, seed, config);
+            full.walk_every_cell = true;
+            load(&mut fast, 150, seed);
+            load(&mut full, 150, seed);
+            let (mut fast_queue, mut full_queue) = (RepairQueue::default(), RepairQueue::default());
+            let mut planner = ChurnPlanner::new(ChurnConfig::new(seed).with_rates(2, 5, 5));
+            let mut rng = StdRng::seed_from_u64(seed);
+            for epoch in 0..12 {
+                let live = fast.topology().largest_component_members();
+                for _ in 0..25 {
+                    let source = live[rng.gen_range(0..live.len())];
+                    let event = ev(&[rng.gen(), rng.gen(), rng.gen()]);
+                    let a = fast.insert_from(source, event.clone()).map(|r| r.holder).ok();
+                    let b = full.insert_from(source, event).map(|r| r.holder).ok();
+                    assert_eq!(a, b, "history {history} epoch {epoch}: insert");
+                }
+                let plan = match epoch {
+                    4 => EpochPlan::empty(),
+                    7 => {
+                        let mid_x = fast.field().center().x;
+                        let stripe = fast.topology().nodes().iter().filter(|n| {
+                            fast.topology().is_alive(n.id) && (n.position.x - mid_x).abs() < 45.0
+                        });
+                        EpochPlan { deaths: stripe.map(|n| n.id).collect(), ..EpochPlan::empty() }
+                    }
+                    _ => planner.plan(fast.topology(), fast.field()),
+                };
+                let budget = budgets[epoch % budgets.len()];
+                let before = triage_of(&fast, &fast_queue);
+                let report = fast.apply_epoch(&plan, &mut fast_queue, budget).unwrap();
+                let when = format!("history {history} epoch {epoch} budget {budget}");
+                assert_eq!(
+                    report,
+                    full.apply_epoch(&plan, &mut full_queue, budget).unwrap(),
+                    "{when}"
+                );
+                assert_eq!(fast_queue, full_queue, "{when}: queue");
+                let cells = fast.store.occupied_cells();
+                assert_eq!(cells, full.store.occupied_cells(), "{when}: occupied cells");
+                for &cell in &cells {
+                    assert_eq!(
+                        fast.store.events_in(cell),
+                        full.store.events_in(cell),
+                        "{when}: {cell}"
+                    );
+                }
+                assert_eq!(fast.store.len(), full.store.len(), "{when}");
+                for node in fast.topology().nodes() {
+                    assert_eq!(
+                        fast.store.count_at(node.id),
+                        full.store.count_at(node.id),
+                        "{when}: load of {}",
+                        node.id
+                    );
+                }
+                assert_eq!(fast.ledger().by_layer(), full.ledger().by_layer(), "{when}: ledger");
+                assert!(report.partitioned || epoch != 7, "{when}: the stripe must partition");
+                if budget == 0 {
+                    let (retained, lost, want) = reference_walk(before, &fast);
+                    assert_eq!((report.events_retained, report.events_lost), (retained, lost));
+                    assert_eq!(triage_of(&fast, &fast_queue).0, want, "{when}: reference walk");
+                }
+                seen = seen.merge(&report);
+            }
+        }
+        // The histories must have exercised every branch of the walk.
+        assert!(seen.events_retained > 0 && seen.events_lost > 0, "{seen:?}");
+        assert!(seen.events_migrated > 0 && seen.events_recovered > 0, "{seen:?}");
+        assert!(seen.deferred_repairs > 0 && seen.events_unreachable > 0, "{seen:?}");
     }
 
     #[test]

@@ -16,15 +16,13 @@
 //! Without replication, events held by dead nodes are lost — the paper's
 //! (implicit) baseline behaviour.
 
-use crate::event::Event;
-use crate::grid::CellCoord;
 use crate::system::PoolSystem;
 use crate::PoolError;
 use pool_netsim::node::NodeId;
 use pool_transport::metrics::LedgerSnapshot;
 use pool_transport::trace::TraceOp;
 use pool_transport::TrafficLayer;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Outcome of a failure-injection step (or of a run of churn epochs, when
@@ -128,14 +126,6 @@ impl std::fmt::Display for FailureReport {
     }
 }
 
-/// A backup copy of an event, held by a neighbor of the index node that
-/// stored the primary.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BackupCopy {
-    pub(crate) event: Event,
-    pub(crate) holder: NodeId,
-}
-
 impl PoolSystem {
     /// Fails `dead` nodes and repairs the system: re-elects index nodes,
     /// refreshes the routing substrate over the survivors, migrates or
@@ -181,41 +171,15 @@ impl PoolSystem {
             partitioned: change.partitioned,
             ..FailureReport::default()
         };
-        if report.partitioned {
-            report.nodes_unreachable =
-                self.topology.len() - self.topology.largest_component_members().len();
-        }
 
         // 2. Re-elect index nodes for every pool cell.
-        let mut new_index: HashMap<CellCoord, NodeId> = HashMap::new();
-        let mut changed_cells: Vec<CellCoord> = Vec::new();
-        for pool in self.layout().pools().to_vec() {
-            for cell in pool.cells() {
-                let elected = self.topology().nearest_node(self.grid().center(cell));
-                if self.index_node_of(cell) != Some(elected) {
-                    changed_cells.push(cell);
-                }
-                new_index.insert(cell, elected);
-            }
-        }
-        report.cells_reassigned = changed_cells.len();
-        self.replace_index_nodes(new_index);
+        report.cells_reassigned = self.elect_index_nodes();
         if report.partitioned {
-            let main: std::collections::HashSet<NodeId> =
-                self.topology().largest_component_members().into_iter().collect();
-            report.cells_unreachable = self
-                .layout()
-                .pools()
-                .to_vec()
-                .iter()
-                .flat_map(|p| p.cells())
-                .filter(|&c| self.index_node_of(c).is_none_or(|n| !main.contains(&n)))
-                .count();
+            self.tally_partition(&mut report);
         }
 
         // 3. Walk the store: keep, migrate, recover, or lose each event.
         let old_store = self.take_store();
-        let mut old_backups = self.take_backups();
         self.clear_delegates();
         for (cell, stored) in old_store.iter() {
             let cell = *cell;
@@ -224,7 +188,7 @@ impl PoolSystem {
                 if self.topology().is_alive(s.holder) {
                     if s.holder == index_node {
                         report.events_retained += 1;
-                        self.restore_event(cell, s.event.clone(), s.holder);
+                        self.store.insert(cell, s.event.clone(), s.holder);
                     } else {
                         // The old holder survives but is no longer this
                         // cell's index node (it was a delegate or a
@@ -240,7 +204,7 @@ impl PoolSystem {
                             Ok(outcome) => {
                                 report.events_migrated += 1;
                                 report.repair_messages += outcome.transmissions;
-                                self.restore_event(cell, s.event.clone(), index_node);
+                                self.store.insert(cell, s.event.clone(), index_node);
                             }
                             Err(PoolError::Undeliverable { transmissions, .. }) => {
                                 report.repair_messages += transmissions;
@@ -251,20 +215,19 @@ impl PoolSystem {
                     }
                     continue;
                 }
-                // Holder died: look for a surviving backup copy.
-                let recovered = take_backup(&mut old_backups, cell, &s.event, self.topology());
-                match recovered {
-                    Some(backup) => {
+                // Holder died: recover from the backup copy, if it survives.
+                match s.backup.get().filter(|&b| self.topology().is_alive(b)) {
+                    Some(backup_holder) => {
                         match self.route_and_record(
                             TraceOp::Repair,
-                            backup.holder,
+                            backup_holder,
                             index_node,
                             TrafficLayer::Repair,
                         ) {
                             Ok(outcome) => {
                                 report.events_recovered += 1;
                                 report.repair_messages += outcome.transmissions;
-                                self.restore_event(cell, s.event.clone(), index_node);
+                                self.store.insert(cell, s.event.clone(), index_node);
                             }
                             Err(PoolError::Undeliverable { transmissions, .. }) => {
                                 report.repair_messages += transmissions;
@@ -282,7 +245,7 @@ impl PoolSystem {
         //    is on (the old backup set is discarded wholesale — simpler
         //    and safer than patching it copy by copy).
         if self.config().replicate {
-            report.repair_messages += self.rebuild_backups()?;
+            report.repair_messages += self.rebuild_backups();
         }
 
         // 5. Continuous queries of dead sinks can never be delivered.
@@ -297,38 +260,28 @@ impl PoolSystem {
     }
 }
 
-/// Removes and returns a backup copy of `event` in `cell` whose holder
-/// survives.
-pub(crate) fn take_backup(
-    backups: &mut HashMap<CellCoord, Vec<BackupCopy>>,
-    cell: CellCoord,
-    event: &Event,
-    topology: &pool_netsim::topology::Topology,
-) -> Option<BackupCopy> {
-    let copies = backups.get_mut(&cell)?;
-    let idx = copies.iter().position(|c| &c.event == event && topology.is_alive(c.holder))?;
-    Some(copies.swap_remove(idx))
-}
-
-/// Helper: rebuilt-store utilities live on [`PoolSystem`] but the heavy
-/// lifting above stays in this module.
 impl PoolSystem {
-    pub(crate) fn restore_event(&mut self, cell: CellCoord, event: Event, holder: NodeId) {
-        self.store_mut().insert(cell, event, holder);
+    /// Fills in a partitioned report's casualty tallies from one
+    /// component search: live nodes outside the largest component, and
+    /// pool cells whose index node sits outside it.
+    pub(crate) fn tally_partition(&self, report: &mut FailureReport) {
+        let main: HashSet<NodeId> = self.topology.largest_component_members().into_iter().collect();
+        report.nodes_unreachable = self.topology.alive_count() - main.len();
+        report.cells_unreachable = self
+            .layout
+            .pools()
+            .iter()
+            .flat_map(|p| p.cells())
+            .filter(|&c| self.index_node_of(c).is_none_or(|n| !main.contains(&n)))
+            .count();
     }
-}
-
-#[allow(unused_imports)]
-pub(crate) use self::tests_support::*;
-
-mod tests_support {
-    // (no shared fixtures yet; kept for future failure-model variants)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PoolConfig;
+    use crate::event::Event;
     use crate::query::RangeQuery;
     use pool_netsim::deployment::Deployment;
     use pool_netsim::topology::Topology;
@@ -604,6 +557,14 @@ mod tests {
         assert!(report.partitioned, "stripe failure must partition: {report:?}");
         assert!(report.nodes_unreachable > 0, "{report:?}");
         assert!(report.cells_unreachable > 0, "{report:?}");
+        // Regression: the tally used `len()`, which counts the stripe's own
+        // corpses as survivors cut off from the main component.
+        assert_eq!(
+            report.nodes_unreachable,
+            pool.topology().alive_count() - pool.topology().largest_component_members().len(),
+            "{} corpses must not be counted: {report:?}",
+            victims.len()
+        );
         // Queries from the largest component still answer, reporting the
         // cells they could not reach instead of erroring.
         let main = pool.topology().largest_component_members();

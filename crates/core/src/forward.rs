@@ -22,7 +22,7 @@ use pool_netsim::node::NodeId;
 use pool_transport::metrics::LedgerSnapshot;
 use pool_transport::trace::TraceOp;
 use pool_transport::TrafficLayer;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Message-count and virtual-time breakdown for one query.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -173,21 +173,23 @@ impl AggregateOp {
 impl PoolSystem {
     /// The splitter of pool `dim` for a query issued at `sink`: the pool's
     /// index node closest to the sink (§3.2.3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is not a pool of this deployment.
     pub fn splitter_of(&self, dim: usize, sink: NodeId) -> NodeId {
         let sink_pos = self.topology.position(sink);
-        let pool = self.layout.pool(dim);
-        pool.cells()
-            .map(|c| self.index_nodes[&c])
-            .min_by(|&a, &b| {
+        // The pool's `(index node, position)` row, kept current by
+        // `elect_index_nodes`: one contiguous scan, no per-cell lookups.
+        self.pool_index[dim]
+            .iter()
+            .min_by(|(a, pa), (b, pb)| {
                 // total_cmp: a NaN distance (a sink at an undeployable
                 // position) must order deterministically, not panic.
-                self.topology
-                    .position(a)
-                    .distance_sq(sink_pos)
-                    .total_cmp(&self.topology.position(b).distance_sq(sink_pos))
-                    .then(a.cmp(&b))
+                pa.distance_sq(sink_pos).total_cmp(&pb.distance_sq(sink_pos)).then(a.cmp(b))
             })
             .expect("pools have at least one cell")
+            .0
     }
 
     /// Processes a query issued at `sink` (§3.2): resolve → forward via
@@ -259,10 +261,14 @@ impl PoolSystem {
         let mut cost = QueryCost::default();
         let mut events = Vec::new();
         let mut pools_visited = 0usize;
-        // Delivery status per relevant cell; finalized into the
-        // completeness report at the end (a cell can be demoted late, when
-        // its reply dies on the splitter → sink leg).
-        let mut reached: HashMap<(usize, CellCoord), bool> = HashMap::new();
+        // Delivery status per relevant cell, parallel to `relevant`;
+        // finalized into the completeness report at the end (a cell can be
+        // demoted late, when its reply dies on the splitter → sink leg).
+        // `relevant` lists pools in ascending order and `by_pool` keeps
+        // each pool's cells in that order, so the pools' slices of
+        // `reached` follow one another.
+        let mut reached = vec![false; relevant.len()];
+        let mut next_pool = 0usize;
 
         // Virtual-time bracket: the sink launches one packet per relevant
         // pool at `op_start`, so pools overlap; within a pool the splitter
@@ -272,6 +278,13 @@ impl PoolSystem {
         let mut op_end = op_start;
 
         for (dim, cells) in by_pool {
+            let first = next_pool;
+            next_pool += cells.len();
+            debug_assert!(relevant[first..next_pool]
+                .iter()
+                .copied()
+                .eq(cells.iter().map(|&c| (dim, c))));
+            let reached = &mut reached[first..next_pool];
             op_end = op_end.max(self.transport.clock().now());
             self.transport.clock_mut().seek(op_start);
             pools_visited += 1;
@@ -282,7 +295,6 @@ impl PoolSystem {
                 Err(pool_gpsr::RouteError::NotDelivered { .. }) => {
                     // The splitter is unreachable (partition): the whole
                     // pool goes unanswered.
-                    reached.extend(cells.iter().map(|&c| ((dim, c), false)));
                     continue;
                 }
                 Err(e) => return Err(e.into()),
@@ -293,7 +305,6 @@ impl PoolSystem {
             cost.retransmit_messages += fwd.retransmissions;
             cost.forward_latency += fwd.latency;
             if !fwd.delivered {
-                reached.extend(cells.iter().map(|&c| ((dim, c), false)));
                 continue;
             }
 
@@ -303,18 +314,15 @@ impl PoolSystem {
 
             // Replies buffered at the splitter, per contributing cell, so a
             // lost splitter → sink leg can demote exactly its contributors.
-            let mut pool_buffer: Vec<(CellCoord, Vec<Event>)> = Vec::new();
-            for &cell in &cells {
+            let mut pool_buffer: Vec<(usize, Vec<Event>)> = Vec::new();
+            for (slot, &cell) in cells.iter().enumerate() {
                 pool_end = pool_end.max(self.transport.clock().now());
                 self.transport.clock_mut().seek(t_split);
                 let index_node = self.index_nodes[&cell];
                 let to_cell =
                     match self.transport.route_to_node(&self.topology, splitter, index_node) {
                         Ok(route) => route,
-                        Err(pool_gpsr::RouteError::NotDelivered { .. }) => {
-                            reached.insert((dim, cell), false);
-                            continue;
-                        }
+                        Err(pool_gpsr::RouteError::NotDelivered { .. }) => continue,
                         Err(e) => return Err(e.into()),
                     };
                 let (fwd, to_cell) =
@@ -323,7 +331,6 @@ impl PoolSystem {
                 cost.retransmit_messages += fwd.retransmissions;
                 cost.forward_latency += fwd.latency;
                 if !fwd.delivered {
-                    reached.insert((dim, cell), false);
                     continue;
                 }
 
@@ -342,7 +349,6 @@ impl PoolSystem {
                         // Delegated events live past the stall point; the
                         // cell's answer would be silently partial, so the
                         // whole cell is reported unreached.
-                        reached.insert((dim, cell), false);
                         continue;
                     }
                 }
@@ -355,7 +361,7 @@ impl PoolSystem {
                     .map(|s| s.event.clone())
                     .collect();
                 if matches.is_empty() {
-                    reached.insert((dim, cell), true);
+                    reached[slot] = true;
                     continue;
                 }
                 // Reply: the cell's events retrace the forwarding legs.
@@ -387,12 +393,10 @@ impl PoolSystem {
                         if self.config.aggregate_replies {
                             // The single aggregated packet died on the
                             // chain: nothing leaves the cell.
-                            reached.insert((dim, cell), false);
                             continue;
                         }
                         matches.truncate(rev.delivered_copies as usize);
                         if matches.is_empty() {
-                            reached.insert((dim, cell), false);
                             continue;
                         }
                         copies = matches.len() as u64;
@@ -417,9 +421,9 @@ impl PoolSystem {
                 } else {
                     matches.into_iter().take(rev.delivered_copies as usize).collect()
                 };
-                reached.insert((dim, cell), cell_ok && rev.delivered_copies == copies);
+                reached[slot] = cell_ok && rev.delivered_copies == copies;
                 if !kept.is_empty() {
-                    pool_buffer.push((cell, kept));
+                    pool_buffer.push((slot, kept));
                 }
             }
 
@@ -448,8 +452,8 @@ impl PoolSystem {
                     } else {
                         // The single aggregated packet died: every cell that
                         // contributed loses its claim.
-                        for (cell, _) in pool_buffer {
-                            reached.insert((dim, cell), false);
+                        for (slot, _) in pool_buffer {
+                            reached[slot] = false;
                         }
                     }
                 } else {
@@ -457,11 +461,11 @@ impl PoolSystem {
                     // `delivered_copies` in buffer order and demote cells
                     // whose events were clipped.
                     let mut budget = rev.delivered_copies as usize;
-                    for (cell, cell_events) in pool_buffer {
+                    for (slot, cell_events) in pool_buffer {
                         let take = cell_events.len().min(budget);
                         budget -= take;
                         if take < cell_events.len() {
-                            reached.insert((dim, cell), false);
+                            reached[slot] = false;
                         }
                         events.extend(cell_events.into_iter().take(take));
                     }
@@ -475,11 +479,8 @@ impl PoolSystem {
         self.transport.clock_mut().seek(op_end);
         cost.elapsed = op_end - op_start;
 
-        let unreached_cells: Vec<(usize, CellCoord)> = relevant
-            .iter()
-            .copied()
-            .filter(|key| !reached.get(key).copied().unwrap_or(false))
-            .collect();
+        let unreached_cells: Vec<(usize, CellCoord)> =
+            relevant.iter().zip(&reached).filter(|&(_, &ok)| !ok).map(|(&key, _)| key).collect();
         let completeness = Completeness {
             cells_relevant: relevant.len(),
             cells_reached: relevant.len() - unreached_cells.len(),
@@ -752,6 +753,91 @@ mod tests {
         let result = pool.query_from(lost, &q).unwrap();
         assert!(!result.completeness.is_complete(), "an isolated sink reaches no cell");
         assert!(result.events.is_empty());
+    }
+
+    /// `splitter_of` as it read before the per-pool rows: the `min_by` over
+    /// the pool's cells, one `index_nodes` lookup and two position reads per
+    /// comparison.
+    fn splitter_by_lookup(pool: &PoolSystem, dim: usize, sink: NodeId) -> NodeId {
+        let sink_pos = pool.topology.position(sink);
+        pool.layout
+            .pool(dim)
+            .cells()
+            .map(|c| pool.index_nodes[&c])
+            .min_by(|&a, &b| {
+                pool.topology
+                    .position(a)
+                    .distance_sq(sink_pos)
+                    .total_cmp(&pool.topology.position(b).distance_sq(sink_pos))
+                    .then(a.cmp(&b))
+            })
+            .unwrap()
+    }
+
+    fn assert_splitters_match_lookup(pool: &PoolSystem, when: &str) {
+        for dim in 0..pool.layout.dims() {
+            for sink in pool.topology.nodes() {
+                assert_eq!(
+                    pool.splitter_of(dim, sink.id),
+                    splitter_by_lookup(pool, dim, sink.id),
+                    "pool {dim} sink {} {when}",
+                    sink.id
+                );
+            }
+        }
+    }
+
+    /// Oracle for the splitter rows: for every (pool, sink) — a sink at a
+    /// NaN position included — the row scan picks the node the per-cell
+    /// lookup picks, at build time, after an epoch of joins, moves and
+    /// deaths, and after `fail_nodes`. Putting the pre-change rows back
+    /// shows the check has teeth: a table that missed the re-election
+    /// disagrees with the lookup.
+    #[test]
+    fn splitter_rows_agree_with_the_per_cell_lookup_through_churn() {
+        use crate::dynamics::{ChurnConfig, ChurnPlanner, EpochPlan, RepairQueue};
+        use pool_netsim::geometry::Point;
+        for seed in [41u64, 42, 43] {
+            let mut pool = build_system(300, seed, PoolConfig::paper());
+            assert_splitters_match_lookup(&pool, "as built");
+
+            let mut plan = ChurnPlanner::new(ChurnConfig::new(seed).with_rates(3, 6, 6))
+                .plan(pool.topology(), pool.field());
+            plan.joins.push(Point::new(f64::NAN, f64::NAN));
+            // A sink that survives the epoch, and whose pool-0 splitter (a
+            // node other than itself) certainly does not.
+            let sink = (0..300)
+                .map(NodeId)
+                .find(|&n| !plan.deaths.contains(&n) && pool.splitter_of(0, n) != n)
+                .unwrap();
+            let deposed = pool.splitter_of(0, sink);
+            if !plan.deaths.contains(&deposed) {
+                plan.moves.retain(|&(id, _)| id != deposed);
+                plan.deaths.push(deposed);
+            }
+            let built = pool.pool_index.clone();
+            pool.apply_epoch(&plan, &mut RepairQueue::default(), u64::MAX).unwrap();
+            assert_splitters_match_lookup(&pool, "after an epoch");
+            let fresh = std::mem::replace(&mut pool.pool_index, built);
+            assert_ne!(
+                pool.splitter_of(0, sink),
+                splitter_by_lookup(&pool, 0, sink),
+                "rows that missed the epoch must disagree with the lookup"
+            );
+            pool.pool_index = fresh;
+
+            let victim = pool.splitter_of(1, sink);
+            assert_ne!(victim, sink, "seed {seed}: pick a sink that is not its own splitter");
+            let before = pool.pool_index.clone();
+            pool.fail_nodes(&[victim]).unwrap();
+            assert_splitters_match_lookup(&pool, "after fail_nodes");
+            let fresh = std::mem::replace(&mut pool.pool_index, before);
+            assert_ne!(pool.splitter_of(1, sink), splitter_by_lookup(&pool, 1, sink));
+            pool.pool_index = fresh;
+
+            pool.apply_epoch(&EpochPlan::empty(), &mut RepairQueue::default(), 0).unwrap();
+            assert_splitters_match_lookup(&pool, "after an empty epoch");
+        }
     }
 
     #[test]

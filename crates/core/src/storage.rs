@@ -11,6 +11,36 @@ use crate::grid::CellCoord;
 use pool_netsim::node::NodeId;
 use std::collections::HashMap;
 
+/// Which node holds an event's backup copy, if any: an `Option<NodeId>`
+/// packed into four bytes, so that a [`StoredEvent`] stays 32 bytes — the
+/// store is most of a loaded system's heap. (`u32::MAX` stands for "none";
+/// no deployment comes near that many nodes.)
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BackupSlot(u32);
+
+impl BackupSlot {
+    /// No backup copy.
+    pub const NONE: BackupSlot = BackupSlot(u32::MAX);
+
+    /// The node holding the backup copy, if there is one.
+    pub fn get(self) -> Option<NodeId> {
+        (self != Self::NONE).then_some(NodeId(self.0))
+    }
+}
+
+impl From<Option<NodeId>> for BackupSlot {
+    fn from(at: Option<NodeId>) -> Self {
+        debug_assert_ne!(at, Some(NodeId(u32::MAX)), "node id collides with the empty slot");
+        at.map_or(Self::NONE, |node| BackupSlot(node.0))
+    }
+}
+
+impl std::fmt::Debug for BackupSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// A stored event together with the node that physically holds it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredEvent {
@@ -18,6 +48,9 @@ pub struct StoredEvent {
     pub event: Event,
     /// The sensor node holding this copy.
     pub holder: NodeId,
+    /// The neighbor of the index node holding this event's backup copy
+    /// (none without replication, or while a re-backup is pending).
+    pub backup: BackupSlot,
 }
 
 /// Event storage across all pool cells.
@@ -36,9 +69,15 @@ impl CellStore {
 
     /// Records `event` as stored in `cell` at node `holder`.
     pub fn insert(&mut self, cell: CellCoord, event: Event, holder: NodeId) {
-        self.by_cell.entry(cell).or_default().push(StoredEvent { event, holder });
-        *self.count_by_node.entry(holder).or_insert(0) += 1;
+        self.insert_stored(cell, StoredEvent { event, holder, backup: BackupSlot::NONE });
+    }
+
+    /// Records an already-assembled `stored` event (holder and backup
+    /// known) in `cell`.
+    pub(crate) fn insert_stored(&mut self, cell: CellCoord, stored: StoredEvent) {
+        *self.count_by_node.entry(stored.holder).or_insert(0) += 1;
         self.total += 1;
+        self.by_cell.entry(cell).or_default().push(stored);
     }
 
     /// The events stored in `cell` (empty slice if none).
@@ -71,10 +110,37 @@ impl CellStore {
         self.count_by_node.values().filter(|&&c| c > 0).count()
     }
 
-    /// Consumes the store into its `(cell, stored events)` pairs, in
-    /// unspecified order.
-    pub(crate) fn into_cells(self) -> impl Iterator<Item = (CellCoord, Vec<StoredEvent>)> {
-        self.by_cell.into_iter()
+    /// The cells holding at least one event, in coordinate order.
+    pub(crate) fn occupied_cells(&self) -> Vec<CellCoord> {
+        let mut cells: Vec<CellCoord> = self.by_cell.keys().copied().collect();
+        cells.sort_unstable();
+        cells
+    }
+
+    /// Takes every event out of `cell`, in stored order; the per-node
+    /// counts forget them.
+    pub(crate) fn take_cell(&mut self, cell: CellCoord) -> Vec<StoredEvent> {
+        let stored = self.by_cell.remove(&cell).unwrap_or_default();
+        for s in &stored {
+            if let Some(count) = self.count_by_node.get_mut(&s.holder) {
+                *count -= 1;
+                if *count == 0 {
+                    self.count_by_node.remove(&s.holder);
+                }
+            }
+        }
+        self.total -= stored.len();
+        stored
+    }
+
+    /// Where the backup of each event stored in `cell` sits, for writing
+    /// (stored order). Payloads and holders stay read-only, so the
+    /// per-node counts cannot drift.
+    pub(crate) fn backups_in_mut(
+        &mut self,
+        cell: CellCoord,
+    ) -> impl Iterator<Item = (&Event, &mut BackupSlot)> {
+        self.by_cell.get_mut(&cell).into_iter().flatten().map(|s| (&s.event, &mut s.backup))
     }
 
     /// Iterates over all `(cell, stored events)` pairs in unspecified order.
@@ -100,6 +166,18 @@ mod tests {
         assert_eq!(store.events_in(cell).len(), 1);
         assert_eq!(store.events_in(cell)[0].holder, NodeId(7));
         assert!(store.events_in(CellCoord::new(0, 0)).is_empty());
+    }
+
+    /// The point of [`BackupSlot`]: carrying the backup holder costs a
+    /// stored event no space (the four bytes were padding).
+    #[test]
+    fn backup_slot_round_trips_and_keeps_stored_events_at_32_bytes() {
+        assert_eq!(std::mem::size_of::<StoredEvent>(), 32);
+        assert_eq!(BackupSlot::NONE.get(), None);
+        assert_eq!(BackupSlot::from(None), BackupSlot::NONE);
+        for id in [0, 7, u32::MAX - 1] {
+            assert_eq!(BackupSlot::from(Some(NodeId(id))).get(), Some(NodeId(id)));
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@ use crate::grid::{CellCoord, Grid};
 use crate::insert::{storage_cell, InsertError, Placement};
 use crate::layout::PoolLayout;
 use crate::monitor::{MonitorId, MonitorTable, Notification};
-use crate::storage::CellStore;
-use pool_netsim::geometry::Rect;
+use crate::storage::{CellStore, StoredEvent};
+use pool_netsim::geometry::{Point, Rect};
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::TrafficStats;
 use pool_netsim::topology::Topology;
@@ -96,15 +96,24 @@ pub struct PoolSystem {
     pub(crate) grid: Grid,
     pub(crate) layout: PoolLayout,
     pub(crate) config: PoolConfig,
+    /// Written only by [`PoolSystem::elect_index_nodes`], together with
+    /// `pool_index`.
     pub(crate) index_nodes: HashMap<CellCoord, NodeId>,
+    /// Per pool, one `(index node, position)` row per cell in
+    /// [`crate::layout::PoolSpec::cells`] order: what
+    /// [`PoolSystem::splitter_of`] scans.
+    pub(crate) pool_index: Vec<Vec<(NodeId, Point)>>,
     pub(crate) delegates: HashMap<CellCoord, Vec<NodeId>>,
     pub(crate) store: CellStore,
-    pub(crate) backups: HashMap<CellCoord, Vec<crate::failure::BackupCopy>>,
     pub(crate) monitors: MonitorTable,
     pub(crate) tracer: Tracer,
     /// Nodes that served as a query/dissemination splitter at least once
     /// (role tag for the load report).
     pub(crate) splitters_used: HashSet<NodeId>,
+    /// Sends every cell of an epoch through the per-event store walk — the
+    /// reference the untouched-cell shortcut is tested against.
+    #[cfg(test)]
+    pub(crate) walk_every_cell: bool,
 }
 
 impl PoolSystem {
@@ -167,28 +176,49 @@ impl PoolSystem {
         } else if let Some(lossy) = config.lossy {
             transport = Box::new(pool_transport::LossyTransport::wrap(transport, lossy));
         }
-        let mut index_nodes = HashMap::new();
-        for pool in layout.pools() {
-            for cell in pool.cells() {
-                let node = topology.nearest_node(grid.center(cell));
-                index_nodes.insert(cell, node);
-            }
-        }
-        Ok(PoolSystem {
+        let mut system = PoolSystem {
             topology,
             field,
             transport,
             grid,
             layout,
             config,
-            index_nodes,
+            index_nodes: HashMap::new(),
+            pool_index: Vec::new(),
             delegates: HashMap::new(),
             store: CellStore::new(),
-            backups: HashMap::new(),
             monitors: MonitorTable::new(),
             tracer: Tracer::default(),
             splitters_used: HashSet::new(),
-        })
+            #[cfg(test)]
+            walk_every_cell: false,
+        };
+        system.elect_index_nodes();
+        Ok(system)
+    }
+
+    /// Elects every pool cell's index node from the live population (§2's
+    /// nearest-to-center rule; purely local, zero messages) and returns
+    /// how many cells changed hands.
+    ///
+    /// The only writer of `index_nodes` and of the `pool_index` rows
+    /// [`PoolSystem::splitter_of`] reads, so the two cannot disagree. Call
+    /// it after every topology change: the rows carry positions, which a
+    /// move changes even when no cell changes hands.
+    pub(crate) fn elect_index_nodes(&mut self) -> usize {
+        let mut reassigned = 0usize;
+        self.pool_index.resize_with(self.layout.dims(), Vec::new);
+        for (pool, row) in self.layout.pools().iter().zip(&mut self.pool_index) {
+            row.clear();
+            for cell in pool.cells() {
+                let elected = self.topology.nearest_node(self.grid.center(cell));
+                if self.index_nodes.insert(cell, elected) != Some(elected) {
+                    reassigned += 1;
+                }
+                row.push((elected, self.topology.position(elected)));
+            }
+        }
+        reassigned
     }
 
     // ----- traced delivery: every routed leg goes through these ---------
@@ -355,20 +385,8 @@ impl PoolSystem {
 
     // ----- crate-internal hooks used by the failure/repair module -------
 
-    pub(crate) fn replace_index_nodes(&mut self, index_nodes: HashMap<CellCoord, NodeId>) {
-        self.index_nodes = index_nodes;
-    }
-
     pub(crate) fn take_store(&mut self) -> CellStore {
         std::mem::take(&mut self.store)
-    }
-
-    pub(crate) fn store_mut(&mut self) -> &mut CellStore {
-        &mut self.store
-    }
-
-    pub(crate) fn take_backups(&mut self) -> HashMap<CellCoord, Vec<crate::failure::BackupCopy>> {
-        std::mem::take(&mut self.backups)
     }
 
     pub(crate) fn clear_delegates(&mut self) {
@@ -387,55 +405,51 @@ impl PoolSystem {
         }
     }
 
-    /// Stores a backup copy of `event` at a live neighbor of `index_node`.
-    /// Returns the messages charged (1 on a perfect radio; more with ARQ
-    /// retransmissions; 0 when the index node is isolated). On a lossy
-    /// radio the backup is only recorded if the copy actually arrived.
-    pub(crate) fn replicate_event(
-        &mut self,
-        cell: CellCoord,
-        event: &Event,
-        index_node: NodeId,
-    ) -> u64 {
+    /// Sends one backup copy from `index_node` to its least-loaded live
+    /// neighbor. Returns the messages charged (1 on a perfect radio; more
+    /// with ARQ retransmissions; 0 when the index node is isolated) and
+    /// the neighbor now holding the copy — `None` on a lossy radio when
+    /// the copy did not arrive. The caller records the holder on the event
+    /// the copy backs ([`StoredEvent::backup`]).
+    pub(crate) fn replicate_from(&mut self, index_node: NodeId) -> (u64, Option<NodeId>) {
         let Some(&backup_holder) = self
             .topology
             .neighbors(index_node)
             .iter()
             .min_by_key(|&&n| (self.store.count_at(n), n))
         else {
-            return 0;
+            return (0, None);
         };
         let outcome = self.deliver_traced(
             TraceOp::Replicate,
             &[index_node, backup_holder],
             TrafficLayer::Replication,
         );
-        if outcome.delivered {
-            self.backups
-                .entry(cell)
-                .or_default()
-                .push(crate::failure::BackupCopy { event: event.clone(), holder: backup_holder });
-        }
-        outcome.transmissions
+        (outcome.transmissions, outcome.delivered.then_some(backup_holder))
     }
 
-    /// Re-creates the backup set for every stored event (after repair).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible, but typed for future repair strategies.
-    pub(crate) fn rebuild_backups(&mut self) -> Result<u64, PoolError> {
-        self.backups.clear();
-        let snapshot: Vec<(CellCoord, Event, NodeId)> = self
+    /// Re-creates the backup of every stored event (after repair).
+    pub(crate) fn rebuild_backups(&mut self) -> u64 {
+        let snapshot: Vec<(CellCoord, Vec<NodeId>)> = self
             .store
             .iter()
-            .flat_map(|(cell, stored)| stored.iter().map(|s| (*cell, s.event.clone(), s.holder)))
+            .map(|(cell, stored)| (*cell, stored.iter().map(|s| s.holder).collect()))
             .collect();
         let mut hops = 0u64;
-        for (cell, event, holder) in snapshot {
-            hops += self.replicate_event(cell, &event, holder);
+        for (cell, holders) in snapshot {
+            let backups: Vec<Option<NodeId>> = holders
+                .into_iter()
+                .map(|holder| {
+                    let (sent, backup) = self.replicate_from(holder);
+                    hops += sent;
+                    backup
+                })
+                .collect();
+            for ((_, slot), backup) in self.store.backups_in_mut(cell).zip(backups) {
+                *slot = backup.into();
+            }
         }
-        Ok(hops)
+        hops
     }
 
     /// The underlying network topology.
@@ -648,14 +662,18 @@ impl PoolSystem {
 
         // Optional failure-tolerance replication: one backup copy at a
         // neighbor of the index node (overlapping the notifications).
+        let mut backup = None;
         if self.config.replicate {
             self.transport.clock_mut().seek(t_stored);
-            messages += self.replicate_event(placement.cell, &event, index_node);
+            let (sent, copy_at) = self.replicate_from(index_node);
+            messages += sent;
+            backup = copy_at;
             op_end = op_end.max(self.transport.clock().now());
         }
         self.transport.clock_mut().seek(op_end);
 
-        self.store.insert(placement.cell, event, holder);
+        self.store
+            .insert_stored(placement.cell, StoredEvent { event, holder, backup: backup.into() });
         // Conservation audit: the receipt's flat count must equal the
         // ledger growth across exactly the layers insertion touches.
         ledger_before.debug_assert_sum(

@@ -86,10 +86,6 @@ impl DimSystem {
         )?;
         report.failed_nodes = change.victims.len();
         report.partitioned = change.partitioned;
-        if report.partitioned {
-            report.nodes_unreachable =
-                self.topology.alive_count() - self.topology.largest_component_members().len();
-        }
 
         // Re-elect the owners of dead and displaced zones.
         let changed = self.tree.re_elect_owners(&self.topology, &change.displaced);
@@ -97,6 +93,7 @@ impl DimSystem {
         if report.partitioned {
             let main: HashSet<NodeId> =
                 self.topology.largest_component_members().into_iter().collect();
+            report.nodes_unreachable = self.topology.alive_count() - main.len();
             report.cells_unreachable =
                 self.tree.zones().iter().filter(|z| !main.contains(&z.owner)).count();
         }

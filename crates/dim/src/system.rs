@@ -726,7 +726,7 @@ impl DimSystem {
             let main: std::collections::HashSet<NodeId> =
                 self.topology.largest_component_members().into_iter().collect();
             (
-                self.topology.len() - main.len(),
+                self.topology.alive_count() - main.len(),
                 self.tree.zones().iter().filter(|z| !main.contains(&z.owner)).count(),
             )
         } else {
@@ -923,6 +923,33 @@ mod tests {
         let q = RangeQuery::exact(vec![(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]).unwrap();
         let got = dim.query_from(NodeId(250), &q).unwrap();
         assert_eq!(got.events.len(), dim.stored_events());
+    }
+
+    /// Regression: `nodes_unreachable` was `len() − |largest component|`,
+    /// and `len()` counts every corpse, so each victim of the stripe was
+    /// tallied as a survivor cut off from the main component.
+    #[test]
+    fn partitioning_failure_counts_only_live_nodes_as_unreachable() {
+        let mut dim = build(400, 6);
+        let xs = || dim.topology().nodes().iter().map(|n| n.position.x);
+        let mid_x = (xs().fold(f64::INFINITY, f64::min) + xs().fold(0.0, f64::max)) / 2.0;
+        let victims: Vec<NodeId> = dim
+            .topology()
+            .nodes()
+            .iter()
+            .filter(|n| (n.position.x - mid_x).abs() < 45.0)
+            .map(|n| n.id)
+            .collect();
+        let report = dim.fail_nodes(&victims).unwrap();
+        assert!(report.partitioned, "stripe failure must partition: {report:?}");
+        let topology = dim.topology();
+        assert_eq!(
+            report.nodes_unreachable,
+            topology.alive_count() - topology.largest_component_members().len(),
+            "{} corpses must not be counted: {report:?}",
+            victims.len()
+        );
+        assert!(report.nodes_unreachable > 0, "{report:?}");
     }
 
     #[test]

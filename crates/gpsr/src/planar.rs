@@ -85,7 +85,7 @@ impl PlanarGraph {
         let mut pending = pending.into_iter().peekable();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut links = Vec::with_capacity(self.links.len());
-        let mut kept = Vec::new();
+        let mut scratch = RowScratch::default();
         offsets.push(0u32);
         for i in 0..n {
             let u = NodeId(i as u32);
@@ -94,8 +94,7 @@ impl PlanarGraph {
                 recompute = true;
             }
             if recompute {
-                planar_row(topology, self.method, u, &mut kept);
-                links.extend_from_slice(&kept);
+                planar_row(topology, self.method, u, &mut scratch, &mut links);
             } else {
                 links.extend_from_slice(self.neighbors(u));
             }
@@ -158,32 +157,91 @@ impl PlanarGraph {
     }
 }
 
-/// The one row kernel: `u`'s planar neighbors into `kept`, sorted by edge
-/// angle. Reads nothing but `u`'s neighbor table and those nodes' positions.
-fn planar_row(topology: &Topology, method: Planarization, u: NodeId, kept: &mut Vec<NodeId>) {
-    let pu = topology.position(u);
-    kept.clear();
-    kept.extend(
-        topology.neighbors(u).iter().copied().filter(|&v| keep_edge(topology, method, u, v)),
-    );
-    kept.sort_by(|&a, &b| {
-        let aa = pu.angle_to(topology.position(a));
-        let ab = pu.angle_to(topology.position(b));
-        // total_cmp: a NaN angle (undeployable position) must order
-        // deterministically, not panic.
-        aa.total_cmp(&ab).then(a.cmp(&b))
-    });
+/// Buffers [`planar_row`] reuses from one row to the next.
+#[derive(Default)]
+struct RowScratch {
+    /// The positions of the row's neighbors, in table order.
+    positions: Vec<Point>,
+    /// The kept edges as `(angle, neighbor)`.
+    edges: Vec<(f64, NodeId)>,
 }
 
-/// The distributed witness test for one directed edge. Both endpoints apply
-/// the same symmetric predicate, so the resulting graph is undirected.
-fn keep_edge(topology: &Topology, method: Planarization, u: NodeId, v: NodeId) -> bool {
+/// The one row kernel: appends `u`'s planar neighbors to `links`, sorted by
+/// edge angle. Reads nothing but `u`'s neighbor table and those nodes'
+/// positions — each position once, gathered into `scratch`, and one angle
+/// per kept edge.
+fn planar_row(
+    topology: &Topology,
+    method: Planarization,
+    u: NodeId,
+    scratch: &mut RowScratch,
+    links: &mut Vec<NodeId>,
+) {
     let pu = topology.position(u);
-    let pv = topology.position(v);
+    let row = topology.neighbors(u);
+    let RowScratch { positions, edges } = scratch;
+    positions.clear();
+    positions.extend(row.iter().map(|&w| topology.position(w)));
+    edges.clear();
+    for (i, (&v, &pv)) in row.iter().zip(positions.iter()).enumerate() {
+        if keep_edge(method, pu, i, positions) {
+            edges.push((pu.angle_to(pv), v));
+        }
+    }
+    // total_cmp: a NaN angle (undeployable position) must order
+    // deterministically, not panic.
+    edges.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    links.extend(edges.iter().map(|&(_, v)| v));
+}
+
+/// The distributed witness test for the directed edge from the node at `pu`
+/// to its `i`-th neighbor, over the gathered neighbor `positions`. Both
+/// endpoints apply the same symmetric predicate, so the resulting graph is
+/// undirected.
+fn keep_edge(method: Planarization, pu: Point, i: usize, positions: &[Point]) -> bool {
+    let pv = positions[i];
     let duv_sq = pu.distance_sq(pv);
+    // Gabriel: strictly inside the circle with diameter (u, v) — the
+    // midpoint test d(m, w) < d(u, v) / 2.
+    let m = pu.midpoint(pv);
     // In a unit-disk graph every witness that can eliminate edge (u, v) is
     // within radio range of u, so scanning u's neighbor table suffices —
     // this is what makes the construction distributed.
+    !positions.iter().enumerate().any(|(j, &pw)| {
+        j != i
+            && match method {
+                Planarization::Gabriel => m.distance_sq(pw) < duv_sq / 4.0 - 1e-12,
+                Planarization::RelativeNeighborhood => {
+                    pu.distance_sq(pw) < duv_sq - 1e-12 && pv.distance_sq(pw) < duv_sq - 1e-12
+                }
+            }
+    })
+}
+
+/// The kernel [`planar_row`] replaced, kept as the oracle for the row
+/// tests: positions re-read per witness, two `atan2` per sort comparison.
+#[cfg(test)]
+fn planar_row_reference(topology: &Topology, method: Planarization, u: NodeId) -> Vec<NodeId> {
+    let pu = topology.position(u);
+    let mut kept: Vec<NodeId> = topology
+        .neighbors(u)
+        .iter()
+        .copied()
+        .filter(|&v| keep_edge_reference(topology, method, u, v))
+        .collect();
+    kept.sort_by(|&a, &b| {
+        let aa = pu.angle_to(topology.position(a));
+        let ab = pu.angle_to(topology.position(b));
+        aa.total_cmp(&ab).then(a.cmp(&b))
+    });
+    kept
+}
+
+#[cfg(test)]
+fn keep_edge_reference(topology: &Topology, method: Planarization, u: NodeId, v: NodeId) -> bool {
+    let pu = topology.position(u);
+    let pv = topology.position(v);
+    let duv_sq = pu.distance_sq(pv);
     for &w in topology.neighbors(u) {
         if w == v {
             continue;
@@ -191,8 +249,6 @@ fn keep_edge(topology: &Topology, method: Planarization, u: NodeId, v: NodeId) -
         let pw = topology.position(w);
         let eliminated = match method {
             Planarization::Gabriel => {
-                // Strictly inside the circle with diameter (u, v): the
-                // midpoint test d(m, w) < d(u, v) / 2.
                 let m = pu.midpoint(pv);
                 m.distance_sq(pw) < duv_sq / 4.0 - 1e-12
             }
@@ -464,6 +520,69 @@ mod tests {
                     prop_assert_eq!(&*graph, &PlanarGraph::build(&topo, graph.method()));
                 }
             }
+        }
+    }
+
+    /// Oracle: the gathering kernel yields the rows of the kernel it
+    /// replaced, for both planarizations, on fields seeded with coincident
+    /// nodes (zero-length edges, tied angles) and collinear runs (witnesses
+    /// exactly on the Gabriel circle) — on the compacted arena and again
+    /// over the overlay that uncompacted joins, moves and deaths leave.
+    #[test]
+    fn gathered_rows_equal_the_reference_kernel() {
+        fn assert_rows_equal(topo: &Topology, when: &str) {
+            let mut scratch = RowScratch::default();
+            let mut row = Vec::new();
+            for method in METHODS {
+                for u in topo.nodes() {
+                    row.clear();
+                    planar_row(topo, method, u.id, &mut scratch, &mut row);
+                    assert_eq!(
+                        row,
+                        planar_row_reference(topo, method, u.id),
+                        "{method:?} row of {} {when}",
+                        u.id
+                    );
+                }
+            }
+        }
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut nodes =
+                Deployment::new(Rect::square(100.0), 90, Placement::Uniform, seed).nodes();
+            let place = |nodes: &mut Vec<Node>, at: Point| {
+                nodes.push(Node::new(NodeId(nodes.len() as u32), at));
+            };
+            for _ in 0..10 {
+                // A twin on top of an existing node, and an evenly spaced
+                // collinear run through it.
+                let at = nodes[rng.gen_range(0..nodes.len())].position;
+                place(&mut nodes, at);
+                let step = Point::new(rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0));
+                for k in 1..4 {
+                    place(
+                        &mut nodes,
+                        Point::new(at.x + step.x * k as f64, at.y + step.y * k as f64),
+                    );
+                }
+            }
+            let mut topo = Topology::build(nodes, 25.0).unwrap();
+            assert_rows_equal(&topo, "as built");
+            for _ in 0..12 {
+                let id = NodeId(rng.gen_range(0..topo.len() as u32));
+                let onto = topo.position(NodeId(rng.gen_range(0..topo.len() as u32)));
+                match rng.gen_range(0..3) {
+                    0 => {
+                        topo.add_node(onto);
+                    }
+                    1 if topo.is_alive(id) => topo.move_node(id, onto),
+                    _ => topo.fail_nodes(&[id]),
+                }
+            }
+            assert!(topo.patched_rows() > 0, "the churn must leave overlay rows");
+            assert_rows_equal(&topo, "over uncompacted churn");
+            topo.compact();
+            assert_rows_equal(&topo, "after compaction");
         }
     }
 

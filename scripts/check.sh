@@ -91,11 +91,17 @@ EOF
 }
 
 release_audit() {
-    # The greedy kernel's correctness argument is about float compares and
-    # row order, the path-reading delivery's about float operation order —
-    # what an optimiser may change — so their oracles and the transport
-    # equivalence suite also run once in the profile the artifacts ship in.
-    cargo test --release -q -p pool-gpsr kernel_matches_reference_scan
+    # The greedy kernel's and the planar row kernel's correctness arguments
+    # are about float compares and row order, the path-reading delivery's
+    # about float operation order — what an optimiser may change — so their
+    # oracles, the epoch-triage oracle and the transport equivalence suite
+    # also run once in the profile the artifacts ship in.
+    cargo test --release -q -p pool-gpsr --lib -- \
+        kernel_matches_reference_scan \
+        gathered_rows_equal_the_reference_kernel
+    cargo test --release -q -p pool-core --lib -- \
+        untouched_cells_stay_put_exactly_as_the_full_walk_leaves_them \
+        splitter_rows_agree_with_the_per_cell_lookup_through_churn
     cargo test --release -q -p pool-transport --lib -- \
         path_timers_match_the_hop_vector_reference_bit_for_bit \
         reversed_charge_equals_charging_the_reversed_path

@@ -212,6 +212,93 @@ fn harsh_loss_degrades_queries_with_accurate_completeness() {
     assert!(partial > 0, "the harsh radio should leave some queries partial");
 }
 
+/// (b') The completeness report agrees with the trace, leg by leg. Every
+/// leg of a query leaves one span, in forwarding order; replaying those
+/// spans against the §3.2.3 tree — sink → splitter, splitter → each cell,
+/// cell → splitter when the cell has matches, splitter → sink when any
+/// cell contributed — says which cells answered without consulting the
+/// system's own bookkeeping. The harsh radio must produce both whole-pool
+/// losses (a dead sink → splitter leg) and late demotions (a reply that
+/// reached the splitter and died on the way to the sink).
+#[test]
+fn completeness_matches_a_leg_by_leg_replay_of_the_trace() {
+    use pool_dcs::core::resolve::group_by_pool;
+    let (topo, field) = connected(31);
+    let (events, queries) = workload(32);
+    let config = PoolConfig::paper()
+        .with_seed(31)
+        .with_lossy(LossyConfig::model(PrrModel::new(15.0, 42.0), 4242));
+    let mut pool = PoolSystem::build(topo, field, config).unwrap();
+    for (src, e) in &events {
+        let _ = pool.insert_from(*src, e.clone());
+    }
+
+    let (mut pools_lost, mut late_demotions, mut cells_lost) = (0usize, 0usize, 0usize);
+    // The workload's queries, then wide ones: many cells, many replies.
+    let wide = (0..40u32).map(|i| {
+        let sink = NodeId(i * 9 % NODES as u32);
+        let lo = f64::from(i % 5) * 0.1;
+        (sink, RangeQuery::exact(vec![(lo, lo + 0.5), (0.0, 1.0), (0.0, 0.8)]).unwrap())
+    });
+    for (sink, query) in queries.into_iter().chain(wide) {
+        pool.tracer_mut().clear();
+        let got = pool.query_from(sink, &query).unwrap();
+        let spans: Vec<_> = pool.tracer().spans().copied().collect();
+        let mut legs = spans.iter();
+        let mut leg = |layer: TrafficLayer, from: NodeId, to: NodeId| {
+            let span = legs.next().expect("the query recorded a span for every leg");
+            assert_eq!((span.layer, span.origin, span.destination), (layer, from, to));
+            span.is_delivered()
+        };
+
+        let relevant = relevant_cells(pool.layout(), &query);
+        let mut unreached = Vec::new();
+        for (dim, cells) in group_by_pool(&relevant) {
+            let splitter = pool.splitter_of(dim, sink);
+            if !leg(TrafficLayer::Forward, sink, splitter) {
+                pools_lost += 1;
+                unreached.extend(cells.iter().map(|&c| (dim, c)));
+                continue;
+            }
+            let mut contributors = Vec::new();
+            for &cell in &cells {
+                let index_node = pool.index_node_of(cell).unwrap();
+                if !leg(TrafficLayer::Forward, splitter, index_node) {
+                    cells_lost += 1;
+                    unreached.push((dim, cell));
+                    continue;
+                }
+                let has_matches =
+                    pool.store().events_in(cell).iter().any(|s| query.matches(&s.event));
+                if has_matches {
+                    if leg(TrafficLayer::Reply, index_node, splitter) {
+                        contributors.push(cell);
+                    } else {
+                        cells_lost += 1;
+                        unreached.push((dim, cell));
+                    }
+                }
+            }
+            if !contributors.is_empty() && !leg(TrafficLayer::Reply, splitter, sink) {
+                late_demotions += contributors.len();
+                unreached.extend(contributors.into_iter().map(|c| (dim, c)));
+            }
+        }
+        assert!(legs.next().is_none(), "the query recorded a leg the tree does not have");
+
+        // `unreached_cells` is in resolution order; the replay found them
+        // leg by leg.
+        let expected: Vec<_> =
+            relevant.iter().copied().filter(|key| unreached.contains(key)).collect();
+        assert_eq!(got.completeness.unreached_cells, expected, "query {query} from {sink}");
+        assert_eq!(got.completeness.cells_relevant, relevant.len());
+        assert_eq!(got.completeness.cells_reached, relevant.len() - expected.len());
+    }
+    assert!(pools_lost > 0, "no sink → splitter leg died");
+    assert!(cells_lost > 0, "no splitter ↔ cell leg died");
+    assert!(late_demotions > 0, "no splitter → sink reply died");
+}
+
 /// (c) A failure wave that partitions the network degrades — unreachable
 /// nodes/cells are counted, later queries report missing cells — instead
 /// of returning `PoolError::Routing`.
