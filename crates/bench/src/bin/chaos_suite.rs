@@ -418,13 +418,14 @@ fn run_ght_arm(
     recovery: Option<RecoveryConfig>,
     retry: Option<OpRetryPolicy>,
 ) -> GhtArm {
-    let gpsr = TransportKind::Gpsr.build(&work.topology, Planarization::Gabriel);
-    let mut transport: Box<dyn Transport> = match recovery {
-        Some(recovery) => {
-            Box::new(FaultyTransport::wrap_adaptive(gpsr, lossy_for(scenario), plan, recovery))
-        }
-        None => Box::new(FaultyTransport::wrap(gpsr, lossy_for(scenario), plan)),
-    };
+    let mut transport = TransportKind::Gpsr.build_stack(
+        &work.topology,
+        Planarization::Gabriel,
+        Some(lossy_for(scenario)),
+        Some(plan),
+        recovery,
+        0,
+    );
     let mut ght: GhtTable<u64> = GhtTable::new(&work.topology);
     for (i, (source, key)) in work.puts.iter().enumerate() {
         // Puts precede every fault window, so the stored state matches the
@@ -434,12 +435,9 @@ fn run_ght_arm(
     let mut delivered = 0usize;
     let mut latencies_ms = Vec::with_capacity(work.gets.len());
     for (sink, key) in &work.gets {
-        let (values, receipt) = match retry {
-            Some(policy) => ght
-                .get_with_retry(&work.topology, transport.as_mut(), *sink, key, policy)
-                .expect("ght get"),
-            None => ght.get(&work.topology, transport.as_mut(), *sink, key).expect("ght get"),
-        };
+        let (values, receipt) = ght
+            .get_with_retry(&work.topology, transport.as_mut(), *sink, key, retry)
+            .expect("ght get");
         // Every key was stored (puts precede the faults), so an empty
         // answer always means a lost leg, not a missing key.
         delivered += usize::from(receipt.delivered && !values.is_empty());

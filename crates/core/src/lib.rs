@@ -31,8 +31,6 @@
 //! * [`dynamics`] — continuous churn: epoch-stepped joins, deaths (scripted
 //!   or energy-driven), waypoint mobility, and incremental budgeted repair.
 //! * [`audit`] — whole-system invariant checking.
-//! * [`dcs`] — the [`dcs::DataCentricStore`] trait unifying Pool with the
-//!   DIM baseline.
 //! * [`config`] / [`storage`] / [`error`] — supporting types.
 //!
 //! # Examples
@@ -65,7 +63,6 @@
 pub mod audit;
 pub mod batch;
 pub mod config;
-pub mod dcs;
 pub mod dynamics;
 pub mod error;
 pub mod event;
@@ -86,7 +83,6 @@ pub mod system;
 pub use audit::{AuditReport, AuditViolation};
 pub use batch::BatchResult;
 pub use config::{PoolConfig, SharingPolicy};
-pub use dcs::DataCentricStore;
 pub use dynamics::{
     ChurnConfig, ChurnPlanner, ChurnScenario, EnergyBudget, EpochPlan, RepairQueue,
 };

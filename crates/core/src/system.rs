@@ -25,13 +25,16 @@ use crate::insert::{storage_cell, InsertError, Placement};
 use crate::layout::PoolLayout;
 use crate::monitor::{MonitorId, MonitorTable, Notification};
 use crate::storage::{CellStore, StoredEvent};
+use pool_gpsr::Route;
 use pool_netsim::geometry::{Point, Rect};
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::TrafficStats;
 use pool_netsim::topology::Topology;
 use pool_transport::metrics::{LedgerSnapshot, LoadReport, NodeRole};
 use pool_transport::trace::{TraceOp, Tracer};
-use pool_transport::{DeliveryOutcome, ReverseDelivery, TrafficLayer, TrafficLedger, Transport};
+use pool_transport::{
+    retry, DeliveryOutcome, OpRetryPolicy, ReverseDelivery, TrafficLayer, TrafficLedger, Transport,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -158,24 +161,14 @@ impl PoolSystem {
             Some(pivots) => PoolLayout::with_pivots(&grid, config.pool_side, pivots.clone())?,
             None => PoolLayout::random(&grid, config.dims, config.pool_side, config.seed)?,
         };
-        let mut transport = config.transport.build(&topology, config.planarization);
-        if config.faults.is_some() || config.recovery.is_some() {
-            // Faults and adaptive recovery both live on the faulty/lossy
-            // decorator; a perfect link stands in when no loss model is
-            // configured so the fault plan alone can be exercised.
-            let lossy = config
-                .lossy
-                .unwrap_or_else(|| pool_transport::LossyConfig::fixed(1.0, config.seed));
-            let plan = config.faults.clone().unwrap_or_default();
-            transport = match config.recovery {
-                Some(recovery) => Box::new(pool_transport::FaultyTransport::wrap_adaptive(
-                    transport, lossy, plan, recovery,
-                )),
-                None => Box::new(pool_transport::FaultyTransport::wrap(transport, lossy, plan)),
-            };
-        } else if let Some(lossy) = config.lossy {
-            transport = Box::new(pool_transport::LossyTransport::wrap(transport, lossy));
-        }
+        let transport = config.transport.build_stack(
+            &topology,
+            config.planarization,
+            config.lossy,
+            config.faults.clone(),
+            config.recovery,
+            config.seed,
+        );
         let mut system = PoolSystem {
             topology,
             field,
@@ -223,141 +216,58 @@ impl PoolSystem {
 
     // ----- traced delivery: every routed leg goes through these ---------
 
-    /// Delivers one packet along `path`, charging `layer` and recording a
-    /// trace span for the leg.
+    /// Delivers one packet along `path` through the shared retry loop
+    /// ([`retry::deliver`]), recording one trace span per attempt.
+    fn deliver_leg(
+        &mut self,
+        op: TraceOp,
+        path: &[NodeId],
+        layer: TrafficLayer,
+        policy: Option<OpRetryPolicy>,
+    ) -> (DeliveryOutcome, Option<Arc<Route>>) {
+        let trace = Some((&mut self.tracer, op));
+        retry::deliver(&self.topology, self.transport.as_mut(), path, layer, policy, trace)
+    }
+
+    /// Delivers one packet along `path`, once, charging `layer` and
+    /// recording a trace span for the leg.
     pub(crate) fn deliver_traced(
         &mut self,
         op: TraceOp,
         path: &[NodeId],
         layer: TrafficLayer,
     ) -> DeliveryOutcome {
-        self.deliver_traced_marked(op, path, layer, false)
+        self.deliver_leg(op, path, layer, None).0
     }
 
-    /// [`PoolSystem::deliver_traced`] with the span's detour flag set
-    /// explicitly (retries travelling a recomputed route mark it).
-    fn deliver_traced_marked(
-        &mut self,
-        op: TraceOp,
-        path: &[NodeId],
-        layer: TrafficLayer,
-        detour: bool,
-    ) -> DeliveryOutcome {
-        let mut outcome = self.transport.deliver(&self.topology, path, layer);
-        outcome.detour = detour;
-        let end = self.transport.clock().now();
-        self.tracer.record_delivery(op, path, layer, &outcome, end);
-        outcome
-    }
-
-    /// Delivers along `route` with the configured operation-level retry:
-    /// when a delivery fails and [`PoolConfig::op_retry`] is set, the leg
-    /// is re-attempted up to the policy's budget — recomputing a detour
-    /// route around the hop that just failed (plus the transport's
-    /// standing suspects) when `detour` is enabled, or re-walking the same
-    /// path otherwise (the ablation arm).
-    ///
-    /// Every attempt charges the ledger normally (first transmissions to
-    /// `layer`, ARQ to the retransmit layer) and advances the clock, so
-    /// conservation identities hold unchanged. Returns the aggregated
-    /// outcome (attempt totals summed, delivery state of the last attempt)
-    /// and the route the packet last travelled — replies must retrace that
-    /// route, which also keeps them clear of the detoured-around node.
+    /// Delivers along `route` under [`PoolConfig::op_retry`]. Returns the
+    /// aggregated outcome and the route the packet last travelled, which
+    /// the replies must retrace.
     pub(crate) fn deliver_with_recovery(
         &mut self,
         op: TraceOp,
-        route: Arc<pool_gpsr::Route>,
+        route: Arc<Route>,
         layer: TrafficLayer,
-    ) -> (DeliveryOutcome, Arc<pool_gpsr::Route>) {
-        let mut total = self.deliver_traced(op, &route.path, layer);
-        let mut used = route;
-        let Some(policy) = self.config.op_retry else {
-            return (total, used);
-        };
-        let from = used.path[0];
-        let to = *used.path.last().expect("routes contain at least the source");
-        let mut excluded: Vec<NodeId> = Vec::new();
-        for _ in 0..policy.attempts {
-            if total.delivered {
-                break;
-            }
-            let Some((_, suspect)) = total.failed_hop else { break };
-            let attempt_route = if policy.detour {
-                if suspect != to && !excluded.contains(&suspect) {
-                    excluded.push(suspect);
-                }
-                match self.transport.route_to_node_avoiding(&self.topology, from, to, &excluded) {
-                    Ok(r) => r,
-                    // The exclusions disconnect the endpoints: no detour
-                    // exists, so the operation accepts the failure.
-                    Err(_) => break,
-                }
-            } else {
-                Arc::clone(&used)
-            };
-            let on_detour = policy.detour && !excluded.is_empty();
-            let retry = self.deliver_traced_marked(op, &attempt_route.path, layer, on_detour);
-            total.transmissions += retry.transmissions;
-            total.retransmissions += retry.retransmissions;
-            total.latency += retry.latency;
-            total.delivered = retry.delivered;
-            total.reached = retry.reached;
-            total.failed_hop = retry.failed_hop;
-            total.detour = on_detour;
-            used = attempt_route;
-        }
-        (total, used)
+    ) -> (DeliveryOutcome, Arc<Route>) {
+        let (outcome, rerouted) = self.deliver_leg(op, &route.path, layer, self.config.op_retry);
+        (outcome, rerouted.unwrap_or(route))
     }
 
-    /// Delivers `copies` reply packets in reverse along `path`, charging
-    /// `layer` and recording a trace span for the leg.
-    pub(crate) fn deliver_reverse_traced(
-        &mut self,
-        op: TraceOp,
-        path: &[NodeId],
-        copies: u64,
-        layer: TrafficLayer,
-    ) -> ReverseDelivery {
-        let outcome = self.transport.deliver_reverse(&self.topology, path, copies, layer);
-        let end = self.transport.clock().now();
-        self.tracer.record_reverse(op, path, copies, layer, &outcome, end);
-        outcome
-    }
-
-    /// Same-path bounded retry for legs whose path is fixed (delegation
-    /// chain walks): re-delivers the identical path until it succeeds or
-    /// the retry budget runs out. Detouring never applies here — the chain
-    /// *is* the route.
+    /// Same-path retry for legs whose path is fixed (delegation chain
+    /// walks): detouring never applies here — the chain *is* the route.
     pub(crate) fn deliver_with_path_retry(
         &mut self,
         op: TraceOp,
         path: &[NodeId],
         layer: TrafficLayer,
     ) -> DeliveryOutcome {
-        let mut total = self.deliver_traced(op, path, layer);
-        let Some(policy) = self.config.op_retry else {
-            return total;
-        };
-        for _ in 0..policy.attempts {
-            if total.delivered {
-                break;
-            }
-            let retry = self.deliver_traced(op, path, layer);
-            total.transmissions += retry.transmissions;
-            total.retransmissions += retry.retransmissions;
-            total.latency += retry.latency;
-            total.delivered = retry.delivered;
-            total.reached = retry.reached;
-            total.failed_hop = retry.failed_hop;
-        }
-        total
+        let policy = self.config.op_retry.map(OpRetryPolicy::on_fixed_path);
+        self.deliver_leg(op, path, layer, policy).0
     }
 
-    /// Reply-leg bounded retry: re-sends only the copies that failed to
-    /// arrive, along the same path (replies retrace the forward route the
-    /// query actually travelled, which already avoids any detoured-around
-    /// node). Delivered copies only accumulate, so completeness can only
-    /// improve; every attempt is charged normally.
+    /// Delivers `copies` reply packets in reverse along `path` under
+    /// [`PoolConfig::op_retry`] ([`retry::deliver_reverse`]), recording one
+    /// trace span per attempt.
     pub(crate) fn deliver_reverse_with_retry(
         &mut self,
         op: TraceOp,
@@ -365,22 +275,15 @@ impl PoolSystem {
         copies: u64,
         layer: TrafficLayer,
     ) -> ReverseDelivery {
-        let mut total = self.deliver_reverse_traced(op, path, copies, layer);
-        let Some(policy) = self.config.op_retry else {
-            return total;
-        };
-        for _ in 0..policy.attempts {
-            if total.delivered_copies >= copies {
-                break;
-            }
-            let missing = copies - total.delivered_copies;
-            let retry = self.deliver_reverse_traced(op, path, missing, layer);
-            total.delivered_copies += retry.delivered_copies;
-            total.transmissions += retry.transmissions;
-            total.retransmissions += retry.retransmissions;
-            total.latency += retry.latency;
-        }
-        total
+        retry::deliver_reverse(
+            &self.topology,
+            self.transport.as_mut(),
+            path,
+            copies,
+            layer,
+            self.config.op_retry,
+            Some((&mut self.tracer, op)),
+        )
     }
 
     // ----- crate-internal hooks used by the failure/repair module -------

@@ -21,7 +21,7 @@ use pool_core::insert::InsertError;
 use pool_core::query::RangeQuery;
 use pool_core::system::QueryCost;
 use pool_core::PoolError;
-use pool_gpsr::Planarization;
+use pool_gpsr::{Planarization, Route};
 use pool_netsim::geometry::Rect;
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::TrafficStats;
@@ -29,7 +29,7 @@ use pool_netsim::topology::Topology;
 use pool_transport::metrics::{LedgerSnapshot, LoadReport, NodeRole};
 use pool_transport::trace::{TraceOp, Tracer};
 use pool_transport::{
-    FaultPlan, FaultyTransport, LossyConfig, LossyTransport, OpRetryPolicy, RecoveryConfig,
+    retry, DeliveryOutcome, FaultPlan, LossyConfig, OpRetryPolicy, RecoveryConfig, ReverseDelivery,
     TrafficLayer, TrafficLedger, Transport, TransportKind,
 };
 use std::collections::HashMap;
@@ -221,19 +221,8 @@ impl DimSystem {
         }
         topology.require_connected().map_err(|e| PoolError::Routing(e.to_string()))?;
         let tree = ZoneTree::build(&topology, field);
-        let mut transport = kind.build(&topology, Planarization::Gabriel);
-        if faults.is_some() || recovery.is_some() {
-            let lossy = lossy.unwrap_or_else(|| LossyConfig::fixed(1.0, 0));
-            let plan = faults.unwrap_or_default();
-            transport = match recovery {
-                Some(recovery) => {
-                    Box::new(FaultyTransport::wrap_adaptive(transport, lossy, plan, recovery))
-                }
-                None => Box::new(FaultyTransport::wrap(transport, lossy, plan)),
-            };
-        } else if let Some(lossy) = lossy {
-            transport = Box::new(LossyTransport::wrap(transport, lossy));
-        }
+        let transport =
+            kind.build_stack(&topology, Planarization::Gabriel, lossy, faults, recovery, 0);
         Ok(DimSystem {
             topology,
             transport,
@@ -245,124 +234,61 @@ impl DimSystem {
         })
     }
 
-    /// Delivers one packet along `path`, charging `layer` and tracing the
-    /// leg under `op` — DIM's mirror of Pool's traced delivery helper.
+    /// Delivers one packet along `path` through the shared retry loop
+    /// ([`retry::deliver`]), recording one trace span per attempt.
+    fn deliver_leg(
+        &mut self,
+        op: TraceOp,
+        path: &[NodeId],
+        layer: TrafficLayer,
+        policy: Option<OpRetryPolicy>,
+    ) -> (DeliveryOutcome, Option<Arc<Route>>) {
+        let trace = Some((&mut self.tracer, op));
+        retry::deliver(&self.topology, self.transport.as_mut(), path, layer, policy, trace)
+    }
+
+    /// Delivers one packet along `path`, once, charging `layer` and
+    /// tracing the leg under `op`.
     pub(crate) fn deliver_traced(
         &mut self,
         op: TraceOp,
         path: &[NodeId],
         layer: TrafficLayer,
-    ) -> pool_transport::DeliveryOutcome {
-        let outcome = self.transport.deliver(&self.topology, path, layer);
-        let end = self.transport.clock().now();
-        self.tracer.record_delivery(op, path, layer, &outcome, end);
-        outcome
+    ) -> DeliveryOutcome {
+        self.deliver_leg(op, path, layer, None).0
     }
 
-    /// Delivers `copies` reply packets in reverse along `path`, tracing.
-    fn deliver_reverse_traced(
-        &mut self,
-        op: TraceOp,
-        path: &[NodeId],
-        copies: u64,
-        layer: TrafficLayer,
-    ) -> pool_transport::ReverseDelivery {
-        let outcome = self.transport.deliver_reverse(&self.topology, path, copies, layer);
-        let end = self.transport.clock().now();
-        self.tracer.record_reverse(op, path, copies, layer, &outcome, end);
-        outcome
-    }
-
-    /// [`DimSystem::deliver_traced`] with the span's detour flag set.
-    fn deliver_traced_marked(
-        &mut self,
-        op: TraceOp,
-        path: &[NodeId],
-        layer: TrafficLayer,
-        detour: bool,
-    ) -> pool_transport::DeliveryOutcome {
-        let mut outcome = self.transport.deliver(&self.topology, path, layer);
-        outcome.detour = detour;
-        let end = self.transport.clock().now();
-        self.tracer.record_delivery(op, path, layer, &outcome, end);
-        outcome
-    }
-
-    /// Delivers along `route` with bounded operation-level retry — DIM's
-    /// mirror of `PoolSystem::deliver_with_recovery`. Failed legs are
-    /// re-attempted (via a detour route around the failed hop when the
-    /// policy allows), every attempt charged normally. Returns the
-    /// aggregated outcome and the route the packet last travelled, which
-    /// the reply must retrace.
+    /// Delivers along `route` under the configured operation retry. Returns
+    /// the aggregated outcome and the route the packet last travelled,
+    /// which the reply must retrace.
     fn deliver_with_recovery(
         &mut self,
         op: TraceOp,
-        route: Arc<pool_gpsr::Route>,
+        route: Arc<Route>,
         layer: TrafficLayer,
-    ) -> (pool_transport::DeliveryOutcome, Arc<pool_gpsr::Route>) {
-        let mut total = self.deliver_traced(op, &route.path, layer);
-        let mut used = route;
-        let Some(policy) = self.op_retry else {
-            return (total, used);
-        };
-        let from = used.path[0];
-        let to = *used.path.last().expect("routes contain at least the source");
-        let mut excluded: Vec<NodeId> = Vec::new();
-        for _ in 0..policy.attempts {
-            if total.delivered {
-                break;
-            }
-            let Some((_, suspect)) = total.failed_hop else { break };
-            let attempt_route = if policy.detour {
-                if suspect != to && !excluded.contains(&suspect) {
-                    excluded.push(suspect);
-                }
-                match self.transport.route_to_node_avoiding(&self.topology, from, to, &excluded) {
-                    Ok(r) => r,
-                    Err(_) => break,
-                }
-            } else {
-                Arc::clone(&used)
-            };
-            let on_detour = policy.detour && !excluded.is_empty();
-            let retry = self.deliver_traced_marked(op, &attempt_route.path, layer, on_detour);
-            total.transmissions += retry.transmissions;
-            total.retransmissions += retry.retransmissions;
-            total.latency += retry.latency;
-            total.delivered = retry.delivered;
-            total.reached = retry.reached;
-            total.failed_hop = retry.failed_hop;
-            total.detour = on_detour;
-            used = attempt_route;
-        }
-        (total, used)
+    ) -> (DeliveryOutcome, Arc<Route>) {
+        let (outcome, rerouted) = self.deliver_leg(op, &route.path, layer, self.op_retry);
+        (outcome, rerouted.unwrap_or(route))
     }
 
-    /// Reply-leg bounded retry: re-sends only the copies that failed to
-    /// arrive, along the same path.
+    /// Delivers `copies` reply packets in reverse along `path` under the
+    /// configured operation retry ([`retry::deliver_reverse`]), tracing.
     fn deliver_reverse_with_retry(
         &mut self,
         op: TraceOp,
         path: &[NodeId],
         copies: u64,
         layer: TrafficLayer,
-    ) -> pool_transport::ReverseDelivery {
-        let mut total = self.deliver_reverse_traced(op, path, copies, layer);
-        let Some(policy) = self.op_retry else {
-            return total;
-        };
-        for _ in 0..policy.attempts {
-            if total.delivered_copies >= copies {
-                break;
-            }
-            let missing = copies - total.delivered_copies;
-            let retry = self.deliver_reverse_traced(op, path, missing, layer);
-            total.delivered_copies += retry.delivered_copies;
-            total.transmissions += retry.transmissions;
-            total.retransmissions += retry.retransmissions;
-            total.latency += retry.latency;
-        }
-        total
+    ) -> ReverseDelivery {
+        retry::deliver_reverse(
+            &self.topology,
+            self.transport.as_mut(),
+            path,
+            copies,
+            layer,
+            self.op_retry,
+            Some((&mut self.tracer, op)),
+        )
     }
 
     /// The underlying topology.
@@ -957,72 +883,5 @@ mod tests {
         let mut dim = build(300, 8);
         let r = dim.insert_from(NodeId(0), ev(&[0.3, 0.6, 0.2])).unwrap();
         assert_eq!(dim.traffic().total_messages(), r.messages);
-    }
-}
-
-impl pool_core::dcs::DataCentricStore for DimSystem {
-    fn scheme_name(&self) -> &'static str {
-        "dim"
-    }
-
-    fn insert_event(&mut self, source: NodeId, event: Event) -> Result<u64, PoolError> {
-        Ok(self.insert_from(source, event)?.messages)
-    }
-
-    fn range_query(
-        &mut self,
-        sink: NodeId,
-        query: &RangeQuery,
-    ) -> Result<(Vec<Event>, u64), PoolError> {
-        let result = self.query_from(sink, query)?;
-        Ok((result.events, result.cost.total()))
-    }
-
-    fn stored_events(&self) -> usize {
-        DimSystem::stored_events(self)
-    }
-
-    fn total_messages(&self) -> u64 {
-        self.traffic().total_messages()
-    }
-}
-
-#[cfg(test)]
-mod dcs_trait_tests {
-    use super::*;
-    use pool_core::dcs::DataCentricStore;
-    use pool_netsim::deployment::Deployment;
-
-    #[test]
-    fn pool_and_dim_are_interchangeable_behind_the_trait() {
-        let mut seed = 61u64;
-        let (topo, field) = loop {
-            let dep = Deployment::paper_setting(250, 40.0, 20.0, seed).unwrap();
-            let topo = Topology::build(dep.nodes(), 40.0).unwrap();
-            if topo.is_connected() {
-                break (topo, dep.field());
-            }
-            seed += 1;
-        };
-        let mut stores: Vec<Box<dyn DataCentricStore>> = vec![
-            Box::new(
-                pool_core::system::PoolSystem::build(
-                    topo.clone(),
-                    field,
-                    pool_core::config::PoolConfig::paper(),
-                )
-                .unwrap(),
-            ),
-            Box::new(DimSystem::build(topo, field, 3).unwrap()),
-        ];
-        let q = RangeQuery::exact(vec![(0.4, 0.6), (0.0, 0.5), (0.0, 1.0)]).unwrap();
-        let mut answers = Vec::new();
-        for store in &mut stores {
-            store.insert_event(NodeId(3), Event::new(vec![0.5, 0.25, 0.75]).unwrap()).unwrap();
-            let (events, msgs) = store.range_query(NodeId(100), &q).unwrap();
-            assert!(msgs > 0, "{} charged nothing", store.scheme_name());
-            answers.push(events);
-        }
-        assert_eq!(answers[0], answers[1], "schemes must agree");
     }
 }

@@ -12,13 +12,11 @@
 
 use crate::hash::hash_to_location;
 use pool_gpsr::router::RouteError;
-use pool_gpsr::Route;
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
-use pool_transport::{DeliveryOutcome, OpRetryPolicy, TrafficLayer, Transport};
+use pool_transport::{retry, OpRetryPolicy, TrafficLayer, Transport};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Receipt for one GHT operation (put or get).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,9 +97,10 @@ impl<V: Clone> GhtTable<V> {
 
     /// Stores `value` under `key`, routing from the detecting node `from`
     /// to the key's home node as a real delivery charged under
-    /// [`TrafficLayer::Insert`]. On a lossy radio a put whose packet dies
-    /// en route stores nothing (the transmissions stay charged — the radio
-    /// sent them); the receipt's [`GhtReceipt::delivered`] says which.
+    /// [`TrafficLayer::Insert`]: [`GhtTable::put_with_retry`] without a
+    /// retry policy. On a lossy radio a put whose packet dies en route
+    /// stores nothing (the transmissions stay charged — the radio sent
+    /// them); the receipt's [`GhtReceipt::delivered`] says which.
     ///
     /// # Errors
     ///
@@ -114,22 +113,12 @@ impl<V: Clone> GhtTable<V> {
         key: &str,
         value: V,
     ) -> Result<GhtReceipt, RouteError> {
-        let loc = self.key_location(topology, key);
-        let route = transport.route_to_location(topology, from, loc)?;
-        let outcome = transport.deliver(topology, &route.path, TrafficLayer::Insert);
-        if outcome.delivered {
-            self.storage[route.delivered.index()].entry(key.to_owned()).or_default().push(value);
-        }
-        Ok(GhtReceipt {
-            home: route.delivered,
-            messages: outcome.transmissions,
-            elapsed: outcome.latency,
-            delivered: outcome.delivered,
-        })
+        self.put_with_retry(topology, transport, from, key, value, None)
     }
 
     /// Retrieves all values stored under `key`, issuing the request from
-    /// `from`. Returns the values and a receipt (request charged under
+    /// `from`: [`GhtTable::get_with_retry`] without a retry policy. Returns
+    /// the values and a receipt (request charged under
     /// [`TrafficLayer::Forward`], response along the reverse path under
     /// [`TrafficLayer::Reply`]). On a lossy radio a dead request leg
     /// returns nothing, and a dead reply leg loses the answer in flight.
@@ -144,40 +133,16 @@ impl<V: Clone> GhtTable<V> {
         from: NodeId,
         key: &str,
     ) -> Result<(Vec<V>, GhtReceipt), RouteError> {
-        let loc = self.key_location(topology, key);
-        let route = transport.route_to_location(topology, from, loc)?;
-        let fwd = transport.deliver(topology, &route.path, TrafficLayer::Forward);
-        let mut receipt = GhtReceipt {
-            home: route.delivered,
-            messages: fwd.transmissions,
-            elapsed: fwd.latency,
-            delivered: fwd.delivered,
-        };
-        if !fwd.delivered {
-            return Ok((Vec::new(), receipt));
-        }
-        let values = self.storage[route.delivered.index()].get(key).cloned().unwrap_or_default();
-        if values.is_empty() {
-            return Ok((values, receipt));
-        }
-        // The response retraces the query path back to the sink.
-        let rev = transport.deliver_reverse(topology, &route.path, 1, TrafficLayer::Reply);
-        receipt.messages += rev.transmissions;
-        receipt.elapsed += rev.latency;
-        receipt.delivered = rev.delivered_copies == 1;
-        if receipt.delivered {
-            Ok((values, receipt))
-        } else {
-            Ok((Vec::new(), receipt))
-        }
+        self.get_with_retry(topology, transport, from, key, None)
     }
 
     /// [`GhtTable::put`] with bounded idempotent retry: when the packet
-    /// dies en route, the operation re-routes to the *same* home node (the
-    /// key's home is pinned by the first routing decision, so retries stay
-    /// idempotent), detouring around the hop that just failed plus the
-    /// transport's standing suspects when the policy allows. Every attempt
-    /// is charged normally; the value is stored at most once.
+    /// dies en route and `policy` is set, the operation re-routes to the
+    /// *same* home node (the key's home is pinned by the first routing
+    /// decision, so retries stay idempotent), detouring around the hop that
+    /// just failed plus the transport's standing suspects when the policy
+    /// allows. Every attempt is charged normally; the value is stored at
+    /// most once.
     ///
     /// # Errors
     ///
@@ -189,22 +154,13 @@ impl<V: Clone> GhtTable<V> {
         from: NodeId,
         key: &str,
         value: V,
-        policy: OpRetryPolicy,
+        policy: Option<OpRetryPolicy>,
     ) -> Result<GhtReceipt, RouteError> {
         let loc = self.key_location(topology, key);
         let route = transport.route_to_location(topology, from, loc)?;
         let home = route.delivered;
-        let outcome = transport.deliver(topology, &route.path, TrafficLayer::Insert);
-        let (outcome, _) = retry_delivery(
-            topology,
-            transport,
-            outcome,
-            route,
-            from,
-            home,
-            TrafficLayer::Insert,
-            policy,
-        );
+        let (outcome, _) =
+            retry::deliver(topology, transport, &route.path, TrafficLayer::Insert, policy, None);
         if outcome.delivered {
             self.storage[home.index()].entry(key.to_owned()).or_default().push(value);
         }
@@ -231,22 +187,13 @@ impl<V: Clone> GhtTable<V> {
         transport: &mut dyn Transport,
         from: NodeId,
         key: &str,
-        policy: OpRetryPolicy,
+        policy: Option<OpRetryPolicy>,
     ) -> Result<(Vec<V>, GhtReceipt), RouteError> {
         let loc = self.key_location(topology, key);
         let route = transport.route_to_location(topology, from, loc)?;
         let home = route.delivered;
-        let fwd = transport.deliver(topology, &route.path, TrafficLayer::Forward);
-        let (fwd, used) = retry_delivery(
-            topology,
-            transport,
-            fwd,
-            route,
-            from,
-            home,
-            TrafficLayer::Forward,
-            policy,
-        );
+        let (fwd, rerouted) =
+            retry::deliver(topology, transport, &route.path, TrafficLayer::Forward, policy, None);
         let mut receipt = GhtReceipt {
             home,
             messages: fwd.transmissions,
@@ -260,22 +207,16 @@ impl<V: Clone> GhtTable<V> {
         if values.is_empty() {
             return Ok((values, receipt));
         }
-        // The response retraces the request path the packet actually
-        // travelled (which already avoids any detoured-around node),
-        // re-sending the single aggregated reply until it lands or the
-        // budget runs out.
-        let mut delivered = false;
-        for _ in 0..=policy.attempts {
-            let rev = transport.deliver_reverse(topology, &used.path, 1, TrafficLayer::Reply);
-            receipt.messages += rev.transmissions;
-            receipt.elapsed += rev.latency;
-            if rev.delivered_copies == 1 {
-                delivered = true;
-                break;
-            }
-        }
-        receipt.delivered = delivered;
-        if delivered {
+        // The single aggregated response retraces the request path the
+        // packet actually travelled (which already avoids any
+        // detoured-around node).
+        let back = &rerouted.unwrap_or(route).path;
+        let rev =
+            retry::deliver_reverse(topology, transport, back, 1, TrafficLayer::Reply, policy, None);
+        receipt.messages += rev.transmissions;
+        receipt.elapsed += rev.latency;
+        receipt.delivered = rev.delivered_copies == 1;
+        if receipt.delivered {
             Ok((values, receipt))
         } else {
             Ok((Vec::new(), receipt))
@@ -291,54 +232,6 @@ impl<V: Clone> GhtTable<V> {
     pub fn total_stored(&self) -> usize {
         (0..self.storage.len()).map(|i| self.stored_at(NodeId(i as u32))).sum()
     }
-}
-
-/// Shared retry loop for GHT forward legs: re-delivers toward the pinned
-/// `home` node up to `policy.attempts` extra times, recomputing a detour
-/// route around the hop that just failed (plus the transport's standing
-/// suspects) when the policy allows, or re-walking the same path otherwise.
-/// Returns the aggregated outcome and the route last travelled.
-#[allow(clippy::too_many_arguments)]
-fn retry_delivery(
-    topology: &Topology,
-    transport: &mut dyn Transport,
-    mut total: DeliveryOutcome,
-    route: Arc<Route>,
-    from: NodeId,
-    home: NodeId,
-    layer: TrafficLayer,
-    policy: OpRetryPolicy,
-) -> (DeliveryOutcome, Arc<Route>) {
-    let mut used = route;
-    let mut excluded: Vec<NodeId> = Vec::new();
-    for _ in 0..policy.attempts {
-        if total.delivered {
-            break;
-        }
-        let Some((_, suspect)) = total.failed_hop else { break };
-        let attempt_route = if policy.detour {
-            if suspect != home && !excluded.contains(&suspect) {
-                excluded.push(suspect);
-            }
-            match transport.route_to_node_avoiding(topology, from, home, &excluded) {
-                Ok(r) => r,
-                Err(_) => break,
-            }
-        } else {
-            Arc::clone(&used)
-        };
-        let on_detour = policy.detour && !excluded.is_empty();
-        let retry = transport.deliver(topology, &attempt_route.path, layer);
-        total.transmissions += retry.transmissions;
-        total.retransmissions += retry.retransmissions;
-        total.latency += retry.latency;
-        total.delivered = retry.delivered;
-        total.reached = retry.reached;
-        total.failed_hop = retry.failed_hop;
-        total.detour = on_detour;
-        used = attempt_route;
-    }
-    (total, used)
 }
 
 #[cfg(test)]

@@ -12,8 +12,7 @@ use pool_ght::GhtTable;
 use pool_gpsr::Planarization;
 use pool_netsim::topology::Topology;
 use pool_transport::{
-    FaultPlan, FaultyTransport, LossyConfig, LossyTransport, OpRetryPolicy, RecoveryConfig,
-    Transport, TransportKind,
+    FaultPlan, LossyConfig, OpRetryPolicy, RecoveryConfig, Transport, TransportKind,
 };
 use std::sync::Arc;
 
@@ -63,19 +62,14 @@ impl GhtBackend {
         let shards = shards.max(1);
         let mut shard_state = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let mut transport: Box<dyn Transport> = kind.build(&topology, Planarization::Gabriel);
-            if faults.is_some() || recovery.is_some() {
-                let lossy = lossy.unwrap_or_else(|| LossyConfig::fixed(1.0, 0));
-                let plan = faults.clone().unwrap_or_default();
-                transport = match recovery {
-                    Some(recovery) => {
-                        Box::new(FaultyTransport::wrap_adaptive(transport, lossy, plan, recovery))
-                    }
-                    None => Box::new(FaultyTransport::wrap(transport, lossy, plan)),
-                };
-            } else if let Some(lossy) = lossy {
-                transport = Box::new(LossyTransport::wrap(transport, lossy));
-            }
+            let transport = kind.build_stack(
+                &topology,
+                Planarization::Gabriel,
+                lossy,
+                faults.clone(),
+                recovery,
+                0,
+            );
             shard_state.push(GhtShard { table: GhtTable::new(&topology), transport, retry });
         }
         (GhtBackend { topology, shards }, shard_state)
@@ -111,23 +105,14 @@ impl ServiceBackend for GhtBackend {
         let mut out = ShardResponse::default();
         match request {
             Request::Put { source, key, value } => {
-                let receipt = match shard.retry {
-                    Some(policy) => shard.table.put_with_retry(
-                        &self.topology,
-                        shard.transport.as_mut(),
-                        *source,
-                        key,
-                        *value,
-                        policy,
-                    ),
-                    None => shard.table.put(
-                        &self.topology,
-                        shard.transport.as_mut(),
-                        *source,
-                        key,
-                        *value,
-                    ),
-                };
+                let receipt = shard.table.put_with_retry(
+                    &self.topology,
+                    shard.transport.as_mut(),
+                    *source,
+                    key,
+                    *value,
+                    shard.retry,
+                );
                 match receipt {
                     Ok(receipt) => {
                         out.messages = receipt.messages;
@@ -144,16 +129,13 @@ impl ServiceBackend for GhtBackend {
                 }
             }
             Request::Get { sink, key } => {
-                let result = match shard.retry {
-                    Some(policy) => shard.table.get_with_retry(
-                        &self.topology,
-                        shard.transport.as_mut(),
-                        *sink,
-                        key,
-                        policy,
-                    ),
-                    None => shard.table.get(&self.topology, shard.transport.as_mut(), *sink, key),
-                };
+                let result = shard.table.get_with_retry(
+                    &self.topology,
+                    shard.transport.as_mut(),
+                    *sink,
+                    key,
+                    shard.retry,
+                );
                 match result {
                     Ok((values, receipt)) => {
                         out.values = values;

@@ -22,30 +22,21 @@
 //! a delivery begins, so campaigns are deterministic in the seed and the
 //! operation sequence — never in wall-clock or worker count.
 //!
-//! Determinism contract: with an empty plan (and no recovery), the
-//! decorator is byte-identical to [`crate::LossyTransport`] — same RNG
-//! stream, same ledger charge order, same timing. Fault-blocked attempts
-//! are charged but consume **no** RNG draw, and burst channels draw from a
-//! separate RNG stream, so injected faults never perturb the base loss
-//! process around them.
+//! Determinism contract: [`FaultyTransport`] and [`crate::LossyTransport`]
+//! are one engine ([`ArqTransport`]), so with an empty plan the two are
+//! byte-identical — same RNG stream, same ledger charge order, same
+//! timing. Fault-blocked attempts are charged but consume **no** RNG draw,
+//! and burst channels draw from a separate RNG stream, so injected faults
+//! never perturb the base loss process around them.
 
-use crate::ledger::TrafficLayer;
-use crate::lossy::{
-    AdaptiveState, DeliveryOutcome, DeliveryStats, LossyConfig, RecoveryConfig, ReverseDelivery,
-};
-use crate::{Transport, TransportKind};
-use pool_gpsr::{Route, RouteError};
-use pool_netsim::geometry::{Point, Rect};
+use crate::lossy::{ArqTransport, LossyConfig, RecoveryConfig};
+use crate::Transport;
+use pool_netsim::geometry::Rect;
 use pool_netsim::node::NodeId;
 use pool_netsim::schedule::SimTime;
 use pool_netsim::topology::Topology;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-
-/// Seed domain separator for the burst-loss RNG stream, so Gilbert–Elliott
-/// draws never perturb the base loss process.
-const GE_SEED_SALT: u64 = 0x6e11_be27_6e11_be27;
+use rand::Rng;
 
 /// A Gilbert–Elliott two-state burst channel: the link alternates between
 /// a good and a bad state with per-attempt transition probabilities, and
@@ -188,62 +179,120 @@ impl FaultPlan {
             _ => false,
         })
     }
+}
 
-    /// Whether a transmission between positions `a` and `b` crosses an
-    /// active partition boundary at time `now`.
-    pub fn link_partitioned(&self, a: Point, b: Point, now: SimTime) -> bool {
-        self.faults.iter().any(|f| match *f {
-            Fault::Partition { region, from, until } => {
-                now >= from && now < until && (region.contains(a) != region.contains(b))
+/// A [`FaultPlan`] resolved once, at wrap time, into one table per fault
+/// kind, so a hop scans only the faults that can apply to it. Each table
+/// keeps plan order.
+#[derive(Debug, Default)]
+pub(crate) struct FaultTables {
+    /// `(node, from, until)`: a crash is a pause that never ends.
+    down: Vec<(NodeId, SimTime, SimTime)>,
+    partitions: Vec<(Rect, SimTime, SimTime)>,
+    /// `(from, to, prr, at)`.
+    asymmetric: Vec<(NodeId, NodeId, f64, SimTime)>,
+    bursts: Vec<(GilbertElliott, SimTime, SimTime)>,
+    /// Current state per burst channel, index-aligned with `bursts`;
+    /// chains start good.
+    ge_bad: Vec<bool>,
+}
+
+impl FaultTables {
+    fn of(plan: &FaultPlan) -> Self {
+        let mut tables = FaultTables::default();
+        for fault in plan.faults() {
+            match *fault {
+                Fault::Crash { node, at } => tables.down.push((node, at, SimTime::INFINITY)),
+                Fault::Pause { node, from, until } => tables.down.push((node, from, until)),
+                Fault::Partition { region, from, until } => {
+                    tables.partitions.push((region, from, until));
+                }
+                Fault::BurstLoss { channel, from, until } => {
+                    tables.bursts.push((channel, from, until));
+                }
+                Fault::AsymmetricLink { from, to, prr, at } => {
+                    tables.asymmetric.push((from, to, prr, at));
+                }
             }
-            _ => false,
+        }
+        tables.ge_bad = vec![false; tables.bursts.len()];
+        tables
+    }
+
+    /// Whether no draw can save a transmission `from → to` at `now`: a
+    /// dead endpoint, or an active partition boundary between the two.
+    pub(crate) fn blocked(
+        &self,
+        topology: &Topology,
+        from: NodeId,
+        to: NodeId,
+        now: SimTime,
+    ) -> bool {
+        let active = |since: SimTime, until: SimTime| now >= since && now < until;
+        if self.down.iter().any(|&(n, since, until)| (n == from || n == to) && active(since, until))
+        {
+            return true;
+        }
+        if self.partitions.is_empty() {
+            return false;
+        }
+        let (a, b) = (topology.position(from), topology.position(to));
+        self.partitions.iter().any(|&(region, since, until)| {
+            active(since, until) && region.contains(a) != region.contains(b)
         })
+    }
+
+    /// The reception probability an asymmetric-link fault imposes on the
+    /// directed link `from → to` at `now`; the last one in the plan wins.
+    pub(crate) fn degraded_prr(&self, from: NodeId, to: NodeId, now: SimTime) -> Option<f64> {
+        self.asymmetric
+            .iter()
+            .rev()
+            .find(|&&(f, t, _, at)| f == from && t == to && now >= at)
+            .map(|&(_, _, prr, _)| prr)
+    }
+
+    /// Steps every burst channel whose window holds `now`, in plan order,
+    /// then gates on its state's reception probability — both draws from
+    /// `rng`, the dedicated burst stream. Returns whether every gate let
+    /// the frame through.
+    pub(crate) fn gate_bursts(&mut self, rng: &mut StdRng, now: SimTime) -> bool {
+        let mut ok = true;
+        for (&(ch, from, until), bad) in self.bursts.iter().zip(&mut self.ge_bad) {
+            if now >= from && now < until {
+                if rng.gen_bool(if *bad { ch.p_bg } else { ch.p_gb }) {
+                    *bad = !*bad;
+                }
+                let state_prr = if *bad { ch.bad_prr } else { ch.good_prr };
+                ok &= rng.gen_bool(state_prr.clamp(0.0, 1.0));
+            }
+        }
+        ok
     }
 }
 
-/// How one attempt on a link is affected by the active faults.
-enum LinkState {
-    /// No draw can save it: a dead endpoint or an active partition.
-    Blocked,
-    /// Lossy as usual with reception probability `p`, additionally gated
-    /// by the burst channels in `bursts` (indices into the plan's
-    /// `BurstLoss` faults).
-    Lossy { p: f64, bursts: Vec<usize> },
-}
-
 /// A lossy-ARQ transport decorator that additionally injects the
-/// structured faults of a [`FaultPlan`], with optional adaptive recovery
-/// (the same EWMA + backoff + failure-detector machinery as
-/// [`crate::LossyTransport::wrap_adaptive`]).
-#[derive(Debug)]
-pub struct FaultyTransport {
-    inner: Box<dyn Transport>,
-    config: LossyConfig,
-    plan: FaultPlan,
-    rng: StdRng,
-    ge_rng: StdRng,
-    /// Current state per `BurstLoss` fault (index-aligned with the plan's
-    /// burst faults); chains start good.
-    ge_bad: Vec<bool>,
-    stats: DeliveryStats,
-    adaptive: Option<AdaptiveState>,
-}
+/// structured faults of a [`FaultPlan`], with optional adaptive recovery:
+/// the [`ArqTransport`] engine with the plan's tables filled in.
+pub type FaultyTransport = ArqTransport<FaultPlan>;
 
 impl FaultyTransport {
     /// Wraps `inner` with the lossy ARQ of `config` plus the faults of
+    /// `plan`, with adaptive recovery when `recovery` is set.
+    pub(crate) fn build(
+        inner: Box<dyn Transport>,
+        config: LossyConfig,
+        plan: FaultPlan,
+        recovery: Option<RecoveryConfig>,
+    ) -> Self {
+        let tables = FaultTables::of(&plan);
+        ArqTransport::new(inner, config, plan, tables, recovery)
+    }
+
+    /// Wraps `inner` with the lossy ARQ of `config` plus the faults of
     /// `plan`, without adaptive recovery.
     pub fn wrap(inner: Box<dyn Transport>, config: LossyConfig, plan: FaultPlan) -> Self {
-        let bursts = plan.faults().iter().filter(|f| matches!(f, Fault::BurstLoss { .. })).count();
-        FaultyTransport {
-            inner,
-            config,
-            plan,
-            rng: StdRng::seed_from_u64(config.seed),
-            ge_rng: StdRng::seed_from_u64(config.seed ^ GE_SEED_SALT),
-            ge_bad: vec![false; bursts],
-            stats: DeliveryStats::default(),
-            adaptive: None,
-        }
+        Self::build(inner, config, plan, None)
     }
 
     /// Wraps `inner` with faults *and* adaptive recovery.
@@ -253,333 +302,22 @@ impl FaultyTransport {
         plan: FaultPlan,
         recovery: RecoveryConfig,
     ) -> Self {
-        let mut t = FaultyTransport::wrap(inner, config, plan);
-        t.adaptive = Some(AdaptiveState::new(recovery));
-        t
+        Self::build(inner, config, plan, Some(recovery))
     }
 
-    /// The loss configuration.
-    pub fn config(&self) -> LossyConfig {
-        self.config
-    }
-
-    /// The fault plan.
+    /// The fault plan, as given.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// The adaptive-recovery state, when recovery is enabled.
-    pub fn adaptive(&self) -> Option<&AdaptiveState> {
-        self.adaptive.as_ref()
-    }
-
-    /// Resolves the fault-adjusted state of the directed link `from → to`
-    /// at time `now`.
-    fn link_state(&self, topology: &Topology, from: NodeId, to: NodeId, now: SimTime) -> LinkState {
-        if self.plan.node_down(from, now) || self.plan.node_down(to, now) {
-            return LinkState::Blocked;
-        }
-        if self.plan.link_partitioned(topology.position(from), topology.position(to), now) {
-            return LinkState::Blocked;
-        }
-        let mut p = self.config.quality.prr(topology.distance(from, to)).clamp(0.0, 1.0);
-        let mut bursts = Vec::new();
-        let mut burst_idx = 0usize;
-        for fault in self.plan.faults() {
-            match *fault {
-                Fault::AsymmetricLink { from: f, to: t, prr, at }
-                    if f == from && t == to && now >= at =>
-                {
-                    p = prr.clamp(0.0, 1.0);
-                }
-                Fault::BurstLoss { from: f, until, .. } => {
-                    if now >= f && now < until {
-                        bursts.push(burst_idx);
-                    }
-                    burst_idx += 1;
-                }
-                _ => {}
-            }
-        }
-        LinkState::Lossy { p, bursts }
-    }
-
-    /// Attempts one hop with ARQ under the active faults. Mirrors
-    /// [`crate::LossyTransport`]'s draw/charge order exactly; blocked
-    /// attempts are charged but draw nothing, and burst gating draws only
-    /// from the dedicated burst stream.
-    fn deliver_hop(
-        &mut self,
-        topology: &Topology,
-        from: NodeId,
-        to: NodeId,
-        layer: TrafficLayer,
-    ) -> (bool, u64, u64, f64) {
-        if from == to {
-            return (true, 0, 0, 0.0);
-        }
-        let now = self.inner.clock().now();
-        let state = self.link_state(topology, from, to, now);
-        self.stats.hop_attempts += 1;
-        let mut transmissions = 0u64;
-        let mut backoff = 0.0f64;
-        for attempt in 0..=self.config.retry_budget {
-            if let Some(ad) = &self.adaptive {
-                backoff += ad.backoff_delay((from, to), attempt);
-            }
-            let charge_layer = if attempt == 0 { layer } else { TrafficLayer::Retransmit };
-            self.inner.ledger_mut().charge_hop(from, to, charge_layer);
-            transmissions += 1;
-            let received = match &state {
-                LinkState::Blocked => false,
-                LinkState::Lossy { p, bursts } => {
-                    let mut ok = self.rng.gen_bool(*p);
-                    for &b in bursts {
-                        // Step the chain, then gate on its state's PRR —
-                        // both from the dedicated burst stream.
-                        let ch = self.burst_channel(b);
-                        let flip =
-                            self.ge_rng.gen_bool(if self.ge_bad[b] { ch.p_bg } else { ch.p_gb });
-                        if flip {
-                            self.ge_bad[b] = !self.ge_bad[b];
-                        }
-                        let state_prr = if self.ge_bad[b] { ch.bad_prr } else { ch.good_prr };
-                        ok &= self.ge_rng.gen_bool(state_prr.clamp(0.0, 1.0));
-                    }
-                    ok
-                }
-            };
-            if let Some(ad) = &mut self.adaptive {
-                ad.observe((from, to), received);
-            }
-            if received {
-                if let Some(ad) = &mut self.adaptive {
-                    ad.hop_delivered((from, to));
-                }
-                self.stats.transmissions += transmissions;
-                self.stats.retransmissions += transmissions - 1;
-                self.stats.record_hop_attempts(transmissions);
-                return (true, transmissions, transmissions - 1, backoff);
-            }
-        }
-        self.stats.hops_failed += 1;
-        self.stats.transmissions += transmissions;
-        self.stats.retransmissions += transmissions - 1;
-        self.stats.record_hop_attempts(transmissions);
-        // The exhausted budget just proved `to` unreachable from here:
-        // targeted memo invalidation, and a strike for the detector.
-        self.inner.evict_routes_through(to);
-        if let Some(ad) = &mut self.adaptive {
-            ad.hop_exhausted((from, to));
-        }
-        (false, transmissions, transmissions - 1, backoff)
-    }
-
-    /// The `idx`-th `BurstLoss` fault's channel.
-    fn burst_channel(&self, idx: usize) -> GilbertElliott {
-        let mut i = 0usize;
-        for fault in self.plan.faults() {
-            if let Fault::BurstLoss { channel, .. } = fault {
-                if i == idx {
-                    return *channel;
-                }
-                i += 1;
-            }
-        }
-        unreachable!("burst index {idx} out of range");
-    }
-
-    /// One path-level delivery attempt, hop by hop (identical structure to
-    /// [`crate::LossyTransport`]'s walk).
-    fn walk(
-        &mut self,
-        topology: &Topology,
-        path: &[NodeId],
-        layer: TrafficLayer,
-    ) -> (DeliveryOutcome, Vec<crate::Hop>) {
-        self.stats.deliveries += 1;
-        let mut transmissions = 0u64;
-        let mut retransmissions = 0u64;
-        let mut hops = Vec::new();
-        for w in path.windows(2) {
-            let (ok, t, r, backoff) = self.deliver_hop(topology, w[0], w[1], layer);
-            if t > 0 {
-                hops.push(crate::Hop { from: w[0], to: w[1], transmissions: t, backoff });
-            }
-            transmissions += t;
-            retransmissions += r;
-            if !ok {
-                self.stats.deliveries_failed += 1;
-                let outcome = DeliveryOutcome {
-                    delivered: false,
-                    transmissions,
-                    retransmissions,
-                    reached: w[0],
-                    failed_hop: Some((w[0], w[1])),
-                    latency: 0.0,
-                    detour: false,
-                };
-                return (outcome, hops);
-            }
-        }
-        let outcome = DeliveryOutcome {
-            delivered: true,
-            transmissions,
-            retransmissions,
-            reached: *path.last().expect("path contains at least the source"),
-            failed_hop: None,
-            latency: 0.0,
-            detour: false,
-        };
-        (outcome, hops)
-    }
-
-    /// Merges detector suspects into an exclusion set, keeping endpoints.
-    fn merged_exclusions(&self, from: NodeId, to: NodeId, excluded: &[NodeId]) -> Vec<NodeId> {
-        let mut merged: Vec<NodeId> =
-            excluded.iter().copied().filter(|&n| n != from && n != to).collect();
-        if let Some(ad) = &self.adaptive {
-            for s in ad.suspects() {
-                if s != from && s != to && !merged.contains(&s) {
-                    merged.push(s);
-                }
-            }
-        }
-        merged
-    }
-}
-
-impl Transport for FaultyTransport {
-    fn route_to_node(
-        &mut self,
-        topology: &Topology,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<Arc<Route>, RouteError> {
-        self.inner.route_to_node(topology, from, to)
-    }
-
-    fn route_to_location(
-        &mut self,
-        topology: &Topology,
-        from: NodeId,
-        target: Point,
-    ) -> Result<Arc<Route>, RouteError> {
-        self.inner.route_to_location(topology, from, target)
-    }
-
-    fn route_to_node_avoiding(
-        &mut self,
-        topology: &Topology,
-        from: NodeId,
-        to: NodeId,
-        excluded: &[NodeId],
-    ) -> Result<Arc<Route>, RouteError> {
-        let merged = self.merged_exclusions(from, to, excluded);
-        if merged.is_empty() {
-            return self.inner.route_to_node(topology, from, to);
-        }
-        let route = self.inner.route_to_node_avoiding(topology, from, to, &merged)?;
-        self.stats.detour_routes += 1;
-        Ok(route)
-    }
-
-    fn evict_routes_through(&mut self, node: NodeId) -> u64 {
-        self.inner.evict_routes_through(node)
-    }
-
-    fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
-        if let Some(ad) = &mut self.adaptive {
-            ad.reset();
-        }
-        self.inner.refresh(topology, dirty);
-    }
-
-    fn generation(&self) -> u64 {
-        self.inner.generation()
-    }
-
-    fn ledger(&self) -> &crate::TrafficLedger {
-        self.inner.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut crate::TrafficLedger {
-        self.inner.ledger_mut()
-    }
-
-    fn clock(&self) -> &crate::VirtualClock {
-        self.inner.clock()
-    }
-
-    fn clock_mut(&mut self) -> &mut crate::VirtualClock {
-        self.inner.clock_mut()
-    }
-
-    fn kind(&self) -> TransportKind {
-        self.inner.kind()
-    }
-
-    fn deliver(
-        &mut self,
-        topology: &Topology,
-        path: &[NodeId],
-        layer: TrafficLayer,
-    ) -> DeliveryOutcome {
-        let (mut outcome, hops) = self.walk(topology, path, layer);
-        outcome.latency = self.clock_mut().time_leg(&hops);
-        outcome
-    }
-
-    fn deliver_reverse(
-        &mut self,
-        topology: &Topology,
-        path: &[NodeId],
-        copies: u64,
-        layer: TrafficLayer,
-    ) -> ReverseDelivery {
-        let back: Vec<NodeId> = path.iter().rev().copied().collect();
-        let mut out = ReverseDelivery::default();
-        let mut legs = Vec::with_capacity(copies as usize);
-        for _ in 0..copies {
-            let (o, hops) = self.walk(topology, &back, layer);
-            if o.delivered {
-                out.delivered_copies += 1;
-            }
-            out.transmissions += o.transmissions;
-            out.retransmissions += o.retransmissions;
-            legs.push(hops);
-        }
-        out.latency = self.clock_mut().time_fanout(&legs);
-        out
-    }
-
-    fn delivery_stats(&self) -> DeliveryStats {
-        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BackoffPolicy, LossyTransport, TrafficLayer};
+    use crate::lossy::tests::{endpoints, topo};
+    use crate::{BackoffPolicy, DeliveryOutcome, LossyTransport, TrafficLayer};
     use pool_gpsr::Planarization;
-    use pool_netsim::deployment::Deployment;
-
-    fn topo(seed: u64) -> Topology {
-        let mut s = seed;
-        loop {
-            let dep = Deployment::paper_setting(300, 40.0, 20.0, s).unwrap();
-            let t = Topology::build(dep.nodes(), 40.0).unwrap();
-            if t.is_connected() {
-                return t;
-            }
-            s += 4096;
-        }
-    }
-
-    fn endpoints(t: &Topology) -> (NodeId, NodeId) {
-        (t.nodes()[0].id, t.nodes()[t.len() - 1].id)
-    }
+    use pool_netsim::geometry::Point;
 
     /// The pinned zero-fault identity: an empty plan reproduces the bare
     /// lossy substrate byte for byte — outcomes, ledger, and clock.
@@ -834,5 +572,174 @@ mod tests {
             assert_eq!(ow, oc, "an inactive burst window must not perturb the loss process");
         }
         assert_eq!(windowed.ledger(), clean.ledger());
+    }
+
+    /// FNV-1a over a stream of 64-bit words.
+    struct Digest(u64);
+
+    impl Digest {
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn outcome(&mut self, o: &DeliveryOutcome) {
+            let (hf, ht) =
+                o.failed_hop.map_or((u64::MAX, u64::MAX), |(f, t)| (f.0.into(), t.0.into()));
+            for w in [
+                o.delivered.into(),
+                o.transmissions,
+                o.retransmissions,
+                o.reached.0.into(),
+                hf,
+                ht,
+                o.latency.to_bits(),
+                o.detour.into(),
+            ] {
+                self.word(w);
+            }
+        }
+    }
+
+    /// When the golden run's pause (and nothing else) heals.
+    const GOLDEN_HEAL: SimTime = 30.0;
+
+    /// Drives one transport through the golden schedule and folds every
+    /// observable into `d`.
+    fn golden_run(
+        t: &Topology,
+        transport: &mut dyn Transport,
+        pairs: &[(NodeId, NodeId)],
+        d: &mut Digest,
+    ) {
+        let layers = [TrafficLayer::Forward, TrafficLayer::Insert, TrafficLayer::Monitor];
+        for (i, &(from, to)) in pairs.iter().enumerate() {
+            if i == pairs.len() / 2 {
+                let now = transport.clock().now();
+                assert!(now < GOLDEN_HEAL, "the first half must run inside the pause window");
+                transport.clock_mut().seek(GOLDEN_HEAL);
+            }
+            let route = transport.route_to_node(t, from, to).unwrap();
+            let out = transport.deliver(t, &route.path, layers[i % 3]);
+            d.outcome(&out);
+            if let Some((_, dead)) = out.failed_hop {
+                if let Ok(detour) = transport.route_to_node_avoiding(t, from, to, &[dead]) {
+                    d.word(detour.path.len() as u64);
+                    for n in &detour.path {
+                        d.word(n.0.into());
+                    }
+                    d.outcome(&transport.deliver(t, &detour.path, layers[i % 3]));
+                }
+            }
+            let rev = transport.deliver_reverse(t, &route.path, 3, TrafficLayer::Reply);
+            for w in [rev.delivered_copies, rev.transmissions, rev.retransmissions] {
+                d.word(w);
+            }
+            d.word(rev.latency.to_bits());
+        }
+        for (_, total) in transport.ledger().by_layer() {
+            d.word(total);
+        }
+        d.word(transport.clock().now().to_bits());
+        let s = transport.delivery_stats();
+        for w in [
+            s.deliveries,
+            s.deliveries_failed,
+            s.hop_attempts,
+            s.hops_failed,
+            s.transmissions,
+            s.retransmissions,
+            s.detour_routes,
+        ] {
+            d.word(w);
+        }
+        for bucket in s.attempts_histogram {
+            d.word(bucket);
+        }
+    }
+
+    /// The determinism contract in one number: the bare lossy engine, the
+    /// fault engine under a plan holding every fault kind (two overlapping
+    /// active burst windows around an idle one, a doubled asymmetric link,
+    /// a pause healed mid-run by a seek, a partition, a crash), and the
+    /// same plan with adaptive recovery, each through 48 forward and 48
+    /// three-copy reverse deliveries. Every outcome field, the per-layer
+    /// ledger, the clock, the delivery statistics and the suspect set fold
+    /// into one hash; a moved RNG draw, ledger charge or float operation
+    /// moves it. The constant was recorded on the two-engine code this
+    /// test was written against and is not to be edited.
+    #[test]
+    fn golden_delivery_digest() {
+        let t = topo(41);
+        let n = t.len();
+        // Sixteen endpoint pairs, each visited three times: before the
+        // crash, around the heal, and once suspicions have settled.
+        let pairs: Vec<(NodeId, NodeId)> = (0..48usize)
+            .map(|i| i % 16)
+            .map(|k| (t.nodes()[(k * 7) % n].id, t.nodes()[(k * 13 + n / 2) % n].id))
+            .collect();
+        let gabriel = Planarization::Gabriel;
+        let mut probe = crate::TransportKind::Gpsr.build(&t, gabriel);
+        let mut path_of = |k: usize| probe.route_to_node(&t, pairs[k].0, pairs[k].1).unwrap();
+        let (first, second, third) = (path_of(0), path_of(1), path_of(2));
+        assert!(first.hops() >= 3 && second.hops() >= 2 && third.hops() >= 2);
+        let (asym_from, asym_to) = (first.path[1], first.path[2]);
+        let paused = second.path[second.path.len() / 2];
+        let crashed = third.path[third.path.len() / 2];
+        let b = t.bounds();
+        let corner =
+            Rect::new(b.min, Point::new(b.min.x + 0.25 * b.width(), b.min.y + 0.25 * b.height()));
+        let plan = FaultPlan::new()
+            .with(Fault::BurstLoss {
+                channel: GilbertElliott::new(0.1, 0.4, 1.0, 0.6),
+                from: 0.0,
+                until: 1e9,
+            })
+            .with(Fault::AsymmetricLink { from: asym_from, to: asym_to, prr: 0.0, at: 0.0 })
+            .with(Fault::BurstLoss {
+                channel: GilbertElliott::new(0.5, 0.5, 0.5, 0.5),
+                from: 1e9,
+                until: 2e9,
+            })
+            .with(Fault::Pause { node: paused, from: 0.0, until: GOLDEN_HEAL })
+            .with(Fault::Partition { region: corner, from: 0.1, until: 1e9 })
+            .with(Fault::BurstLoss {
+                channel: GilbertElliott::new(0.05, 0.5, 0.98, 0.5),
+                from: 0.2,
+                until: 1e9,
+            })
+            .with(Fault::Crash { node: crashed, at: 0.3 })
+            .with(Fault::AsymmetricLink { from: asym_to, to: asym_from, prr: 0.6, at: 0.0 })
+            .with(Fault::AsymmetricLink { from: asym_from, to: asym_to, prr: 0.85, at: 0.0 });
+        let cfg = LossyConfig::model(pool_netsim::radio::PrrModel::new(30.0, 50.0), 0x901d)
+            .with_retry_budget(4);
+
+        let mut d = Digest(0xcbf2_9ce4_8422_2325);
+        let mut lossy = LossyTransport::wrap(crate::TransportKind::Gpsr.build(&t, gabriel), cfg);
+        golden_run(&t, &mut lossy, &pairs, &mut d);
+        assert!(lossy.adaptive().is_none());
+
+        let mut faulty =
+            FaultyTransport::wrap(crate::TransportKind::Gpsr.build(&t, gabriel), cfg, plan.clone());
+        golden_run(&t, &mut faulty, &pairs, &mut d);
+        assert_eq!(faulty.plan(), &plan, "plan() returns the plan as given");
+        let stats = faulty.delivery_stats();
+        assert!(stats.hops_failed > 0 && stats.deliveries_failed < stats.deliveries);
+
+        let mut adaptive = FaultyTransport::wrap_adaptive(
+            crate::TransportKind::Cached.build(&t, gabriel),
+            cfg,
+            plan,
+            RecoveryConfig::default(),
+        );
+        golden_run(&t, &mut adaptive, &pairs, &mut d);
+        let suspects: Vec<NodeId> = adaptive.adaptive().unwrap().suspects().collect();
+        assert!(suspects.contains(&crashed), "the crashed relay must end up suspected");
+        d.word(suspects.len() as u64);
+        for s in suspects {
+            d.word(s.0.into());
+        }
+        assert_eq!(d.0, 0x691778797cd30537, "the delivery engines' observable behaviour moved");
     }
 }

@@ -51,6 +51,7 @@ pub mod ledger;
 pub mod lossy;
 pub mod lru;
 pub mod metrics;
+pub mod retry;
 pub mod trace;
 
 pub use cached::CachedTransport;
@@ -60,11 +61,12 @@ pub use faults::{Fault, FaultPlan, FaultyTransport, GilbertElliott};
 pub use gpsr::GpsrTransport;
 pub use ledger::{TrafficLayer, TrafficLedger};
 pub use lossy::{
-    AdaptiveState, BackoffPolicy, DeliveryOutcome, DeliveryStats, LinkQuality, LossyConfig,
-    LossyTransport, OpRetryPolicy, RecoveryConfig, ReverseDelivery,
+    AdaptiveState, ArqTransport, BackoffPolicy, DeliveryOutcome, DeliveryStats, LinkQuality,
+    LossyConfig, LossyTransport, RecoveryConfig, ReverseDelivery,
 };
 pub use lru::{CacheStats, ShardedLru};
 pub use metrics::{LedgerSnapshot, LoadDistribution, LoadReport, NodeLoad, NodeRole, RoleSet};
+pub use retry::OpRetryPolicy;
 pub use trace::{Span, SpanOutcome, TraceOp, Tracer};
 
 use pool_gpsr::{Planarization, Route, RouteError};
@@ -286,6 +288,33 @@ impl TransportKind {
         match self {
             TransportKind::Gpsr => Box::new(GpsrTransport::new(topology, planarization)),
             TransportKind::Cached => Box::new(CachedTransport::new(topology, planarization)),
+        }
+    }
+
+    /// Builds the selected transport and stacks the link layer the
+    /// resilience options call for — the one rule Pool, DIM and GHT share:
+    /// a fault plan or adaptive recovery puts the fault engine on top (over
+    /// a perfect-link stand-in seeded with `stand_in_seed` when no loss
+    /// model is configured, so the plan alone can be exercised); a loss
+    /// model alone puts the lossy engine on top; neither leaves the bare
+    /// substrate.
+    pub fn build_stack(
+        self,
+        topology: &Topology,
+        planarization: Planarization,
+        lossy: Option<LossyConfig>,
+        faults: Option<FaultPlan>,
+        recovery: Option<RecoveryConfig>,
+        stand_in_seed: u64,
+    ) -> Box<dyn Transport> {
+        let substrate = self.build(topology, planarization);
+        if faults.is_some() || recovery.is_some() {
+            let lossy = lossy.unwrap_or_else(|| LossyConfig::fixed(1.0, stand_in_seed));
+            Box::new(FaultyTransport::build(substrate, lossy, faults.unwrap_or_default(), recovery))
+        } else if let Some(lossy) = lossy {
+            Box::new(LossyTransport::wrap(substrate, lossy))
+        } else {
+            substrate
         }
     }
 }

@@ -22,6 +22,7 @@
 //! ledger hop for hop exactly like the wrapped transport: same order, same
 //! layers, same per-node attribution.
 
+use crate::faults::FaultTables;
 use crate::ledger::TrafficLayer;
 use crate::{Transport, TransportKind};
 use pool_gpsr::{Route, RouteError};
@@ -33,6 +34,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// Seed domain separator for the burst-loss RNG stream, so Gilbert–Elliott
+/// draws never perturb the base loss process.
+const GE_SEED_SALT: u64 = 0x6e11_be27_6e11_be27;
 
 /// Default ARQ retry budget: a frame is attempted at most `1 + budget`
 /// times per hop (7 retries, the common 802.15.4-class MAC default range).
@@ -111,36 +116,6 @@ impl RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig { backoff: BackoffPolicy::default(), ewma_alpha: 0.3, suspect_after: 2 }
-    }
-}
-
-/// Bounded idempotent retry at the operation level: how many times a
-/// storage scheme re-attempts a failed delivery leg, and whether retries
-/// may detour around the hop that failed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpRetryPolicy {
-    /// Additional delivery attempts per leg after the first (0 disables).
-    pub attempts: u32,
-    /// Whether retries recompute the route around failed/suspect nodes
-    /// (`false` retries the same path — the ablation arm).
-    pub detour: bool,
-}
-
-impl OpRetryPolicy {
-    /// `attempts` retries with detour routing enabled.
-    pub fn detouring(attempts: u32) -> Self {
-        OpRetryPolicy { attempts, detour: true }
-    }
-
-    /// `attempts` retries along the original path only.
-    pub fn same_path(attempts: u32) -> Self {
-        OpRetryPolicy { attempts, detour: false }
-    }
-}
-
-impl Default for OpRetryPolicy {
-    fn default() -> Self {
-        OpRetryPolicy::detouring(2)
     }
 }
 
@@ -407,13 +382,51 @@ impl DeliveryStats {
     }
 }
 
-/// A decorator that subjects every delivery of the wrapped [`Transport`]
-/// to per-hop loss with bounded ARQ.
+/// The one lossy-ARQ delivery engine, behind both public decorator names:
+/// [`LossyTransport`] (no fault plan) and [`crate::FaultyTransport`] (a
+/// [`crate::FaultPlan`] resolved into per-kind tables at wrap time). `P` is the
+/// plan exactly as the constructor received it.
 ///
 /// Routing (`route_to_node` / `route_to_location`), refreshes, and the
 /// ledger all delegate to the inner transport; only the `deliver*` methods
 /// change behaviour. The loss process is deterministic in
 /// [`LossyConfig::seed`].
+///
+/// Determinism contract, per hop: the fault windows are read against the
+/// clock once, at hop start. Every attempt is charged (the first to the
+/// caller's layer, the rest to [`TrafficLayer::Retransmit`]) and observed
+/// by the link estimator. An unblocked attempt draws `gen_bool(p)` once
+/// from the base stream, then per active burst window, in plan order, one
+/// flip draw and one gate draw from the separate burst stream; a blocked
+/// attempt (dead endpoint, active partition) draws nothing. An exhausted
+/// budget evicts memoized routes through the receiver, then strikes the
+/// failure detector. With no plan the fault tables are empty, so "empty
+/// plan ≡ lossy" holds by construction.
+#[derive(Debug)]
+pub struct ArqTransport<P> {
+    engine: ArqEngine,
+    pub(crate) plan: P,
+}
+
+/// Everything of [`ArqTransport`] but the plan as given. Not generic, so
+/// the hop loop is compiled once, here, beside the code it calls — not
+/// again in every crate that names one of the public aliases.
+#[derive(Debug)]
+struct ArqEngine {
+    inner: Box<dyn Transport>,
+    config: LossyConfig,
+    faults: FaultTables,
+    rng: StdRng,
+    /// The burst channels' own stream, so Gilbert–Elliott draws never
+    /// perturb the base loss process.
+    ge_rng: StdRng,
+    stats: DeliveryStats,
+    adaptive: Option<AdaptiveState>,
+}
+
+/// A decorator that subjects every delivery of the wrapped [`Transport`]
+/// to per-hop loss with bounded ARQ: the [`ArqTransport`] engine without a
+/// fault plan.
 ///
 /// # Examples
 ///
@@ -435,25 +448,12 @@ impl DeliveryStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct LossyTransport {
-    inner: Box<dyn Transport>,
-    config: LossyConfig,
-    rng: StdRng,
-    stats: DeliveryStats,
-    adaptive: Option<AdaptiveState>,
-}
+pub type LossyTransport = ArqTransport<()>;
 
 impl LossyTransport {
     /// Wraps `inner` with the loss process described by `config`.
     pub fn wrap(inner: Box<dyn Transport>, config: LossyConfig) -> Self {
-        LossyTransport {
-            inner,
-            config,
-            rng: StdRng::seed_from_u64(config.seed),
-            stats: DeliveryStats::default(),
-            adaptive: None,
-        }
+        ArqTransport::new(inner, config, (), FaultTables::default(), None)
     }
 
     /// Wraps `inner` with the loss process plus adaptive recovery: EWMA
@@ -465,28 +465,51 @@ impl LossyTransport {
         config: LossyConfig,
         recovery: RecoveryConfig,
     ) -> Self {
-        let mut t = LossyTransport::wrap(inner, config);
-        t.adaptive = Some(AdaptiveState::new(recovery));
-        t
+        ArqTransport::new(inner, config, (), FaultTables::default(), Some(recovery))
+    }
+}
+
+impl<P> ArqTransport<P> {
+    /// The constructor behind every public `wrap*`: `faults` is `plan`
+    /// resolved (empty for no plan).
+    pub(crate) fn new(
+        inner: Box<dyn Transport>,
+        config: LossyConfig,
+        plan: P,
+        faults: FaultTables,
+        recovery: Option<RecoveryConfig>,
+    ) -> Self {
+        let engine = ArqEngine {
+            inner,
+            config,
+            faults,
+            rng: StdRng::seed_from_u64(config.seed),
+            ge_rng: StdRng::seed_from_u64(config.seed ^ GE_SEED_SALT),
+            stats: DeliveryStats::default(),
+            adaptive: recovery.map(AdaptiveState::new),
+        };
+        ArqTransport { engine, plan }
     }
 
     /// The loss configuration.
     pub fn config(&self) -> LossyConfig {
-        self.config
+        self.engine.config
     }
 
     /// The adaptive-recovery state, when recovery is enabled.
     pub fn adaptive(&self) -> Option<&AdaptiveState> {
-        self.adaptive.as_ref()
+        self.engine.adaptive.as_ref()
     }
+}
 
-    /// Attempts one hop with ARQ. Returns `(delivered, transmissions,
-    /// retransmissions, backoff)`; self-hops are free and always succeed.
+impl ArqEngine {
+    /// Attempts one hop with ARQ under the active faults. Returns
+    /// `(delivered, transmissions, retransmissions, backoff)`; self-hops
+    /// are free and always succeed.
     ///
     /// The RNG draw and ledger charge order here is the determinism-
-    /// critical invariant: with recovery disabled it reproduces the
-    /// original implementation bit for bit. Recovery adds backoff delays
-    /// and estimator updates around the draws, never extra draws.
+    /// critical invariant (see the type's contract). Recovery adds backoff
+    /// delays and estimator updates around the draws, never extra draws.
     fn deliver_hop(
         &mut self,
         topology: &Topology,
@@ -497,10 +520,17 @@ impl LossyTransport {
         if from == to {
             return (true, 0, 0, 0.0);
         }
-        let p = self.config.quality.prr(topology.distance(from, to)).clamp(0.0, 1.0);
+        let now = self.inner.clock().now();
+        let blocked = self.faults.blocked(topology, from, to, now);
+        let p = self
+            .faults
+            .degraded_prr(from, to, now)
+            .unwrap_or_else(|| self.config.quality.prr(topology.distance(from, to)))
+            .clamp(0.0, 1.0);
         self.stats.hop_attempts += 1;
         let mut transmissions = 0u64;
         let mut backoff = 0.0f64;
+        let mut delivered = false;
         for attempt in 0..=self.config.retry_budget {
             if let Some(ad) = &self.adaptive {
                 backoff += ad.backoff_delay((from, to), attempt);
@@ -508,38 +538,43 @@ impl LossyTransport {
             let charge_layer = if attempt == 0 { layer } else { TrafficLayer::Retransmit };
             self.inner.ledger_mut().charge_hop(from, to, charge_layer);
             transmissions += 1;
-            let received = self.rng.gen_bool(p);
+            let received = !blocked && {
+                let base = self.rng.gen_bool(p);
+                let bursts = self.faults.gate_bursts(&mut self.ge_rng, now);
+                base && bursts
+            };
             if let Some(ad) = &mut self.adaptive {
                 ad.observe((from, to), received);
             }
             if received {
-                if let Some(ad) = &mut self.adaptive {
-                    ad.hop_delivered((from, to));
-                }
-                self.stats.transmissions += transmissions;
-                self.stats.retransmissions += transmissions - 1;
-                self.stats.record_hop_attempts(transmissions);
-                return (true, transmissions, transmissions - 1, backoff);
+                delivered = true;
+                break;
             }
         }
-        self.stats.hops_failed += 1;
         self.stats.transmissions += transmissions;
         self.stats.retransmissions += transmissions - 1;
         self.stats.record_hop_attempts(transmissions);
-        // A failed delivery just proved this receiver unreachable: drop any
-        // memoized routes through it now rather than waiting for the next
-        // generation bump. Eviction never changes charges, only recompute.
-        self.inner.evict_routes_through(to);
-        if let Some(ad) = &mut self.adaptive {
-            ad.hop_exhausted((from, to));
+        if delivered {
+            if let Some(ad) = &mut self.adaptive {
+                ad.hop_delivered((from, to));
+            }
+        } else {
+            self.stats.hops_failed += 1;
+            // The exhausted budget just proved `to` unreachable from here:
+            // drop any memoized routes through it now rather than waiting
+            // for the next generation bump (eviction never changes charges,
+            // only recompute), and give the detector its strike.
+            self.inner.evict_routes_through(to);
+            if let Some(ad) = &mut self.adaptive {
+                ad.hop_exhausted((from, to));
+            }
         }
-        (false, transmissions, transmissions - 1, backoff)
+        (delivered, transmissions, transmissions - 1, backoff)
     }
 
-    /// Charges one path-level delivery attempt hop by hop (the RNG draw
-    /// and ledger charge order of the original implementation), collecting
-    /// the per-hop transmission counts so the caller can time the leg
-    /// afterwards without touching that order.
+    /// Charges one path-level delivery attempt hop by hop, collecting the
+    /// per-hop transmission counts so the caller can time the leg
+    /// afterwards without touching the draw and charge order.
     fn walk(
         &mut self,
         topology: &Topology,
@@ -547,39 +582,23 @@ impl LossyTransport {
         layer: TrafficLayer,
     ) -> (DeliveryOutcome, Vec<crate::Hop>) {
         self.stats.deliveries += 1;
-        let mut transmissions = 0u64;
-        let mut retransmissions = 0u64;
+        let mut outcome = DeliveryOutcome::delivered_clean(path, 0);
         let mut hops = Vec::new();
         for w in path.windows(2) {
             let (ok, t, r, backoff) = self.deliver_hop(topology, w[0], w[1], layer);
             if t > 0 {
                 hops.push(crate::Hop { from: w[0], to: w[1], transmissions: t, backoff });
             }
-            transmissions += t;
-            retransmissions += r;
+            outcome.transmissions += t;
+            outcome.retransmissions += r;
             if !ok {
                 self.stats.deliveries_failed += 1;
-                let outcome = DeliveryOutcome {
-                    delivered: false,
-                    transmissions,
-                    retransmissions,
-                    reached: w[0],
-                    failed_hop: Some((w[0], w[1])),
-                    latency: 0.0,
-                    detour: false,
-                };
-                return (outcome, hops);
+                outcome.delivered = false;
+                outcome.reached = w[0];
+                outcome.failed_hop = Some((w[0], w[1]));
+                break;
             }
         }
-        let outcome = DeliveryOutcome {
-            delivered: true,
-            transmissions,
-            retransmissions,
-            reached: *path.last().expect("path contains at least the source"),
-            failed_hop: None,
-            latency: 0.0,
-            detour: false,
-        };
         (outcome, hops)
     }
 
@@ -599,14 +618,14 @@ impl LossyTransport {
     }
 }
 
-impl Transport for LossyTransport {
+impl<P: std::fmt::Debug + Send> Transport for ArqTransport<P> {
     fn route_to_node(
         &mut self,
         topology: &Topology,
         from: NodeId,
         to: NodeId,
     ) -> Result<Arc<Route>, RouteError> {
-        self.inner.route_to_node(topology, from, to)
+        self.engine.inner.route_to_node(topology, from, to)
     }
 
     fn route_to_location(
@@ -615,7 +634,7 @@ impl Transport for LossyTransport {
         from: NodeId,
         target: Point,
     ) -> Result<Arc<Route>, RouteError> {
-        self.inner.route_to_location(topology, from, target)
+        self.engine.inner.route_to_location(topology, from, target)
     }
 
     fn route_to_node_avoiding(
@@ -625,49 +644,49 @@ impl Transport for LossyTransport {
         to: NodeId,
         excluded: &[NodeId],
     ) -> Result<Arc<Route>, RouteError> {
-        let merged = self.merged_exclusions(from, to, excluded);
+        let merged = self.engine.merged_exclusions(from, to, excluded);
         if merged.is_empty() {
-            return self.inner.route_to_node(topology, from, to);
+            return self.engine.inner.route_to_node(topology, from, to);
         }
-        let route = self.inner.route_to_node_avoiding(topology, from, to, &merged)?;
-        self.stats.detour_routes += 1;
+        let route = self.engine.inner.route_to_node_avoiding(topology, from, to, &merged)?;
+        self.engine.stats.detour_routes += 1;
         Ok(route)
     }
 
     fn evict_routes_through(&mut self, node: NodeId) -> u64 {
-        self.inner.evict_routes_through(node)
+        self.engine.inner.evict_routes_through(node)
     }
 
     fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
         // Old link estimates and suspicions describe the old topology.
-        if let Some(ad) = &mut self.adaptive {
+        if let Some(ad) = &mut self.engine.adaptive {
             ad.reset();
         }
-        self.inner.refresh(topology, dirty);
+        self.engine.inner.refresh(topology, dirty);
     }
 
     fn generation(&self) -> u64 {
-        self.inner.generation()
+        self.engine.inner.generation()
     }
 
     fn ledger(&self) -> &crate::TrafficLedger {
-        self.inner.ledger()
+        self.engine.inner.ledger()
     }
 
     fn ledger_mut(&mut self) -> &mut crate::TrafficLedger {
-        self.inner.ledger_mut()
+        self.engine.inner.ledger_mut()
     }
 
     fn clock(&self) -> &crate::VirtualClock {
-        self.inner.clock()
+        self.engine.inner.clock()
     }
 
     fn clock_mut(&mut self) -> &mut crate::VirtualClock {
-        self.inner.clock_mut()
+        self.engine.inner.clock_mut()
     }
 
     fn kind(&self) -> TransportKind {
-        self.inner.kind()
+        self.engine.inner.kind()
     }
 
     fn deliver(
@@ -676,7 +695,7 @@ impl Transport for LossyTransport {
         path: &[NodeId],
         layer: TrafficLayer,
     ) -> DeliveryOutcome {
-        let (mut outcome, hops) = self.walk(topology, path, layer);
+        let (mut outcome, hops) = self.engine.walk(topology, path, layer);
         outcome.latency = self.clock_mut().time_leg(&hops);
         outcome
     }
@@ -692,7 +711,7 @@ impl Transport for LossyTransport {
         let mut out = ReverseDelivery::default();
         let mut legs = Vec::with_capacity(copies as usize);
         for _ in 0..copies {
-            let (o, hops) = self.walk(topology, &back, layer);
+            let (o, hops) = self.engine.walk(topology, &back, layer);
             if o.delivered {
                 out.delivered_copies += 1;
             }
@@ -705,17 +724,17 @@ impl Transport for LossyTransport {
     }
 
     fn delivery_stats(&self) -> DeliveryStats {
-        self.stats
+        self.engine.stats
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pool_gpsr::Planarization;
     use pool_netsim::deployment::Deployment;
 
-    fn topo(seed: u64) -> Topology {
+    pub(crate) fn topo(seed: u64) -> Topology {
         let mut s = seed;
         loop {
             let dep = Deployment::paper_setting(300, 40.0, 20.0, s).unwrap();
@@ -727,7 +746,7 @@ mod tests {
         }
     }
 
-    fn endpoints(t: &Topology) -> (NodeId, NodeId) {
+    pub(crate) fn endpoints(t: &Topology) -> (NodeId, NodeId) {
         (t.nodes()[0].id, t.nodes()[t.len() - 1].id)
     }
 

@@ -73,8 +73,8 @@ for path in sys.argv[1:]:
 EOF
     # Every smoke artifact diffs against its checked-in baseline under
     # results/. All cells are deterministic (exact) except the scale
-    # sweep's wall-clock timing/RSS columns, which get the loose ratio
-    # rule.
+    # sweep's wall-clock timing/RSS columns, which are printed and never
+    # fail (benchmark/ judges speed).
     for f in target/smoke/BENCH_*.json; do
         local name baseline timing_re
         name=$(basename "$f" .json)
@@ -93,9 +93,10 @@ EOF
 release_audit() {
     # The greedy kernel's and the planar row kernel's correctness arguments
     # are about float compares and row order, the path-reading delivery's
-    # about float operation order — what an optimiser may change — so their
-    # oracles, the epoch-triage oracle and the transport equivalence suite
-    # also run once in the profile the artifacts ship in.
+    # about float operation order, the delivery engine's golden digest's
+    # about RNG draw and float order — what an optimiser may change — so
+    # their oracles, the epoch-triage oracle and the transport equivalence
+    # suite also run once in the profile the artifacts ship in.
     cargo test --release -q -p pool-gpsr --lib -- \
         kernel_matches_reference_scan \
         gathered_rows_equal_the_reference_kernel
@@ -104,7 +105,8 @@ release_audit() {
         splitter_rows_agree_with_the_per_cell_lookup_through_churn
     cargo test --release -q -p pool-transport --lib -- \
         path_timers_match_the_hop_vector_reference_bit_for_bit \
-        reversed_charge_equals_charging_the_reversed_path
+        reversed_charge_equals_charging_the_reversed_path \
+        golden_delivery_digest
     cargo test --release -q --test transport_equivalence
 }
 
