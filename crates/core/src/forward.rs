@@ -290,8 +290,8 @@ impl PoolSystem {
             pools_visited += 1;
             let splitter = self.splitter_of(dim, sink);
             self.splitters_used.insert(splitter);
-            let to_splitter = match self.transport.route_to_node(&self.topology, sink, splitter) {
-                Ok(route) => route,
+            let to_splitter = match self.transport.leg_to_node(&self.topology, sink, splitter) {
+                Ok(leg) => leg,
                 Err(pool_gpsr::RouteError::NotDelivered { .. }) => {
                     // The splitter is unreachable (partition): the whole
                     // pool goes unanswered.
@@ -319,12 +319,12 @@ impl PoolSystem {
                 pool_end = pool_end.max(self.transport.clock().now());
                 self.transport.clock_mut().seek(t_split);
                 let index_node = self.index_nodes[&cell];
-                let to_cell =
-                    match self.transport.route_to_node(&self.topology, splitter, index_node) {
-                        Ok(route) => route,
-                        Err(pool_gpsr::RouteError::NotDelivered { .. }) => continue,
-                        Err(e) => return Err(e.into()),
-                    };
+                let to_cell = match self.transport.leg_to_node(&self.topology, splitter, index_node)
+                {
+                    Ok(leg) => leg,
+                    Err(pool_gpsr::RouteError::NotDelivered { .. }) => continue,
+                    Err(e) => return Err(e.into()),
+                };
                 let (fwd, to_cell) =
                     self.deliver_with_recovery(TraceOp::Query, to_cell, TrafficLayer::Forward);
                 cost.forward_messages += fwd.transmissions - fwd.retransmissions;
@@ -404,7 +404,7 @@ impl PoolSystem {
                 }
                 let rev = self.deliver_reverse_with_retry(
                     TraceOp::Query,
-                    &to_cell.path,
+                    to_cell.path(),
                     copies,
                     TrafficLayer::Reply,
                 );
@@ -439,7 +439,7 @@ impl PoolSystem {
                 let copies = if self.config.aggregate_replies { 1 } else { pool_matches as u64 };
                 let rev = self.deliver_reverse_with_retry(
                     TraceOp::Query,
-                    &to_splitter.path,
+                    to_splitter.path(),
                     copies,
                     TrafficLayer::Reply,
                 );
@@ -653,13 +653,13 @@ impl PoolSystem {
             self.transport.clock_mut().seek(op_start);
             let splitter = self.splitter_of(dim, sink);
             self.splitters_used.insert(splitter);
-            let to_splitter = match self.transport.route_to_node(&self.topology, sink, splitter) {
-                Ok(route) => route,
+            let to_splitter = match self.transport.leg_to_node(&self.topology, sink, splitter) {
+                Ok(leg) => leg,
                 Err(pool_gpsr::RouteError::NotDelivered { .. }) => continue,
                 Err(e) => return Err(e.into()),
             };
             let fwd =
-                self.deliver_traced(TraceOp::Monitor, &to_splitter.path, TrafficLayer::Monitor);
+                self.deliver_traced(TraceOp::Monitor, to_splitter.path(), TrafficLayer::Monitor);
             cost.forward_messages += fwd.transmissions - fwd.retransmissions;
             cost.retransmit_messages += fwd.retransmissions;
             cost.forward_latency += fwd.latency;
@@ -672,14 +672,14 @@ impl PoolSystem {
                 pool_end = pool_end.max(self.transport.clock().now());
                 self.transport.clock_mut().seek(t_split);
                 let index_node = self.index_nodes[&cell];
-                let to_cell =
-                    match self.transport.route_to_node(&self.topology, splitter, index_node) {
-                        Ok(route) => route,
-                        Err(pool_gpsr::RouteError::NotDelivered { .. }) => continue,
-                        Err(e) => return Err(e.into()),
-                    };
+                let to_cell = match self.transport.leg_to_node(&self.topology, splitter, index_node)
+                {
+                    Ok(leg) => leg,
+                    Err(pool_gpsr::RouteError::NotDelivered { .. }) => continue,
+                    Err(e) => return Err(e.into()),
+                };
                 let fwd =
-                    self.deliver_traced(TraceOp::Monitor, &to_cell.path, TrafficLayer::Monitor);
+                    self.deliver_traced(TraceOp::Monitor, to_cell.path(), TrafficLayer::Monitor);
                 cost.forward_messages += fwd.transmissions - fwd.retransmissions;
                 cost.retransmit_messages += fwd.retransmissions;
                 cost.forward_latency += fwd.latency;

@@ -33,7 +33,8 @@ use pool_netsim::topology::Topology;
 use pool_transport::metrics::{LedgerSnapshot, LoadReport, NodeRole};
 use pool_transport::trace::{TraceOp, Tracer};
 use pool_transport::{
-    retry, DeliveryOutcome, OpRetryPolicy, ReverseDelivery, TrafficLayer, TrafficLedger, Transport,
+    retry, DeliveryOutcome, Leg, OpRetryPolicy, ReverseDelivery, TrafficLayer, TrafficLedger,
+    Transport,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -240,17 +241,17 @@ impl PoolSystem {
         self.deliver_leg(op, path, layer, None).0
     }
 
-    /// Delivers along `route` under [`PoolConfig::op_retry`]. Returns the
-    /// aggregated outcome and the route the packet last travelled, which
-    /// the replies must retrace.
+    /// Delivers along `leg` under [`PoolConfig::op_retry`]. Returns the
+    /// aggregated outcome and the leg the packet last travelled, which the
+    /// replies must retrace.
     pub(crate) fn deliver_with_recovery(
         &mut self,
         op: TraceOp,
-        route: Arc<Route>,
+        leg: Leg,
         layer: TrafficLayer,
-    ) -> (DeliveryOutcome, Arc<Route>) {
-        let (outcome, rerouted) = self.deliver_leg(op, &route.path, layer, self.config.op_retry);
-        (outcome, rerouted.unwrap_or(route))
+    ) -> (DeliveryOutcome, Leg) {
+        let (outcome, rerouted) = self.deliver_leg(op, leg.path(), layer, self.config.op_retry);
+        (outcome, rerouted.map_or(leg, Leg::Route))
     }
 
     /// Same-path retry for legs whose path is fixed (delegation chain

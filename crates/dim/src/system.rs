@@ -29,8 +29,8 @@ use pool_netsim::topology::Topology;
 use pool_transport::metrics::{LedgerSnapshot, LoadReport, NodeRole};
 use pool_transport::trace::{TraceOp, Tracer};
 use pool_transport::{
-    retry, DeliveryOutcome, FaultPlan, LossyConfig, OpRetryPolicy, RecoveryConfig, ReverseDelivery,
-    TrafficLayer, TrafficLedger, Transport, TransportKind,
+    retry, DeliveryOutcome, FaultPlan, Leg, LossyConfig, OpRetryPolicy, RecoveryConfig,
+    ReverseDelivery, TrafficLayer, TrafficLedger, Transport, TransportKind,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -258,17 +258,17 @@ impl DimSystem {
         self.deliver_leg(op, path, layer, None).0
     }
 
-    /// Delivers along `route` under the configured operation retry. Returns
-    /// the aggregated outcome and the route the packet last travelled,
-    /// which the reply must retrace.
+    /// Delivers along `leg` under the configured operation retry. Returns
+    /// the aggregated outcome and the leg the packet last travelled, which
+    /// the reply must retrace.
     fn deliver_with_recovery(
         &mut self,
         op: TraceOp,
-        route: Arc<Route>,
+        leg: Leg,
         layer: TrafficLayer,
-    ) -> (DeliveryOutcome, Arc<Route>) {
-        let (outcome, rerouted) = self.deliver_leg(op, &route.path, layer, self.op_retry);
-        (outcome, rerouted.unwrap_or(route))
+    ) -> (DeliveryOutcome, Leg) {
+        let (outcome, rerouted) = self.deliver_leg(op, leg.path(), layer, self.op_retry);
+        (outcome, rerouted.map_or(leg, Leg::Route))
     }
 
     /// Delivers `copies` reply packets in reverse along `path` under the
@@ -491,7 +491,7 @@ impl DimSystem {
         // Visit owners in code (DFS) order, skipping consecutive duplicates
         // (empty zones backed by the same physical node). `zone_pos[i]` is
         // the chain position serving relevant zone `i`.
-        let mut chain: Vec<NodeId> = Vec::new();
+        let mut chain: Vec<NodeId> = Vec::with_capacity(relevant.len());
         let mut zone_pos: Vec<usize> = Vec::with_capacity(relevant.len());
         for (_, owner) in &relevant {
             if chain.last() != Some(owner) {
@@ -521,11 +521,11 @@ impl DimSystem {
         // Forward legs: sink to the first owner, then owner to owner. On a
         // lossy radio the chain is only as long as its weakest link — the
         // first undelivered leg cuts every owner past it off the query.
-        let mut legs: Vec<Arc<pool_gpsr::Route>> = Vec::new();
+        let mut legs: Vec<Leg> = Vec::with_capacity(chain.len());
         let mut from = sink;
         for &to in &chain {
-            let leg = match self.transport.route_to_node(&self.topology, from, to) {
-                Ok(route) => route,
+            let leg = match self.transport.leg_to_node(&self.topology, from, to) {
+                Ok(leg) => leg,
                 Err(pool_gpsr::RouteError::NotDelivered { .. }) => break,
                 Err(e) => return Err(e.into()),
             };
@@ -546,7 +546,7 @@ impl DimSystem {
         let mut any_match = false;
         let mut unreached_zones: Vec<usize> = Vec::new();
         // (zone idx, chain pos, matches) for zones the query reached.
-        let mut per_zone: Vec<(usize, usize, Vec<Event>)> = Vec::new();
+        let mut per_zone: Vec<(usize, usize, Vec<Event>)> = Vec::with_capacity(relevant.len());
         for ((zone_idx, _), &pos) in relevant.iter().zip(&zone_pos) {
             if pos >= reached_len {
                 unreached_zones.push(*zone_idx);
@@ -575,7 +575,7 @@ impl DimSystem {
             for (j, leg) in legs.iter().enumerate() {
                 let rev = self.deliver_reverse_with_retry(
                     TraceOp::Query,
-                    &leg.path,
+                    leg.path(),
                     1,
                     TrafficLayer::Reply,
                 );

@@ -26,13 +26,17 @@ pub struct Zone {
     pub owner: NodeId,
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf(usize),
-    Internal { children: [Box<Node>; 2] },
-}
+/// Flag bit of an internal entry of [`ZoneTree`]'s preorder array; the
+/// other 31 bits index the entry's hi child. A leaf entry is a zone index.
+const INTERNAL: u32 = 1 << 31;
 
 /// The complete zone tree over one deployment.
+///
+/// The tree is one preorder array of `u32` entries: a leaf entry is its
+/// zone's index into [`ZoneTree::zones`]; an internal entry has the top bit
+/// set and the index of its hi (bit 1) child below it, and its lo (bit 0)
+/// child is the next entry. A walk reads one contiguous array, descending
+/// to the lo child without a lookup, instead of chasing a pointer per level.
 ///
 /// # Examples
 ///
@@ -52,7 +56,7 @@ enum Node {
 #[derive(Debug, Clone)]
 pub struct ZoneTree {
     zones: Vec<Zone>,
-    root: Node,
+    entries: Vec<u32>,
 }
 
 impl ZoneTree {
@@ -62,19 +66,22 @@ impl ZoneTree {
     /// horizontally (y), exactly like the code's physical reading.
     pub fn build(topology: &Topology, field: Rect) -> Self {
         let ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
-        let mut zones = Vec::new();
-        let root = Self::split(topology, field, ids, ZoneCode::root(), 0, &mut zones);
-        ZoneTree { zones, root }
+        let mut tree = ZoneTree { zones: Vec::new(), entries: Vec::new() };
+        tree.split(topology, field, ids, ZoneCode::root(), 0);
+        tree.zones.shrink_to_fit();
+        tree.entries.shrink_to_fit();
+        tree
     }
 
+    /// Appends the subtree over `region` in preorder.
     fn split(
+        &mut self,
         topology: &Topology,
         region: Rect,
         ids: Vec<NodeId>,
         code: ZoneCode,
         depth: usize,
-        zones: &mut Vec<Zone>,
-    ) -> Node {
+    ) {
         // Depth guard: co-located nodes can never be separated by halving;
         // stop before the 64-bit code overflows and let the first node own
         // the merged zone.
@@ -84,9 +91,9 @@ impl ZoneTree {
                 // Empty zone: backed by the network node nearest its center.
                 None => topology.nearest_node(region.center()),
             };
-            let idx = zones.len();
-            zones.push(Zone { code, region, owner });
-            return Node::Leaf(idx);
+            self.entries.push(entry_index(self.zones.len()));
+            self.zones.push(Zone { code, region, owner });
+            return;
         }
         let vertical = depth.is_multiple_of(2);
         let (lo_region, hi_region) = if vertical {
@@ -110,9 +117,11 @@ impl ZoneTree {
                 p.y < (lo_region.max.y)
             }
         });
-        let lo = Self::split(topology, lo_region, lo_ids, code.child(false), depth + 1, zones);
-        let hi = Self::split(topology, hi_region, hi_ids, code.child(true), depth + 1, zones);
-        Node::Internal { children: [Box::new(lo), Box::new(hi)] }
+        let at = self.entries.len();
+        self.entries.push(INTERNAL);
+        self.split(topology, lo_region, lo_ids, code.child(false), depth + 1);
+        self.entries[at] = INTERNAL | entry_index(self.entries.len());
+        self.split(topology, hi_region, hi_ids, code.child(true), depth + 1);
     }
 
     /// All leaf zones, in code (DFS) order.
@@ -131,25 +140,24 @@ impl ZoneTree {
         assert!(!values.is_empty(), "event has no attributes");
         let k = values.len();
         let mut ranges = vec![(0.0f64, 1.0f64); k];
-        let mut node = &self.root;
+        let mut at = 0usize;
         let mut depth = 0usize;
         loop {
-            match node {
-                Node::Leaf(idx) => return *idx,
-                Node::Internal { children } => {
-                    let dim = depth % k;
-                    let (lo, hi) = ranges[dim];
-                    let mid = (lo + hi) / 2.0;
-                    if values[dim] >= mid {
-                        ranges[dim] = (mid, hi);
-                        node = &children[1];
-                    } else {
-                        ranges[dim] = (lo, mid);
-                        node = &children[0];
-                    }
-                    depth += 1;
-                }
+            let entry = self.entries[at];
+            if entry & INTERNAL == 0 {
+                return entry as usize;
             }
+            let dim = depth % k;
+            let (lo, hi) = ranges[dim];
+            let mid = (lo + hi) / 2.0;
+            if values[dim] >= mid {
+                ranges[dim] = (mid, hi);
+                at = (entry & !INTERNAL) as usize;
+            } else {
+                ranges[dim] = (lo, mid);
+                at += 1;
+            }
+            depth += 1;
         }
     }
 
@@ -169,38 +177,40 @@ impl ZoneTree {
             return;
         }
         let mut ranges = vec![(0.0f64, 1.0f64); rewritten.len()];
-        Self::walk_overlaps(&self.root, rewritten, &mut ranges, 0, &mut visit);
+        self.walk_overlaps(0, rewritten, &mut ranges, 0, &mut visit);
     }
 
-    /// Visits the leaves under `node` that overlap `query`. `ranges` is
-    /// `node`'s attribute hyper-rectangle, which the caller found to overlap
-    /// the query, and is handed back as received. A child differs from its
-    /// parent in one bound of one dimension: the only one that can newly miss.
+    /// Visits the leaves of the subtree at entry `at` that overlap `query`.
+    /// `ranges` is the subtree's attribute hyper-rectangle, which the
+    /// caller found to overlap the query, and is handed back as received.
+    /// A child differs from its parent in one bound of one dimension: the
+    /// only one that can newly miss.
     fn walk_overlaps(
-        node: &Node,
+        &self,
+        at: usize,
         query: &[(f64, f64)],
         ranges: &mut [(f64, f64)],
         depth: usize,
         visit: &mut impl FnMut(usize),
     ) {
-        match node {
-            Node::Leaf(idx) => visit(*idx),
-            Node::Internal { children } => {
-                let dim = depth % query.len();
-                let (lo, hi) = ranges[dim];
-                let (ql, qu) = query[dim];
-                let mid = (lo + hi) / 2.0;
-                if ql <= mid {
-                    ranges[dim] = (lo, mid);
-                    Self::walk_overlaps(&children[0], query, ranges, depth + 1, visit);
-                }
-                if mid <= qu {
-                    ranges[dim] = (mid, hi);
-                    Self::walk_overlaps(&children[1], query, ranges, depth + 1, visit);
-                }
-                ranges[dim] = (lo, hi);
-            }
+        let entry = self.entries[at];
+        if entry & INTERNAL == 0 {
+            visit(entry as usize);
+            return;
         }
+        let dim = depth % query.len();
+        let (lo, hi) = ranges[dim];
+        let (ql, qu) = query[dim];
+        let mid = (lo + hi) / 2.0;
+        if ql <= mid {
+            ranges[dim] = (lo, mid);
+            self.walk_overlaps(at + 1, query, ranges, depth + 1, visit);
+        }
+        if mid <= qu {
+            ranges[dim] = (mid, hi);
+            self.walk_overlaps((entry & !INTERNAL) as usize, query, ranges, depth + 1, visit);
+        }
+        ranges[dim] = (lo, hi);
     }
 
     /// Reassigns every zone whose owner died to the live node nearest the
@@ -245,6 +255,11 @@ impl ZoneTree {
     pub fn depth(&self) -> usize {
         self.zones.iter().map(|z| z.code.len()).max().unwrap_or(0)
     }
+}
+
+/// `index` as the payload of a preorder entry.
+fn entry_index(index: usize) -> u32 {
+    u32::try_from(index).ok().filter(|&i| i & INTERNAL == 0).expect("zone tree under 2^31 entries")
 }
 
 #[cfg(test)]
@@ -385,48 +400,63 @@ mod tests {
         }
     }
 
-    /// The overlap walk this crate shipped before the index-yielding one:
-    /// clones the per-dimension ranges at every internal node and tests
-    /// every dimension at every node. Kept as the reference the walk is
-    /// compared against.
-    fn reference_overlaps(
-        node: &Node,
-        query: &[(f64, f64)],
-        ranges: Vec<(f64, f64)>,
-        depth: usize,
-        out: &mut Vec<usize>,
-    ) {
-        for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            let (ql, qu) = query[i];
-            if hi < ql || lo > qu {
-                return;
-            }
+    /// Oracle for the overlap walk, sharing no code with the tree: every
+    /// zone, in zone order, whose attribute ranges
+    /// ([`ZoneCode::attribute_ranges`]) meet the query in every dimension
+    /// as closed intervals — none for a query outside the unit cube.
+    fn brute_force_overlaps(tree: &ZoneTree, query: &[(f64, f64)]) -> Vec<usize> {
+        if query.iter().any(|&(ql, qu)| ql > 1.0 || qu < 0.0) {
+            return Vec::new();
         }
-        match node {
-            Node::Leaf(idx) => out.push(*idx),
-            Node::Internal { children } => {
-                let dim = depth % query.len();
-                let (lo, hi) = ranges[dim];
-                let mid = (lo + hi) / 2.0;
-                let mut lo_ranges = ranges.clone();
-                lo_ranges[dim] = (lo, mid);
-                reference_overlaps(&children[0], query, lo_ranges, depth + 1, out);
-                let mut hi_ranges = ranges;
-                hi_ranges[dim] = (mid, hi);
-                reference_overlaps(&children[1], query, hi_ranges, depth + 1, out);
-            }
-        }
+        let meets = |zone: &Zone| {
+            let ranges = zone.code.attribute_ranges(query.len());
+            ranges.iter().zip(query).all(|(&(lo, hi), &(ql, qu))| ql <= hi && lo <= qu)
+        };
+        (0..tree.zones().len()).filter(|&i| meets(&tree.zones()[i])).collect()
     }
 
-    /// Oracle: on random deployments (co-located nodes included, so the
-    /// depth guard ends a branch) and random exact, partial, point and
-    /// midpoint-aligned queries, the walk yields the reference's zones in
-    /// the reference's order, and the `&Zone` wrappers agree with the
-    /// indices.
+    /// Oracle for the event lookup: the one zone whose code prefixes the
+    /// event's code ([`ZoneCode::of_event`]) at the tree's full depth.
+    fn brute_force_zone_of(tree: &ZoneTree, values: &[f64]) -> usize {
+        let code = ZoneCode::of_event(values, tree.depth());
+        let hits: Vec<usize> =
+            (0..tree.zones().len()).filter(|&i| tree.zones()[i].code.is_prefix_of(&code)).collect();
+        assert_eq!(hits.len(), 1, "event {values:?} prefixes zones {hits:?}");
+        hits[0]
+    }
+
+    /// On random deployments (co-located nodes included, so the depth guard
+    /// ends a branch at 60 bits) and random exact, partial, point and
+    /// midpoint-aligned queries, the flat walk yields the brute force's
+    /// zones in zone order and the `&Zone` wrappers agree with the indices;
+    /// every query bound, read as an event, lands in the zone its code
+    /// prefixes — on a split midpoint too.
     #[test]
-    fn index_walk_matches_the_cloning_reference() {
+    fn flat_walk_matches_brute_force_over_every_zone() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        let check = |tree: &ZoneTree, query: &[(f64, f64)], context: &str| {
+            let want = brute_force_overlaps(tree, query);
+            let mut got = Vec::new();
+            tree.for_each_overlapping(query, |idx| got.push(idx));
+            assert_eq!(got, want, "{context} query {query:?}");
+            let zones = tree.zones_overlapping(query);
+            assert_eq!(zones.len(), want.len());
+            for (zone, &idx) in zones.iter().zip(&want) {
+                assert!(std::ptr::eq(*zone, &tree.zones()[idx]));
+            }
+            for corner in [0, 1] {
+                let point: Vec<f64> =
+                    query.iter().map(|&(lo, hi)| if corner == 0 { lo } else { hi }).collect();
+                if point.iter().any(|v| !(0.0..=1.0).contains(v)) {
+                    continue;
+                }
+                let idx = tree.zone_index_of_event(&point);
+                assert_eq!(idx, brute_force_zone_of(tree, &point), "{context} event {point:?}");
+                assert!(std::ptr::eq(tree.zone_of_event(&point), &tree.zones()[idx]));
+                assert!(got.contains(&idx), "a query's corner lies in a zone it overlaps");
+            }
+        };
         let field = Rect::square(100.0);
         for seed in 0..6u64 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -461,27 +491,15 @@ mod tests {
                         }
                     })
                     .collect();
-                let mut want = Vec::new();
-                let unit = vec![(0.0, 1.0); k];
-                reference_overlaps(&tree.root, &query, unit, 0, &mut want);
-                let mut got = Vec::new();
-                tree.for_each_overlapping(&query, |idx| got.push(idx));
-                assert_eq!(got, want, "seed {seed} case {case} query {query:?}");
-                let zones = tree.zones_overlapping(&query);
-                assert_eq!(zones.len(), want.len());
-                for (zone, &idx) in zones.iter().zip(&want) {
-                    assert!(std::ptr::eq(*zone, &tree.zones()[idx]));
-                }
-                let point: Vec<f64> = query.iter().map(|&(lo, _)| lo).collect();
-                let idx = tree.zone_index_of_event(&point);
-                assert!(std::ptr::eq(tree.zone_of_event(&point), &tree.zones()[idx]));
-                assert!(want.contains(&idx), "a point query's zone overlaps it");
+                check(&tree, &query, &format!("seed {seed} case {case}"));
             }
         }
         // A query outside the unit cube overlaps nothing.
         let (topo, field) = figure1_topology();
         let tree = ZoneTree::build(&topo, field);
+        check(&tree, &[(0.6, 0.8), (0.6, 0.65), (0.45, 0.6)], "figure 1");
         for query in [[(1.5, 2.0), (0.0, 1.0)], [(0.0, 1.0), (-1.0, -0.5)]] {
+            check(&tree, &query, "outside the cube");
             assert!(tree.zones_overlapping(&query).is_empty());
         }
     }

@@ -9,7 +9,7 @@
 use crate::greedy::{greedy_next_by, GreedyMetric};
 use crate::perimeter::right_hand_next;
 use crate::planar::{PlanarGraph, Planarization};
-use pool_netsim::geometry::{line_intersection, segments_cross, Point};
+use pool_netsim::geometry::{line_intersection, segments_cross, Point, COINCIDENT_SQ};
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
 use std::error::Error;
@@ -30,6 +30,11 @@ pub struct Route {
 }
 
 impl Route {
+    /// The one-greedy-hop route from `from` to its radio neighbour `to`.
+    pub fn single_hop(from: NodeId, to: NodeId) -> Route {
+        Route { path: vec![from, to], delivered: to, greedy_hops: 1, perimeter_hops: 0 }
+    }
+
     /// Total number of radio transmissions along the route.
     pub fn hops(&self) -> usize {
         self.path.len() - 1
@@ -177,7 +182,7 @@ impl Gpsr {
                 return Err(RouteError::HopBudgetExceeded { from, target });
             }
             // Exact arrival.
-            if topology.position(at).distance_sq(target) < 1e-18 {
+            if topology.position(at).distance_sq(target) < COINCIDENT_SQ {
                 return Ok(Route { path, delivered: at, greedy_hops, perimeter_hops });
             }
 
@@ -273,6 +278,24 @@ impl Gpsr {
         }
     }
 
+    /// Whether [`Gpsr::route_to_node`] answers `from → to` by construction,
+    /// as [`Route::single_hop`], without scanning: `to` is a radio
+    /// neighbour of `from`, the metric is distance, and the topology has no
+    /// coincident nodes ([`Topology::has_coincident_nodes`]).
+    ///
+    /// That answer is the scan's. `from` is no closer than the tolerance to
+    /// `to`, so the packet does not arrive at `from`; `to` scores distance 0,
+    /// which no other neighbour of `from` can tie or beat without standing
+    /// on `to`'s position (a coincident pair), so the strict-minimum greedy
+    /// step picks `to`, and the packet arrives there. The other metrics
+    /// weigh neighbours by bearing or progress, not by distance, so a
+    /// neighbour destination can lose to another neighbour under them.
+    pub fn routes_directly(&self, topology: &Topology, from: NodeId, to: NodeId) -> bool {
+        self.metric == GreedyMetric::Distance
+            && !topology.has_coincident_nodes()
+            && topology.are_neighbors(from, to)
+    }
+
     /// Routes to a specific node's position and verifies delivery.
     ///
     /// # Errors
@@ -293,6 +316,9 @@ impl Gpsr {
                 greedy_hops: 0,
                 perimeter_hops: 0,
             });
+        }
+        if self.routes_directly(topology, from, to) {
+            return Ok(Route::single_hop(from, to));
         }
         let route = self.route(topology, from, topology.position(to))?;
         if route.delivered != to {

@@ -7,6 +7,12 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Squared distance, in m², below which two positions count as one place:
+/// GPSR delivers a packet at a node this close to its target, and a
+/// [`crate::topology::Topology`] notes whether two of its nodes ever stood
+/// this close.
+pub const COINCIDENT_SQ: f64 = 1e-18;
+
 /// A point (or position vector) in the deployment plane, in meters.
 ///
 /// # Examples

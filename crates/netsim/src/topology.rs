@@ -38,7 +38,7 @@
 //! to neighbor discovery cannot silently reorder results.
 
 use crate::error::NetsimError;
-use crate::geometry::{Point, Rect};
+use crate::geometry::{Point, Rect, COINCIDENT_SQ};
 use crate::node::{Node, NodeId};
 use std::collections::HashMap;
 
@@ -191,6 +191,9 @@ pub struct Topology {
     /// bookkeeping stays dense) but vanish from neighbor tables, spatial
     /// queries, and connectivity.
     alive: Vec<bool>,
+    /// Whether two radio neighbours were ever closer than [`COINCIDENT_SQ`]
+    /// (see [`Topology::has_coincident_nodes`]).
+    coincident: bool,
 }
 
 impl Topology {
@@ -230,12 +233,14 @@ impl Topology {
             bucket_size,
             bounds: Rect::new(min, max),
             alive,
+            coincident: false,
         };
         topo.grid.rebuild(&topo.nodes, &topo.alive, bucket_size);
         let range_sq = radio_range * radio_range;
         let mut offsets = Vec::with_capacity(n + 1);
         let mut links = Vec::new();
         let mut row = Vec::new();
+        let mut coincident = false;
         offsets.push(0u32);
         for i in 0..n {
             let position = topo.nodes[i].position;
@@ -245,10 +250,10 @@ impl Topology {
             for dx in -1..=1 {
                 for dy in -1..=1 {
                     for &other in topo.grid.bucket((bx + dx, by + dy)) {
-                        if other != id
-                            && topo.nodes[other.index()].position.distance_sq(position) <= range_sq
-                        {
+                        let d = topo.nodes[other.index()].position.distance_sq(position);
+                        if other != id && d <= range_sq {
                             row.push(other);
+                            coincident |= d < COINCIDENT_SQ;
                         }
                     }
                 }
@@ -258,9 +263,23 @@ impl Topology {
             links.extend_from_slice(&row);
             offsets.push(links.len() as u32);
         }
+        // The arena lives as long as the topology: drop the doubling slack.
+        links.shrink_to_fit();
         topo.adj_offsets = offsets;
         topo.adj_links = links;
+        topo.coincident = coincident;
         Ok(topo)
+    }
+
+    /// Whether two live radio neighbours were ever closer than
+    /// [`COINCIDENT_SQ`] — checked by [`Topology::build`],
+    /// [`Topology::add_node`] and [`Topology::move_node`] on every link they
+    /// lay. The flag is sticky: a later death or move never clears it.
+    /// While it is `false`, no live node has a neighbour at (or within the
+    /// tolerance of) its own position, which is what lets GPSR answer a
+    /// route to a radio neighbour without scanning.
+    pub fn has_coincident_nodes(&self) -> bool {
+        self.coincident
     }
 
     /// The (possibly overlaid) neighbor row of dense index `i`.
@@ -331,8 +350,10 @@ impl Topology {
         for dx in -1..=1 {
             for dy in -1..=1 {
                 for &other in self.grid.bucket((bx + dx, by + dy)) {
-                    if self.nodes[other.index()].position.distance_sq(position) <= range_sq {
+                    let d = self.nodes[other.index()].position.distance_sq(position);
+                    if d <= range_sq {
                         links.push(other);
+                        self.coincident |= d < COINCIDENT_SQ;
                     }
                 }
             }
@@ -394,10 +415,10 @@ impl Topology {
         for dx in -1..=1 {
             for dy in -1..=1 {
                 for &other in self.grid.bucket((bx + dx, by + dy)) {
-                    if other != id
-                        && self.nodes[other.index()].position.distance_sq(new_position) <= range_sq
-                    {
+                    let d = self.nodes[other.index()].position.distance_sq(new_position);
+                    if other != id && d <= range_sq {
                         links.push(other);
+                        self.coincident |= d < COINCIDENT_SQ;
                     }
                 }
             }
@@ -450,6 +471,7 @@ impl Topology {
                 links.extend_from_slice(self.row(i));
                 offsets.push(links.len() as u32);
             }
+            links.shrink_to_fit();
             self.adj_offsets = offsets;
             self.adj_links = links;
             self.row_patch.clear();
@@ -1311,6 +1333,49 @@ mod arena_tests {
             assert!(folded.contains(&id), "row {id} was touched but not reported");
         }
         assert!(folded.len() < topo.len() / 2, "the folded set stays O(churn)");
+    }
+
+    /// The adjacency arena is kept for the life of the topology, so neither
+    /// the build nor a compaction leaves doubling slack in it.
+    #[test]
+    fn adjacency_arena_is_exact_size_after_build_and_compact() {
+        let mut topo = sample(400, 120.0, 20.0, 26);
+        assert_eq!(topo.adj_links.capacity(), topo.adj_links.len());
+        for i in 0..40 {
+            topo.add_node(Point::new(f64::from(i) * 3.0, 60.0));
+        }
+        topo.fail_nodes(&[NodeId(3)]);
+        assert!(!topo.compact().is_empty());
+        assert_eq!(topo.adj_links.capacity(), topo.adj_links.len());
+    }
+
+    /// The co-location flag is set by whichever of `build`, `add_node` and
+    /// `move_node` lays a link shorter than the tolerance, and stays set.
+    #[test]
+    fn coincident_flag_follows_every_writer_and_sticks() {
+        let topo = sample(80, 90.0, 25.0, 27);
+        assert!(!topo.has_coincident_nodes());
+        let near = |p: Point| Point::new(p.x + 1e-10, p.y);
+
+        let mut nodes = topo.nodes().to_vec();
+        nodes.push(Node::new(NodeId(80), near(nodes[4].position)));
+        assert!(Topology::build(nodes, 25.0).unwrap().has_coincident_nodes(), "build");
+
+        let mut joined = topo.clone();
+        joined.add_node(joined.position(NodeId(9)));
+        assert!(joined.has_coincident_nodes(), "add_node");
+
+        let mut moved = topo.clone();
+        moved.move_node(NodeId(1), near(moved.position(NodeId(2))));
+        assert!(moved.has_coincident_nodes(), "move_node");
+        moved.fail_nodes(&[NodeId(2)]);
+        moved.compact();
+        assert!(moved.has_coincident_nodes(), "the flag is sticky");
+
+        let mut apart = topo.clone();
+        apart.move_node(NodeId(1), near(near(near(apart.position(NodeId(1))))));
+        apart.add_node(Point::new(45.5, 45.5));
+        assert!(!apart.has_coincident_nodes(), "ordinary churn leaves it clear");
     }
 
     /// The overlay stays O(churn): failing k nodes patches at most

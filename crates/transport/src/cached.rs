@@ -2,7 +2,7 @@
 
 use crate::clock::{LatencyModel, VirtualClock};
 use crate::lru::{CacheStats, ShardedLru};
-use crate::{TrafficLedger, Transport, TransportKind};
+use crate::{Leg, TrafficLedger, Transport, TransportKind};
 use pool_gpsr::{Gpsr, Planarization, Route, RouteError};
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
@@ -44,14 +44,14 @@ const DEFAULT_CAPACITY: usize = 1 << 16;
 /// latency accounting are identical at any capacity.
 ///
 /// Admission: a node-addressed route whose destination is in the source's
-/// neighbour row ([`Topology::are_neighbors`]) is computed every time and
-/// never probes or enters the memo. Such a route is one greedy step, and the
-/// memo cannot beat that: on `dim_cold_100k` (chains of one-hop legs between
-/// adjacent zone owners, 82 % of its lookups) computing a ≤ 2-hop route
-/// measured 456 ns, finding one in a memo this size 459 ns (five dependent
-/// cold cache lines), and storing one 589 ns — while each stored one-hop
-/// route pushed a multi-hop route, which costs microseconds to recompute,
-/// towards eviction. These lookups are counted by
+/// neighbour row ([`Topology::are_neighbors`]) never probes or enters the
+/// memo. Where the router answers it by construction
+/// ([`Gpsr::routes_directly`]: distance-greedy, no coincident nodes) such a
+/// lookup is [`Leg::Hop`] — two node ids, no scan, no allocation, nothing a
+/// memo could serve faster. Otherwise GPSR computes it, and it is still one
+/// greedy step. Storing one-hop routes would only push multi-hop routes,
+/// which cost microseconds to recompute, towards eviction (`dim_cold_100k`'s
+/// owner chains are ~85 % one-hop legs). These lookups are counted by
 /// [`CachedTransport::bypassed`], not in [`CachedTransport::hit_stats`]:
 /// `hits + misses` is the number of lookups that consulted the memo, and
 /// `hits + misses + bypassed` the number of lookups.
@@ -168,11 +168,25 @@ impl Transport for CachedTransport {
         from: NodeId,
         to: NodeId,
     ) -> Result<Arc<Route>, RouteError> {
-        if topology.are_neighbors(from, to) {
-            self.bypassed += 1;
-            return self.gpsr.route_to_node(topology, from, to).map(Arc::new);
+        self.leg_to_node(topology, from, to).map(Leg::into_route)
+    }
+
+    fn leg_to_node(
+        &mut self,
+        topology: &Topology,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<Leg, RouteError> {
+        if !topology.are_neighbors(from, to) {
+            let route = self
+                .memoized(RouteKey::Node(from, to), |gpsr| gpsr.route_to_node(topology, from, to));
+            return route.map(Leg::Route);
         }
-        self.memoized(RouteKey::Node(from, to), |gpsr| gpsr.route_to_node(topology, from, to))
+        self.bypassed += 1;
+        if self.gpsr.routes_directly(topology, from, to) {
+            return Ok(Leg::Hop([from, to]));
+        }
+        self.gpsr.route_to_node(topology, from, to).map(|route| Leg::Route(Arc::new(route)))
     }
 
     fn route_to_location(
@@ -243,7 +257,10 @@ impl Transport for CachedTransport {
 mod tests {
     use super::*;
     use crate::GpsrTransport;
+    use pool_gpsr::GreedyMetric;
     use pool_netsim::deployment::Deployment;
+    use pool_netsim::geometry::COINCIDENT_SQ;
+    use pool_netsim::node::Node;
 
     fn setup(seed: u64) -> Topology {
         let deployment = Deployment::paper_setting(200, 40.0, 20.0, seed).expect("deployment");
@@ -317,49 +334,122 @@ mod tests {
         assert_eq!(cached.routes_through(b), usize::from(far.path.contains(&b)));
     }
 
-    /// Every adjacent pair of `topology` through `cached`: the answer must
-    /// be `Gpsr::route_to_node`'s, `Ok` and `Err` alike, with nothing
-    /// stored. Returns how many of the answers were errors.
+    /// The greedy/perimeter scan `Gpsr::route_to_node` runs when it cannot
+    /// answer by construction: route to `to`'s position, then check where
+    /// the packet stopped.
+    fn scanned_route(
+        gpsr: &Gpsr,
+        topology: &Topology,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<Route, RouteError> {
+        let route = gpsr.route(topology, from, topology.position(to))?;
+        if route.delivered != to {
+            return Err(RouteError::NotDelivered { to, delivered: route.delivered });
+        }
+        Ok(route)
+    }
+
+    /// Every adjacent pair of `topology`: `Gpsr::route_to_node` and
+    /// `cached`'s route and leg must all be the scan's answer, `Ok` and
+    /// `Err` alike, with nothing stored, and a leg is [`Leg::Hop`] exactly
+    /// when the router answers neighbours directly. The co-location flag
+    /// must be up whenever two live nodes stand within the tolerance, and
+    /// the other greedy metrics must never take the rule. Returns how many
+    /// answers were errors.
     fn check_every_adjacent_pair(topology: &Topology, cached: &mut CachedTransport) -> usize {
+        let live: Vec<&Node> =
+            topology.nodes().iter().filter(|n| topology.is_alive(n.id)).collect();
+        let coincident = live.iter().enumerate().any(|(i, a)| {
+            live[i + 1..].iter().any(|b| a.position.distance_sq(b.position) < COINCIDENT_SQ)
+        });
+        assert!(!coincident || topology.has_coincident_nodes(), "a coincident pair went unflagged");
         let reference = Gpsr::new(topology, Planarization::Gabriel);
+        let direct = !topology.has_coincident_nodes();
+        let others = [GreedyMetric::MostForward, GreedyMetric::Compass]
+            .map(|metric| Gpsr::new(topology, Planarization::Gabriel).with_metric(metric));
         let before = (cached.hit_stats(), cached.bypassed());
-        let (mut pairs, mut errors) = (0, 0);
+        let (mut pairs, mut errors, mut detours) = (0, 0, 0);
         for a in topology.nodes() {
             for &b in topology.neighbors(a.id) {
-                let want = reference.route_to_node(topology, a.id, b).map(Arc::new);
+                let want = scanned_route(&reference, topology, a.id, b);
+                assert_eq!(reference.routes_directly(topology, a.id, b), direct);
+                assert_eq!(reference.route_to_node(topology, a.id, b), want, "{} -> {b}", a.id);
+                let leg = cached.leg_to_node(topology, a.id, b);
+                assert_eq!(matches!(leg, Ok(Leg::Hop(_))), direct, "{} -> {b}", a.id);
+                let want = want.map(Arc::new);
+                assert_eq!(leg.map(Leg::into_route), want, "{} -> {b}", a.id);
                 assert_eq!(cached.route_to_node(topology, a.id, b), want, "{} -> {b}", a.id);
-                pairs += 1;
+                for gpsr in &others {
+                    assert!(!gpsr.routes_directly(topology, a.id, b));
+                    let scanned = scanned_route(gpsr, topology, a.id, b);
+                    detours += usize::from(scanned.as_ref().map_or(true, |r| r.hops() > 1));
+                    assert_eq!(gpsr.route_to_node(topology, a.id, b), scanned);
+                }
+                pairs += 2;
                 errors += usize::from(want.is_err());
             }
         }
+        assert!(detours > 0, "some neighbour must be reached otherwise under another metric");
         assert_eq!(cached.cached_routes(), 0, "neighbour routes are never stored");
         assert_eq!((cached.hit_stats(), cached.bypassed()), (before.0, before.1 + pairs));
         errors
     }
 
-    /// Oracle for the memo bypass, on three random topologies as built and
-    /// again after joins, moves and deaths written in place and left
-    /// uncompacted, so the neighbour test reads overlay rows. Nodes placed
-    /// exactly on another node are the case to watch: a packet for one is
-    /// delivered at whichever the walk meets first.
+    /// Oracle for the one-hop rule and the memo bypass, on three random
+    /// topologies: as built, after joins, moves and deaths written in place
+    /// and left uncompacted (so the neighbour test reads overlay rows), and
+    /// with nodes placed exactly on, or within 1e-10 m of, another node —
+    /// where a packet for one is delivered at whichever the walk meets
+    /// first, and the rule must stand aside.
     #[test]
     fn neighbour_bypass_matches_gpsr_on_every_adjacent_pair() {
         let mut errors = 0;
         for seed in [31, 32, 33] {
-            let mut topology = setup(seed);
-            let mut cached = CachedTransport::new(&topology, Planarization::Gabriel);
-            errors += check_every_adjacent_pair(&topology, &mut cached);
+            let base = setup(seed);
+            assert!(!base.has_coincident_nodes());
+            let mut cached = CachedTransport::new(&base, Planarization::Gabriel);
+            assert_eq!(check_every_adjacent_pair(&base, &mut cached), 0);
 
             let at = |topology: &Topology, id: u32| topology.position(NodeId(id));
-            topology.add_node(at(&topology, 7));
-            topology.add_node(Point::new(3.3, 4.4));
-            topology.move_node(NodeId(11), at(&topology, 12));
-            let near = at(&topology, 21);
-            topology.move_node(NodeId(20), Point::new(near.x + 0.5, near.y + 0.5));
-            topology.fail_nodes(&[NodeId(5), NodeId(40)]);
-            assert!(topology.patched_rows() > 0, "the overlay must still be in use");
-            cached.rebuild(&topology);
-            errors += check_every_adjacent_pair(&topology, &mut cached);
+            let nudged = |p: Point, by: f64| Point::new(p.x + by, p.y + by);
+            let mut churned = base.clone();
+            churned.add_node(Point::new(3.3, 4.4));
+            churned.move_node(NodeId(20), nudged(at(&churned, 21), 0.5));
+            churned.fail_nodes(&[NodeId(5), NodeId(40)]);
+            assert!(churned.patched_rows() > 0, "the overlay must still be in use");
+            assert!(!churned.has_coincident_nodes());
+            cached.rebuild(&churned);
+            assert_eq!(check_every_adjacent_pair(&churned, &mut cached), 0);
+
+            // Co-located by churn, one writer at a time: a joiner on node 7,
+            // node 11 onto node 12, node 30 within 1e-10 m of node 31.
+            let colocations: [&dyn Fn(&mut Topology); 3] = [
+                &|t| {
+                    t.add_node(at(t, 7));
+                },
+                &|t| t.move_node(NodeId(11), at(t, 12)),
+                &|t| t.move_node(NodeId(30), nudged(at(t, 31), 1e-10)),
+            ];
+            for colocate in colocations {
+                let mut topology = churned.clone();
+                colocate(&mut topology);
+                cached.rebuild(&topology);
+                errors += check_every_adjacent_pair(&topology, &mut cached);
+            }
+
+            // Co-located as built: a twin exactly on node 3, then twins
+            // 1e-10 m off nodes 8 and 9.
+            for twins in [&[(3, 0.0)][..], &[(8, 1e-10), (9, -1e-10)]] {
+                let mut nodes = base.nodes().to_vec();
+                for &(of, by) in twins {
+                    let id = NodeId(nodes.len() as u32);
+                    nodes.push(Node::new(id, nudged(nodes[of].position, by)));
+                }
+                let built = Topology::build(nodes, 40.0).expect("topology");
+                let mut cached = CachedTransport::new(&built, Planarization::Gabriel);
+                errors += check_every_adjacent_pair(&built, &mut cached);
+            }
         }
         assert!(errors > 0, "co-located endpoints must exercise the error answer");
     }

@@ -1,7 +1,7 @@
 //! The reference transport: plain GPSR, no memoization.
 
 use crate::clock::{LatencyModel, VirtualClock};
-use crate::{TrafficLedger, Transport, TransportKind};
+use crate::{Leg, TrafficLedger, Transport, TransportKind};
 use pool_gpsr::{Gpsr, Planarization, Route, RouteError};
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
@@ -48,6 +48,18 @@ impl Transport for GpsrTransport {
         to: NodeId,
     ) -> Result<Arc<Route>, RouteError> {
         self.gpsr.route_to_node(topology, from, to).map(Arc::new)
+    }
+
+    fn leg_to_node(
+        &mut self,
+        topology: &Topology,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<Leg, RouteError> {
+        if self.gpsr.routes_directly(topology, from, to) {
+            return Ok(Leg::Hop([from, to]));
+        }
+        self.route_to_node(topology, from, to).map(Leg::Route)
     }
 
     fn route_to_location(

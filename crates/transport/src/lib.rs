@@ -77,6 +77,38 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
+/// A node-addressed route as an operation holds it: the two node ids of a
+/// one-hop route, which live where the leg lives, or a shared [`Route`].
+///
+/// The storage schemes route, deliver and retrace their query legs through
+/// [`Leg::path`]; most legs between adjacent owners are one hop, and a
+/// [`Leg::Hop`] costs them no allocation at any step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Leg {
+    /// `[from, to]`: one greedy hop to a radio neighbour.
+    Hop([NodeId; 2]),
+    /// Any route, as [`Transport::route_to_node`] returns it.
+    Route(Arc<Route>),
+}
+
+impl Leg {
+    /// Every node the leg visits, starting with its source.
+    pub fn path(&self) -> &[NodeId] {
+        match self {
+            Leg::Hop(pair) => pair,
+            Leg::Route(route) => &route.path,
+        }
+    }
+
+    /// The leg as the route [`Transport::route_to_node`] returns.
+    pub fn into_route(self) -> Arc<Route> {
+        match self {
+            Leg::Hop([from, to]) => Arc::new(Route::single_hop(from, to)),
+            Leg::Route(route) => route,
+        }
+    }
+}
+
 /// A routing substrate: route computation plus message accounting.
 ///
 /// Routing and charging are deliberately separate calls — the storage
@@ -84,7 +116,8 @@ use std::sync::Arc;
 /// replies, fan out `copies` times), while the transport decides *how* the
 /// route is obtained (fresh GPSR computation vs. memo lookup). Routes are
 /// returned as [`Arc<Route>`] so cached implementations can hand out shared
-/// copies without cloning paths.
+/// copies without cloning paths, and as a [`Leg`] by
+/// [`Transport::leg_to_node`] so a one-hop route need not be allocated.
 ///
 /// Implementations must keep message accounting identical regardless of
 /// how routes are produced: a cache may skip recomputation, never charges.
@@ -107,6 +140,22 @@ pub trait Transport: fmt::Debug + Send {
         from: NodeId,
         to: NodeId,
     ) -> Result<Arc<Route>, RouteError>;
+
+    /// [`Transport::route_to_node`]'s route as a [`Leg`]: the same path and
+    /// the same errors. The default wraps the route; a substrate that can
+    /// tell a one-hop route without computing it answers [`Leg::Hop`].
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Transport::route_to_node`]'s.
+    fn leg_to_node(
+        &mut self,
+        topology: &Topology,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<Leg, RouteError> {
+        self.route_to_node(topology, from, to).map(Leg::Route)
+    }
 
     /// Routes from `from` toward the location `target`, delivering at the
     /// home node (the node closest to `target` on its face).

@@ -24,7 +24,7 @@
 
 use crate::faults::FaultTables;
 use crate::ledger::TrafficLayer;
-use crate::{Transport, TransportKind};
+use crate::{Leg, Transport, TransportKind};
 use pool_gpsr::{Route, RouteError};
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
@@ -626,6 +626,15 @@ impl<P: std::fmt::Debug + Send> Transport for ArqTransport<P> {
         to: NodeId,
     ) -> Result<Arc<Route>, RouteError> {
         self.engine.inner.route_to_node(topology, from, to)
+    }
+
+    fn leg_to_node(
+        &mut self,
+        topology: &Topology,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<Leg, RouteError> {
+        self.engine.inner.leg_to_node(topology, from, to)
     }
 
     fn route_to_location(

@@ -1,12 +1,13 @@
 //! The loss-free delivery path allocates nothing: a packet following a path
 //! and a single reply retracing one are charged and timed by reading the
-//! path where it lies. Every chain leg of a DIM query pays both, so a hop
-//! vector per delivery is a cost per leg.
+//! path where it lies, and a one-hop leg is two node ids, not a route. Every
+//! chain leg of a DIM query pays all of it, so an allocation anywhere here
+//! is a cost per leg.
 
 use pool_gpsr::Planarization;
 use pool_netsim::deployment::Deployment;
 use pool_netsim::topology::Topology;
-use pool_transport::{GpsrTransport, TrafficLayer, Transport};
+use pool_transport::{CachedTransport, GpsrTransport, Leg, TrafficLayer, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -74,4 +75,36 @@ fn clean_forward_and_single_reply_deliveries_do_not_allocate() {
         transport.deliver_reverse(&topology, &route.path, 3, TrafficLayer::Reply);
     });
     assert!(fanout > 0);
+}
+
+#[test]
+fn a_one_hop_leg_is_routed_delivered_and_retraced_without_allocating() {
+    let deployment = Deployment::paper_setting(200, 40.0, 20.0, 5).expect("deployment");
+    let topology = Topology::build(deployment.nodes(), 40.0).expect("topology");
+    let from = topology.nodes()[0].id;
+    let to = topology.neighbors(from)[0];
+    let mut cached = CachedTransport::new(&topology, Planarization::Gabriel);
+    let mut reference = GpsrTransport::new(&topology, Planarization::Gabriel);
+    for transport in [&mut cached as &mut dyn Transport, &mut reference] {
+        let mut leg = None;
+        let routed = allocations_during(|| leg = Some(transport.leg_to_node(&topology, from, to)));
+        let leg = leg.expect("ran").expect("a neighbour is reachable");
+        assert_eq!(leg, Leg::Hop([from, to]), "{:?}", transport.kind());
+        let mut messages = 0;
+        let delivered = allocations_during(|| {
+            messages +=
+                transport.deliver(&topology, leg.path(), TrafficLayer::Forward).transmissions;
+            let back = transport.deliver_reverse(&topology, leg.path(), 1, TrafficLayer::Reply);
+            messages += back.transmissions;
+        });
+        let dropped = allocations_during(|| drop(leg));
+        assert_eq!(messages, 2);
+        assert_eq!(
+            (routed, delivered, dropped),
+            (0, 0, 0),
+            "{:?}: allocations per (route, deliver, drop)",
+            transport.kind()
+        );
+    }
+    assert_eq!(cached.bypassed(), 1, "the lookup is counted as a bypass");
 }

@@ -94,9 +94,11 @@ release_audit() {
     # The greedy kernel's and the planar row kernel's correctness arguments
     # are about float compares and row order, the path-reading delivery's
     # about float operation order, the delivery engine's golden digest's
-    # about RNG draw and float order — what an optimiser may change — so
-    # their oracles, the epoch-triage oracle and the transport equivalence
-    # suite also run once in the profile the artifacts ship in.
+    # about RNG draw and float order, the one-hop rule's about a distance
+    # tolerance and the flat zone walk's about compares at split midpoints —
+    # what an optimiser may change — so their oracles, the epoch-triage
+    # oracle and the transport equivalence suite also run once in the
+    # profile the artifacts ship in.
     cargo test --release -q -p pool-gpsr --lib -- \
         kernel_matches_reference_scan \
         gathered_rows_equal_the_reference_kernel
@@ -106,7 +108,10 @@ release_audit() {
     cargo test --release -q -p pool-transport --lib -- \
         path_timers_match_the_hop_vector_reference_bit_for_bit \
         reversed_charge_equals_charging_the_reversed_path \
-        golden_delivery_digest
+        golden_delivery_digest \
+        neighbour_bypass_matches_gpsr_on_every_adjacent_pair
+    cargo test --release -q -p pool-dim --lib -- \
+        flat_walk_matches_brute_force_over_every_zone
     cargo test --release -q --test transport_equivalence
 }
 
