@@ -88,12 +88,12 @@ fn main() {
                 while picked.len() < count && tries < 1000 {
                     tries += 1;
                     let candidate = alive[rng.gen_range(0..alive.len())];
-                    if !picked.contains(&candidate)
-                        && plain
-                            .topology()
-                            .without_nodes(&[&picked[..], &[candidate]].concat())
-                            .is_connected()
-                    {
+                    if picked.contains(&candidate) {
+                        continue;
+                    }
+                    let mut trial = plain.topology().clone();
+                    trial.fail_nodes(&[&picked[..], &[candidate]].concat());
+                    if trial.is_connected() {
                         picked.push(candidate);
                     }
                 }

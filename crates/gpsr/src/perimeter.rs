@@ -45,7 +45,7 @@ pub fn right_hand_next(
 ) -> Option<NodeId> {
     let pos = topology.position(at);
     let mut best: Option<(f64, NodeId)> = None;
-    for &nb in planar.neighbors(at) {
+    for &nb in planar.neighbors(topology, at) {
         let angle = pos.angle_to(topology.position(nb));
         let mut delta = (angle - ref_angle) % TAU;
         if delta <= 1e-12 {

@@ -38,19 +38,23 @@ pub enum Planarization {
 /// let planar = PlanarGraph::build(&topo, Planarization::Gabriel);
 /// // The planar graph is a subgraph of the radio graph.
 /// for node in topo.nodes() {
-///     for &nb in planar.neighbors(node.id) {
+///     for &nb in planar.neighbors(&topo, node.id) {
 ///         assert!(topo.are_neighbors(node.id, nb));
 ///     }
 /// }
 /// ```
 /// Stored as a flat CSR arena (one offsets array into one contiguous link
 /// array) like [`Topology`]'s adjacency, so a 100k-node planarization is
-/// two allocations rather than 100k. Equal graphs have equal rows.
+/// two allocations rather than 100k. Rows are kept in the topology's
+/// storage order ([`Topology::rows`]), so building reads the topology front
+/// to back, and a row is looked up through the topology it was built from.
+/// Equal graphs have equal rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanarGraph {
     method: Planarization,
-    /// The planar neighbors of node `i` are
-    /// `links[offsets[i]..offsets[i + 1]]`, sorted by the angle of the edge.
+    /// The planar neighbors of the node in storage slot `s` of the topology
+    /// ([`Topology::slot`]) are `links[offsets[s]..offsets[s + 1]]`, sorted
+    /// by the angle of the edge.
     offsets: Vec<u32>,
     links: Vec<NodeId>,
 }
@@ -68,35 +72,37 @@ impl PlanarGraph {
     /// only the rows in `dirty` (plus any row past the old node count) and
     /// carrying every other row over unchanged.
     ///
-    /// A node's planar row depends only on its own neighbor table and on
-    /// the positions of itself and those neighbors, so `dirty` must hold
-    /// every node whose table was written or that has a neighbor that
+    /// `topology` is the one the graph was built over, changed since only
+    /// by its in-place mutators (which keep every node in its storage
+    /// slot). A node's planar row depends only on its own neighbor table
+    /// and on the positions of itself and those neighbors, so `dirty` must
+    /// hold every node whose table was written or that has a neighbor that
     /// moved since the graph was last brought up to date —
     /// [`Topology::compact`] returns exactly that set. A superset is
     /// harmless; ids outside the topology are ignored.
     pub fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
         let n = topology.len();
         let old_rows = self.offsets.len() - 1;
-        // The dirty ids in row order, consumed in step with the rows below.
-        // An empty set allocates nothing, so a build allocates exactly its
-        // two arenas.
-        let mut pending: Vec<NodeId> = dirty.to_vec();
+        // The dirty slots in row order, consumed in step with the rows
+        // below. An empty set allocates nothing, so a build allocates
+        // exactly its two arenas.
+        let mut pending: Vec<usize> =
+            dirty.iter().filter(|id| id.index() < n).map(|&id| topology.slot(id)).collect();
         pending.sort_unstable();
         let mut pending = pending.into_iter().peekable();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut links = Vec::with_capacity(self.links.len());
         let mut scratch = RowScratch::default();
         offsets.push(0u32);
-        for i in 0..n {
-            let u = NodeId(i as u32);
-            let mut recompute = i >= old_rows;
-            while pending.next_if_eq(&u).is_some() {
+        for (slot, (node, row)) in topology.rows().enumerate() {
+            let mut recompute = slot >= old_rows;
+            while pending.next_if_eq(&slot).is_some() {
                 recompute = true;
             }
             if recompute {
-                planar_row(topology, self.method, u, &mut scratch, &mut links);
+                planar_row(topology, self.method, node.position, row, &mut scratch, &mut links);
             } else {
-                links.extend_from_slice(self.neighbors(u));
+                links.extend_from_slice(self.row(slot));
             }
             offsets.push(links.len() as u32);
         }
@@ -109,19 +115,24 @@ impl PlanarGraph {
         self.method
     }
 
-    /// The planar neighbors of `id`, sorted by edge angle in `(-π, π]`.
+    /// The planar neighbors of `id` in `topology` (the topology the graph
+    /// was built over), sorted by edge angle in `(-π, π]`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        let i = id.index();
-        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    pub fn neighbors(&self, topology: &Topology, id: NodeId) -> &[NodeId] {
+        self.row(topology.slot(id))
+    }
+
+    /// The planar row stored in `slot`.
+    fn row(&self, slot: usize) -> &[NodeId] {
+        &self.links[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
     }
 
     /// Whether the undirected planar edge `(a, b)` exists.
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.neighbors(a).contains(&b)
+    pub fn has_edge(&self, topology: &Topology, a: NodeId, b: NodeId) -> bool {
+        self.neighbors(topology, a).contains(&b)
     }
 
     /// Total number of undirected edges.
@@ -129,8 +140,9 @@ impl PlanarGraph {
         self.links.len() / 2
     }
 
-    /// Size of the largest connected component of the planar graph.
-    pub fn largest_component(&self) -> usize {
+    /// Size of the largest connected component of the planar graph over
+    /// `topology`.
+    pub fn largest_component(&self, topology: &Topology) -> usize {
         let n = self.offsets.len() - 1;
         let mut seen = vec![false; n];
         let mut best = 0;
@@ -144,10 +156,11 @@ impl PlanarGraph {
             let mut size = 0;
             while let Some(x) = stack.pop() {
                 size += 1;
-                for nb in self.neighbors(NodeId(x as u32)) {
-                    if !seen[nb.index()] {
-                        seen[nb.index()] = true;
-                        stack.push(nb.index());
+                for &nb in self.row(x) {
+                    let slot = topology.slot(nb);
+                    if !seen[slot] {
+                        seen[slot] = true;
+                        stack.push(slot);
                     }
                 }
             }
@@ -166,19 +179,18 @@ struct RowScratch {
     edges: Vec<(f64, NodeId)>,
 }
 
-/// The one row kernel: appends `u`'s planar neighbors to `links`, sorted by
-/// edge angle. Reads nothing but `u`'s neighbor table and those nodes'
-/// positions — each position once, gathered into `scratch`, and one angle
-/// per kept edge.
+/// The one row kernel: appends the planar neighbors of the node at `pu`
+/// with neighbor table `row` to `links`, sorted by edge angle. Reads nothing
+/// but that table and those nodes' positions — each position once, gathered
+/// into `scratch`, and one angle per kept edge.
 fn planar_row(
     topology: &Topology,
     method: Planarization,
-    u: NodeId,
+    pu: Point,
+    row: &[NodeId],
     scratch: &mut RowScratch,
     links: &mut Vec<NodeId>,
 ) {
-    let pu = topology.position(u);
-    let row = topology.neighbors(u);
     let RowScratch { positions, edges } = scratch;
     positions.clear();
     positions.extend(row.iter().map(|&w| topology.position(w)));
@@ -290,8 +302,12 @@ mod tests {
             let topo = random_topo(80, 100.0, 30.0, 21);
             let g = PlanarGraph::build(&topo, method);
             for u in topo.nodes() {
-                for &v in g.neighbors(u.id) {
-                    assert!(g.has_edge(v, u.id), "{method:?}: edge {}–{v} not symmetric", u.id);
+                for &v in g.neighbors(&topo, u.id) {
+                    assert!(
+                        g.has_edge(&topo, v, u.id),
+                        "{method:?}: edge {}–{v} not symmetric",
+                        u.id
+                    );
                 }
             }
         }
@@ -303,8 +319,8 @@ mod tests {
         let gg = PlanarGraph::build(&topo, Planarization::Gabriel);
         let rng = PlanarGraph::build(&topo, Planarization::RelativeNeighborhood);
         for u in topo.nodes() {
-            for &v in rng.neighbors(u.id) {
-                assert!(gg.has_edge(u.id, v));
+            for &v in rng.neighbors(&topo, u.id) {
+                assert!(gg.has_edge(&topo, u.id, v));
             }
         }
         assert!(rng.edge_count() <= gg.edge_count());
@@ -320,7 +336,7 @@ mod tests {
             for method in [Planarization::Gabriel, Planarization::RelativeNeighborhood] {
                 let g = PlanarGraph::build(&topo, method);
                 assert_eq!(
-                    g.largest_component(),
+                    g.largest_component(&topo),
                     topo.len(),
                     "{method:?} disconnected seed {seed}"
                 );
@@ -335,7 +351,7 @@ mod tests {
         // Collect undirected edges once.
         let mut edges = Vec::new();
         for u in topo.nodes() {
-            for &v in g.neighbors(u.id) {
+            for &v in g.neighbors(&topo, u.id) {
                 if u.id < v {
                     edges.push((u.id, v));
                 }
@@ -364,8 +380,11 @@ mod tests {
         let topo = random_topo(60, 80.0, 30.0, 14);
         let g = PlanarGraph::build(&topo, Planarization::Gabriel);
         for u in topo.nodes() {
-            let angles: Vec<f64> =
-                g.neighbors(u.id).iter().map(|&v| u.position.angle_to(topo.position(v))).collect();
+            let angles: Vec<f64> = g
+                .neighbors(&topo, u.id)
+                .iter()
+                .map(|&v| u.position.angle_to(topo.position(v)))
+                .collect();
             for w in angles.windows(2) {
                 assert!(w[0] <= w[1]);
             }
@@ -386,10 +405,10 @@ mod tests {
         ];
         let topo = Topology::build(nodes, 20.0).unwrap();
         let g = PlanarGraph::build(&topo, Planarization::Gabriel);
-        assert!(!g.has_edge(NodeId(0), NodeId(2)), "diagonal should be pruned");
-        assert!(!g.has_edge(NodeId(1), NodeId(3)), "diagonal should be pruned");
-        assert!(g.has_edge(NodeId(0), NodeId(1)), "side should remain");
-        assert!(g.has_edge(NodeId(0), NodeId(4)), "spoke to center should remain");
+        assert!(!g.has_edge(&topo, NodeId(0), NodeId(2)), "diagonal should be pruned");
+        assert!(!g.has_edge(&topo, NodeId(1), NodeId(3)), "diagonal should be pruned");
+        assert!(g.has_edge(&topo, NodeId(0), NodeId(1)), "side should remain");
+        assert!(g.has_edge(&topo, NodeId(0), NodeId(4)), "spoke to center should remain");
     }
 
     /// Regression: the angle sort used `partial_cmp().unwrap()`, so a node
@@ -406,8 +425,8 @@ mod tests {
         let topo = Topology::build(nodes, 10.0).unwrap();
         for method in [Planarization::Gabriel, Planarization::RelativeNeighborhood] {
             let g = PlanarGraph::build(&topo, method);
-            assert!(g.has_edge(NodeId(0), NodeId(1)), "{method:?}: finite edge survives");
-            assert!(g.neighbors(NodeId(2)).is_empty(), "{method:?}: NaN node is isolated");
+            assert!(g.has_edge(&topo, NodeId(0), NodeId(1)), "{method:?}: finite edge survives");
+            assert!(g.neighbors(&topo, NodeId(2)).is_empty(), "{method:?}: NaN node is isolated");
         }
     }
 
@@ -439,7 +458,7 @@ mod tests {
         for graph in &mut graphs {
             graph.refresh(&topo, &dirty);
             assert_eq!(*graph, PlanarGraph::build(&topo, graph.method()));
-            assert!(graph.has_edge(a, b), "{:?}: the joiners are 4 m apart", graph.method());
+            assert!(graph.has_edge(&topo, a, b), "{:?}: the joiners are 4 m apart", graph.method());
         }
     }
 
@@ -455,7 +474,7 @@ mod tests {
         let dirty = topo.compact();
         for graph in &mut graphs {
             graph.refresh(&topo, &dirty);
-            assert!(graph.neighbors(lonely).is_empty());
+            assert!(graph.neighbors(&topo, lonely).is_empty());
             assert_eq!(*graph, PlanarGraph::build(&topo, graph.method()));
         }
     }
@@ -468,14 +487,14 @@ mod tests {
         let mut topo = random_topo(90, 100.0, 25.0, 44);
         let stale = PlanarGraph::build(&topo, Planarization::Gabriel);
         let victim = NodeId(5);
-        let witness = stale.neighbors(victim)[0];
+        let witness = stale.neighbors(&topo, victim)[0];
         topo.fail_nodes(&[victim]);
         let dirty = topo.compact();
         assert!(dirty.contains(&witness));
         let skipped: Vec<NodeId> = dirty.iter().copied().filter(|&id| id != witness).collect();
         let mut refreshed = stale.clone();
         refreshed.refresh(&topo, &skipped);
-        assert!(refreshed.has_edge(witness, victim), "the stale row still names the corpse");
+        assert!(refreshed.has_edge(&topo, witness, victim), "the stale row still names the corpse");
         assert_ne!(refreshed, PlanarGraph::build(&topo, Planarization::Gabriel));
         refreshed.refresh(&topo, &[witness]);
         assert_eq!(refreshed, PlanarGraph::build(&topo, Planarization::Gabriel));
@@ -536,7 +555,8 @@ mod tests {
             for method in METHODS {
                 for u in topo.nodes() {
                     row.clear();
-                    planar_row(topo, method, u.id, &mut scratch, &mut row);
+                    let (at, nbs) = (topo.position(u.id), topo.neighbors(u.id));
+                    planar_row(topo, method, at, nbs, &mut scratch, &mut row);
                     assert_eq!(
                         row,
                         planar_row_reference(topo, method, u.id),
@@ -594,7 +614,7 @@ mod tests {
         ];
         let topo = Topology::build(nodes, 10.0).unwrap();
         let g = PlanarGraph::build(&topo, Planarization::Gabriel);
-        assert!(g.neighbors(NodeId(0)).is_empty());
+        assert!(g.neighbors(&topo, NodeId(0)).is_empty());
         assert_eq!(g.edge_count(), 0);
     }
 }

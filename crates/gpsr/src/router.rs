@@ -231,7 +231,7 @@ impl Gpsr {
                     // line from the face entry point to the target at a
                     // point closer to the target, hop to the adjoining
                     // face instead of crossing the line.
-                    let degree = self.planar.neighbors(at).len();
+                    let degree = self.planar.neighbors(topology, at).len();
                     for _ in 0..=degree {
                         let cpos = topology.position(candidate);
                         if !segments_cross(here, cpos, lf, target) {
@@ -354,7 +354,8 @@ impl Gpsr {
         if dead.is_empty() {
             return self.route_to_node(topology, from, to);
         }
-        let reduced = topology.without_nodes(&dead);
+        let mut reduced = topology.clone();
+        reduced.fail_nodes(&dead);
         let detour = Gpsr::new(&reduced, self.planar.method()).with_metric(self.metric);
         detour.route_to_node(&reduced, from, to)
     }
@@ -566,6 +567,66 @@ mod tests {
             assert_eq!(r.greedy_hops + r.perimeter_hops, r.hops());
             assert_eq!(*r.path.first().unwrap(), NodeId(i % 90));
             assert_eq!(*r.path.last().unwrap(), r.delivered);
+        }
+    }
+
+    /// Routing depends on positions and on ids only through ties, which a
+    /// generic deployment does not have, so renumbering the nodes changes
+    /// nothing but the names: on a 2k-node field, rebuilt under a random
+    /// renumbering and under the Hilbert renumbering (ids = the topology's
+    /// own storage order), every `route_to_node` route between 64×64
+    /// sampled endpoints, and every route from those sources to 64 points
+    /// between nodes (each ending in a perimeter tour), is the original
+    /// route mapped through the permutation, hop for hop.
+    #[test]
+    fn routes_map_through_id_permutations() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let topo = (29..)
+            .map(|seed| Deployment::paper_setting(2000, 40.0, 20.0, seed).unwrap())
+            .map(|dep| Topology::build(dep.nodes(), 40.0).unwrap())
+            .find(Topology::is_connected)
+            .unwrap();
+        let n = topo.len();
+        let gpsr = Gpsr::new(&topo, Planarization::Gabriel);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut random: Vec<u32> = (0..n as u32).collect();
+        random.shuffle(&mut rng);
+        let mut hilbert = vec![0u32; n];
+        for (rank, (node, _)) in topo.rows().enumerate() {
+            hilbert[node.id.index()] = rank as u32;
+        }
+        let sample: Vec<NodeId> = (0..64).map(|k| NodeId((k * 31 % n) as u32)).collect();
+        let (lo, hi) = (topo.bounds().min, topo.bounds().max);
+        let spots: Vec<Point> = (0..64)
+            .map(|_| Point::new(rng.gen_range(lo.x..hi.x), rng.gen_range(lo.y..hi.y)))
+            .collect();
+        for (name, perm) in [("random", &random), ("hilbert", &hilbert)] {
+            let to = |id: NodeId| NodeId(perm[id.index()]);
+            let renamed: Vec<Node> =
+                topo.nodes().iter().map(|node| Node::new(to(node.id), node.position)).collect();
+            let topo2 = Topology::build(renamed, 40.0).unwrap();
+            let gpsr2 = Gpsr::new(&topo2, Planarization::Gabriel);
+            let mut perimeter_hops = 0;
+            for &a in &sample {
+                let to_nodes = sample.iter().map(|&b| {
+                    (gpsr.route_to_node(&topo, a, b), gpsr2.route_to_node(&topo2, to(a), to(b)))
+                });
+                let to_spots =
+                    spots.iter().map(|&p| (gpsr.route(&topo, a, p), gpsr2.route(&topo2, to(a), p)));
+                for (want, got) in to_nodes.chain(to_spots) {
+                    let (want, got) = (want.unwrap(), got.unwrap());
+                    let mapped: Vec<NodeId> = want.path.iter().map(|&x| to(x)).collect();
+                    assert_eq!(got.path, mapped, "{name}: route from {a}");
+                    assert_eq!(
+                        (got.greedy_hops, got.perimeter_hops),
+                        (want.greedy_hops, want.perimeter_hops)
+                    );
+                    perimeter_hops += want.perimeter_hops;
+                }
+            }
+            assert!(perimeter_hops > 0, "the sample must exercise perimeter mode");
         }
     }
 

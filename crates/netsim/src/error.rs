@@ -24,6 +24,11 @@ pub enum NetsimError {
         /// The offending id.
         id: NodeId,
     },
+    /// Two deployed nodes carry the same id.
+    DuplicateNode {
+        /// The repeated id.
+        id: NodeId,
+    },
     /// The deployed unit-disk graph is not connected, so network-wide
     /// routing guarantees do not hold.
     Disconnected {
@@ -45,6 +50,7 @@ impl fmt::Display for NetsimError {
                 write!(f, "radio range must be positive and finite, got {range}")
             }
             NetsimError::UnknownNode { id } => write!(f, "unknown node id {id}"),
+            NetsimError::DuplicateNode { id } => write!(f, "node id {id} is deployed twice"),
             NetsimError::Disconnected { largest_component, total } => write!(
                 f,
                 "network is disconnected: largest component has {largest_component} of {total} nodes"

@@ -10,12 +10,25 @@
 //!
 //! # Layout
 //!
-//! Both the adjacency and the spatial hash are stored as flat CSR
-//! (compressed-sparse-row) arenas: one `offsets` array indexing into one
-//! contiguous payload array. Per-row `Vec`s would cost an allocation and a
-//! pointer chase per node, which dominates once deployments reach 10⁵
-//! nodes. Positions and liveness flags live in parallel arrays indexed by
-//! the dense [`NodeId`].
+//! Node records live in one array in *storage order*: the Hilbert-curve
+//! order of the deployed positions (a 16-bit key per axis over the bounding
+//! box, ties broken by id), with joiners appended in the order they join.
+//! Ids follow deployment order, which is spatially random; storage order
+//! puts radio neighbors a few records apart, so a greedy step, a planar row
+//! or an adjacency test reads a few nearby cache lines instead of ~20
+//! scattered ones. One `slot_of` array (a `u32` per node) maps a [`NodeId`]
+//! to its storage slot, and every record keeps its own id, so the map runs
+//! both ways without a second array — and every position is stored once.
+//!
+//! Storage order is not observable. Every accessor takes and returns ids:
+//! [`Topology::nodes`] presents the nodes in id order, neighbor rows hold
+//! ids ascending, and every tie breaks toward the lower id.
+//!
+//! Both the adjacency and the spatial hash are flat CSR
+//! (compressed-sparse-row) arenas over storage slots: one `offsets` array
+//! indexing into one contiguous payload array. Per-row `Vec`s would cost an
+//! allocation and a pointer chase per node, which dominates once
+//! deployments reach 10⁵ nodes. Liveness flags are indexed by id.
 //!
 //! # Mutation
 //!
@@ -24,15 +37,14 @@
 //! [`Topology::move_node`]) copy only the touched rows into a small
 //! *overlay* (`O(degree)` per event), which [`Topology::compact`] folds
 //! back into the flat arenas — callers compact once per churn epoch, and
-//! get back the ids of the rows the epoch wrote. The
-//! persistent copy-on-write API (`without_nodes` / `with_node` /
-//! `with_moved_node`) survives as clone-then-mutate wrappers, where a clone
-//! is now a handful of flat `memcpy`s instead of `n` per-row allocations.
+//! get back the ids of the rows the epoch wrote. A joiner takes the next
+//! slot and a mover keeps its own; compaction never re-sorts, so storage
+//! order drifts from the curve only by what churn added.
 //!
 //! # Determinism
 //!
-//! Every spatial-hash bucket holds its member ids in ascending order — at
-//! build time, after every mutation, and after every compaction. Bucket
+//! Every spatial-hash bucket holds its members' slots in ascending order —
+//! at build time, after every mutation, and after every compaction. Bucket
 //! order is not observable through the public API (ties are broken by id,
 //! range queries sort their output), but pinning it means a future change
 //! to neighbor discovery cannot silently reorder results.
@@ -41,6 +53,7 @@ use crate::error::NetsimError;
 use crate::geometry::{Point, Rect, COINCIDENT_SQ};
 use crate::node::{Node, NodeId};
 use std::collections::HashMap;
+use std::ops::Index;
 
 /// Sentinel in `row_patch`: the row lives in the flat CSR arena.
 const UNPATCHED: u32 = u32::MAX;
@@ -48,6 +61,7 @@ const UNPATCHED: u32 = u32::MAX;
 /// Flat spatial hash: a dense `w × h` grid of cells in CSR form, plus a
 /// `patched` overlay for cells touched since the last compaction (and for
 /// cells outside the dense extent). A lookup consults the overlay first.
+/// Cells hold storage slots.
 ///
 /// Degenerate deployments whose bounding box is far larger than the node
 /// count (two clusters a continent apart) would make the dense grid
@@ -60,8 +74,8 @@ struct SpatialGrid {
     w: i64,
     h: i64,
     offsets: Vec<u32>,
-    ids: Vec<NodeId>,
-    patched: HashMap<(i64, i64), Vec<NodeId>>,
+    slots: Vec<u32>,
+    patched: HashMap<(i64, i64), Vec<u32>>,
 }
 
 impl SpatialGrid {
@@ -74,24 +88,24 @@ impl SpatialGrid {
         Some((cy * self.w + cx) as usize)
     }
 
-    /// Member ids of the bucket at `key`, ascending; empty if unoccupied.
-    fn bucket(&self, key: (i64, i64)) -> &[NodeId] {
-        if let Some(ids) = self.patched.get(&key) {
-            return ids;
+    /// Member slots of the bucket at `key`, ascending; empty if unoccupied.
+    fn bucket(&self, key: (i64, i64)) -> &[u32] {
+        if let Some(slots) = self.patched.get(&key) {
+            return slots;
         }
         match self.cell_index(key) {
-            Some(i) => &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize],
+            Some(i) => &self.slots[self.offsets[i] as usize..self.offsets[i + 1] as usize],
             None => &[],
         }
     }
 
     /// The bucket at `key` as a mutable overlay row (copied out of the
     /// dense grid on first touch). Callers must keep it sorted.
-    fn bucket_mut(&mut self, key: (i64, i64)) -> &mut Vec<NodeId> {
+    fn bucket_mut(&mut self, key: (i64, i64)) -> &mut Vec<u32> {
         if !self.patched.contains_key(&key) {
-            let current: Vec<NodeId> = match self.cell_index(key) {
+            let current: Vec<u32> = match self.cell_index(key) {
                 Some(i) => {
-                    self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize].to_vec()
+                    self.slots[self.offsets[i] as usize..self.offsets[i + 1] as usize].to_vec()
                 }
                 None => Vec::new(),
             };
@@ -100,16 +114,20 @@ impl SpatialGrid {
         self.patched.get_mut(&key).expect("just inserted")
     }
 
-    /// Rebuilds the dense grid from the live nodes (visited in id order, so
-    /// every cell comes out id-sorted) and clears the overlay.
+    /// Rebuilds the dense grid from the live nodes (visited in storage
+    /// order, so every cell comes out slot-sorted) and clears the overlay.
     fn rebuild(&mut self, nodes: &[Node], alive: &[bool], bucket_size: f64) {
         self.patched.clear();
         self.offsets.clear();
-        self.ids.clear();
-        let mut keys = nodes
-            .iter()
-            .filter(|n| alive[n.id.index()])
-            .map(|n| bucket_key(n.position, bucket_size));
+        self.slots.clear();
+        let live = || {
+            nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| alive[n.id.index()])
+                .map(|(slot, n)| (slot as u32, bucket_key(n.position, bucket_size)))
+        };
+        let mut keys = live().map(|(_, key)| key);
         let Some(first) = keys.next() else {
             // Nothing alive: an empty grid answers every lookup with an
             // empty bucket.
@@ -127,29 +145,28 @@ impl SpatialGrid {
         let w = max_bx - min_bx + 1;
         let h = max_by - min_by + 1;
         let cells = (w as i128) * (h as i128);
-        let live = alive.iter().filter(|&&a| a).count();
-        if cells > (4 * live + 64) as i128 {
+        let live_count = alive.iter().filter(|&&a| a).count();
+        if cells > (4 * live_count + 64) as i128 {
             // Pathologically sparse extent: keep occupied cells in the map.
             (self.min_bx, self.min_by, self.w, self.h) = (0, 0, 0, 0);
-            for n in nodes.iter().filter(|n| alive[n.id.index()]) {
-                self.patched.entry(bucket_key(n.position, bucket_size)).or_default().push(n.id);
+            for (slot, key) in live() {
+                self.patched.entry(key).or_default().push(slot);
             }
             return;
         }
         (self.min_bx, self.min_by, self.w, self.h) = (min_bx, min_by, w, h);
         let mut counts = vec![0u32; cells as usize + 1];
-        for n in nodes.iter().filter(|n| alive[n.id.index()]) {
-            let i = self.cell_index(bucket_key(n.position, bucket_size)).expect("in extent");
-            counts[i + 1] += 1;
+        for (_, key) in live() {
+            counts[self.cell_index(key).expect("in extent") + 1] += 1;
         }
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
-        self.ids = vec![NodeId(0); counts[counts.len() - 1] as usize];
+        self.slots = vec![0; counts[counts.len() - 1] as usize];
         let mut cursor = counts.clone();
-        for n in nodes.iter().filter(|n| alive[n.id.index()]) {
-            let i = self.cell_index(bucket_key(n.position, bucket_size)).expect("in extent");
-            self.ids[cursor[i] as usize] = n.id;
+        for (slot, key) in live() {
+            let i = self.cell_index(key).expect("in extent");
+            self.slots[cursor[i] as usize] = slot;
             cursor[i] += 1;
         }
         self.offsets = counts;
@@ -174,22 +191,27 @@ impl SpatialGrid {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Topology {
+    /// Node records in storage order (see the module docs).
     nodes: Vec<Node>,
     radio_range: f64,
-    /// CSR adjacency: the neighbor row of node `i` is
-    /// `adj_links[adj_offsets[i]..adj_offsets[i + 1]]`, ascending by id —
-    /// unless the row is overlaid (`row_patch[i] != UNPATCHED`), in which
-    /// case it lives in `patch_rows[row_patch[i]]`.
+    /// CSR adjacency: the neighbor row of the node in slot `s` is
+    /// `adj_links[adj_offsets[s]..adj_offsets[s + 1]]`, ascending by id —
+    /// unless the row is overlaid (`row_patch[s] != UNPATCHED`), in which
+    /// case it lives in `patch_rows[row_patch[s]]`. `row_patch` is empty
+    /// while nothing is overlaid, so a compacted topology carries no
+    /// overlay index and a lookup reads no flag.
     adj_offsets: Vec<u32>,
     adj_links: Vec<NodeId>,
+    /// The storage slot of each node, indexed by id.
+    slot_of: Vec<u32>,
     row_patch: Vec<u32>,
     patch_rows: Vec<Vec<NodeId>>,
     grid: SpatialGrid,
     bucket_size: f64,
     bounds: Rect,
-    /// Liveness flags: failed nodes keep their id and position (so
-    /// bookkeeping stays dense) but vanish from neighbor tables, spatial
-    /// queries, and connectivity.
+    /// Liveness flags, indexed by id: failed nodes keep their id and
+    /// position (so bookkeeping stays dense) but vanish from neighbor
+    /// tables, spatial queries, and connectivity.
     alive: Vec<bool>,
     /// Whether two radio neighbours were ever closer than [`COINCIDENT_SQ`]
     /// (see [`Topology::has_coincident_nodes`]).
@@ -198,20 +220,22 @@ pub struct Topology {
 
 impl Topology {
     /// Builds the unit-disk topology for `nodes` with the given radio range.
+    /// The ids must be `0..nodes.len()`, in any order.
     ///
     /// # Errors
     ///
-    /// Returns [`NetsimError::EmptyDeployment`] if `nodes` is empty and
+    /// Returns [`NetsimError::EmptyDeployment`] if `nodes` is empty,
     /// [`NetsimError::InvalidRadioRange`] if the range is not positive and
-    /// finite.
-    pub fn build(nodes: Vec<Node>, radio_range: f64) -> Result<Self, NetsimError> {
+    /// finite, and [`NetsimError::UnknownNode`] or
+    /// [`NetsimError::DuplicateNode`] if the ids are not `0..nodes.len()`.
+    pub fn build(mut nodes: Vec<Node>, radio_range: f64) -> Result<Self, NetsimError> {
         if nodes.is_empty() {
             return Err(NetsimError::EmptyDeployment);
         }
         if !(radio_range.is_finite() && radio_range > 0.0) {
             return Err(NetsimError::InvalidRadioRange { range: radio_range });
         }
-        let bucket_size = radio_range;
+        let n = nodes.len();
         let mut min = nodes[0].position;
         let mut max = nodes[0].position;
         for node in &nodes {
@@ -220,46 +244,70 @@ impl Topology {
             max.x = max.x.max(node.position.x);
             max.y = max.y.max(node.position.y);
         }
-        let n = nodes.len();
-        let alive = vec![true; n];
+        let bounds = Rect::new(min, max);
+        // Storage order, computed in buffers the topology keeps: `slot_of`
+        // first holds each input node's Hilbert key, `order` the input
+        // indices sorted by (key, id), along whose cycles the nodes then
+        // move in place (a visited entry is overwritten with `u32::MAX`);
+        // `order` becomes the CSR offsets below. A sort buffer freed
+        // mid-build shifted the allocator's later layout enough to raise a
+        // 100k-node DIM run's peak RSS by ~4 MiB.
+        let mut slot_of: Vec<u32> =
+            nodes.iter().map(|node| hilbert_key(node.position, bounds)).collect();
+        let mut order: Vec<u32> = Vec::with_capacity(n + 1);
+        order.extend(0..n as u32);
+        order.sort_unstable_by_key(|&i| (slot_of[i as usize], nodes[i as usize].id));
+        for start in 0..n {
+            if order[start] == u32::MAX {
+                continue;
+            }
+            let first = nodes[start];
+            let mut slot = start;
+            loop {
+                let from = std::mem::replace(&mut order[slot], u32::MAX) as usize;
+                if from == start {
+                    nodes[slot] = first;
+                    break;
+                }
+                nodes[slot] = nodes[from];
+                slot = from;
+            }
+        }
+        slot_of.fill(u32::MAX);
+        for (slot, node) in nodes.iter().enumerate() {
+            let Some(entry) = slot_of.get_mut(node.id.index()) else {
+                return Err(NetsimError::UnknownNode { id: node.id });
+            };
+            if *entry != u32::MAX {
+                return Err(NetsimError::DuplicateNode { id: node.id });
+            }
+            *entry = slot as u32;
+        }
+        let bucket_size = radio_range;
         let mut topo = Topology {
             nodes,
+            slot_of,
             radio_range,
-            adj_offsets: vec![0; n + 1],
+            adj_offsets: Vec::new(),
             adj_links: Vec::new(),
-            row_patch: vec![UNPATCHED; n],
+            row_patch: Vec::new(),
             patch_rows: Vec::new(),
             grid: SpatialGrid::default(),
             bucket_size,
-            bounds: Rect::new(min, max),
-            alive,
+            bounds,
+            alive: vec![true; n],
             coincident: false,
         };
         topo.grid.rebuild(&topo.nodes, &topo.alive, bucket_size);
-        let range_sq = radio_range * radio_range;
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = order;
+        offsets.clear();
         let mut links = Vec::new();
         let mut row = Vec::new();
         let mut coincident = false;
         offsets.push(0u32);
-        for i in 0..n {
-            let position = topo.nodes[i].position;
-            let id = topo.nodes[i].id;
-            let (bx, by) = bucket_key(position, bucket_size);
+        for (slot, node) in topo.nodes.iter().enumerate() {
             row.clear();
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    for &other in topo.grid.bucket((bx + dx, by + dy)) {
-                        let d = topo.nodes[other.index()].position.distance_sq(position);
-                        if other != id && d <= range_sq {
-                            row.push(other);
-                            coincident |= d < COINCIDENT_SQ;
-                        }
-                    }
-                }
-            }
-            // Deterministic neighbor order regardless of hash iteration.
-            row.sort_unstable();
+            coincident |= topo.links_at(node.position, slot, &mut row);
             links.extend_from_slice(&row);
             offsets.push(links.len() as u32);
         }
@@ -269,6 +317,30 @@ impl Topology {
         topo.adj_links = links;
         topo.coincident = coincident;
         Ok(topo)
+    }
+
+    /// Fills the empty `row` with the ids, ascending, of every live node
+    /// within radio range of `at` except the one in slot `except`; returns
+    /// whether one of them lies within [`COINCIDENT_SQ`] of `at`.
+    fn links_at(&self, at: Point, except: usize, row: &mut Vec<NodeId>) -> bool {
+        let range_sq = self.radio_range * self.radio_range;
+        let (bx, by) = bucket_key(at, self.bucket_size);
+        let mut coincident = false;
+        for dx in -1..=1 {
+            for dy in -1..=1 {
+                for &slot in self.grid.bucket((bx + dx, by + dy)) {
+                    let other = &self.nodes[slot as usize];
+                    let d = other.position.distance_sq(at);
+                    if slot as usize != except && d <= range_sq {
+                        row.push(other.id);
+                        coincident |= d < COINCIDENT_SQ;
+                    }
+                }
+            }
+        }
+        // Deterministic neighbor order regardless of bucket order.
+        row.sort_unstable();
+        coincident
     }
 
     /// Whether two live radio neighbours were ever closer than
@@ -282,27 +354,40 @@ impl Topology {
         self.coincident
     }
 
-    /// The (possibly overlaid) neighbor row of dense index `i`.
-    fn row(&self, i: usize) -> &[NodeId] {
-        let p = self.row_patch[i];
-        if p == UNPATCHED {
-            &self.adj_links[self.adj_offsets[i] as usize..self.adj_offsets[i + 1] as usize]
-        } else {
-            &self.patch_rows[p as usize]
+    /// The storage slot of node `id`: its index in [`Topology::rows`]. For
+    /// structures derived row by row from this topology (the planar graph)
+    /// that keep their rows in the same order; the mutators never move a
+    /// node to another slot. Nothing else should depend on it.
+    #[doc(hidden)]
+    pub fn slot(&self, id: NodeId) -> usize {
+        self.slot_of[id.index()] as usize
+    }
+
+    /// The (possibly overlaid) neighbor row of the node in `slot`.
+    fn row(&self, slot: usize) -> &[NodeId] {
+        match self.row_patch.get(slot) {
+            Some(&p) if p != UNPATCHED => &self.patch_rows[p as usize],
+            _ => {
+                &self.adj_links
+                    [self.adj_offsets[slot] as usize..self.adj_offsets[slot + 1] as usize]
+            }
         }
     }
 
-    /// The neighbor row of dense index `i` as a mutable overlay row,
+    /// The neighbor row of the node in `slot` as a mutable overlay row,
     /// copied out of the CSR arena on first touch.
-    fn row_mut(&mut self, i: usize) -> &mut Vec<NodeId> {
-        if self.row_patch[i] == UNPATCHED {
-            let s = self.adj_offsets[i] as usize;
-            let e = self.adj_offsets[i + 1] as usize;
+    fn row_mut(&mut self, slot: usize) -> &mut Vec<NodeId> {
+        if self.row_patch.len() < self.nodes.len() {
+            self.row_patch.resize(self.nodes.len(), UNPATCHED);
+        }
+        if self.row_patch[slot] == UNPATCHED {
+            let s = self.adj_offsets[slot] as usize;
+            let e = self.adj_offsets[slot + 1] as usize;
             let copy = self.adj_links[s..e].to_vec();
-            self.row_patch[i] = self.patch_rows.len() as u32;
+            self.row_patch[slot] = self.patch_rows.len() as u32;
             self.patch_rows.push(copy);
         }
-        &mut self.patch_rows[self.row_patch[i] as usize]
+        &mut self.patch_rows[self.row_patch[slot] as usize]
     }
 
     /// Fails `dead` nodes in place: they keep their ids and positions but
@@ -315,23 +400,17 @@ impl Topology {
     /// Panics if a dead id is out of range.
     pub fn fail_nodes(&mut self, dead: &[NodeId]) {
         for &id in dead {
-            let i = id.index();
-            if !self.alive[i] {
+            if !self.alive[id.index()] {
                 continue;
             }
-            self.alive[i] = false;
-            let links = std::mem::take(self.row_mut(i));
-            for nb in &links {
-                let table = self.row_mut(nb.index());
-                if let Ok(pos) = table.binary_search(&id) {
-                    table.remove(pos);
-                }
+            self.alive[id.index()] = false;
+            let slot = self.slot(id);
+            let links = std::mem::take(self.row_mut(slot));
+            for &nb in &links {
+                remove_sorted(self.row_mut(self.slot(nb)), id);
             }
-            let key = bucket_key(self.nodes[i].position, self.bucket_size);
-            let bucket = self.grid.bucket_mut(key);
-            if let Ok(pos) = bucket.binary_search(&id) {
-                bucket.remove(pos);
-            }
+            let key = bucket_key(self.nodes[slot].position, self.bucket_size);
+            remove_sorted(self.grid.bucket_mut(key), slot as u32);
         }
     }
 
@@ -343,43 +422,23 @@ impl Topology {
     /// and it is spliced into each neighbor's sorted table, the spatial
     /// hash, and the bounding box.
     pub fn add_node(&mut self, position: Point) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        let range_sq = self.radio_range * self.radio_range;
-        let (bx, by) = bucket_key(position, self.bucket_size);
+        let slot = self.nodes.len();
+        let id = NodeId(slot as u32);
         let mut links = Vec::new();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for &other in self.grid.bucket((bx + dx, by + dy)) {
-                    let d = self.nodes[other.index()].position.distance_sq(position);
-                    if d <= range_sq {
-                        links.push(other);
-                        self.coincident |= d < COINCIDENT_SQ;
-                    }
-                }
-            }
-        }
-        links.sort_unstable();
+        self.coincident |= self.links_at(position, slot, &mut links);
         for &nb in &links {
-            let table = self.row_mut(nb.index());
-            if let Err(pos) = table.binary_search(&id) {
-                table.insert(pos, id);
-            }
+            insert_sorted(self.row_mut(self.slot(nb)), id);
         }
         self.nodes.push(Node::new(id, position));
+        self.slot_of.push(slot as u32);
         self.alive.push(true);
         // The CSR row for the new node is empty (duplicate trailing
         // offset); its real row lives in the overlay until compaction.
         let end = *self.adj_offsets.last().expect("offsets non-empty");
         self.adj_offsets.push(end);
-        self.row_patch.push(self.patch_rows.len() as u32);
-        self.patch_rows.push(links);
-        let bucket = self.grid.bucket_mut((bx, by));
-        if let Err(pos) = bucket.binary_search(&id) {
-            bucket.insert(pos, id);
-        }
-        let min = Point::new(self.bounds.min.x.min(position.x), self.bounds.min.y.min(position.y));
-        let max = Point::new(self.bounds.max.x.max(position.x), self.bounds.max.y.max(position.y));
-        self.bounds = Rect::new(min, max);
+        *self.row_mut(slot) = links;
+        insert_sorted(self.grid.bucket_mut(bucket_key(position, self.bucket_size)), slot as u32);
+        self.grow_bounds(position);
         id
     }
 
@@ -393,56 +452,33 @@ impl Topology {
     /// Panics if `id` is out of range or dead — a failed node cannot move.
     pub fn move_node(&mut self, id: NodeId, new_position: Point) {
         assert!(self.alive[id.index()], "cannot move dead node {id}");
-        let i = id.index();
+        let slot = self.slot(id);
         // Tear down the old links and spatial-hash entry.
-        let old_key = bucket_key(self.nodes[i].position, self.bucket_size);
-        let bucket = self.grid.bucket_mut(old_key);
-        if let Ok(pos) = bucket.binary_search(&id) {
-            bucket.remove(pos);
-        }
-        let old_links = std::mem::take(self.row_mut(i));
-        for nb in &old_links {
-            let table = self.row_mut(nb.index());
-            if let Ok(pos) = table.binary_search(&id) {
-                table.remove(pos);
-            }
+        let old_key = bucket_key(self.nodes[slot].position, self.bucket_size);
+        remove_sorted(self.grid.bucket_mut(old_key), slot as u32);
+        let old_links = std::mem::take(self.row_mut(slot));
+        for &nb in &old_links {
+            remove_sorted(self.row_mut(self.slot(nb)), id);
         }
         // Re-deploy at the new position.
-        self.nodes[i].position = new_position;
-        let range_sq = self.radio_range * self.radio_range;
-        let (bx, by) = bucket_key(new_position, self.bucket_size);
+        self.nodes[slot].position = new_position;
         let mut links = Vec::new();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for &other in self.grid.bucket((bx + dx, by + dy)) {
-                    let d = self.nodes[other.index()].position.distance_sq(new_position);
-                    if other != id && d <= range_sq {
-                        links.push(other);
-                        self.coincident |= d < COINCIDENT_SQ;
-                    }
-                }
-            }
-        }
-        links.sort_unstable();
+        self.coincident |= self.links_at(new_position, slot, &mut links);
         for &nb in &links {
-            let table = self.row_mut(nb.index());
-            if let Err(pos) = table.binary_search(&id) {
-                table.insert(pos, id);
-            }
+            insert_sorted(self.row_mut(self.slot(nb)), id);
         }
-        *self.row_mut(i) = links;
-        let bucket = self.grid.bucket_mut((bx, by));
-        if let Err(pos) = bucket.binary_search(&id) {
-            bucket.insert(pos, id);
-        }
-        let min = Point::new(
-            self.bounds.min.x.min(new_position.x),
-            self.bounds.min.y.min(new_position.y),
+        *self.row_mut(slot) = links;
+        insert_sorted(
+            self.grid.bucket_mut(bucket_key(new_position, self.bucket_size)),
+            slot as u32,
         );
-        let max = Point::new(
-            self.bounds.max.x.max(new_position.x),
-            self.bounds.max.y.max(new_position.y),
-        );
+        self.grow_bounds(new_position);
+    }
+
+    /// Widens the bounding box to cover `p`.
+    fn grow_bounds(&mut self, p: Point) {
+        let min = Point::new(self.bounds.min.x.min(p.x), self.bounds.min.y.min(p.y));
+        let max = Point::new(self.bounds.max.x.max(p.x), self.bounds.max.y.max(p.y));
         self.bounds = Rect::new(min, max);
     }
 
@@ -464,21 +500,24 @@ impl Topology {
             let mut offsets = Vec::with_capacity(n + 1);
             let mut links = Vec::with_capacity(self.adj_links.len());
             offsets.push(0u32);
-            for i in 0..n {
-                if self.row_patch[i] != UNPATCHED {
-                    folded.push(NodeId(i as u32));
+            for slot in 0..n {
+                if self.row_patch[slot] != UNPATCHED {
+                    folded.push(self.nodes[slot].id);
                 }
-                links.extend_from_slice(self.row(i));
+                links.extend_from_slice(self.row(slot));
                 offsets.push(links.len() as u32);
             }
+            folded.sort_unstable();
             links.shrink_to_fit();
             self.adj_offsets = offsets;
             self.adj_links = links;
-            self.row_patch.clear();
-            self.row_patch.resize(n, UNPATCHED);
+            self.row_patch = Vec::new();
             self.patch_rows.clear();
+            // Joins grew these by doubling; they too live on.
+            self.nodes.shrink_to_fit();
+            self.slot_of.shrink_to_fit();
         }
-        if !self.grid.patched.is_empty() || self.row_patch.len() != self.alive.len() {
+        if !self.grid.patched.is_empty() {
             self.grid.rebuild(&self.nodes, &self.alive, self.bucket_size);
         }
         folded
@@ -492,7 +531,8 @@ impl Topology {
 
     /// A copy of this topology with `dead` nodes failed: they keep their
     /// ids and positions but are removed from every neighbor table, the
-    /// spatial index, and connectivity.
+    /// spatial index, and connectivity. A test convenience: library code
+    /// clones and calls [`Topology::fail_nodes`] (or mutates in place).
     ///
     /// # Panics
     ///
@@ -504,24 +544,18 @@ impl Topology {
     }
 
     /// A copy of this topology with one freshly deployed node at
-    /// `position`, returned along with its newly assigned id (always
-    /// `NodeId(self.len())`, keeping ids dense so per-node bookkeeping can
-    /// grow by appending).
-    ///
-    /// The joiner's neighbor table is computed against *live* nodes only,
-    /// and it is spliced into each neighbor's sorted table, the spatial
-    /// hash, and the bounding box. The original topology is untouched.
+    /// `position`, returned along with its newly assigned id — the
+    /// clone-then-[`Topology::add_node`] test convenience. The original
+    /// topology is untouched.
     pub fn with_node(&self, position: Point) -> (Topology, NodeId) {
         let mut topo = self.clone();
         let id = topo.add_node(position);
         (topo, id)
     }
 
-    /// A copy of this topology with node `id` relocated to `new_position`
-    /// (waypoint mobility): its old radio links are torn down and its
-    /// neighbor table, every affected neighbor's table, and the spatial
-    /// hash are recomputed at the new position. The original topology is
-    /// untouched.
+    /// A copy of this topology with node `id` relocated to `new_position` —
+    /// the clone-then-[`Topology::move_node`] test convenience. The
+    /// original topology is untouched.
     ///
     /// # Panics
     ///
@@ -542,9 +576,19 @@ impl Topology {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// All deployed nodes, indexed by [`NodeId::index`].
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+    /// All deployed nodes in id order: `nodes()[i]` is the node whose id is
+    /// `NodeId(i)`.
+    pub fn nodes(&self) -> Nodes<'_> {
+        Nodes { stored: &self.nodes, slot_of: &self.slot_of }
+    }
+
+    /// Every node with its neighbor row, in storage order: the order that
+    /// reads this topology's arenas front to back. Which order that is, is
+    /// unspecified — use it to visit every node when the visiting order
+    /// does not matter, as a per-node derivation such as a planarization
+    /// does.
+    pub fn rows(&self) -> impl Iterator<Item = (&Node, &[NodeId])> + '_ {
+        self.nodes.iter().enumerate().map(|(slot, node)| (node, self.row(slot)))
     }
 
     /// Number of nodes.
@@ -573,7 +617,7 @@ impl Topology {
     ///
     /// Panics if `id` is out of range.
     pub fn position(&self, id: NodeId) -> Point {
-        self.nodes[id.index()].position
+        self.nodes[self.slot(id)].position
     }
 
     /// The neighbor table of node `id` (every node within radio range),
@@ -583,7 +627,7 @@ impl Topology {
     ///
     /// Panics if `id` is out of range.
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        self.row(id.index())
+        self.row(self.slot(id))
     }
 
     /// Whether `a` and `b` can communicate directly.
@@ -610,19 +654,20 @@ impl Topology {
                     if dx.abs() != ring && dy.abs() != ring {
                         continue;
                     }
-                    let ids = self.grid.bucket((bx + dx, by + dy));
-                    if ids.is_empty() {
+                    let slots = self.grid.bucket((bx + dx, by + dy));
+                    if slots.is_empty() {
                         continue;
                     }
                     any_bucket = true;
-                    for &id in ids {
-                        let d = self.position(id).distance_sq(target);
+                    for &slot in slots {
+                        let node = &self.nodes[slot as usize];
+                        let d = node.position.distance_sq(target);
                         let better = match best {
                             None => true,
-                            Some((bd, bid)) => d < bd || (d == bd && id < bid),
+                            Some((bd, bid)) => d < bd || (d == bd && node.id < bid),
                         };
                         if better {
-                            best = Some((d, id));
+                            best = Some((d, node.id));
                         }
                     }
                 }
@@ -646,7 +691,7 @@ impl Topology {
         }
     }
 
-    /// All nodes within `radius` of `target`.
+    /// All nodes within `radius` of `target`, ascending by id.
     pub fn nodes_within(&self, target: Point, radius: f64) -> Vec<NodeId> {
         let r_buckets = (radius / self.bucket_size).ceil() as i64;
         let (bx, by) = bucket_key(target, self.bucket_size);
@@ -654,9 +699,10 @@ impl Topology {
         let mut out = Vec::new();
         for dx in -r_buckets..=r_buckets {
             for dy in -r_buckets..=r_buckets {
-                for &id in self.grid.bucket((bx + dx, by + dy)) {
-                    if self.position(id).distance_sq(target) <= rsq {
-                        out.push(id);
+                for &slot in self.grid.bucket((bx + dx, by + dy)) {
+                    let node = &self.nodes[slot as usize];
+                    if node.position.distance_sq(target) <= rsq {
+                        out.push(node.id);
                     }
                 }
             }
@@ -667,35 +713,44 @@ impl Topology {
 
     /// Mean node degree.
     pub fn mean_degree(&self) -> f64 {
-        let total: usize = (0..self.nodes.len()).map(|i| self.row(i).len()).sum();
+        let total: usize = (0..self.nodes.len()).map(|slot| self.row(slot).len()).sum();
         total as f64 / self.nodes.len() as f64
+    }
+
+    /// Calls `visit` with the storage slots of every connected component of
+    /// live nodes (breadth-first over the unit-disk graph), components in
+    /// the order of their lowest id.
+    fn for_each_component(&self, mut visit: impl FnMut(&[u32])) {
+        let n = self.nodes.len();
+        let mut seen = vec![false; n];
+        let mut members: Vec<u32> = Vec::new();
+        for (id, &start) in self.slot_of.iter().enumerate() {
+            if seen[start as usize] || !self.alive[id] {
+                continue;
+            }
+            seen[start as usize] = true;
+            members.clear();
+            members.push(start);
+            let mut next = 0;
+            while let Some(&u) = members.get(next) {
+                next += 1;
+                for &nb in self.row(u as usize) {
+                    let slot = self.slot_of[nb.index()];
+                    if !seen[slot as usize] {
+                        seen[slot as usize] = true;
+                        members.push(slot);
+                    }
+                }
+            }
+            visit(&members);
+        }
     }
 
     /// Size of the largest connected component of *live* nodes (BFS over
     /// the unit-disk graph).
     pub fn largest_component(&self) -> usize {
-        let n = self.nodes.len();
-        let mut seen = vec![false; n];
         let mut best = 0;
-        let mut queue = Vec::new();
-        for start in 0..n {
-            if seen[start] || !self.alive[start] {
-                continue;
-            }
-            seen[start] = true;
-            queue.push(start);
-            let mut size = 0;
-            while let Some(u) = queue.pop() {
-                size += 1;
-                for nb in self.row(u) {
-                    if !seen[nb.index()] {
-                        seen[nb.index()] = true;
-                        queue.push(nb.index());
-                    }
-                }
-            }
-            best = best.max(size);
-        }
+        self.for_each_component(|members| best = best.max(members.len()));
         best
     }
 
@@ -704,32 +759,15 @@ impl Topology {
     /// the one containing the smallest node id, so the result is
     /// deterministic).
     pub fn largest_component_members(&self) -> Vec<NodeId> {
-        let n = self.nodes.len();
-        let mut seen = vec![false; n];
-        let mut best: Vec<NodeId> = Vec::new();
-        let mut queue = Vec::new();
-        for start in 0..n {
-            if seen[start] || !self.alive[start] {
-                continue;
-            }
-            seen[start] = true;
-            queue.push(start);
-            let mut members = Vec::new();
-            while let Some(u) = queue.pop() {
-                members.push(self.nodes[u].id);
-                for nb in self.row(u) {
-                    if !seen[nb.index()] {
-                        seen[nb.index()] = true;
-                        queue.push(nb.index());
-                    }
-                }
-            }
+        let mut best: Vec<u32> = Vec::new();
+        self.for_each_component(|members| {
             if members.len() > best.len() {
-                best = members;
+                best = members.to_vec();
             }
-        }
-        best.sort_unstable();
-        best
+        });
+        let mut ids: Vec<NodeId> = best.iter().map(|&slot| self.nodes[slot as usize].id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Whether the live unit-disk graph is connected.
@@ -761,8 +799,8 @@ impl Topology {
 
     /// Every occupied spatial-hash bucket, for invariant checks.
     #[cfg(test)]
-    fn all_buckets(&self) -> Vec<Vec<NodeId>> {
-        let mut out: Vec<Vec<NodeId>> =
+    fn all_buckets(&self) -> Vec<Vec<u32>> {
+        let mut out: Vec<Vec<u32>> =
             self.grid.patched.values().filter(|v| !v.is_empty()).cloned().collect();
         for cy in 0..self.grid.h {
             for cx in 0..self.grid.w {
@@ -770,9 +808,9 @@ impl Topology {
                 if self.grid.patched.contains_key(&key) {
                     continue;
                 }
-                let ids = self.grid.bucket(key);
-                if !ids.is_empty() {
-                    out.push(ids.to_vec());
+                let slots = self.grid.bucket(key);
+                if !slots.is_empty() {
+                    out.push(slots.to_vec());
                 }
             }
         }
@@ -780,8 +818,123 @@ impl Topology {
     }
 }
 
+/// The deployed nodes of a [`Topology`] in id order, as
+/// [`Topology::nodes`] presents them: `nodes[i]` is the node whose id is
+/// `NodeId(i)`, and iteration ascends by id. A view over the topology's own
+/// records, not a copy.
+#[derive(Debug, Clone, Copy)]
+pub struct Nodes<'a> {
+    stored: &'a [Node],
+    slot_of: &'a [u32],
+}
+
+impl<'a> Nodes<'a> {
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// Whether there are no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.slot_of.is_empty()
+    }
+
+    /// The nodes, ascending by id.
+    pub fn iter(&self) -> NodesIter<'a> {
+        NodesIter { stored: self.stored, slots: self.slot_of.iter() }
+    }
+
+    /// The nodes as an owned list, ascending by id.
+    pub fn to_vec(&self) -> Vec<Node> {
+        self.iter().copied().collect()
+    }
+}
+
+impl Index<usize> for Nodes<'_> {
+    type Output = Node;
+
+    /// The node whose id is `NodeId(id)`.
+    fn index(&self, id: usize) -> &Node {
+        &self.stored[self.slot_of[id] as usize]
+    }
+}
+
+impl<'a> IntoIterator for Nodes<'a> {
+    type Item = &'a Node;
+    type IntoIter = NodesIter<'a>;
+
+    fn into_iter(self) -> NodesIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator of [`Nodes`], ascending by id.
+#[derive(Debug, Clone)]
+pub struct NodesIter<'a> {
+    stored: &'a [Node],
+    slots: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Iterator for NodesIter<'a> {
+    type Item = &'a Node;
+
+    fn next(&mut self) -> Option<&'a Node> {
+        self.slots.next().map(|&slot| &self.stored[slot as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
+    }
+}
+
 fn bucket_key(p: Point, size: f64) -> (i64, i64) {
     ((p.x / size).floor() as i64, (p.y / size).floor() as i64)
+}
+
+/// Position of `p` along the Hilbert curve through a 2¹⁶ × 2¹⁶ grid laid
+/// over `bounds`. A degenerate (zero-extent) axis and a NaN coordinate map
+/// to cell 0.
+fn hilbert_key(p: Point, bounds: Rect) -> u32 {
+    const SIDE: u32 = 1 << 16;
+    let cell = |v: f64, lo: f64, span: f64| {
+        // `as` saturates, and sends NaN to 0.
+        if span > 0.0 {
+            (((v - lo) / span * f64::from(SIDE - 1)) as u32).min(SIDE - 1)
+        } else {
+            0
+        }
+    };
+    let mut x = cell(p.x, bounds.min.x, bounds.width());
+    let mut y = cell(p.y, bounds.min.y, bounds.height());
+    let mut key = 0;
+    let mut s = SIDE / 2;
+    while s > 0 {
+        let rx = u32::from(x & s != 0);
+        let ry = u32::from(y & s != 0);
+        key += s * s * ((3 * rx) ^ ry);
+        // Turn the quadrant so its sub-curve runs the way the curve does.
+        if ry == 0 {
+            if rx == 1 {
+                x = SIDE - 1 - x;
+                y = SIDE - 1 - y;
+            }
+            std::mem::swap(&mut x, &mut y);
+        }
+        s /= 2;
+    }
+    key
+}
+
+fn insert_sorted<T: Ord>(v: &mut Vec<T>, x: T) {
+    if let Err(pos) = v.binary_search(&x) {
+        v.insert(pos, x);
+    }
+}
+
+fn remove_sorted<T: Ord>(v: &mut Vec<T>, x: T) {
+    if let Ok(pos) = v.binary_search(&x) {
+        v.remove(pos);
+    }
 }
 
 #[cfg(test)]
@@ -1037,8 +1190,8 @@ mod mutation_tests {
         }
     }
 
-    /// Every spatial-hash bucket holds its ids in strictly ascending order
-    /// — the deterministic bucket-order contract.
+    /// Every spatial-hash bucket holds its slots in strictly ascending
+    /// order — the deterministic bucket-order contract.
     fn assert_buckets_sorted(topo: &Topology) {
         for bucket in topo.all_buckets() {
             assert!(bucket.windows(2).all(|w| w[0] < w[1]), "unsorted bucket {bucket:?}");
@@ -1335,18 +1488,28 @@ mod arena_tests {
         assert!(folded.len() < topo.len() / 2, "the folded set stays O(churn)");
     }
 
-    /// The adjacency arena is kept for the life of the topology, so neither
-    /// the build nor a compaction leaves doubling slack in it.
+    /// The adjacency arena, the node records and the slot map are kept for
+    /// the life of the topology, so neither the build nor a compaction
+    /// leaves doubling slack in them. Storage order costs exactly one `u32`
+    /// per node (the slot map) and no second copy of any position, and a
+    /// compacted topology holds no overlay index.
     #[test]
     fn adjacency_arena_is_exact_size_after_build_and_compact() {
+        let assert_exact = |topo: &Topology| {
+            let n = topo.len();
+            assert_eq!(topo.adj_links.capacity(), topo.adj_links.len());
+            assert_eq!((topo.nodes.len(), topo.nodes.capacity()), (n, n));
+            assert_eq!((topo.slot_of.len(), topo.slot_of.capacity()), (n, n));
+            assert_eq!(topo.row_patch.capacity(), 0);
+        };
         let mut topo = sample(400, 120.0, 20.0, 26);
-        assert_eq!(topo.adj_links.capacity(), topo.adj_links.len());
+        assert_exact(&topo);
         for i in 0..40 {
             topo.add_node(Point::new(f64::from(i) * 3.0, 60.0));
         }
         topo.fail_nodes(&[NodeId(3)]);
         assert!(!topo.compact().is_empty());
-        assert_eq!(topo.adj_links.capacity(), topo.adj_links.len());
+        assert_exact(&topo);
     }
 
     /// The co-location flag is set by whichever of `build`, `add_node` and
@@ -1394,5 +1557,297 @@ mod arena_tests {
             victims.len(),
         );
         assert!(topo.patched_rows() < topo.len() / 2, "overlay must stay far below O(n)");
+    }
+}
+
+#[cfg(test)]
+mod storage_order_tests {
+    use super::*;
+    use crate::deployment::{Deployment, Placement};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The brute-force model every storage-order claim is checked against:
+    /// the node list indexed by id, liveness, and the box of every position
+    /// ever held — nothing the topology computes.
+    struct Oracle {
+        nodes: Vec<Node>,
+        alive: Vec<bool>,
+        range: f64,
+        bounds: Rect,
+    }
+
+    impl Oracle {
+        fn new(input: &[Node], range: f64) -> Oracle {
+            let mut nodes = input.to_vec();
+            nodes.sort_by_key(|n| n.id);
+            let first = nodes[0].position;
+            let mut oracle = Oracle {
+                alive: vec![true; nodes.len()],
+                nodes,
+                range,
+                bounds: Rect::new(first, first),
+            };
+            for i in 0..oracle.nodes.len() {
+                oracle.cover(oracle.nodes[i].position);
+            }
+            oracle
+        }
+
+        fn cover(&mut self, p: Point) {
+            let (lo, hi) = (self.bounds.min, self.bounds.max);
+            self.bounds = Rect::new(
+                Point::new(lo.x.min(p.x), lo.y.min(p.y)),
+                Point::new(hi.x.max(p.x), hi.y.max(p.y)),
+            );
+        }
+
+        fn add(&mut self, p: Point) -> NodeId {
+            let id = NodeId(self.nodes.len() as u32);
+            self.nodes.push(Node::new(id, p));
+            self.alive.push(true);
+            self.cover(p);
+            id
+        }
+
+        fn relocate(&mut self, id: NodeId, p: Point) {
+            self.nodes[id.index()].position = p;
+            self.cover(p);
+        }
+
+        fn live(&self) -> impl Iterator<Item = &Node> {
+            self.nodes.iter().filter(|n| self.alive[n.id.index()])
+        }
+
+        fn neighbors(&self, id: NodeId) -> Vec<NodeId> {
+            if !self.alive[id.index()] {
+                return Vec::new();
+            }
+            let at = self.nodes[id.index()].position;
+            let near = |n: &&Node| n.id != id && n.position.distance_sq(at) <= self.range.powi(2);
+            self.live().filter(near).map(|n| n.id).collect()
+        }
+
+        fn nearest(&self, p: Point) -> NodeId {
+            let key = |n: &&Node| (n.position.distance_sq(p), n.id);
+            self.live().min_by(|a, b| key(a).partial_cmp(&key(b)).unwrap()).unwrap().id
+        }
+
+        fn within(&self, p: Point, r: f64) -> Vec<NodeId> {
+            self.live().filter(|n| n.position.distance_sq(p) <= r * r).map(|n| n.id).collect()
+        }
+
+        /// The largest live component, ascending; ties go to the component
+        /// holding the smallest id.
+        fn largest_component(&self) -> Vec<NodeId> {
+            let mut seen = vec![false; self.nodes.len()];
+            let mut best: Vec<NodeId> = Vec::new();
+            for start in self.live().map(|n| n.id) {
+                if seen[start.index()] {
+                    continue;
+                }
+                seen[start.index()] = true;
+                let mut members = vec![start];
+                let mut next = 0;
+                while next < members.len() {
+                    for nb in self.neighbors(members[next]) {
+                        if !std::mem::replace(&mut seen[nb.index()], true) {
+                            members.push(nb);
+                        }
+                    }
+                    next += 1;
+                }
+                if members.len() > best.len() {
+                    best = members;
+                }
+            }
+            best.sort_unstable();
+            best
+        }
+    }
+
+    /// Every id-facing accessor agrees with the oracle: storage order does
+    /// not show through any of them.
+    fn assert_matches(topo: &Topology, oracle: &Oracle, probes: &[Point], when: &str) {
+        let n = oracle.nodes.len();
+        assert_eq!(topo.len(), n, "{when}: len");
+        let nodes = topo.nodes();
+        assert_eq!(nodes.len(), n, "{when}: nodes().len()");
+        assert_eq!(nodes.to_vec(), oracle.nodes, "{when}: nodes().to_vec()");
+        assert!(nodes.iter().eq(oracle.nodes.iter()), "{when}: nodes().iter()");
+        for (i, node) in nodes.into_iter().enumerate() {
+            assert_eq!(node, &oracle.nodes[i], "{when}: into_iter at {i}");
+            assert_eq!(nodes[i], oracle.nodes[i], "{when}: nodes()[{i}]");
+        }
+        let mut degree = 0;
+        for a in &oracle.nodes {
+            let brute = oracle.neighbors(a.id);
+            degree += brute.len();
+            assert_eq!(topo.position(a.id), a.position, "{when}: position of {}", a.id);
+            assert_eq!(topo.is_alive(a.id), oracle.alive[a.id.index()], "{when}: alive {}", a.id);
+            assert_eq!(topo.neighbors(a.id), brute.as_slice(), "{when}: row of {}", a.id);
+            for b in &oracle.nodes {
+                let linked = brute.binary_search(&b.id).is_ok();
+                assert_eq!(topo.are_neighbors(a.id, b.id), linked, "{when}: {} ~ {}", a.id, b.id);
+            }
+        }
+        for &p in probes {
+            assert_eq!(topo.nearest_node(p), oracle.nearest(p), "{when}: nearest to {p}");
+            for r in [0.0, 7.5, 30.0] {
+                assert_eq!(
+                    topo.nodes_within(p, r),
+                    oracle.within(p, r),
+                    "{when}: within {r} of {p}"
+                );
+            }
+        }
+        let largest = oracle.largest_component();
+        assert_eq!(topo.largest_component_members(), largest, "{when}: largest component");
+        assert_eq!(topo.largest_component(), largest.len(), "{when}: its size");
+        assert_eq!(topo.mean_degree(), degree as f64 / n as f64, "{when}: mean degree");
+        assert_eq!(topo.bounds(), oracle.bounds, "{when}: bounds");
+    }
+
+    /// Probe points: every node's own position (exact ties with any twin),
+    /// points just off nodes, and points around and outside the field.
+    fn probes(oracle: &Oracle, rng: &mut StdRng) -> Vec<Point> {
+        let (lo, hi) = (oracle.bounds.min, oracle.bounds.max);
+        let mut out: Vec<Point> = oracle.nodes.iter().map(|n| n.position).collect();
+        for _ in 0..30 {
+            let at = oracle.nodes[rng.gen_range(0..oracle.nodes.len())].position;
+            out.push(Point::new(at.x + rng.gen_range(-3.0..3.0), at.y + rng.gen_range(-3.0..3.0)));
+            out.push(Point::new(
+                rng.gen_range(lo.x - 20.0..hi.x + 20.0),
+                rng.gen_range(lo.y - 20.0..hi.y + 20.0),
+            ));
+        }
+        out
+    }
+
+    /// Builds from `input` (ids in any order), then checks the topology
+    /// against the oracle as built and through three epochs of joins, moves
+    /// and deaths — over the uncompacted overlay and after each compaction,
+    /// whose return value must be ascending and cover every row the epoch
+    /// changed.
+    fn check(input: Vec<Node>, range: f64, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut oracle = Oracle::new(&input, range);
+        let mut topo = Topology::build(input, range).unwrap();
+        let spots = probes(&oracle, &mut rng);
+        assert_matches(&topo, &oracle, &spots, "as built");
+        for epoch in 0..3 {
+            let before: Vec<Vec<NodeId>> =
+                oracle.nodes.iter().map(|n| oracle.neighbors(n.id)).collect();
+            for _ in 0..rng.gen_range(4..12) {
+                let id = NodeId(rng.gen_range(0..oracle.nodes.len() as u32));
+                // Half the destinations land exactly on another node.
+                let onto = if rng.gen_range(0..2) == 0 {
+                    oracle.nodes[rng.gen_range(0..oracle.nodes.len())].position
+                } else {
+                    spots[rng.gen_range(0..spots.len())]
+                };
+                match rng.gen_range(0..3) {
+                    0 => assert_eq!(topo.add_node(onto), oracle.add(onto)),
+                    1 if oracle.alive[id.index()] => {
+                        topo.move_node(id, onto);
+                        oracle.relocate(id, onto);
+                    }
+                    _ => {
+                        topo.fail_nodes(&[id]);
+                        oracle.alive[id.index()] = false;
+                    }
+                }
+            }
+            let spots = probes(&oracle, &mut rng);
+            assert_matches(&topo, &oracle, &spots, &format!("epoch {epoch}, uncompacted"));
+            let folded = topo.compact();
+            assert!(folded.windows(2).all(|w| w[0] < w[1]), "epoch {epoch}: {folded:?}");
+            for node in &oracle.nodes {
+                let was = before.get(node.id.index()).cloned().unwrap_or_default();
+                if oracle.neighbors(node.id) != was {
+                    assert!(folded.contains(&node.id), "epoch {epoch}: row {} not folded", node.id);
+                }
+            }
+            assert_matches(&topo, &oracle, &spots, &format!("epoch {epoch}, compacted"));
+        }
+    }
+
+    /// The input list with its order shuffled: `build` takes ids in any
+    /// order, and storage order must not depend on it.
+    fn shuffled(mut nodes: Vec<Node>, seed: u64) -> Vec<Node> {
+        nodes.shuffle(&mut StdRng::seed_from_u64(seed));
+        nodes
+    }
+
+    #[test]
+    fn storage_order_is_unobservable_on_a_field_with_coincident_twins() {
+        for seed in 0..6u64 {
+            let mut nodes =
+                Deployment::new(Rect::square(120.0), 110, Placement::Uniform, seed).nodes();
+            for k in 0..12 {
+                let twin = nodes[k * 9].position;
+                nodes.push(Node::new(NodeId(nodes.len() as u32), twin));
+            }
+            check(shuffled(nodes, seed), 25.0, seed);
+        }
+    }
+
+    #[test]
+    fn storage_order_is_unobservable_when_every_node_sits_on_one_line() {
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Zero-height bounds: every node shares one Hilbert row.
+            let mut nodes: Vec<Node> = (0..60)
+                .map(|i| Node::new(NodeId(i), Point::new(rng.gen_range(0.0..300.0), 17.0)))
+                .collect();
+            nodes.push(Node::new(NodeId(60), nodes[5].position));
+            check(shuffled(nodes, seed), 12.0, 100 + seed);
+        }
+        // Two equal components, the lower ids in the one stored last: the
+        // tie goes by id, not by storage order.
+        let pair = |x: f64, id: u32| [Node::new(NodeId(id), Point::new(x, 0.0))];
+        let tied = [pair(100.0, 0), pair(101.0, 1), pair(0.0, 2), pair(1.0, 3)].concat();
+        check(tied, 5.0, 104);
+    }
+
+    #[test]
+    fn storage_order_is_the_hilbert_order_of_the_positions() {
+        let nodes = Deployment::new(Rect::square(200.0), 300, Placement::Uniform, 8).nodes();
+        let topo = Topology::build(shuffled(nodes, 8), 20.0).unwrap();
+        let keys: Vec<(u32, NodeId)> =
+            topo.rows().map(|(n, _)| (hilbert_key(n.position, topo.bounds()), n.id)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "slots ascend by (key, id)");
+        for (slot, (node, row)) in topo.rows().enumerate() {
+            assert_eq!(topo.slot(node.id), slot);
+            assert_eq!(row, topo.neighbors(node.id));
+        }
+    }
+
+    #[test]
+    fn hilbert_key_walks_a_2x2_block_in_curve_order_and_degenerates_safely() {
+        let unit = Rect::square(1.0);
+        let corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)];
+        let keys: Vec<u32> =
+            corners.iter().map(|&(x, y)| hilbert_key(Point::new(x, y), unit)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        let flat = Rect::new(Point::new(0.0, 5.0), Point::new(10.0, 5.0));
+        assert_eq!(hilbert_key(Point::new(0.0, 5.0), flat), 0);
+        assert_eq!(hilbert_key(Point::new(f64::NAN, f64::NAN), unit), 0);
+    }
+
+    #[test]
+    fn build_rejects_ids_that_are_not_dense() {
+        let at = Point::new(0.0, 0.0);
+        let gap = vec![Node::new(NodeId(0), at), Node::new(NodeId(2), at)];
+        assert_eq!(
+            Topology::build(gap, 5.0).unwrap_err(),
+            NetsimError::UnknownNode { id: NodeId(2) }
+        );
+        let twice = vec![Node::new(NodeId(1), at), Node::new(NodeId(1), at)];
+        assert_eq!(
+            Topology::build(twice, 5.0).unwrap_err(),
+            NetsimError::DuplicateNode { id: NodeId(1) }
+        );
     }
 }

@@ -95,13 +95,17 @@ release_audit() {
     # are about float compares and row order, the path-reading delivery's
     # about float operation order, the delivery engine's golden digest's
     # about RNG draw and float order, the one-hop rule's about a distance
-    # tolerance and the flat zone walk's about compares at split midpoints —
-    # what an optimiser may change — so their oracles, the epoch-triage
-    # oracle and the transport equivalence suite also run once in the
-    # profile the artifacts ship in.
+    # tolerance, the flat zone walk's about compares at split midpoints and
+    # the Hilbert storage order's about ties broken by id — what an
+    # optimiser may change — so their oracles, the epoch-triage oracle and
+    # the transport equivalence suite also run once in the profile the
+    # artifacts ship in.
+    cargo test --release -q -p pool-netsim --lib -- \
+        storage_order_is_unobservable
     cargo test --release -q -p pool-gpsr --lib -- \
         kernel_matches_reference_scan \
-        gathered_rows_equal_the_reference_kernel
+        gathered_rows_equal_the_reference_kernel \
+        routes_map_through_id_permutations
     cargo test --release -q -p pool-core --lib -- \
         untouched_cells_stay_put_exactly_as_the_full_walk_leaves_them \
         splitter_rows_agree_with_the_per_cell_lookup_through_churn
