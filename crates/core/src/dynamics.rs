@@ -1,15 +1,15 @@
 //! Dynamic deployments: continuous churn, mobility, and incremental repair.
 //!
-//! The [`crate::failure`] module repairs one failure burst completely, in
-//! one shot, with an unbounded message budget. Real deployments churn
-//! *continuously*: nodes join, batteries die mid-experiment, and mobile
-//! nodes relocate. This module advances a deployment through virtual-time
-//! **epochs** — each epoch applies a batch of joins, deaths, and waypoint
-//! moves, then repairs the index *incrementally* under a bounded per-epoch
-//! message budget. Repairs that do not fit the budget are carried over in a
-//! [`RepairQueue`] and drained in later epochs; until then the affected
-//! events are simply not query-visible, so mid-churn queries stay honest
-//! ([`crate::forward::Completeness`] never over-claims).
+//! Real deployments churn *continuously*: nodes join, batteries die
+//! mid-experiment, and mobile nodes relocate. This module advances a
+//! deployment through virtual-time **epochs** — each epoch applies a batch
+//! of joins, deaths, and waypoint moves, then repairs the index
+//! *incrementally* under a bounded per-epoch message budget. Repairs that
+//! do not fit the budget are carried over in a [`RepairQueue`] and drained
+//! in later epochs; until then the affected events are simply not
+//! query-visible, so mid-churn queries stay honest
+//! ([`crate::forward::Completeness`] never over-claims). A failure burst
+//! ([`PoolSystem::fail_nodes`]) is the deaths-only epoch with no budget.
 //!
 //! The pieces:
 //!
@@ -32,6 +32,7 @@
 use crate::event::Event;
 use crate::failure::FailureReport;
 use crate::grid::CellCoord;
+use crate::monitor::MonitorId;
 use crate::storage::StoredEvent;
 use crate::system::PoolSystem;
 use crate::PoolError;
@@ -41,10 +42,9 @@ use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
 use pool_transport::metrics::LedgerSnapshot;
 use pool_transport::trace::TraceOp;
-use pool_transport::TrafficLayer;
+use pool_transport::{Leg, Price, Repair, TrafficLayer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Battery provisioning for energy-driven deaths.
@@ -150,6 +150,17 @@ impl EpochPlan {
     pub fn empty() -> Self {
         EpochPlan { joins: Vec::new(), deaths: Vec::new(), moves: Vec::new() }
     }
+
+    /// The failure burst `dead` as a deaths-only plan, or `None` when it
+    /// would kill nobody (an empty list, or only deployed nodes already
+    /// dead): a double kill must touch neither the network nor the
+    /// transport. An id that was never deployed still makes a plan, which
+    /// the epoch refuses as [`PoolError::UnknownNode`].
+    pub fn deaths_only(topology: &Topology, dead: &[NodeId]) -> Option<EpochPlan> {
+        let corpse = |d: &NodeId| d.index() < topology.len() && !topology.is_alive(*d);
+        (!dead.iter().all(corpse))
+            .then(|| EpochPlan { deaths: dead.to_vec(), ..EpochPlan::empty() })
+    }
 }
 
 /// Deterministic generator of [`EpochPlan`]s.
@@ -226,8 +237,10 @@ enum TaskKind {
     Backup,
 }
 
+/// One queued Pool repair: a handoff, a recovery, or a re-backup of one
+/// event.
 #[derive(Debug, Clone, PartialEq)]
-struct RepairTask {
+pub struct RepairTask {
     cell: CellCoord,
     event: Event,
     /// Where the payload physically sits right now.
@@ -239,27 +252,11 @@ struct RepairTask {
     backup: Option<NodeId>,
 }
 
-/// Carry-over queue of repairs deferred by the per-epoch message budget.
-///
-/// FIFO: the oldest deferred repair drains first. Events parked here are
-/// *not* in the query-visible store — a query over their cell honestly
-/// misses them until the handoff lands.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RepairQueue {
-    tasks: VecDeque<RepairTask>,
-}
-
-impl RepairQueue {
-    /// Number of repairs still waiting for budget.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether no repairs are pending.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-}
+/// Pool's carry-over queue of repairs deferred by the per-epoch message
+/// budget. Events parked here are *not* in the query-visible store — a
+/// query over their cell honestly misses them until the handoff lands.
+/// [`RepairQueue::len`] counts re-backup tasks too.
+pub type RepairQueue = pool_transport::RepairQueue<RepairTask>;
 
 impl PoolSystem {
     /// Applies one epoch of churn and repairs incrementally under `budget`.
@@ -285,7 +282,8 @@ impl PoolSystem {
     ///    event still on the cell's index node, its backup on a live node —
     ///    is counted and left where it lies, so the triage costs what
     ///    changed, not what is stored.
-    /// 4. **Drain the queue FIFO** until the next task would exceed
+    /// 4. **Drain the queue** ([`pool_transport::RepairQueue::drain`], the
+    ///    rules DIM and GHT share) until the next task would exceed
     ///    `budget` radio messages; the remainder waits for the next epoch
     ///    ([`FailureReport::deferred_repairs`]). On a loss-free radio the
     ///    bound is strict; with ARQ the last task may overshoot by its
@@ -330,7 +328,7 @@ impl PoolSystem {
         }
 
         // Phase 3: triage.
-        self.clear_delegates();
+        self.delegates.clear();
 
         // 3a. Refresh the carried-over queue against the new topology.
         let carried = std::mem::take(&mut queue.tasks);
@@ -424,10 +422,16 @@ impl PoolSystem {
         }
 
         // Phase 4: budgeted FIFO drain.
-        self.drain_repairs(queue, budget, &mut report);
+        let spent = queue.drain(budget, &mut Drain { pool: self, report: &mut report });
+        report.repair_messages += spent;
 
         // Dead sinks can never receive another notification.
-        self.drop_monitors_with_dead_sinks();
+        let monitors = self.monitors.iter();
+        let orphaned: Vec<MonitorId> =
+            monitors.filter(|m| !self.topology.is_alive(m.sink)).map(|m| m.id).collect();
+        for id in orphaned {
+            self.monitors.remove(id);
+        }
         report.deferred_repairs = queue.len() as u64;
         ledger_before.debug_assert_sum(
             self.transport.ledger(),
@@ -437,99 +441,79 @@ impl PoolSystem {
         );
         Ok(report)
     }
+}
 
-    /// Drains `queue` front-to-back until the next task would exceed
-    /// `budget` messages, charging everything to the ledger.
-    ///
-    /// Two semantics keep the drain well-defined at the extremes: a budget
-    /// of 0 *pauses* repair (everything stays queued, nothing is spent),
-    /// and a task whose loss-free route alone exceeds the budget can never
-    /// run in any epoch, so it is abandoned as unreachable rather than
-    /// blocking the queue head forever.
-    fn drain_repairs(&mut self, queue: &mut RepairQueue, budget: u64, report: &mut FailureReport) {
-        if budget == 0 {
-            return;
+/// Pool's side of the shared repair drain: a handoff or recovery is priced
+/// by its route to the cell's index node, a re-backup by the one hop to the
+/// neighbour that will hold the copy.
+struct Drain<'a> {
+    pool: &'a mut PoolSystem,
+    report: &'a mut FailureReport,
+}
+
+impl Repair for Drain<'_> {
+    type Task = RepairTask;
+
+    fn price(&mut self, task: &RepairTask) -> Price {
+        let pool = &mut *self.pool;
+        if task.kind == TaskKind::Backup {
+            return pool
+                .backup_target(task.source)
+                .map_or(Price::NoRoute, |to| Price::Route(Leg::Hop([task.source, to])));
         }
-        let mut spent = 0u64;
-        while let Some(task) = queue.tasks.front() {
-            let cell = task.cell;
-            let source = task.source;
-            let kind = task.kind;
-            let index_node = self.index_node_of(cell).expect("pool cells keep index nodes");
-            match kind {
-                TaskKind::Backup => {
-                    // One hop to a neighbor (free if the holder is
-                    // isolated — replicate_event returns 0).
-                    let estimate = u64::from(!self.topology().neighbors(source).is_empty());
-                    if spent + estimate > budget {
-                        break;
-                    }
-                    let task = queue.tasks.pop_front().expect("front exists");
-                    let (sent, copy_at) = self.replicate_from(source);
-                    spent += sent;
-                    report.repair_messages += sent;
-                    if let Some(copy_at) = copy_at {
-                        self.record_backup(&task, copy_at, queue);
-                    }
-                }
-                TaskKind::Migrate | TaskKind::Recover => {
-                    let route =
-                        match self.transport.route_to_node(&self.topology, source, index_node) {
-                            Ok(route) => route,
-                            Err(_) => {
-                                // No route at all (partition): drop without
-                                // charging, like one-shot repair does.
-                                queue.tasks.pop_front();
-                                report.events_unreachable += 1;
-                                continue;
-                            }
-                        };
-                    let estimate = route.path.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-                    if estimate > budget {
-                        // This handoff cannot fit even an idle epoch:
-                        // unreachable under this budget.
-                        queue.tasks.pop_front();
-                        report.events_unreachable += 1;
-                        continue;
-                    }
-                    if spent + estimate > budget {
-                        break;
-                    }
-                    let task = queue.tasks.pop_front().expect("front exists");
-                    let outcome =
-                        self.deliver_traced(TraceOp::Repair, &route.path, TrafficLayer::Repair);
-                    spent += outcome.transmissions;
-                    report.repair_messages += outcome.transmissions;
-                    if outcome.delivered {
-                        match kind {
-                            TaskKind::Migrate => report.events_migrated += 1,
-                            TaskKind::Recover => report.events_recovered += 1,
-                            TaskKind::Backup => unreachable!("handled above"),
-                        }
-                        if self.config.replicate && task.backup.is_none() {
-                            queue.tasks.push_back(RepairTask {
-                                cell: task.cell,
-                                event: task.event.clone(),
-                                source: index_node,
-                                kind: TaskKind::Backup,
-                                backup: None,
-                            });
-                        }
-                        self.store.insert_stored(
-                            task.cell,
-                            StoredEvent {
-                                event: task.event,
-                                holder: index_node,
-                                backup: task.backup.into(),
-                            },
-                        );
-                    } else {
-                        // ARQ exhausted mid-route: the repair is spent and
-                        // the event dropped, consistent with fail_nodes.
-                        report.events_unreachable += 1;
-                    }
-                }
+        let index_node = pool.index_node_of(task.cell).expect("pool cells keep index nodes");
+        match pool.transport.route_to_node(&pool.topology, task.source, index_node) {
+            Ok(route) => Price::Route(Leg::Route(route)),
+            Err(_) => Price::NoRoute,
+        }
+    }
+
+    fn land(&mut self, task: RepairTask, leg: Option<Leg>, queue: &mut RepairQueue) -> u64 {
+        let path = leg.as_ref().expect("pool repairs are priced by a leg").path();
+        let pool = &mut *self.pool;
+        if task.kind == TaskKind::Backup {
+            let (sent, copy_at) = pool.replicate_to(path[0], path[1]);
+            if let Some(copy_at) = copy_at {
+                pool.record_backup(&task, copy_at, queue);
             }
+            return sent;
+        }
+        let outcome = pool.deliver_traced(TraceOp::Repair, path, TrafficLayer::Repair);
+        if !outcome.delivered {
+            // ARQ exhausted mid-route: the repair is spent and the event
+            // dropped.
+            self.report.events_unreachable += 1;
+            return outcome.transmissions;
+        }
+        if task.kind == TaskKind::Migrate {
+            self.report.events_migrated += 1;
+        } else {
+            self.report.events_recovered += 1;
+        }
+        let index_node = *path.last().expect("a leg ends at the cell's index node");
+        // The re-elected index node may be the very neighbour that held the
+        // backup: one node holding both copies is no replica, so the event
+        // is re-backed like one that lost its backup.
+        let backup = task.backup.filter(|&b| b != index_node);
+        if pool.config.replicate && backup.is_none() {
+            queue.tasks.push_back(RepairTask {
+                cell: task.cell,
+                event: task.event.clone(),
+                source: index_node,
+                kind: TaskKind::Backup,
+                backup: None,
+            });
+        }
+        let stored = StoredEvent { event: task.event, holder: index_node, backup: backup.into() };
+        pool.store.insert_stored(task.cell, stored);
+        outcome.transmissions
+    }
+
+    fn unreachable(&mut self, task: RepairTask) {
+        // A re-backup with nowhere to go leaves its event stored and
+        // visible; only a handoff or recovery strands one.
+        if task.kind != TaskKind::Backup {
+            self.report.events_unreachable += 1;
         }
     }
 }
@@ -925,6 +909,9 @@ mod tests {
     /// High-churn energy soak pinning the merged report. Captured from the
     /// seed implementation (the `plan.deaths.contains()` linear scan); the
     /// bitmap lookup that replaced it must reproduce every number exactly.
+    /// Re-pinned once since, when a handoff or recovery landing on the
+    /// event's own backup holder started re-backing the event: 222 → 220
+    /// lost, 105 → 111 migrated, 206 → 210 recovered.
     #[test]
     fn energy_soak_results_are_pinned_across_death_lookup_rewrite() {
         let mut pool = build_system(300, 39, PoolConfig::paper().with_replication());
@@ -944,10 +931,13 @@ mod tests {
         );
         assert_eq!(
             (report.events_lost, report.events_migrated, report.events_recovered),
-            (222, 105, 206),
+            (220, 111, 210),
             "full report: {report:?}"
         );
-        assert_eq!(pool.store().len(), 76);
+        assert_eq!(pool.store().len(), 78);
+        for (cell, stored) in pool.store().iter() {
+            assert!(stored.iter().all(|s| s.backup.get() != Some(s.holder)), "{cell}: {stored:?}");
+        }
     }
 
     /// A backup copy as the store walk knew it before the holder moved
@@ -1189,5 +1179,12 @@ mod tests {
         }
         let got = pool.query_from(live_sink(&pool), &all_query()).unwrap();
         assert_eq!(got.events.len(), pool.store().len());
+        // Every event is held twice, on two different nodes.
+        for (cell, stored) in pool.store().iter() {
+            for s in stored {
+                let backup = s.backup.get();
+                assert!(backup.is_some_and(|b| b != s.holder), "{cell}: {s:?}");
+            }
+        }
     }
 }

@@ -9,21 +9,22 @@
 //! * **Replication** ([`crate::config::PoolConfig::with_replication`]):
 //!   each insertion leaves one backup copy at a neighbor of the index
 //!   node (+1 message). After a failure, the new index node recovers the
-//!   dead node's events from the surviving backups.
-//! * **Repair accounting**: every migration/recovery hop is charged to the
-//!   traffic ledger, so experiments can price fault tolerance.
+//!   dead node's events from the surviving backups, and only the copies
+//!   that died are re-created.
+//! * **Repair accounting**: every migration/recovery/re-backup hop is
+//!   charged to the traffic ledger, so experiments can price fault
+//!   tolerance.
 //!
-//! Without replication, events held by dead nodes are lost — the paper's
-//! (implicit) baseline behaviour.
+//! A failure burst is the deaths-only churn epoch with no message budget
+//! ([`crate::dynamics`]): one engine repairs both. Without replication,
+//! events held by dead nodes are lost — the paper's (implicit) baseline
+//! behaviour.
 
+use crate::dynamics::{EpochPlan, RepairQueue};
 use crate::system::PoolSystem;
 use crate::PoolError;
 use pool_netsim::node::NodeId;
-use pool_transport::metrics::LedgerSnapshot;
-use pool_transport::trace::TraceOp;
-use pool_transport::TrafficLayer;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Outcome of a failure-injection step (or of a run of churn epochs, when
 /// produced by [`crate::dynamics::ChurnScenario`]).
@@ -58,20 +59,21 @@ pub struct FailureReport {
     /// delivered; they are dropped from the store rather than restored,
     /// keeping stored state consistent with what queries can see.
     pub events_unreachable: usize,
-    /// Churn epochs this report spans (0 for a one-shot `fail_nodes`).
+    /// Churn epochs this report spans (0 for `fail_nodes`).
     pub epochs: usize,
     /// Failures caused by a battery draining to zero rather than a
     /// scripted kill (only churn scenarios with an energy model set this).
     pub energy_deaths: usize,
     /// Repairs still queued when the report was taken — work the per-epoch
-    /// message budget pushed into later epochs (0 for one-shot repair,
+    /// message budget pushed into later epochs (0 after `fail_nodes`,
     /// which is unbudgeted).
     pub deferred_repairs: u64,
 }
 
 impl FailureReport {
     /// Combines two reports (e.g. successive failure rounds): counters add
-    /// up, the partition flag is sticky.
+    /// up, the partition flag is sticky, and `deferred_repairs` — a queue
+    /// length, not a count of events — takes the later report's value.
     pub fn merge(&self, other: &FailureReport) -> FailureReport {
         FailureReport {
             failed_nodes: self.failed_nodes + other.failed_nodes,
@@ -87,7 +89,7 @@ impl FailureReport {
             events_unreachable: self.events_unreachable + other.events_unreachable,
             epochs: self.epochs + other.epochs,
             energy_deaths: self.energy_deaths + other.energy_deaths,
-            deferred_repairs: self.deferred_repairs + other.deferred_repairs,
+            deferred_repairs: other.deferred_repairs,
         }
     }
 }
@@ -127,140 +129,38 @@ impl std::fmt::Display for FailureReport {
 }
 
 impl PoolSystem {
-    /// Fails `dead` nodes and repairs the system: re-elects index nodes,
-    /// refreshes the routing substrate over the survivors, migrates or
-    /// recovers affected events, and drops continuous queries whose sinks
-    /// died.
+    /// Fails `dead` nodes and repairs the system completely: the
+    /// deaths-only [`PoolSystem::apply_epoch`] with no message budget (the
+    /// report's `epochs` is 0). Index nodes are re-elected, routing is
+    /// refreshed over the survivors, affected events are migrated or
+    /// recovered, the backups that died are re-created, and continuous
+    /// queries whose sinks died are dropped.
     ///
-    /// A failure that splits the surviving network no longer aborts:
-    /// repair proceeds in degraded mode, the report's
-    /// [`FailureReport::partitioned`] flag is set, and per-partition
-    /// casualties are tallied (`nodes_unreachable`, `cells_unreachable`,
-    /// `events_unreachable`). Events whose repair route cannot be
-    /// delivered are dropped rather than restored, so the store never
-    /// claims events a query could not produce.
+    /// A failure that splits the surviving network does not abort: repair
+    /// proceeds in degraded mode, [`FailureReport::partitioned`] is set and
+    /// the casualties are tallied (`nodes_unreachable`, `cells_unreachable`,
+    /// `events_unreachable`). An event whose repair route cannot be
+    /// delivered is dropped, so the store never claims what no query could
+    /// produce.
+    ///
+    /// Failing an *already-dead* node is an idempotent no-op: duplicates
+    /// and corpses are filtered out before counting, and a burst that
+    /// kills nobody returns an all-zero report without touching the
+    /// network.
     ///
     /// # Errors
     ///
-    /// [`PoolError::UnknownNode`] if any id was never deployed (no repair
-    /// is attempted and no counter moves); [`PoolError::Routing`] only for
-    /// pathological (non-delivery) routing failures.
-    ///
-    /// Failing an *already-dead* node is an idempotent no-op: duplicates
-    /// and corpses are filtered out before any counting, so double-kills
-    /// can never inflate `failed_nodes` or `events_lost`. A victim set
-    /// with nobody left to kill returns an all-zero report without
-    /// touching the network.
+    /// [`PoolError::UnknownNode`] if any id was never deployed (nothing is
+    /// applied); [`PoolError::Routing`] only for pathological routing
+    /// failures.
     pub fn fail_nodes(&mut self, dead: &[NodeId]) -> Result<FailureReport, PoolError> {
-        let ledger_before = LedgerSnapshot::of(self.transport.ledger());
-
-        // 1. Take the nodes out of the radio network and bring routing up
-        //    to date over the rows that lost a neighbor. A partition is
-        //    recorded, not fatal: each surviving component keeps operating
-        //    on its own slice of the field.
-        let Some(change) = pool_transport::apply_failures(
-            Arc::make_mut(&mut self.topology),
-            self.transport.as_mut(),
-            dead,
-        )?
-        else {
+        let Some(plan) = EpochPlan::deaths_only(&self.topology, dead) else {
             return Ok(FailureReport::default());
         };
-        let mut report = FailureReport {
-            failed_nodes: change.victims.len(),
-            partitioned: change.partitioned,
-            ..FailureReport::default()
-        };
-
-        // 2. Re-elect index nodes for every pool cell.
-        report.cells_reassigned = self.elect_index_nodes();
-        if report.partitioned {
-            self.tally_partition(&mut report);
-        }
-
-        // 3. Walk the store: keep, migrate, recover, or lose each event.
-        let old_store = self.take_store();
-        self.clear_delegates();
-        for (cell, stored) in old_store.iter() {
-            let cell = *cell;
-            let index_node = self.index_node_of(cell).expect("pool cells keep index nodes");
-            for s in stored {
-                if self.topology().is_alive(s.holder) {
-                    if s.holder == index_node {
-                        report.events_retained += 1;
-                        self.store.insert(cell, s.event.clone(), s.holder);
-                    } else {
-                        // The old holder survives but is no longer this
-                        // cell's index node (it was a delegate or a
-                        // deposed index node): migrate the copy. An
-                        // undeliverable migration (partition or exhausted
-                        // ARQ) drops the event instead of restoring it.
-                        match self.route_and_record(
-                            TraceOp::Repair,
-                            s.holder,
-                            index_node,
-                            TrafficLayer::Repair,
-                        ) {
-                            Ok(outcome) => {
-                                report.events_migrated += 1;
-                                report.repair_messages += outcome.transmissions;
-                                self.store.insert(cell, s.event.clone(), index_node);
-                            }
-                            Err(PoolError::Undeliverable { transmissions, .. }) => {
-                                report.repair_messages += transmissions;
-                                report.events_unreachable += 1;
-                            }
-                            Err(_) => report.events_unreachable += 1,
-                        }
-                    }
-                    continue;
-                }
-                // Holder died: recover from the backup copy, if it survives.
-                match s.backup.get().filter(|&b| self.topology().is_alive(b)) {
-                    Some(backup_holder) => {
-                        match self.route_and_record(
-                            TraceOp::Repair,
-                            backup_holder,
-                            index_node,
-                            TrafficLayer::Repair,
-                        ) {
-                            Ok(outcome) => {
-                                report.events_recovered += 1;
-                                report.repair_messages += outcome.transmissions;
-                                self.store.insert(cell, s.event.clone(), index_node);
-                            }
-                            Err(PoolError::Undeliverable { transmissions, .. }) => {
-                                report.repair_messages += transmissions;
-                                report.events_unreachable += 1;
-                            }
-                            Err(_) => report.events_unreachable += 1,
-                        }
-                    }
-                    None => report.events_lost += 1,
-                }
-            }
-        }
-
-        // 4. Re-create backups for everything now stored, if replication
-        //    is on (the old backup set is discarded wholesale — simpler
-        //    and safer than patching it copy by copy).
-        if self.config().replicate {
-            report.repair_messages += self.rebuild_backups();
-        }
-
-        // 5. Continuous queries of dead sinks can never be delivered.
-        self.drop_monitors_with_dead_sinks();
-        ledger_before.debug_assert_sum(
-            self.transport.ledger(),
-            "fail_nodes",
-            report.repair_messages,
-            &[TrafficLayer::Repair, TrafficLayer::Replication, TrafficLayer::Retransmit],
-        );
-        Ok(report)
+        let report = self.apply_epoch(&plan, &mut RepairQueue::default(), u64::MAX)?;
+        Ok(FailureReport { epochs: 0, ..report })
     }
-}
 
-impl PoolSystem {
     /// Fills in a partitioned report's casualty tallies from one
     /// component search: live nodes outside the largest component, and
     /// pool cells whose index node sits outside it.
@@ -462,7 +362,24 @@ mod tests {
         let m = a.merge(&b);
         assert_eq!(m.epochs, 5);
         assert_eq!(m.energy_deaths, 1);
-        assert_eq!(m.deferred_repairs, 7);
+        assert_eq!(m.deferred_repairs, 2, "a queue length: the later report's, not a sum");
+        assert_eq!(b.merge(&a).deferred_repairs, 5);
+    }
+
+    /// A burst with nobody left to kill — only corpses, or nobody at all —
+    /// is a no-op: no epoch runs, so the transport is not even refreshed.
+    #[test]
+    fn killing_only_corpses_touches_nothing() {
+        let mut pool = build_system(10, PoolConfig::paper().with_replication());
+        load(&mut pool, 50, 20);
+        let first = pool.fail_nodes(&[NodeId(8), NodeId(8)]).unwrap();
+        assert_eq!((first.failed_nodes, first.epochs), (1, 0));
+        let generation = pool.transport().generation();
+        let messages = pool.ledger().total_messages();
+        assert_eq!(pool.fail_nodes(&[NodeId(8)]).unwrap(), FailureReport::default());
+        assert_eq!(pool.fail_nodes(&[]).unwrap(), FailureReport::default());
+        assert_eq!(pool.transport().generation(), generation, "no refresh without a victim");
+        assert_eq!(pool.ledger().total_messages(), messages);
     }
 
     /// Satellite regression: double-killing is idempotent, and unknown ids

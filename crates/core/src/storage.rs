@@ -67,11 +67,6 @@ impl CellStore {
         CellStore::default()
     }
 
-    /// Records `event` as stored in `cell` at node `holder`.
-    pub fn insert(&mut self, cell: CellCoord, event: Event, holder: NodeId) {
-        self.insert_stored(cell, StoredEvent { event, holder, backup: BackupSlot::NONE });
-    }
-
     /// Records an already-assembled `stored` event (holder and backup
     /// known) in `cell`.
     pub(crate) fn insert_stored(&mut self, cell: CellCoord, stored: StoredEvent) {
@@ -157,11 +152,15 @@ mod tests {
         Event::new(v.to_vec()).unwrap()
     }
 
+    fn put(store: &mut CellStore, cell: CellCoord, event: Event, holder: NodeId) {
+        store.insert_stored(cell, StoredEvent { event, holder, backup: BackupSlot::NONE });
+    }
+
     #[test]
     fn insert_and_lookup() {
         let mut store = CellStore::new();
         let cell = CellCoord::new(3, 4);
-        store.insert(cell, ev(&[0.4, 0.3, 0.1]), NodeId(7));
+        put(&mut store, cell, ev(&[0.4, 0.3, 0.1]), NodeId(7));
         assert_eq!(store.len(), 1);
         assert_eq!(store.events_in(cell).len(), 1);
         assert_eq!(store.events_in(cell)[0].holder, NodeId(7));
@@ -183,9 +182,9 @@ mod tests {
     #[test]
     fn per_node_counts() {
         let mut store = CellStore::new();
-        store.insert(CellCoord::new(0, 0), ev(&[0.1, 0.2]), NodeId(1));
-        store.insert(CellCoord::new(0, 1), ev(&[0.2, 0.1]), NodeId(1));
-        store.insert(CellCoord::new(0, 2), ev(&[0.3, 0.1]), NodeId(2));
+        put(&mut store, CellCoord::new(0, 0), ev(&[0.1, 0.2]), NodeId(1));
+        put(&mut store, CellCoord::new(0, 1), ev(&[0.2, 0.1]), NodeId(1));
+        put(&mut store, CellCoord::new(0, 2), ev(&[0.3, 0.1]), NodeId(2));
         assert_eq!(store.count_at(NodeId(1)), 2);
         assert_eq!(store.count_at(NodeId(2)), 1);
         assert_eq!(store.count_at(NodeId(3)), 0);
@@ -197,8 +196,8 @@ mod tests {
     fn multiple_events_per_cell_keep_order() {
         let mut store = CellStore::new();
         let cell = CellCoord::new(5, 5);
-        store.insert(cell, ev(&[0.5, 0.1]), NodeId(1));
-        store.insert(cell, ev(&[0.6, 0.2]), NodeId(2));
+        put(&mut store, cell, ev(&[0.5, 0.1]), NodeId(1));
+        put(&mut store, cell, ev(&[0.6, 0.2]), NodeId(2));
         let events = store.events_in(cell);
         assert_eq!(events[0].event.values(), &[0.5, 0.1]);
         assert_eq!(events[1].event.values(), &[0.6, 0.2]);
@@ -207,8 +206,8 @@ mod tests {
     #[test]
     fn iter_visits_everything() {
         let mut store = CellStore::new();
-        store.insert(CellCoord::new(0, 0), ev(&[0.1, 0.2]), NodeId(1));
-        store.insert(CellCoord::new(1, 1), ev(&[0.2, 0.1]), NodeId(2));
+        put(&mut store, CellCoord::new(0, 0), ev(&[0.1, 0.2]), NodeId(1));
+        put(&mut store, CellCoord::new(1, 1), ev(&[0.2, 0.1]), NodeId(2));
         let total: usize = store.iter().map(|(_, evs)| evs.len()).sum();
         assert_eq!(total, 2);
     }

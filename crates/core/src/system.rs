@@ -287,73 +287,22 @@ impl PoolSystem {
         )
     }
 
-    // ----- crate-internal hooks used by the failure/repair module -------
-
-    pub(crate) fn take_store(&mut self) -> CellStore {
-        std::mem::take(&mut self.store)
+    /// Sends one backup copy from `source` to its neighbor `target` (see
+    /// [`PoolSystem::backup_target`]). Returns the messages charged (1 on a
+    /// perfect radio; more with ARQ retransmissions) and `target` — `None`
+    /// on a lossy radio when the copy did not arrive. The caller records
+    /// the holder on the event the copy backs ([`StoredEvent::backup`]).
+    pub(crate) fn replicate_to(&mut self, source: NodeId, target: NodeId) -> (u64, Option<NodeId>) {
+        let outcome =
+            self.deliver_traced(TraceOp::Replicate, &[source, target], TrafficLayer::Replication);
+        (outcome.transmissions, outcome.delivered.then_some(target))
     }
 
-    pub(crate) fn clear_delegates(&mut self) {
-        self.delegates.clear();
-    }
-
-    pub(crate) fn drop_monitors_with_dead_sinks(&mut self) {
-        let dead: Vec<MonitorId> = self
-            .monitors
-            .iter()
-            .filter(|m| !self.topology.is_alive(m.sink))
-            .map(|m| m.id)
-            .collect();
-        for id in dead {
-            self.monitors.remove(id);
-        }
-    }
-
-    /// Sends one backup copy from `index_node` to its least-loaded live
-    /// neighbor. Returns the messages charged (1 on a perfect radio; more
-    /// with ARQ retransmissions; 0 when the index node is isolated) and
-    /// the neighbor now holding the copy — `None` on a lossy radio when
-    /// the copy did not arrive. The caller records the holder on the event
-    /// the copy backs ([`StoredEvent::backup`]).
-    pub(crate) fn replicate_from(&mut self, index_node: NodeId) -> (u64, Option<NodeId>) {
-        let Some(&backup_holder) = self
-            .topology
-            .neighbors(index_node)
-            .iter()
-            .min_by_key(|&&n| (self.store.count_at(n), n))
-        else {
-            return (0, None);
-        };
-        let outcome = self.deliver_traced(
-            TraceOp::Replicate,
-            &[index_node, backup_holder],
-            TrafficLayer::Replication,
-        );
-        (outcome.transmissions, outcome.delivered.then_some(backup_holder))
-    }
-
-    /// Re-creates the backup of every stored event (after repair).
-    pub(crate) fn rebuild_backups(&mut self) -> u64 {
-        let snapshot: Vec<(CellCoord, Vec<NodeId>)> = self
-            .store
-            .iter()
-            .map(|(cell, stored)| (*cell, stored.iter().map(|s| s.holder).collect()))
-            .collect();
-        let mut hops = 0u64;
-        for (cell, holders) in snapshot {
-            let backups: Vec<Option<NodeId>> = holders
-                .into_iter()
-                .map(|holder| {
-                    let (sent, backup) = self.replicate_from(holder);
-                    hops += sent;
-                    backup
-                })
-                .collect();
-            for ((_, slot), backup) in self.store.backups_in_mut(cell).zip(backups) {
-                *slot = backup.into();
-            }
-        }
-        hops
+    /// The neighbor of `index_node` a new backup copy goes to: the one
+    /// holding the fewest events, lowest id first (`None` when isolated).
+    pub(crate) fn backup_target(&self, index_node: NodeId) -> Option<NodeId> {
+        let neighbors = self.topology.neighbors(index_node).iter();
+        neighbors.min_by_key(|&&n| (self.store.count_at(n), n)).copied()
     }
 
     /// The underlying network topology.
@@ -567,9 +516,10 @@ impl PoolSystem {
         // Optional failure-tolerance replication: one backup copy at a
         // neighbor of the index node (overlapping the notifications).
         let mut backup = None;
-        if self.config.replicate {
+        let target = if self.config.replicate { self.backup_target(index_node) } else { None };
+        if let Some(target) = target {
             self.transport.clock_mut().seek(t_stored);
-            let (sent, copy_at) = self.replicate_from(index_node);
+            let (sent, copy_at) = self.replicate_to(index_node, target);
             messages += sent;
             backup = copy_at;
             op_end = op_end.max(self.transport.clock().now());
@@ -602,7 +552,7 @@ impl PoolSystem {
     /// Routes a unicast, delivers it over the (possibly lossy) link layer,
     /// charging every transmission to the ledger under `layer` and tracing
     /// the leg under `op`. Returns the delivery outcome. Shared by the
-    /// batch, nearest-neighbor, and failure-repair modules.
+    /// batch and nearest-neighbor modules.
     ///
     /// # Errors
     ///

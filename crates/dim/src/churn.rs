@@ -7,7 +7,8 @@
 //! owner changed hands while the old owner survives (a deposed or moved
 //! owner) hands its events off under the per-epoch message budget — until
 //! the handoff lands those events are parked in the [`DimRepairQueue`] and
-//! honestly invisible to queries.
+//! honestly invisible to queries. A failure burst
+//! ([`DimSystem::fail_nodes`]) is the deaths-only epoch with no budget.
 
 use crate::system::DimSystem;
 use pool_core::dynamics::EpochPlan;
@@ -17,38 +18,23 @@ use pool_core::PoolError;
 use pool_netsim::node::NodeId;
 use pool_transport::metrics::LedgerSnapshot;
 use pool_transport::trace::TraceOp;
-use pool_transport::TrafficLayer;
-use std::collections::{HashSet, VecDeque};
+use pool_transport::{Leg, Price, Repair, RepairQueue, TrafficLayer};
+use std::collections::HashSet;
 use std::sync::Arc;
 
+/// One queued DIM zone handoff.
 #[derive(Debug, Clone, PartialEq)]
-struct DimHandoff {
+pub struct DimHandoff {
     zone_idx: usize,
     event: Event,
     /// The surviving ex-owner still physically holding the event.
     from: NodeId,
 }
 
-/// Carry-over queue of zone handoffs deferred by the per-epoch budget.
-///
-/// FIFO, like Pool's [`pool_core::dynamics::RepairQueue`]: parked events
-/// are not query-visible until their handoff is delivered.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DimRepairQueue {
-    tasks: VecDeque<DimHandoff>,
-}
-
-impl DimRepairQueue {
-    /// Number of handoffs still waiting for budget.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether no handoffs are pending.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-}
+/// DIM's carry-over queue of zone handoffs deferred by the per-epoch
+/// budget: parked events are not query-visible until their handoff is
+/// delivered.
+pub type DimRepairQueue = RepairQueue<DimHandoff>;
 
 impl DimSystem {
     /// Applies one epoch of churn: joins, moves, then deaths (one
@@ -56,11 +42,12 @@ impl DimSystem {
     /// zones, and drains the handoff queue FIFO under `budget` radio
     /// messages.
     ///
-    /// The drain semantics match Pool's
-    /// [`pool_core::system::PoolSystem::apply_epoch`]: a budget of 0
-    /// pauses handoffs entirely, a handoff whose loss-free route alone
-    /// exceeds the budget is abandoned as unreachable, and the report's
-    /// `cells_*` fields count *zones*.
+    /// The drain is the one Pool and GHT use too
+    /// ([`pool_transport::RepairQueue::drain`]): a budget of 0 pauses
+    /// handoffs entirely, a handoff whose loss-free route alone exceeds the
+    /// budget is abandoned as unreachable, and one whose zone swung back to
+    /// its holder lands for free. The report's `cells_*` fields count
+    /// *zones*.
     ///
     /// # Errors
     ///
@@ -120,7 +107,8 @@ impl DimSystem {
         }
         report.events_retained = self.stored_events();
 
-        self.drain_handoffs(queue, budget, &mut report);
+        let spent = queue.drain(budget, &mut Drain { dim: self, report: &mut report });
+        report.repair_messages += spent;
         report.deferred_repairs = queue.len() as u64;
         ledger_before.debug_assert_sum(
             self.transport.ledger(),
@@ -130,57 +118,44 @@ impl DimSystem {
         );
         Ok(report)
     }
+}
 
-    /// Drains `queue` front-to-back until the next handoff would exceed
-    /// `budget` messages (0 pauses; an over-budget route is abandoned).
-    fn drain_handoffs(
-        &mut self,
-        queue: &mut DimRepairQueue,
-        budget: u64,
-        report: &mut FailureReport,
-    ) {
-        if budget == 0 {
-            return;
+/// DIM's side of the shared repair drain: a handoff is priced by its route
+/// to the zone's current owner, or lands for free when ownership swung back
+/// to the holder while it waited.
+struct Drain<'a> {
+    dim: &'a mut DimSystem,
+    report: &'a mut FailureReport,
+}
+
+impl Repair for Drain<'_> {
+    type Task = DimHandoff;
+
+    fn price(&mut self, task: &DimHandoff) -> Price {
+        let owner = self.dim.tree.zones()[task.zone_idx].owner;
+        if owner == task.from {
+            return Price::Home;
         }
-        let mut spent = 0u64;
-        while let Some(task) = queue.tasks.front() {
-            let owner = self.tree.zones()[task.zone_idx].owner;
-            if owner == task.from {
-                // Ownership swung back to the holder while the handoff
-                // waited: the event is already home, zero messages.
-                let task = queue.tasks.pop_front().expect("front exists");
-                self.store.entry(task.zone_idx).or_default().push(task.event);
-                report.events_migrated += 1;
-                continue;
-            }
-            let route = match self.transport.route_to_node(&self.topology, task.from, owner) {
-                Ok(route) => route,
-                Err(_) => {
-                    queue.tasks.pop_front();
-                    report.events_unreachable += 1;
-                    continue;
-                }
-            };
-            let estimate = route.path.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-            if estimate > budget {
-                queue.tasks.pop_front();
-                report.events_unreachable += 1;
-                continue;
-            }
-            if spent + estimate > budget {
-                break;
-            }
-            let task = queue.tasks.pop_front().expect("front exists");
-            let outcome = self.deliver_traced(TraceOp::Repair, &route.path, TrafficLayer::Repair);
-            spent += outcome.transmissions;
-            report.repair_messages += outcome.transmissions;
-            if outcome.delivered {
-                report.events_migrated += 1;
-                self.store.entry(task.zone_idx).or_default().push(task.event);
-            } else {
-                report.events_unreachable += 1;
-            }
+        match self.dim.transport.route_to_node(&self.dim.topology, task.from, owner) {
+            Ok(route) => Price::Route(Leg::Route(route)),
+            Err(_) => Price::NoRoute,
         }
+    }
+
+    fn land(&mut self, task: DimHandoff, leg: Option<Leg>, _: &mut DimRepairQueue) -> u64 {
+        let outcome = leg
+            .map(|leg| self.dim.deliver_traced(TraceOp::Repair, leg.path(), TrafficLayer::Repair));
+        if outcome.as_ref().is_none_or(|o| o.delivered) {
+            self.report.events_migrated += 1;
+            self.dim.store.entry(task.zone_idx).or_default().push(task.event);
+        } else {
+            self.report.events_unreachable += 1;
+        }
+        outcome.map_or(0, |o| o.transmissions)
+    }
+
+    fn unreachable(&mut self, _: DimHandoff) {
+        self.report.events_unreachable += 1;
     }
 }
 
@@ -331,9 +306,11 @@ mod tests {
         load(&mut dim, 50, 4);
         let victim = dim.tree().zones()[0].owner;
         let first = dim.fail_nodes(&[victim, victim]).unwrap();
-        assert_eq!(first.failed_nodes, 1, "duplicates count once");
+        assert_eq!((first.failed_nodes, first.epochs), (1, 0), "duplicates count once");
+        let generation = dim.transport().generation();
         let second = dim.fail_nodes(&[victim]).unwrap();
-        assert_eq!(second, crate::system::DimFailureReport::default());
+        assert_eq!(second, FailureReport::default());
+        assert_eq!(dim.transport().generation(), generation, "a corpse is not refreshed for");
         let err = dim.fail_nodes(&[NodeId(300)]).unwrap_err();
         assert!(matches!(err, PoolError::UnknownNode { node: NodeId(300), nodes: 300 }));
     }

@@ -15,8 +15,11 @@
 //!   model for DIM — real DIM pays additional splitting overhead — so any
 //!   Pool advantage measured against it is conservative.
 
+use crate::churn::DimRepairQueue;
 use crate::zone::ZoneTree;
+use pool_core::dynamics::EpochPlan;
 use pool_core::event::Event;
+use pool_core::failure::FailureReport;
 use pool_core::insert::InsertError;
 use pool_core::query::RangeQuery;
 use pool_core::system::QueryCost;
@@ -55,24 +58,6 @@ pub struct DimQueryResult {
     /// uses this identity to recompose per-request completeness when
     /// queries are coalesced.
     pub unreached_zones: Vec<usize>,
-}
-
-/// Outcome of a DIM failure-injection step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DimFailureReport {
-    /// Nodes newly failed.
-    pub failed_nodes: usize,
-    /// Zones reassigned to surviving owners.
-    pub zones_reassigned: usize,
-    /// Events lost with their dead owners (DIM keeps no replicas).
-    pub events_lost: usize,
-    /// Whether the surviving network is split into several components
-    /// (repair proceeds in degraded mode, mirroring Pool).
-    pub partitioned: bool,
-    /// Survivors outside the largest connected component.
-    pub nodes_unreachable: usize,
-    /// Zones whose (repaired) owner sits outside the largest component.
-    pub zones_unreachable: usize,
 }
 
 /// Receipt for one DIM insertion.
@@ -611,13 +596,15 @@ impl DimSystem {
         Ok(DimQueryResult { events, cost, zones_visited, zones_reached, unreached_zones })
     }
 
-    /// Fails `dead` nodes: the events they owned are lost (DIM keeps no
+    /// Fails `dead` nodes: the deaths-only [`DimSystem::apply_epoch`] with
+    /// no message budget. The events they owned are lost (DIM keeps no
     /// replicas), their zones are absorbed by the nearest survivors, and
-    /// routing is refreshed over the live network.
+    /// routing is refreshed over the live network. The report's `cells_*`
+    /// fields count zones, and its `epochs` is 0.
     ///
-    /// A failure that splits the survivors no longer aborts — the report's
-    /// [`DimFailureReport::partitioned`] flag is set and the unreachable
-    /// remainder tallied, mirroring Pool's degraded mode.
+    /// A failure that splits the survivors does not abort — the report's
+    /// `partitioned` flag is set and the unreachable remainder tallied,
+    /// mirroring Pool's degraded mode.
     ///
     /// # Errors
     ///
@@ -625,47 +612,12 @@ impl DimSystem {
     /// applied). Failing an already-dead node is an idempotent no-op:
     /// duplicates and corpses are filtered out before counting, mirroring
     /// [`pool_core::system::PoolSystem`]'s `fail_nodes`.
-    pub fn fail_nodes(&mut self, dead: &[NodeId]) -> Result<DimFailureReport, PoolError> {
-        let Some(change) = pool_transport::apply_failures(
-            Arc::make_mut(&mut self.topology),
-            self.transport.as_mut(),
-            dead,
-        )?
-        else {
-            return Ok(DimFailureReport::default());
+    pub fn fail_nodes(&mut self, dead: &[NodeId]) -> Result<FailureReport, PoolError> {
+        let Some(plan) = EpochPlan::deaths_only(&self.topology, dead) else {
+            return Ok(FailureReport::default());
         };
-        let failed_nodes = change.victims.len();
-        let partitioned = change.partitioned;
-
-        // Events held by dead owners are gone.
-        let mut events_lost = 0usize;
-        let zones = self.tree.zones();
-        for (zone_idx, events) in self.store.iter_mut() {
-            if !self.topology.is_alive(zones[*zone_idx].owner) {
-                events_lost += events.len();
-                events.clear();
-            }
-        }
-        self.store.retain(|_, v| !v.is_empty());
-        let zones_reassigned = self.tree.repair_owners(&self.topology);
-        let (nodes_unreachable, zones_unreachable) = if partitioned {
-            let main: std::collections::HashSet<NodeId> =
-                self.topology.largest_component_members().into_iter().collect();
-            (
-                self.topology.alive_count() - main.len(),
-                self.tree.zones().iter().filter(|z| !main.contains(&z.owner)).count(),
-            )
-        } else {
-            (0, 0)
-        };
-        Ok(DimFailureReport {
-            failed_nodes,
-            zones_reassigned,
-            events_lost,
-            partitioned,
-            nodes_unreachable,
-            zones_unreachable,
-        })
+        let report = self.apply_epoch(&plan, &mut DimRepairQueue::default(), u64::MAX)?;
+        Ok(FailureReport { epochs: 0, ..report })
     }
 
     /// Brute-force ground truth over every stored event.
@@ -840,7 +792,7 @@ mod tests {
         };
         let report = dim.fail_nodes(&victims).unwrap();
         assert_eq!(report.failed_nodes, 3);
-        assert!(report.zones_reassigned >= 3);
+        assert!(report.cells_reassigned >= 3);
         assert_eq!(dim.stored_events(), before - report.events_lost);
         // Every zone owner is now alive, and queries still work.
         for z in dim.tree().zones() {

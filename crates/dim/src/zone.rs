@@ -213,26 +213,12 @@ impl ZoneTree {
         ranges[dim] = (lo, hi);
     }
 
-    /// Reassigns every zone whose owner died to the live node nearest the
-    /// zone's center (DIM's repair: a neighboring owner absorbs the dead
-    /// zone). Returns the number of zones reassigned.
-    pub fn repair_owners(&mut self, topology: &Topology) -> usize {
-        let mut reassigned = 0;
-        for zone in &mut self.zones {
-            if !topology.is_alive(zone.owner) {
-                zone.owner = topology.nearest_node(zone.region.center());
-                reassigned += 1;
-            }
-        }
-        reassigned
-    }
-
     /// Re-elects the owner of every zone whose current owner is dead or
     /// listed in `displaced` (it moved this epoch and may no longer be the
     /// zone's best host). The new owner is the live node nearest the
-    /// zone's center — the same rule [`ZoneTree::repair_owners`] applies
-    /// to dead owners. Returns `(zone index, old owner, new owner)` for
-    /// every zone that actually changed hands, in zone order.
+    /// zone's center (DIM's repair: a neighboring owner absorbs a dead
+    /// zone). Returns `(zone index, old owner, new owner)` for every zone
+    /// that actually changed hands, in zone order.
     pub fn re_elect_owners(
         &mut self,
         topology: &Topology,

@@ -17,8 +17,9 @@ use crate::table::GhtTable;
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
-use pool_transport::{apply_change, TrafficLayer, Transport, UnknownNode};
-use std::collections::VecDeque;
+use pool_transport::{
+    apply_change, Leg, Price, Repair, RepairQueue, TrafficLayer, Transport, UnknownNode,
+};
 
 /// Outcome of one GHT churn epoch (counters add across epochs via
 /// [`GhtChurnReport::merge`]).
@@ -60,38 +61,18 @@ impl GhtChurnReport {
     }
 }
 
+/// One queued GHT re-homing handoff.
 #[derive(Debug, Clone)]
-struct GhtHandoff<V> {
+pub struct GhtHandoff<V> {
     key: String,
     value: V,
     /// The surviving node still physically holding the value.
     from: NodeId,
 }
 
-/// Carry-over queue of re-homing handoffs deferred by the per-epoch
-/// budget. FIFO; parked values are not visible to `get` until delivered.
-#[derive(Debug, Clone)]
-pub struct GhtRepairQueue<V> {
-    tasks: VecDeque<GhtHandoff<V>>,
-}
-
-impl<V> Default for GhtRepairQueue<V> {
-    fn default() -> Self {
-        GhtRepairQueue { tasks: VecDeque::new() }
-    }
-}
-
-impl<V> GhtRepairQueue<V> {
-    /// Number of handoffs still waiting for budget.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether no handoffs are pending.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-}
+/// GHT's carry-over queue of re-homing handoffs deferred by the per-epoch
+/// budget; parked values are not visible to `get` until delivered.
+pub type GhtRepairQueue<V> = RepairQueue<GhtHandoff<V>>;
 
 impl<V: Clone> GhtTable<V> {
     /// Grows the per-node storage to address `n` nodes (joins give the
@@ -182,63 +163,52 @@ impl<V: Clone> GhtTable<V> {
             }
         }
 
-        self.drain_handoffs(topology, transport, queue, budget, &mut report);
-        report.deferred_repairs = queue.tasks.len() as u64;
+        let mut drain = Drain { table: self, topology, transport, report: &mut report };
+        let spent = queue.drain(budget, &mut drain);
+        report.repair_messages += spent;
+        report.deferred_repairs = queue.len() as u64;
         Ok(report)
     }
+}
 
-    /// Drains `queue` front-to-back until the next handoff would exceed
-    /// `budget` messages.
-    fn drain_handoffs(
-        &mut self,
-        topology: &Topology,
-        transport: &mut dyn Transport,
-        queue: &mut GhtRepairQueue<V>,
-        budget: u64,
-        report: &mut GhtChurnReport,
-    ) {
-        if budget == 0 {
-            return;
+/// GHT's side of the shared repair drain: a handoff is priced by its route
+/// toward the key's location, and lands for free when that route now ends
+/// at the holder (the home swung back while it waited).
+struct Drain<'a, V> {
+    table: &'a mut GhtTable<V>,
+    topology: &'a Topology,
+    transport: &'a mut dyn Transport,
+    report: &'a mut GhtChurnReport,
+}
+
+impl<V: Clone> Repair for Drain<'_, V> {
+    type Task = GhtHandoff<V>;
+
+    fn price(&mut self, task: &GhtHandoff<V>) -> Price {
+        let loc = self.table.key_location(self.topology, &task.key);
+        match self.transport.route_to_location(self.topology, task.from, loc) {
+            Ok(route) if route.delivered == task.from => Price::Home,
+            Ok(route) => Price::Route(Leg::Route(route)),
+            Err(_) => Price::NoRoute,
         }
-        let mut spent = 0u64;
-        while let Some(task) = queue.tasks.front() {
-            let loc = self.key_location(topology, &task.key);
-            let route = match transport.route_to_location(topology, task.from, loc) {
-                Ok(route) => route,
-                Err(_) => {
-                    queue.tasks.pop_front();
-                    report.values_unreachable += 1;
-                    continue;
-                }
-            };
-            if route.delivered == task.from {
-                // The home swung back to the holder while the handoff
-                // waited: the value is already home, zero messages.
-                let task = queue.tasks.pop_front().expect("front exists");
-                self.storage[task.from.index()].entry(task.key).or_default().push(task.value);
-                report.values_rehomed += 1;
-                continue;
-            }
-            let estimate = route.path.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-            if estimate > budget {
-                queue.tasks.pop_front();
-                report.values_unreachable += 1;
-                continue;
-            }
-            if spent + estimate > budget {
-                break;
-            }
-            let task = queue.tasks.pop_front().expect("front exists");
-            let outcome = transport.deliver(topology, &route.path, TrafficLayer::Repair);
-            spent += outcome.transmissions;
-            report.repair_messages += outcome.transmissions;
-            if outcome.delivered {
-                report.values_rehomed += 1;
-                self.storage[route.delivered.index()].entry(task.key).or_default().push(task.value);
-            } else {
-                report.values_unreachable += 1;
-            }
+    }
+
+    fn land(&mut self, task: GhtHandoff<V>, leg: Option<Leg>, _: &mut GhtRepairQueue<V>) -> u64 {
+        let ends_at = |leg: &Leg| *leg.path().last().expect("a route holds its source");
+        let home = leg.as_ref().map_or(task.from, ends_at);
+        let outcome =
+            leg.map(|leg| self.transport.deliver(self.topology, leg.path(), TrafficLayer::Repair));
+        if outcome.as_ref().is_none_or(|o| o.delivered) {
+            self.table.storage[home.index()].entry(task.key).or_default().push(task.value);
+            self.report.values_rehomed += 1;
+        } else {
+            self.report.values_unreachable += 1;
         }
+        outcome.map_or(0, |o| o.transmissions)
+    }
+
+    fn unreachable(&mut self, _: GhtHandoff<V>) {
+        self.report.values_unreachable += 1;
     }
 }
 

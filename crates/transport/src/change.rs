@@ -1,18 +1,25 @@
-//! One batch of topology change, applied once.
+//! One batch of topology change, applied once, and one budgeted repair
+//! drain.
 //!
-//! Every scheme's churn epoch and failure burst starts with the same step:
-//! check the batch names only deployed nodes, write joins, moves and deaths
-//! into the topology, fold the mutation overlay, test connectivity, and
-//! bring the routing substrate up to date. [`apply_change`] is that step.
-//! Because it sees both the compaction and the transport, it is also where
-//! the rows an epoch dirtied ([`Topology::compact`]'s return value) reach
-//! [`Transport::refresh`], so the substrate re-planarizes `O(churn)` rows
-//! instead of all `n`.
+//! Every scheme's churn epoch (a failure burst is the deaths-only epoch)
+//! starts with the same step: check the batch names only deployed nodes,
+//! write joins, moves and deaths into the topology, fold the mutation
+//! overlay, test connectivity, and bring the routing substrate up to date.
+//! [`apply_change`] is that step. Because it sees both the compaction and
+//! the transport, it is also where the rows an epoch dirtied
+//! ([`Topology::compact`]'s return value) reach [`Transport::refresh`], so
+//! the substrate re-planarizes `O(churn)` rows instead of all `n`.
+//!
+//! Every epoch ends the same way too: the repair work the change caused
+//! drains FIFO under a message budget. [`RepairQueue::drain`] is that
+//! loop; a scheme supplies only how a task is priced and what landing it
+//! does ([`Repair`]).
 
-use crate::Transport;
+use crate::{Leg, Transport};
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -94,24 +101,121 @@ pub fn apply_change(
     Ok(NetworkChange { dirty, victims, displaced, partitioned })
 }
 
-/// The failure-burst case of [`apply_change`]: kills `dead`. When nobody in
-/// `dead` is left to kill (an empty list, or only corpses) it returns `None`
-/// without touching the network or the transport, so double-kills stay
-/// idempotent no-ops.
+/// What a queued repair costs, as its scheme prices it against the current
+/// network.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Price {
+    /// Deliverable along this leg; the budget is charged its loss-free hop
+    /// count.
+    Route(Leg),
+    /// Already where it belongs: lands for nothing, under any positive
+    /// budget.
+    Home,
+    /// No route at all (a partition): dropped, uncharged, as unreachable.
+    NoRoute,
+}
+
+/// One scheme's side of [`RepairQueue::drain`]: how a queued task is
+/// priced, and what landing it does.
+pub trait Repair {
+    /// The scheme's unit of queued repair work.
+    type Task;
+
+    /// Prices `task`, the head of the queue.
+    fn price(&mut self, task: &Self::Task) -> Price;
+
+    /// Lands `task`, which the budget admitted, over `leg` (`None` when it
+    /// was priced [`Price::Home`]) and returns the radio messages it spent.
+    /// Follow-up work goes onto `queue`, behind everything already waiting.
+    fn land(
+        &mut self,
+        task: Self::Task,
+        leg: Option<Leg>,
+        queue: &mut RepairQueue<Self::Task>,
+    ) -> u64;
+
+    /// Records `task` as dropped unreachable: it had no route, or its route
+    /// alone exceeds the whole budget.
+    fn unreachable(&mut self, task: Self::Task);
+}
+
+/// Carry-over queue of repairs deferred by a per-epoch message budget.
 ///
-/// # Errors
-///
-/// [`UnknownNode`] as for [`apply_change`].
-pub fn apply_failures(
-    topology: &mut Topology,
-    transport: &mut dyn Transport,
-    dead: &[NodeId],
-) -> Result<Option<NetworkChange>, UnknownNode> {
-    let nodes = topology.len();
-    if dead.iter().all(|&d| d.index() < nodes && !topology.is_alive(d)) {
-        return Ok(None);
+/// FIFO: the oldest task drains first. Work parked here is not in its
+/// scheme's query-visible store until it lands, so a query honestly misses
+/// it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RepairQueue<T> {
+    /// The waiting tasks, oldest first. A scheme re-triages them against
+    /// each epoch's topology before the drain.
+    pub tasks: VecDeque<T>,
+}
+
+impl<T> Default for RepairQueue<T> {
+    fn default() -> Self {
+        RepairQueue { tasks: VecDeque::new() }
     }
-    apply_change(topology, transport, &[], &[], dead).map(Some)
+}
+
+impl<T> RepairQueue<T> {
+    /// Number of tasks still waiting for budget.
+    pub fn len(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// Whether no task is waiting.
+    pub fn is_empty(&self) -> bool {
+        self.tasks.is_empty()
+    }
+
+    /// Drains the queue front to back under `budget` radio messages and
+    /// returns the messages spent. The rules are the same for every scheme:
+    ///
+    /// * a budget of 0 pauses repair: nothing is priced, popped or charged;
+    /// * a task priced [`Price::NoRoute`] is dropped uncharged as
+    ///   unreachable;
+    /// * a task whose estimate alone exceeds the budget could never fit any
+    ///   epoch, so it is dropped as unreachable instead of blocking the head;
+    /// * the drain stops at the first task with `spent + estimate > budget`,
+    ///   so nothing behind it jumps the FIFO order;
+    /// * a [`Price::Home`] task lands at zero cost under any positive budget.
+    ///
+    /// The estimate is the leg's loss-free hop count: on a lossy radio the
+    /// last admitted task may overshoot by its retransmissions. Work a
+    /// landing queues runs in the same drain if the budget allows.
+    pub fn drain<R: Repair<Task = T>>(&mut self, budget: u64, scheme: &mut R) -> u64 {
+        let mut spent = 0u64;
+        if budget == 0 {
+            return spent;
+        }
+        while let Some(head) = self.tasks.front() {
+            let leg = match scheme.price(head) {
+                Price::Home => None,
+                Price::Route(leg) => {
+                    let estimate = leg.path().windows(2).filter(|w| w[0] != w[1]).count() as u64;
+                    if estimate > budget {
+                        scheme.unreachable(self.pop_head());
+                        continue;
+                    }
+                    if spent + estimate > budget {
+                        break;
+                    }
+                    Some(leg)
+                }
+                Price::NoRoute => {
+                    scheme.unreachable(self.pop_head());
+                    continue;
+                }
+            };
+            let task = self.pop_head();
+            spent += scheme.land(task, leg, self);
+        }
+        spent
+    }
+
+    fn pop_head(&mut self) -> T {
+        self.tasks.pop_front().expect("the head was just priced")
+    }
 }
 
 #[cfg(test)]
@@ -312,7 +416,7 @@ mod tests {
             Err(UnknownNode { node: NodeId(900), nodes: NODES + 1 }),
             "moves come first"
         );
-        let err = apply_failures(&mut topology, &mut transport, &[NodeId(3), NodeId(500)]);
+        let err = apply_change(&mut topology, &mut transport, &[], &[], &[NodeId(3), NodeId(500)]);
         assert_eq!(err, Err(UnknownNode { node: NodeId(500), nodes: NODES }));
         assert_eq!(topology.len(), NODES);
         assert_eq!(topology.alive_count(), NODES);
@@ -324,17 +428,145 @@ mod tests {
         assert_eq!(change.victims, vec![NodeId(500)]);
     }
 
+    /// A toy repair: an id, a price, and the follow-up task landing it
+    /// queues.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Toy {
+        id: u32,
+        cost: Cost,
+        follow_up: Option<Box<Toy>>,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Cost {
+        Hops(u32),
+        Home,
+        NoRoute,
+    }
+
+    fn toy(id: u32, cost: Cost) -> Toy {
+        Toy { id, cost, follow_up: None }
+    }
+
+    /// Prices each task by its [`Cost`] (a route of that many hops) and
+    /// records what happened to it. A landing spends the hops plus
+    /// `overshoot`, like ARQ retransmissions would.
+    #[derive(Default)]
+    struct Toys {
+        priced: usize,
+        landed: Vec<(u32, Option<usize>)>,
+        unreachable: Vec<u32>,
+        overshoot: u64,
+    }
+
+    impl Repair for Toys {
+        type Task = Toy;
+
+        fn price(&mut self, task: &Toy) -> Price {
+            self.priced += 1;
+            match task.cost {
+                Cost::Hops(hops) => {
+                    let path: Vec<NodeId> = (0..=hops).map(NodeId).collect();
+                    let route = pool_gpsr::Route {
+                        delivered: NodeId(hops),
+                        path,
+                        greedy_hops: hops as usize,
+                        perimeter_hops: 0,
+                    };
+                    Price::Route(Leg::Route(std::sync::Arc::new(route)))
+                }
+                Cost::Home => Price::Home,
+                Cost::NoRoute => Price::NoRoute,
+            }
+        }
+
+        fn land(&mut self, task: Toy, leg: Option<Leg>, queue: &mut RepairQueue<Toy>) -> u64 {
+            let hops = leg.map(|leg| leg.path().len() - 1);
+            self.landed.push((task.id, hops));
+            if let Some(next) = task.follow_up {
+                queue.tasks.push_back(*next);
+            }
+            hops.map_or(0, |h| h as u64 + self.overshoot)
+        }
+
+        fn unreachable(&mut self, task: Toy) {
+            self.unreachable.push(task.id);
+        }
+    }
+
+    fn queue_of(tasks: Vec<Toy>) -> RepairQueue<Toy> {
+        RepairQueue { tasks: tasks.into() }
+    }
+
+    fn ids(queue: &RepairQueue<Toy>) -> Vec<u32> {
+        queue.tasks.iter().map(|t| t.id).collect()
+    }
+
     #[test]
-    fn killing_only_corpses_touches_nothing() {
-        let mut topology = deployed(66);
-        let mut transport = GpsrTransport::new(&topology, Planarization::Gabriel);
-        let first = apply_failures(&mut topology, &mut transport, &[NodeId(8), NodeId(8)])
-            .unwrap()
-            .expect("a live victim");
-        assert_eq!(first.victims, vec![NodeId(8)]);
-        assert_eq!(transport.generation(), 1);
-        assert_eq!(apply_failures(&mut topology, &mut transport, &[NodeId(8)]), Ok(None));
-        assert_eq!(apply_failures(&mut topology, &mut transport, &[]), Ok(None));
-        assert_eq!(transport.generation(), 1, "no refresh without a victim");
+    fn a_zero_budget_pauses_the_drain() {
+        let mut queue = queue_of(vec![toy(1, Cost::Hops(1)), toy(2, Cost::Home)]);
+        let mut toys = Toys::default();
+        assert_eq!(queue.drain(0, &mut toys), 0);
+        assert_eq!(ids(&queue), vec![1, 2], "nothing popped");
+        assert_eq!((toys.priced, toys.landed.len(), toys.unreachable.len()), (0, 0, 0));
+    }
+
+    #[test]
+    fn unreachable_tasks_are_dropped_uncharged_and_the_next_one_runs() {
+        let mut queue = queue_of(vec![
+            toy(1, Cost::Hops(6)),
+            toy(2, Cost::NoRoute),
+            toy(3, Cost::Hops(5)),
+            toy(4, Cost::Hops(2)),
+        ]);
+        let mut toys = Toys::default();
+        assert_eq!(queue.drain(5, &mut toys), 5, "only the fitting legs are charged");
+        assert_eq!(toys.unreachable, vec![1, 2], "over budget alone, then no route");
+        assert_eq!(toys.landed, vec![(3, Some(5))]);
+        assert_eq!(ids(&queue), vec![4], "4 waits for the next epoch");
+        assert!(queue.drain(5, &mut toys) == 2 && queue.is_empty());
+    }
+
+    #[test]
+    fn the_cutoff_is_strict_and_keeps_fifo_order() {
+        let mut queue =
+            queue_of(vec![toy(1, Cost::Hops(3)), toy(2, Cost::Hops(4)), toy(3, Cost::Hops(1))]);
+        let mut toys = Toys::default();
+        assert_eq!(queue.drain(7, &mut toys), 7, "spent + estimate == budget still fits");
+        assert_eq!(ids(&queue), vec![3]);
+        let mut queue =
+            queue_of(vec![toy(1, Cost::Hops(3)), toy(2, Cost::Hops(5)), toy(3, Cost::Hops(1))]);
+        let mut toys = Toys::default();
+        assert_eq!(queue.drain(7, &mut toys), 3);
+        assert_eq!(ids(&queue), vec![2, 3], "3 would fit, but may not pass 2");
+        assert_eq!(toys.priced, 2, "the drain stops at the first task over the line");
+    }
+
+    #[test]
+    fn a_task_already_home_lands_under_any_positive_budget() {
+        let mut queue = queue_of(vec![toy(1, Cost::Home)]);
+        let mut toys = Toys::default();
+        assert_eq!(queue.drain(1, &mut toys), 0);
+        assert_eq!(toys.landed, vec![(1, None)]);
+        // Even after a landing overshot the budget with retransmissions.
+        let mut queue =
+            queue_of(vec![toy(1, Cost::Hops(2)), toy(2, Cost::Home), toy(3, Cost::Hops(1))]);
+        let mut toys = Toys { overshoot: 3, ..Toys::default() };
+        assert_eq!(queue.drain(2, &mut toys), 5);
+        assert_eq!(toys.landed, vec![(1, Some(2)), (2, None)]);
+        assert_eq!(ids(&queue), vec![3]);
+    }
+
+    #[test]
+    fn follow_up_work_queues_behind_everything_waiting() {
+        let spawner =
+            Toy { id: 1, cost: Cost::Hops(1), follow_up: Some(Box::new(toy(3, Cost::Hops(1)))) };
+        let mut queue = queue_of(vec![spawner, toy(2, Cost::Hops(1))]);
+        let mut toys = Toys::default();
+        assert_eq!(queue.drain(2, &mut toys), 2);
+        assert_eq!(ids(&queue), vec![3], "the follow-up waits behind 2");
+        assert_eq!(queue.drain(u64::MAX, &mut toys), 1);
+        let order: Vec<u32> = toys.landed.iter().map(|&(id, _)| id).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 }

@@ -12,6 +12,8 @@
 //! * [`apply_change`] — the one place a batch of joins, moves and deaths is
 //!   validated, written into the topology, compacted, and handed to
 //!   [`Transport::refresh`] as the set of rows it dirtied.
+//! * [`RepairQueue`] — the one budgeted FIFO every scheme drains its
+//!   repairs through; a scheme supplies only [`Repair`]'s price and landing.
 //! * [`GpsrTransport`] — the reference implementation; recomputes every
 //!   route, reproducing the original message counts bit for bit.
 //! * [`CachedTransport`] — memoizes delivered routes per endpoint pair and
@@ -55,7 +57,7 @@ pub mod retry;
 pub mod trace;
 
 pub use cached::CachedTransport;
-pub use change::{apply_change, apply_failures, NetworkChange, UnknownNode};
+pub use change::{apply_change, NetworkChange, Price, Repair, RepairQueue, UnknownNode};
 pub use clock::{clean_hops, Hop, LatencyModel, VirtualClock};
 pub use faults::{Fault, FaultPlan, FaultyTransport, GilbertElliott};
 pub use gpsr::GpsrTransport;

@@ -119,8 +119,15 @@ release_audit() {
     cargo test --release -q --test transport_equivalence
 }
 
+reachability() {
+    # A report, never a failure: the count of pub items no other library
+    # code names (./scripts/reachability.sh prints the list).
+    ./scripts/reachability.sh | tail -n 1 || true
+}
+
 stage "cargo fmt --check" cargo fmt --all --check
 stage "cargo clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
+stage "reachability report" reachability
 
 if [ "$QUICK" -eq 1 ]; then
     stage "cargo test (debug)" cargo test --workspace -q

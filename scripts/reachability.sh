@@ -1,0 +1,87 @@
+#!/usr/bin/env bash
+# Reachability report: every `pub` fn, struct, enum, trait and type alias
+# under crates/*/src whose name no other library code uses.
+#
+# Usage:
+#   ./scripts/reachability.sh            # from anywhere in the repository
+#
+# An item is reachable when its name appears in another crate's src/, the
+# root src/, or examples/ (above each file's first `#[cfg(test)]`, comments
+# stripped). Every other item is listed, one per line, with where else its
+# name appears: `tests` (tests/, crates/*/tests/ and the `#[cfg(test)]`
+# tails of src files), `benchmark` (benchmark/), both, or `-` for nowhere
+# but its own crate's library code. The match is by name, so a common
+# name (`new`, `len`)
+# reads as reachable when it may not be: the list under-reports, never
+# over-reports. The report always exits 0; it informs, it does not gate.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+python3 - <<'EOF'
+import pathlib
+import re
+
+ITEM = re.compile(r"^\s*pub\s+(?:const\s+|unsafe\s+|async\s+)*(fn|struct|enum|trait|type)\s+([A-Za-z_]\w*)")
+IDENT = re.compile(r"[A-Za-z_]\w*")
+
+
+def split(path):
+    """(code above the first #[cfg(test)], code below it), comments stripped."""
+    lines = [line.split("//", 1)[0] for line in path.read_text().splitlines()]
+    cut = next((i for i, line in enumerate(lines) if "#[cfg(test)]" in line), len(lines))
+    return "\n".join(lines[:cut]), "\n".join(lines[cut:])
+
+
+def idents(text):
+    return set(IDENT.findall(text))
+
+
+crates = sorted(p.parent for p in pathlib.Path("crates").glob("*/src"))
+lib_uses, test_uses = {}, {}  # crate (None: outside crates/) -> identifiers
+items = []
+for crate in crates:
+    lib_uses[crate], test_uses[crate] = set(), set()
+    for path in sorted((crate / "src").rglob("*.rs")):
+        above, below = split(path)
+        lib_uses[crate] |= idents(above)
+        test_uses[crate] |= idents(below)
+        for number, line in enumerate(above.splitlines(), 1):
+            m = ITEM.match(line)
+            if m:
+                items.append((crate, f"{path}:{number}", m.group(1), m.group(2)))
+    for path in sorted(crate.glob("tests/**/*.rs")):
+        test_uses[crate] |= idents(path.read_text())
+
+outside_lib = set()
+for root in ("src", "examples"):
+    for path in sorted(pathlib.Path(root).rglob("*.rs")):
+        above, below = split(path)
+        outside_lib |= idents(above)
+        test_uses.setdefault(None, set()).update(idents(below))
+for path in sorted(pathlib.Path("tests").rglob("*.rs")):
+    test_uses.setdefault(None, set()).update(idents(path.read_text()))
+bench_uses = set()
+for path in sorted(pathlib.Path("benchmark").rglob("*.rs")):
+    if "target" not in path.parts:
+        bench_uses |= idents(path.read_text())
+
+listed = []
+for crate, where, kind, name in items:
+    other_lib = outside_lib.union(*(u for c, u in lib_uses.items() if c != crate))
+    if name in other_lib:
+        continue
+    by_tests = any(name in uses for uses in test_uses.values())
+    by_bench = name in bench_uses
+    mark = {(True, True): "tests+benchmark", (True, False): "tests",
+            (False, True): "benchmark"}.get((by_tests, by_bench), "-")
+    listed.append((where, kind, name, mark))
+
+for where, kind, name, mark in listed:
+    print(f"{where:<48} {kind:<6} {name:<44} {mark}")
+count = lambda m: sum(1 for *_, mark in listed if mark == m)
+print(
+    f"\n{len(items)} pub items under crates/*/src; {len(listed)} unused by other library code: "
+    f"{count('-')} used nowhere else, {count('tests')} only by tests, "
+    f"{count('benchmark')} only by benchmark/, {count('tests+benchmark')} by both"
+)
+EOF

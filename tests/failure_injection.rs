@@ -201,6 +201,174 @@ fn nearest_neighbor_still_exact_after_failures() {
     }
 }
 
+/// Up to `count` of `candidates`, in order, whose removal together keeps
+/// `topo` connected.
+fn connected_victims(
+    topo: &Topology,
+    candidates: impl IntoIterator<Item = NodeId>,
+    count: usize,
+) -> Vec<NodeId> {
+    let mut picked = Vec::new();
+    for candidate in candidates {
+        if picked.len() == count {
+            break;
+        }
+        picked.push(candidate);
+        if !topo.without_nodes(&picked).is_connected() {
+            picked.pop();
+        }
+    }
+    picked
+}
+
+/// A one-shot model of DIM's failure repair, the reference for its epoch:
+/// every event of a zone whose owner dies is lost, the zone goes to the
+/// live node nearest its center, and a partition is tallied over the
+/// survivors. Fails `victims` on `dim` and checks the result against it.
+fn assert_dim_burst_matches_the_one_shot_repair(dim: &mut DimSystem, victims: &[NodeId]) {
+    use std::collections::HashSet;
+    let all = RangeQuery::exact(vec![(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]).unwrap();
+    let dying: HashSet<NodeId> =
+        victims.iter().copied().filter(|&v| dim.topology().is_alive(v)).collect();
+    let owners: Vec<NodeId> = dim.tree().zones().iter().map(|z| z.owner).collect();
+    let (mut kept, mut lost) = (Vec::new(), 0);
+    for e in dim.brute_force_query(&all) {
+        if dying.contains(&owners[dim.tree().zone_index_of_event(e.values())]) {
+            lost += 1;
+        } else {
+            kept.push(e);
+        }
+    }
+
+    let report = dim.fail_nodes(victims).unwrap();
+    let topology = dim.topology();
+    let zones = dim.tree().zones();
+    for (zone, old) in zones.iter().zip(&owners) {
+        let elected = topology.nearest_node(zone.region.center());
+        assert_eq!(zone.owner, if dying.contains(old) { elected } else { *old });
+    }
+    assert_eq!((report.failed_nodes, report.events_lost, report.epochs), (dying.len(), lost, 0));
+    assert_eq!(report.cells_reassigned, owners.iter().filter(|o| dying.contains(o)).count());
+    assert_eq!(report.partitioned, !topology.is_connected());
+    let main: HashSet<NodeId> = topology.largest_component_members().into_iter().collect();
+    let cut_off = zones.iter().filter(|z| !main.contains(&z.owner)).count();
+    let tallies =
+        if report.partitioned { (topology.alive_count() - main.len(), cut_off) } else { (0, 0) };
+    assert_eq!((report.nodes_unreachable, report.cells_unreachable), tallies);
+    let mut stored = dim.brute_force_query(&all);
+    stored.sort_by(|a, b| a.values().partial_cmp(b.values()).unwrap());
+    kept.sort_by(|a, b| a.values().partial_cmp(b.values()).unwrap());
+    assert_eq!(stored, kept, "the store keeps exactly the live owners' events");
+    assert_eq!((report.repair_messages, report.deferred_repairs), (0, 0));
+}
+
+/// A failure burst is the deaths-only epoch with no budget, so with
+/// replication on it pays for the copies that died and nothing else. On a
+/// loss-free radio the Replication layer grows by exactly one message per
+/// retained event whose backup sat on a victim, plus one per recovered
+/// event whose surviving backup became its cell's index node (one node
+/// holding both copies is no replica). Killing nodes that hold neither a
+/// primary nor a backup costs nothing at all. DIM's burst leaves the
+/// store, owners and report the one-shot repair model predicts.
+#[test]
+fn a_failure_burst_pays_only_for_the_copies_it_killed() {
+    use pool_dcs::core::grid::CellCoord;
+    use pool_dcs::transport::TrafficLayer;
+    use std::collections::HashSet;
+
+    let (topo, field) = connected(400, 31);
+    let config = PoolConfig::paper().with_seed(31).with_replication();
+    let mut pool = PoolSystem::build(topo.clone(), field, config).unwrap();
+    let mut dim = DimSystem::build(topo, field, 3).unwrap();
+    let mut rng = StdRng::seed_from_u64(32);
+    for _ in 0..300 {
+        let e = Event::new(vec![rng.gen(), rng.gen(), rng.gen()]).unwrap();
+        let src = NodeId(rng.gen_range(0..400));
+        pool.insert_from(src, e.clone()).unwrap();
+        dim.insert_from(src, e).unwrap();
+    }
+    let copies = |pool: &PoolSystem| -> Vec<(CellCoord, NodeId, Option<NodeId>)> {
+        let stored =
+            pool.store().iter().flat_map(|(&c, events)| events.iter().map(move |s| (c, s)));
+        stored.map(|(c, s)| (c, s.holder, s.backup.get())).collect()
+    };
+    let replication = |pool: &PoolSystem| pool.ledger().layer_total(TrafficLayer::Replication);
+
+    // Nodes holding neither copy: their death moves no event.
+    let held = copies(&pool);
+    let busy: HashSet<NodeId> = held.iter().flat_map(|&(_, h, b)| [Some(h), b]).flatten().collect();
+    let idle = (0..400).map(NodeId).filter(|n| !busy.contains(n));
+    let idle = connected_victims(pool.topology(), idle, 6);
+    assert_eq!(idle.len(), 6);
+    let before = pool.ledger().total_messages();
+    let report = pool.fail_nodes(&idle).unwrap();
+    assert_eq!((report.failed_nodes, report.events_retained), (6, held.len()), "{report:?}");
+    assert_eq!(report.repair_messages, 0, "{report:?}");
+    assert_eq!(pool.ledger().total_messages(), before);
+
+    // Backup holders and one primary holder whose cell passes to a node
+    // holding one of the cell's backups: only the retained events whose
+    // backup died are re-backed; the recovered keep their surviving backup
+    // unless it now holds the primary too.
+    let held = copies(&pool);
+    let primaries: HashSet<NodeId> = held.iter().map(|&(_, h, _)| h).collect();
+    let mut ordered: Vec<NodeId> = primaries.iter().copied().collect();
+    ordered.sort_unstable();
+    let (primary, heir) = ordered
+        .into_iter()
+        .find_map(|p| {
+            let without = pool.topology().without_nodes(&[p]);
+            held.iter().filter(|&&(_, h, _)| h == p).find_map(|&(c, _, b)| {
+                let heir = without.nearest_node(pool.grid().center(c));
+                (b == Some(heir)).then_some((p, heir))
+            })
+        })
+        .expect("some cell's next-nearest node holds one of its backups");
+    let backups = held.iter().filter_map(|&(_, _, b)| b);
+    let backups = backups.filter(|b| !primaries.contains(b) && *b != heir);
+    let mut candidates: Vec<NodeId> = backups.collect::<HashSet<_>>().into_iter().collect();
+    candidates.sort_unstable();
+    candidates.insert(0, primary);
+    let victims = connected_victims(pool.topology(), candidates, 8);
+    assert!(victims.len() == 8 && victims[0] == primary);
+    let dies = |n: &Option<NodeId>| n.is_some_and(|n| victims.contains(&n));
+    let rebacked = held.iter().filter(|(_, h, b)| !victims.contains(h) && dies(b)).count();
+    let recovered: Vec<_> =
+        held.iter().filter(|(_, h, b)| victims.contains(h) && b.is_some() && !dies(b)).collect();
+    let lost = held.iter().filter(|(_, h, _)| victims.contains(h)).count() - recovered.len();
+    assert!(rebacked > 0 && !recovered.is_empty());
+    let before = replication(&pool);
+    let report = pool.fail_nodes(&victims).unwrap();
+    let onto_backup = recovered.iter().filter(|(c, _, b)| pool.index_node_of(*c) == *b).count();
+    assert!(onto_backup > 0, "the burst must elect a backup holder as an index node");
+    let expected = rebacked + onto_backup;
+    assert_eq!(replication(&pool) - before, expected as u64, "{report:?}");
+    let counts = (report.events_recovered, report.events_lost);
+    assert_eq!(counts, (recovered.len(), lost), "{report:?}");
+    assert_eq!(pool.store().len(), held.len() - lost);
+    for (cell, holder, backup) in copies(&pool) {
+        assert_eq!(Some(holder), pool.index_node_of(cell));
+        assert!(backup.is_some_and(|b| b != holder), "{cell}: two copies on {holder}");
+    }
+
+    // DIM: owners first, then a stripe that partitions the field.
+    let mut owners: Vec<NodeId> = dim.tree().zones().iter().map(|z| z.owner).collect();
+    owners.sort_unstable();
+    owners.dedup();
+    let owners = connected_victims(dim.topology(), owners, 3);
+    assert_dim_burst_matches_the_one_shot_repair(&mut dim, &owners);
+    let mid_x = field.center().x;
+    let stripe: Vec<NodeId> = dim
+        .topology()
+        .nodes()
+        .iter()
+        .filter(|n| (n.position.x - mid_x).abs() < 45.0)
+        .map(|n| n.id)
+        .collect();
+    assert_dim_burst_matches_the_one_shot_repair(&mut dim, &stripe);
+    assert!(!dim.topology().is_connected(), "the stripe must partition");
+}
+
 /// Folded in from the PR 7 scratch review: with a repair budget of zero,
 /// Backup tasks queued by a churn epoch must neither duplicate nor drain
 /// across idle repair-only epochs — the queue length is exactly constant.
