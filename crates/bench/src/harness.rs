@@ -326,12 +326,6 @@ pub fn canon_event_order(a: &Event, b: &Event) -> std::cmp::Ordering {
         .unwrap_or_else(|| va.len().cmp(&vb.len()))
 }
 
-/// Prints a table header for figure binaries.
-pub fn print_header(title: &str, columns: &[&str]) {
-    println!("\n# {title}");
-    println!("{}", columns.join("\t"));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

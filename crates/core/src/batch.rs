@@ -2,23 +2,25 @@
 //!
 //! Sinks often issue several related queries at once (a dashboard refresh,
 //! a sweep over thresholds). Issued separately, each query pays its own
-//! sink→splitter legs and revisits shared cells. A *batch* shares both:
-//! one combined packet travels to each pool's splitter, every relevant
-//! cell is visited once (even when several queries select it), and one
-//! combined reply returns per participating cell and pool.
+//! sink→splitter legs and revisits shared cells. A *batch* shares both: it
+//! walks the splitter tree once ([`crate::forward`]) over the deduplicated
+//! union of its queries' relevant cells, keeping every stored event that
+//! any of the queries matches, and splits the answer per query at the sink.
+//! Every relevant cell is visited once (even when several queries select
+//! it), and one combined reply returns per participating cell and pool.
 //!
-//! Batching never changes answers — only the bill.
+//! Batching never changes answers — only the bill. Theorem 3.2 is sound:
+//! every event a query matches lives in one of its relevant cells, so the
+//! union scan returns exactly the union of the answers. On a lossy radio a
+//! batch degrades like a query does, and its completeness covers the union.
 
 use crate::event::Event;
+use crate::forward::{Completeness, Payload};
 use crate::query::RangeQuery;
-use crate::resolve::relevant_cells;
 use crate::system::{PoolSystem, QueryCost};
 use crate::PoolError;
 use pool_netsim::node::NodeId;
-use pool_transport::metrics::LedgerSnapshot;
 use pool_transport::trace::TraceOp;
-use pool_transport::TrafficLayer;
-use std::collections::{HashMap, HashSet};
 
 /// The outcome of a query batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,16 +31,23 @@ pub struct BatchResult {
     pub cost: QueryCost,
     /// Distinct cells visited across the batch (after dedup).
     pub cells_visited: usize,
+    /// Which cells of the union fully answered (always complete on a
+    /// loss-free radio).
+    pub completeness: Completeness,
 }
 
 impl PoolSystem {
     /// Processes `queries` from `sink` as one batch.
     ///
+    /// A batch of one query is [`PoolSystem::query_from`]: the same legs,
+    /// cost and completeness.
+    ///
     /// # Errors
     ///
     /// [`PoolError::InvalidQuery`] for an empty batch,
     /// [`PoolError::DimensionMismatch`] if any query has the wrong arity,
-    /// and routing errors.
+    /// and [`PoolError::Routing`] on pathological (non-delivery) routing
+    /// failures.
     pub fn query_batch(
         &mut self,
         sink: NodeId,
@@ -47,113 +56,27 @@ impl PoolSystem {
         if queries.is_empty() {
             return Err(PoolError::InvalidQuery { reason: "empty batch".into() });
         }
+        // The union of relevant cells, deduplicated and grouped by pool for
+        // the walk (one query's cells already come in this order).
+        let mut union = Vec::new();
         for q in queries {
-            if q.dims() != self.config().dims {
-                return Err(PoolError::DimensionMismatch {
-                    expected: self.config().dims,
-                    got: q.dims(),
-                });
-            }
+            union.extend(self.relevant_to(q, None)?);
         }
+        union.sort_unstable();
+        union.dedup();
 
-        // Union of relevant cells per pool, remembering which queries want
-        // each cell.
-        let mut by_pool: HashMap<usize, HashMap<crate::grid::CellCoord, Vec<usize>>> =
-            HashMap::new();
-        for (qi, q) in queries.iter().enumerate() {
-            for (dim, cell) in relevant_cells(self.layout(), q) {
-                by_pool.entry(dim).or_default().entry(cell).or_default().push(qi);
-            }
-        }
-
-        let ledger_before = LedgerSnapshot::of(self.transport.ledger());
-        let mut cost = QueryCost::default();
-        let mut per_query: Vec<Vec<Event>> = vec![Vec::new(); queries.len()];
-        let mut visited = HashSet::new();
-
-        // Per-pool legs fan out concurrently in virtual time (like
-        // `query_from`): each pool's branch launches at the op start, and
-        // the batch's elapsed time is the slowest branch.
-        let op_start = self.transport.clock().now();
-        let mut op_end = op_start;
-
-        let mut dims: Vec<usize> = by_pool.keys().copied().collect();
-        dims.sort_unstable();
-        for dim in dims {
-            op_end = op_end.max(self.transport.clock().now());
-            self.transport.clock_mut().seek(op_start);
-            let cells = &by_pool[&dim];
-            let splitter = self.splitter_of(dim, sink);
-            self.splitters_used.insert(splitter);
-            let to_splitter =
-                self.route_and_record(TraceOp::Batch, sink, splitter, TrafficLayer::Forward)?;
-            cost.forward_messages += to_splitter.transmissions - to_splitter.retransmissions;
-            cost.retransmit_messages += to_splitter.retransmissions;
-            cost.forward_latency += to_splitter.latency;
-
-            let mut pool_has_match = false;
-            let mut sorted_cells: Vec<_> = cells.keys().copied().collect();
-            sorted_cells.sort();
-            for cell in sorted_cells {
-                visited.insert(cell);
-                let index_node = self.index_node_of(cell).expect("pool cells have index nodes");
-                let to_cell = self.route_and_record(
-                    TraceOp::Batch,
-                    splitter,
-                    index_node,
-                    TrafficLayer::Forward,
-                )?;
-                cost.forward_messages += to_cell.transmissions - to_cell.retransmissions;
-                cost.retransmit_messages += to_cell.retransmissions;
-                cost.forward_latency += to_cell.latency;
-
-                // One scan of the cell serves every interested query.
-                let interested = &cells[&cell];
-                let mut cell_matched = false;
-                let stored: Vec<Event> =
-                    self.store().events_in(cell).iter().map(|s| s.event.clone()).collect();
-                for event in stored {
-                    for &qi in interested {
-                        if queries[qi].matches(&event) {
-                            per_query[qi].push(event.clone());
-                            cell_matched = true;
-                        }
-                    }
-                }
-                if cell_matched {
-                    let back = self.route_and_record(
-                        TraceOp::Batch,
-                        index_node,
-                        splitter,
-                        TrafficLayer::Reply,
-                    )?;
-                    cost.reply_messages += back.transmissions - back.retransmissions;
-                    cost.retransmit_messages += back.retransmissions;
-                    cost.reply_latency += back.latency;
-                    pool_has_match = true;
-                }
-            }
-            if pool_has_match {
-                let back =
-                    self.route_and_record(TraceOp::Batch, splitter, sink, TrafficLayer::Reply)?;
-                cost.reply_messages += back.transmissions - back.retransmissions;
-                cost.retransmit_messages += back.retransmissions;
-                cost.reply_latency += back.latency;
-            }
-        }
-        op_end = op_end.max(self.transport.clock().now());
-        self.transport.clock_mut().seek(op_end);
-        cost.elapsed = op_end - op_start;
-        ledger_before.debug_assert_layers(
-            self.transport.ledger(),
-            "query_batch",
-            &[
-                (TrafficLayer::Forward, cost.forward_messages),
-                (TrafficLayer::Reply, cost.reply_messages),
-                (TrafficLayer::Retransmit, cost.retransmit_messages),
-            ],
-        );
-        Ok(BatchResult { per_query, cost, cells_visited: visited.len() })
+        let scan = Payload::Scan(|e: &Event| queries.iter().any(|q| q.matches(e)));
+        let walked = self.walk(TraceOp::Batch, sink, &union, scan, false)?;
+        let per_query = queries
+            .iter()
+            .map(|q| walked.events.iter().filter(|e| q.matches(e)).cloned().collect())
+            .collect();
+        Ok(BatchResult {
+            per_query,
+            cost: walked.cost,
+            cells_visited: union.len(),
+            completeness: Completeness::of(&union, &walked.reached),
+        })
     }
 }
 

@@ -2,7 +2,6 @@
 
 use crate::error::PoolError;
 use crate::grid::CellCoord;
-use pool_gpsr::Planarization;
 use pool_transport::{FaultPlan, LossyConfig, OpRetryPolicy, RecoveryConfig, TransportKind};
 
 /// Workload-sharing policy (§4.2): when an index node's stored-event count
@@ -53,8 +52,6 @@ pub struct PoolConfig {
     pub dims: usize,
     /// Seed for random pivot placement.
     pub seed: u64,
-    /// Planarization used by the GPSR substrate.
-    pub planarization: Planarization,
     /// Routing substrate implementation (plain GPSR, or the memoizing
     /// route cache — identical message counts either way).
     pub transport: TransportKind,
@@ -101,7 +98,6 @@ impl PoolConfig {
             pool_side: 10,
             dims: 3,
             seed: 0,
-            planarization: Planarization::Gabriel,
             transport: TransportKind::Gpsr,
             sharing: None,
             pivots: None,
@@ -135,12 +131,6 @@ impl PoolConfig {
     /// Sets the pivot-placement seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the planarization method.
-    pub fn with_planarization(mut self, p: Planarization) -> Self {
-        self.planarization = p;
         self
     }
 

@@ -1,28 +1,35 @@
 //! Query forwarding over the splitter tree (§3.2.3).
 //!
-//! The sink sends the query to one *splitter* per relevant pool (the
-//! pool's index node closest to the sink); each splitter fans the query
-//! out to the relevant cells and their delegation chains; replies retrace
-//! the same paths, aggregated at the splitter. Standing-query
-//! installation/removal reuses the same dissemination tree.
+//! The sink sends one packet per relevant pool to that pool's *splitter*
+//! (the pool's index node closest to the sink); each splitter fans the
+//! packet out to the relevant cells and their delegation chains; replies
+//! retrace the same paths, aggregated at the splitter. One walk owns that
+//! tree, and every Pool fan-out travels it: one-shot and pool-restricted
+//! queries, aggregates, multi-query batches ([`crate::batch`]), and
+//! standing-query installation and removal, which stop at each cell's
+//! index node and expect no reply.
 //!
 //! Every leg is routed and charged through the system's
-//! [`pool_transport::Transport`]: forwarding under
-//! [`TrafficLayer::Forward`], replies under [`TrafficLayer::Reply`], and
-//! monitor control traffic under [`TrafficLayer::Monitor`].
+//! [`pool_transport::Transport`] under [`PoolConfig::op_retry`]:
+//! forwarding under [`TrafficLayer::Forward`], replies under
+//! [`TrafficLayer::Reply`], and monitor control traffic under
+//! [`TrafficLayer::Monitor`]. A leg that has no route or exhausts its retry
+//! budget marks the cells behind it unreached instead of failing the
+//! operation.
+//!
+//! [`PoolConfig::op_retry`]: crate::config::PoolConfig::op_retry
 
 use crate::error::PoolError;
 use crate::event::Event;
 use crate::grid::CellCoord;
 use crate::monitor::MonitorId;
 use crate::query::RangeQuery;
-use crate::resolve::{group_by_pool, relevant_cells};
+use crate::resolve::relevant_cells;
 use crate::system::PoolSystem;
 use pool_netsim::node::NodeId;
 use pool_transport::metrics::LedgerSnapshot;
 use pool_transport::trace::TraceOp;
-use pool_transport::TrafficLayer;
-use std::collections::HashSet;
+use pool_transport::{retry, DeliveryOutcome, Leg, OpRetryPolicy, ReverseDelivery, TrafficLayer};
 
 /// Message-count and virtual-time breakdown for one query.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -53,6 +60,23 @@ impl QueryCost {
     pub fn total(&self) -> u64 {
         self.forward_messages + self.reply_messages + self.retransmit_messages
     }
+
+    /// Charges one forward leg, delivered or not: its first transmissions
+    /// as forward messages, its retransmissions apart, its latency to the
+    /// forward sum.
+    pub fn add_forward(&mut self, leg: &DeliveryOutcome) {
+        self.forward_messages += leg.transmissions - leg.retransmissions;
+        self.retransmit_messages += leg.retransmissions;
+        self.forward_latency += leg.latency;
+    }
+
+    /// Charges one reply leg, like [`QueryCost::add_forward`] does a
+    /// forward leg.
+    pub fn add_reply(&mut self, leg: &ReverseDelivery) {
+        self.reply_messages += leg.transmissions - leg.retransmissions;
+        self.retransmit_messages += leg.retransmissions;
+        self.reply_latency += leg.latency;
+    }
 }
 
 /// How much of a query's relevant-cell set actually answered — the
@@ -75,6 +99,18 @@ pub struct Completeness {
 }
 
 impl Completeness {
+    /// The report for the `relevant` cells, given which of them answered
+    /// (`reached`, parallel to `relevant`).
+    pub(crate) fn of(relevant: &[(usize, CellCoord)], reached: &[bool]) -> Self {
+        let unreached_cells: Vec<(usize, CellCoord)> =
+            relevant.iter().zip(reached).filter(|&(_, &ok)| !ok).map(|(&key, _)| key).collect();
+        Completeness {
+            cells_relevant: relevant.len(),
+            cells_reached: relevant.len() - unreached_cells.len(),
+            unreached_cells,
+        }
+    }
+
     /// Fraction of relevant cells that fully answered (1.0 when no cells
     /// were relevant — an empty answer is complete).
     pub fn ratio(&self) -> f64 {
@@ -170,6 +206,55 @@ impl AggregateOp {
     }
 }
 
+/// What a walk of the splitter tree carries to the cells.
+pub(crate) enum Payload<F> {
+    /// Monitor installation or removal: travels under
+    /// [`TrafficLayer::Monitor`], stops at each cell's index node and
+    /// expects no reply. A cell is reached when the packet arrives.
+    Control,
+    /// A scan: each cell, its delegation chain included, replies with the
+    /// stored events the predicate keeps.
+    Scan(F),
+}
+
+/// The predicate type of a [`Payload::Control`] walk, which scans nothing.
+type NoScan = fn(&Event) -> bool;
+
+/// What a walk of the splitter tree brought back.
+pub(crate) struct Walked {
+    /// The kept events of every reached cell, in pool/cell walk order.
+    pub(crate) events: Vec<Event>,
+    /// The walk's messages and virtual time.
+    pub(crate) cost: QueryCost,
+    /// Per cell of the walk, parallel to its `relevant`: whether the cell
+    /// got the packet and, for a scan, its full reply reached the sink.
+    pub(crate) reached: Vec<bool>,
+    /// Pools with at least one cell in the walk.
+    pub(crate) pools_visited: usize,
+}
+
+/// How many of `events` events survive a reply leg that delivered
+/// `delivered` of its packets: one aggregated packet carries all of them or
+/// none; unaggregated packets, one per event, die independently and the
+/// first `delivered` survive.
+fn surviving(events: usize, delivered: u64, aggregate: bool) -> usize {
+    if aggregate {
+        events * delivered as usize
+    } else {
+        delivered as usize
+    }
+}
+
+/// The reply packets `events` events take: one aggregated packet, or one
+/// per event.
+fn packets(events: usize, aggregate: bool) -> u64 {
+    if aggregate {
+        1
+    } else {
+        events as u64
+    }
+}
+
 impl PoolSystem {
     /// The splitter of pool `dim` for a query issued at `sink`: the pool's
     /// index node closest to the sink (§3.2.3).
@@ -245,262 +330,15 @@ impl PoolSystem {
         query: &RangeQuery,
         pools: Option<&[usize]>,
     ) -> Result<QueryResult, PoolError> {
-        if query.dims() != self.config.dims {
-            return Err(PoolError::DimensionMismatch {
-                expected: self.config.dims,
-                got: query.dims(),
-            });
-        }
-        let ledger_before = LedgerSnapshot::of(self.transport.ledger());
-        let mut relevant = relevant_cells(&self.layout, query);
-        if let Some(pools) = pools {
-            relevant.retain(|(dim, _)| pools.contains(dim));
-        }
-        let by_pool = group_by_pool(&relevant);
-
-        let mut cost = QueryCost::default();
-        let mut events = Vec::new();
-        let mut pools_visited = 0usize;
-        // Delivery status per relevant cell, parallel to `relevant`;
-        // finalized into the completeness report at the end (a cell can be
-        // demoted late, when its reply dies on the splitter → sink leg).
-        // `relevant` lists pools in ascending order and `by_pool` keeps
-        // each pool's cells in that order, so the pools' slices of
-        // `reached` follow one another.
-        let mut reached = vec![false; relevant.len()];
-        let mut next_pool = 0usize;
-
-        // Virtual-time bracket: the sink launches one packet per relevant
-        // pool at `op_start`, so pools overlap; within a pool the splitter
-        // fans out to its cells concurrently from `t_split`. The operation
-        // ends at the latest branch (critical path), not the branch sum.
-        let op_start = self.transport.clock().now();
-        let mut op_end = op_start;
-
-        for (dim, cells) in by_pool {
-            let first = next_pool;
-            next_pool += cells.len();
-            debug_assert!(relevant[first..next_pool]
-                .iter()
-                .copied()
-                .eq(cells.iter().map(|&c| (dim, c))));
-            let reached = &mut reached[first..next_pool];
-            op_end = op_end.max(self.transport.clock().now());
-            self.transport.clock_mut().seek(op_start);
-            pools_visited += 1;
-            let splitter = self.splitter_of(dim, sink);
-            self.splitters_used.insert(splitter);
-            let to_splitter = match self.transport.leg_to_node(&self.topology, sink, splitter) {
-                Ok(leg) => leg,
-                Err(pool_gpsr::RouteError::NotDelivered { .. }) => {
-                    // The splitter is unreachable (partition): the whole
-                    // pool goes unanswered.
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let (fwd, to_splitter) =
-                self.deliver_with_recovery(TraceOp::Query, to_splitter, TrafficLayer::Forward);
-            cost.forward_messages += fwd.transmissions - fwd.retransmissions;
-            cost.retransmit_messages += fwd.retransmissions;
-            cost.forward_latency += fwd.latency;
-            if !fwd.delivered {
-                continue;
-            }
-
-            // The splitter fans out to its cells concurrently from here.
-            let t_split = self.transport.clock().now();
-            let mut pool_end = t_split;
-
-            // Replies buffered at the splitter, per contributing cell, so a
-            // lost splitter → sink leg can demote exactly its contributors.
-            let mut pool_buffer: Vec<(usize, Vec<Event>)> = Vec::new();
-            for (slot, &cell) in cells.iter().enumerate() {
-                pool_end = pool_end.max(self.transport.clock().now());
-                self.transport.clock_mut().seek(t_split);
-                let index_node = self.index_nodes[&cell];
-                let to_cell = match self.transport.leg_to_node(&self.topology, splitter, index_node)
-                {
-                    Ok(leg) => leg,
-                    Err(pool_gpsr::RouteError::NotDelivered { .. }) => continue,
-                    Err(e) => return Err(e.into()),
-                };
-                let (fwd, to_cell) =
-                    self.deliver_with_recovery(TraceOp::Query, to_cell, TrafficLayer::Forward);
-                cost.forward_messages += fwd.transmissions - fwd.retransmissions;
-                cost.retransmit_messages += fwd.retransmissions;
-                cost.forward_latency += fwd.latency;
-                if !fwd.delivered {
-                    continue;
-                }
-
-                // The query also visits the cell's delegation chain, one hop
-                // per link, since delegated events live off the index node.
-                let chain = self.delegates_of(cell).to_vec();
-                if !chain.is_empty() {
-                    let mut walk = vec![index_node];
-                    walk.extend_from_slice(&chain);
-                    let w =
-                        self.deliver_with_path_retry(TraceOp::Query, &walk, TrafficLayer::Forward);
-                    cost.forward_messages += w.transmissions - w.retransmissions;
-                    cost.retransmit_messages += w.retransmissions;
-                    cost.forward_latency += w.latency;
-                    if !w.delivered {
-                        // Delegated events live past the stall point; the
-                        // cell's answer would be silently partial, so the
-                        // whole cell is reported unreached.
-                        continue;
-                    }
-                }
-
-                let mut matches: Vec<Event> = self
-                    .store
-                    .events_in(cell)
-                    .iter()
-                    .filter(|s| query.matches(&s.event))
-                    .map(|s| s.event.clone())
-                    .collect();
-                if matches.is_empty() {
-                    reached[slot] = true;
-                    continue;
-                }
-                // Reply: the cell's events retrace the forwarding legs.
-                // Delegated matches first travel the chain back to the
-                // index node (tail → … → index node), then everything
-                // retraces cell → splitter. Both legs are real deliveries
-                // through the transport — chain replies used to be charged
-                // as phantom messages the ledger never saw and loss could
-                // never touch.
-                let mut copies =
-                    if self.config.aggregate_replies { 1 } else { matches.len() as u64 };
-                let mut cell_ok = true;
-                if !chain.is_empty() {
-                    let mut walk = vec![index_node];
-                    walk.extend_from_slice(&chain);
-                    let rev = self.deliver_reverse_with_retry(
-                        TraceOp::Query,
-                        &walk,
-                        copies,
-                        TrafficLayer::Reply,
-                    );
-                    cost.reply_messages += rev.transmissions - rev.retransmissions;
-                    cost.retransmit_messages += rev.retransmissions;
-                    cost.reply_latency += rev.latency;
-                    if rev.delivered_copies < copies {
-                        // A dead chain-reply leg strands delegated events
-                        // past the stall: the cell's answer is partial.
-                        cell_ok = false;
-                        if self.config.aggregate_replies {
-                            // The single aggregated packet died on the
-                            // chain: nothing leaves the cell.
-                            continue;
-                        }
-                        matches.truncate(rev.delivered_copies as usize);
-                        if matches.is_empty() {
-                            continue;
-                        }
-                        copies = matches.len() as u64;
-                    }
-                }
-                let rev = self.deliver_reverse_with_retry(
-                    TraceOp::Query,
-                    to_cell.path(),
-                    copies,
-                    TrafficLayer::Reply,
-                );
-                cost.reply_messages += rev.transmissions - rev.retransmissions;
-                cost.retransmit_messages += rev.retransmissions;
-                cost.reply_latency += rev.latency;
-                let kept: Vec<Event> = if self.config.aggregate_replies {
-                    // One aggregated packet: all or nothing.
-                    if rev.delivered_copies == 1 {
-                        matches
-                    } else {
-                        Vec::new()
-                    }
-                } else {
-                    matches.into_iter().take(rev.delivered_copies as usize).collect()
-                };
-                reached[slot] = cell_ok && rev.delivered_copies == copies;
-                if !kept.is_empty() {
-                    pool_buffer.push((slot, kept));
-                }
-            }
-
-            // The splitter can only aggregate once its slowest cell branch
-            // has answered (or given up): the splitter → sink reply launches
-            // at the pool's critical-path end.
-            pool_end = pool_end.max(self.transport.clock().now());
-            self.transport.clock_mut().seek(pool_end);
-
-            let pool_matches: usize = pool_buffer.iter().map(|(_, e)| e.len()).sum();
-            if pool_matches > 0 {
-                // Aggregated reply from the splitter to the sink.
-                let copies = if self.config.aggregate_replies { 1 } else { pool_matches as u64 };
-                let rev = self.deliver_reverse_with_retry(
-                    TraceOp::Query,
-                    to_splitter.path(),
-                    copies,
-                    TrafficLayer::Reply,
-                );
-                cost.reply_messages += rev.transmissions - rev.retransmissions;
-                cost.retransmit_messages += rev.retransmissions;
-                cost.reply_latency += rev.latency;
-                if self.config.aggregate_replies {
-                    if rev.delivered_copies == 1 {
-                        events.extend(pool_buffer.into_iter().flat_map(|(_, e)| e));
-                    } else {
-                        // The single aggregated packet died: every cell that
-                        // contributed loses its claim.
-                        for (slot, _) in pool_buffer {
-                            reached[slot] = false;
-                        }
-                    }
-                } else {
-                    // Unaggregated copies die independently; keep the first
-                    // `delivered_copies` in buffer order and demote cells
-                    // whose events were clipped.
-                    let mut budget = rev.delivered_copies as usize;
-                    for (slot, cell_events) in pool_buffer {
-                        let take = cell_events.len().min(budget);
-                        budget -= take;
-                        if take < cell_events.len() {
-                            reached[slot] = false;
-                        }
-                        events.extend(cell_events.into_iter().take(take));
-                    }
-                }
-            }
-        }
-
-        // Close the bracket: the query is answered when the slowest pool
-        // branch finishes.
-        op_end = op_end.max(self.transport.clock().now());
-        self.transport.clock_mut().seek(op_end);
-        cost.elapsed = op_end - op_start;
-
-        let unreached_cells: Vec<(usize, CellCoord)> =
-            relevant.iter().zip(&reached).filter(|&(_, &ok)| !ok).map(|(&key, _)| key).collect();
-        let completeness = Completeness {
-            cells_relevant: relevant.len(),
-            cells_reached: relevant.len() - unreached_cells.len(),
-            unreached_cells,
-        };
-        ledger_before.debug_assert_layers(
-            self.transport.ledger(),
-            "query_from",
-            &[
-                (TrafficLayer::Forward, cost.forward_messages),
-                (TrafficLayer::Reply, cost.reply_messages),
-                (TrafficLayer::Retransmit, cost.retransmit_messages),
-            ],
-        );
+        let relevant = self.relevant_to(query, pools)?;
+        let scan = Payload::Scan(|e: &Event| query.matches(e));
+        let walked = self.walk(TraceOp::Query, sink, &relevant, scan, false)?;
         Ok(QueryResult {
-            events,
-            cost,
+            events: walked.events,
+            cost: walked.cost,
             relevant_cells: relevant.len(),
-            pools_visited,
-            completeness,
+            pools_visited: walked.pools_visited,
+            completeness: Completeness::of(&relevant, &walked.reached),
         })
     }
 
@@ -520,17 +358,15 @@ impl PoolSystem {
         query: &RangeQuery,
         op: AggregateOp,
     ) -> Result<AggregateResult, PoolError> {
+        let relevant = self.relevant_to(query, None)?;
         // Aggregates always travel as single messages, regardless of the
         // reply-aggregation ablation flag.
-        let saved = self.config.aggregate_replies;
-        self.config.aggregate_replies = true;
-        let result = self.query_from(sink, query);
-        self.config.aggregate_replies = saved;
-        let result = result?;
+        let scan = Payload::Scan(|e: &Event| query.matches(e));
+        let walked = self.walk(TraceOp::Query, sink, &relevant, scan, true)?;
         Ok(AggregateResult {
-            value: op.apply(&result.events),
-            cost: result.cost,
-            completeness: result.completeness,
+            value: op.apply(&walked.events),
+            cost: walked.cost,
+            completeness: Completeness::of(&relevant, &walked.reached),
         })
     }
 
@@ -579,30 +415,20 @@ impl PoolSystem {
         query: RangeQuery,
         pools: Option<&[usize]>,
     ) -> Result<MonitorInstall, PoolError> {
-        if query.dims() != self.config.dims {
-            return Err(PoolError::DimensionMismatch {
-                expected: self.config.dims,
-                got: query.dims(),
-            });
-        }
-        let mut relevant = relevant_cells(&self.layout, &query);
-        if let Some(pools) = pools {
-            relevant.retain(|(dim, _)| pools.contains(dim));
-        }
-        let (cost, installed_at) = self.disseminate(sink, &relevant)?;
+        let relevant = self.relevant_to(&query, pools)?;
+        let walked =
+            self.walk(TraceOp::Monitor, sink, &relevant, Payload::<NoScan>::Control, false)?;
         // Only cells the installation actually reached will notify; on a
         // loss-free radio that is every relevant cell.
-        let installed: HashSet<(usize, CellCoord)> = installed_at.iter().copied().collect();
-        let unreached_cells: Vec<(usize, CellCoord)> =
-            relevant.iter().copied().filter(|key| !installed.contains(key)).collect();
-        let completeness = Completeness {
-            cells_relevant: relevant.len(),
-            cells_reached: installed_at.len(),
-            unreached_cells,
-        };
-        let cells: Vec<CellCoord> = installed_at.iter().map(|&(_, c)| c).collect();
+        let cells: Vec<CellCoord> = relevant
+            .iter()
+            .zip(&walked.reached)
+            .filter(|&(_, &ok)| ok)
+            .map(|(&(_, c), _)| c)
+            .collect();
         let id = self.monitors.install(sink, query, &cells);
-        Ok(MonitorInstall { id, cost, completeness })
+        let completeness = Completeness::of(&relevant, &walked.reached);
+        Ok(MonitorInstall { id, cost: walked.cost, completeness })
     }
 
     /// Removes a continuous monitoring query, forwarding the removal to the
@@ -615,93 +441,276 @@ impl PoolSystem {
     ///
     /// Routing failures while disseminating the removal.
     pub fn remove_monitor(&mut self, id: MonitorId) -> Result<Option<QueryCost>, PoolError> {
-        let Some(monitor) = self.monitors.get(id).cloned() else {
+        let Some(sink) = self.monitors.get(id).map(|m| m.sink) else {
             return Ok(None);
         };
-        let cells = self.monitors.cells_of(id);
-        let relevant: Vec<(usize, CellCoord)> = cells
+        let mut watching: Vec<(usize, CellCoord)> = self
+            .monitors
+            .cells_of(id)
             .into_iter()
             .filter_map(|c| self.layout.pool_of_cell(c).map(|p| (p.dim, c)))
             .collect();
+        // The walk takes its cells grouped in ascending pool order.
+        watching.sort_by_key(|&(dim, _)| dim);
         // Removal is best-effort on a lossy radio: the handle is dropped
         // locally regardless of which cells the removal packet reached (a
         // straggler cell would notify a sink that ignores the handle).
-        let (cost, _) = self.disseminate(monitor.sink, &relevant)?;
+        let walked =
+            self.walk(TraceOp::Monitor, sink, &watching, Payload::<NoScan>::Control, false)?;
         self.monitors.remove(id);
-        Ok(Some(cost))
+        Ok(Some(walked.cost))
     }
 
-    /// Forwards a control message (installation/removal) from `sink` to
-    /// every cell in `relevant` through the splitter tree, charging only
-    /// forward messages (under [`TrafficLayer::Monitor`]). Returns the
-    /// cost and the subset of `relevant` actually reached — on a lossy
-    /// radio a dead leg skips the affected cells instead of failing.
-    fn disseminate(
+    /// The cells `query` must visit (Theorem 3.2), grouped by pool in
+    /// ascending pool order, restricted to `pools` when given.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::DimensionMismatch`] for wrong arity.
+    pub(crate) fn relevant_to(
+        &self,
+        query: &RangeQuery,
+        pools: Option<&[usize]>,
+    ) -> Result<Vec<(usize, CellCoord)>, PoolError> {
+        if query.dims() != self.config.dims {
+            return Err(PoolError::DimensionMismatch {
+                expected: self.config.dims,
+                got: query.dims(),
+            });
+        }
+        let mut relevant = relevant_cells(&self.layout, query);
+        if let Some(pools) = pools {
+            relevant.retain(|(dim, _)| pools.contains(dim));
+        }
+        Ok(relevant)
+    }
+
+    /// Walks the §3.2.3 splitter tree from `sink` to every cell of
+    /// `relevant`, which must be grouped by pool in ascending pool order,
+    /// and brings back what `payload` asks for.
+    ///
+    /// Virtual time: the sink launches one packet per pool at `op_start`,
+    /// so pools overlap; each splitter fans out to its cells concurrently
+    /// from `t_split` and answers the sink once its slowest cell branch is
+    /// done (`pool_end`). The walk ends at the latest pool branch
+    /// (`op_end`), so its `elapsed` is the critical path, not the leg sum.
+    ///
+    /// A scan's replies retrace its forward legs: delegated matches first
+    /// travel the chain back to the index node, then cell → splitter, then
+    /// one reply per pool splitter → sink. With `aggregate` (or
+    /// [`crate::config::PoolConfig::aggregate_replies`]) each reply leg
+    /// carries one aggregated packet, otherwise one packet per event.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::Routing`] on pathological (non-delivery) routing
+    /// failures.
+    pub(crate) fn walk<F: Fn(&Event) -> bool>(
         &mut self,
+        op: TraceOp,
         sink: NodeId,
         relevant: &[(usize, CellCoord)],
-    ) -> Result<(QueryCost, Vec<(usize, CellCoord)>), PoolError> {
+        payload: Payload<F>,
+        aggregate: bool,
+    ) -> Result<Walked, PoolError> {
+        debug_assert!(relevant.windows(2).all(|w| w[0].0 <= w[1].0), "cells grouped by pool");
         let ledger_before = LedgerSnapshot::of(self.transport.ledger());
+        let (layer, scan) = match &payload {
+            Payload::Control => (TrafficLayer::Monitor, None),
+            Payload::Scan(keep) => (TrafficLayer::Forward, Some(keep)),
+        };
+        let aggregate = aggregate || self.config.aggregate_replies;
         let mut cost = QueryCost::default();
-        let mut delivered_to = Vec::new();
-        // Same virtual-time bracket as a query: pools in parallel from
-        // `op_start`, cells in parallel from each splitter's `t_split`.
+        let mut events = Vec::new();
+        let mut pools_visited = 0usize;
+        // Delivery status per relevant cell: a cell can be demoted late,
+        // when its reply dies on the splitter → sink leg.
+        let mut reached = vec![false; relevant.len()];
+        let mut next_pool = 0usize;
+
         let op_start = self.transport.clock().now();
         let mut op_end = op_start;
-        for (dim, cells) in group_by_pool(relevant) {
+        for cells in relevant.chunk_by(|a, b| a.0 == b.0) {
+            let reached = &mut reached[next_pool..next_pool + cells.len()];
+            next_pool += cells.len();
             op_end = op_end.max(self.transport.clock().now());
             self.transport.clock_mut().seek(op_start);
-            let splitter = self.splitter_of(dim, sink);
+            pools_visited += 1;
+            let splitter = self.splitter_of(cells[0].0, sink);
             self.splitters_used.insert(splitter);
-            let to_splitter = match self.transport.leg_to_node(&self.topology, sink, splitter) {
-                Ok(leg) => leg,
-                Err(pool_gpsr::RouteError::NotDelivered { .. }) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            let fwd =
-                self.deliver_traced(TraceOp::Monitor, to_splitter.path(), TrafficLayer::Monitor);
-            cost.forward_messages += fwd.transmissions - fwd.retransmissions;
-            cost.retransmit_messages += fwd.retransmissions;
-            cost.forward_latency += fwd.latency;
-            if !fwd.delivered {
+            let Some(to_splitter) = self.send(op, sink, splitter, layer, &mut cost)? else {
+                // The splitter is unreachable: the whole pool goes
+                // unanswered.
                 continue;
-            }
+            };
+
             let t_split = self.transport.clock().now();
             let mut pool_end = t_split;
-            for &cell in &cells {
+            // Replies buffered at the splitter, per contributing cell, so a
+            // lost splitter → sink leg can demote exactly its contributors.
+            let mut pool_buffer: Vec<(usize, Vec<Event>)> = Vec::new();
+            for (slot, &(_, cell)) in cells.iter().enumerate() {
                 pool_end = pool_end.max(self.transport.clock().now());
                 self.transport.clock_mut().seek(t_split);
                 let index_node = self.index_nodes[&cell];
-                let to_cell = match self.transport.leg_to_node(&self.topology, splitter, index_node)
-                {
-                    Ok(leg) => leg,
-                    Err(pool_gpsr::RouteError::NotDelivered { .. }) => continue,
-                    Err(e) => return Err(e.into()),
+                let Some(to_cell) = self.send(op, splitter, index_node, layer, &mut cost)? else {
+                    continue;
                 };
-                let fwd =
-                    self.deliver_traced(TraceOp::Monitor, to_cell.path(), TrafficLayer::Monitor);
-                cost.forward_messages += fwd.transmissions - fwd.retransmissions;
-                cost.retransmit_messages += fwd.retransmissions;
-                cost.forward_latency += fwd.latency;
-                if fwd.delivered {
-                    delivered_to.push((dim, cell));
+                let Some(keep) = scan else {
+                    reached[slot] = true;
+                    continue;
+                };
+
+                // The scan also visits the cell's delegation chain, one hop
+                // per link, since delegated events live off the index node.
+                let chain: Vec<NodeId> = match self.delegates_of(cell) {
+                    [] => Vec::new(),
+                    delegates => {
+                        std::iter::once(index_node).chain(delegates.iter().copied()).collect()
+                    }
+                };
+                if !chain.is_empty() {
+                    // Same-path retry: the chain *is* the route, so it never
+                    // detours.
+                    let policy = self.config.op_retry.map(OpRetryPolicy::on_fixed_path);
+                    let (w, _) = self.deliver_leg(op, &chain, TrafficLayer::Forward, policy);
+                    cost.add_forward(&w);
+                    if !w.delivered {
+                        // Delegated events live past the stall point; the
+                        // cell's answer would be silently partial, so the
+                        // whole cell is reported unreached.
+                        continue;
+                    }
+                }
+
+                let mut matches: Vec<Event> = self
+                    .store
+                    .events_in(cell)
+                    .iter()
+                    .filter(|s| keep(&s.event))
+                    .map(|s| s.event.clone())
+                    .collect();
+                if matches.is_empty() {
+                    reached[slot] = true;
+                    continue;
+                }
+                // Reply: delegated matches first travel the chain back to
+                // the index node (tail → … → index node), then everything
+                // retraces cell → splitter.
+                let mut cell_ok = true;
+                if !chain.is_empty() {
+                    let copies = packets(matches.len(), aggregate);
+                    let delivered = self.retrace(op, &chain, copies, &mut cost);
+                    if delivered < copies {
+                        // A dead chain-reply leg strands delegated events
+                        // past the stall: the cell's answer is partial.
+                        cell_ok = false;
+                        matches.truncate(surviving(matches.len(), delivered, aggregate));
+                        if matches.is_empty() {
+                            continue;
+                        }
+                    }
+                }
+                let copies = packets(matches.len(), aggregate);
+                let delivered = self.retrace(op, to_cell.path(), copies, &mut cost);
+                reached[slot] = cell_ok && delivered == copies;
+                matches.truncate(surviving(matches.len(), delivered, aggregate));
+                if !matches.is_empty() {
+                    pool_buffer.push((slot, matches));
                 }
             }
+
+            // The splitter can only aggregate once its slowest cell branch
+            // has answered (or given up): the splitter → sink reply launches
+            // at the pool's critical-path end.
             pool_end = pool_end.max(self.transport.clock().now());
             self.transport.clock_mut().seek(pool_end);
+
+            let pool_matches: usize = pool_buffer.iter().map(|(_, e)| e.len()).sum();
+            if pool_matches > 0 {
+                let copies = packets(pool_matches, aggregate);
+                let delivered = self.retrace(op, to_splitter.path(), copies, &mut cost);
+                // Events survive in buffer order; every cell that lost some
+                // of its events loses its claim.
+                let mut budget = surviving(pool_matches, delivered, aggregate);
+                for (slot, mut cell_events) in pool_buffer {
+                    let take = cell_events.len().min(budget);
+                    budget -= take;
+                    if take < cell_events.len() {
+                        reached[slot] = false;
+                    }
+                    cell_events.truncate(take);
+                    events.append(&mut cell_events);
+                }
+            }
         }
+
+        // Close the bracket: the walk is done when the slowest pool branch
+        // finishes.
         op_end = op_end.max(self.transport.clock().now());
         self.transport.clock_mut().seek(op_end);
         cost.elapsed = op_end - op_start;
         ledger_before.debug_assert_layers(
             self.transport.ledger(),
-            "disseminate",
+            op.label(),
             &[
-                (TrafficLayer::Monitor, cost.forward_messages),
+                (layer, cost.forward_messages),
+                (TrafficLayer::Reply, cost.reply_messages),
                 (TrafficLayer::Retransmit, cost.retransmit_messages),
             ],
         );
-        Ok((cost, delivered_to))
+        Ok(Walked { events, cost, reached, pools_visited })
+    }
+
+    /// Sends one packet `from → to` under `layer` and
+    /// [`crate::config::PoolConfig::op_retry`], charging it to `cost`.
+    /// Returns the leg the packet last travelled, which replies retrace, or
+    /// `None` when there was no route or the packet was lost.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::Routing`] on pathological (non-delivery) routing
+    /// failures.
+    pub(crate) fn send(
+        &mut self,
+        op: TraceOp,
+        from: NodeId,
+        to: NodeId,
+        layer: TrafficLayer,
+        cost: &mut QueryCost,
+    ) -> Result<Option<Leg>, PoolError> {
+        let leg = match self.transport.leg_to_node(&self.topology, from, to) {
+            Ok(leg) => leg,
+            Err(pool_gpsr::RouteError::NotDelivered { .. }) => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let (outcome, rerouted) = self.deliver_leg(op, leg.path(), layer, self.config.op_retry);
+        cost.add_forward(&outcome);
+        Ok(outcome.delivered.then(|| rerouted.map_or(leg, Leg::Route)))
+    }
+
+    /// Sends `copies` reply packets back along `path` (tail → head) under
+    /// [`TrafficLayer::Reply`] and [`crate::config::PoolConfig::op_retry`]
+    /// ([`retry::deliver_reverse`], one trace span per attempt), charging
+    /// them to `cost`. Returns how many arrived.
+    pub(crate) fn retrace(
+        &mut self,
+        op: TraceOp,
+        path: &[NodeId],
+        copies: u64,
+        cost: &mut QueryCost,
+    ) -> u64 {
+        let rev = retry::deliver_reverse(
+            &self.topology,
+            self.transport.as_mut(),
+            path,
+            copies,
+            TrafficLayer::Reply,
+            self.config.op_retry,
+            Some((&mut self.tracer, op)),
+        );
+        cost.add_reply(&rev);
+        rev.delivered_copies
     }
 
     /// Brute-force ground truth: all stored events matching `query`,

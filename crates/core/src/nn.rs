@@ -75,14 +75,19 @@ impl PoolSystem {
     /// event space), issuing the distributed search from `sink`.
     ///
     /// Message model: the sink unicasts the probe to each candidate cell's
-    /// index node in ascending bound order; each visited node returns its
-    /// best matches along the reverse path (aggregated, one message per
-    /// hop).
+    /// index node in ascending bound order, one cell after the other; each
+    /// visited node returns its best matches along the reverse path
+    /// (aggregated, one message per hop). Legs follow
+    /// [`crate::config::PoolConfig::op_retry`], and the result's
+    /// `cost.elapsed` is the whole serial search.
     ///
     /// # Errors
     ///
-    /// [`PoolError::DimensionMismatch`] if the probe arity is wrong or any
-    /// value is outside `[0, 1]`; routing errors otherwise.
+    /// [`PoolError::DimensionMismatch`] if the probe arity is wrong,
+    /// [`PoolError::InvalidQuery`] if any value is outside `[0, 1]`,
+    /// [`PoolError::Undeliverable`] when a probe or reply leg is lost (a
+    /// partial search could return wrong neighbours), and
+    /// [`PoolError::Routing`] on pathological routing failures.
     pub fn k_nearest(
         &mut self,
         sink: NodeId,
@@ -114,6 +119,9 @@ impl PoolSystem {
             .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("bounds are finite").then(a.2.cmp(&b.2)));
 
         let ledger_before = LedgerSnapshot::of(self.transport.ledger());
+        // The search is serial in virtual time: each cell's answer decides
+        // whether the next cell is worth visiting.
+        let op_start = self.transport.clock().now();
         let mut best: Vec<(Event, f64)> = Vec::new();
         let mut cost = QueryCost::default();
         let mut cells_visited = 0usize;
@@ -126,10 +134,13 @@ impl PoolSystem {
             }
             cells_visited += 1;
             let index_node = self.index_node_of(cell).expect("candidate cells are pool cells");
-            let fwd =
-                self.route_and_record(TraceOp::Nearest, sink, index_node, TrafficLayer::Forward)?;
-            cost.forward_messages += fwd.transmissions - fwd.retransmissions;
-            cost.retransmit_messages += fwd.retransmissions;
+            let spent = cost.total();
+            let Some(leg) =
+                self.send(TraceOp::Nearest, sink, index_node, TrafficLayer::Forward, &mut cost)?
+            else {
+                let transmissions = cost.total() - spent;
+                return Err(PoolError::Undeliverable { from: sink, to: index_node, transmissions });
+            };
             let local: Vec<(Event, f64)> = self
                 .store()
                 .events_in(cell)
@@ -137,16 +148,22 @@ impl PoolSystem {
                 .map(|s| (s.event.clone(), event_distance(probe, &s.event)))
                 .collect();
             if !local.is_empty() {
-                // Aggregated reply along the reverse path.
-                let back =
-                    self.route_and_record(TraceOp::Nearest, index_node, sink, TrafficLayer::Reply)?;
-                cost.reply_messages += back.transmissions - back.retransmissions;
-                cost.retransmit_messages += back.retransmissions;
+                // One aggregated reply retracing the forward leg.
+                let spent = cost.total();
+                if self.retrace(TraceOp::Nearest, leg.path(), 1, &mut cost) == 0 {
+                    let transmissions = cost.total() - spent;
+                    return Err(PoolError::Undeliverable {
+                        from: index_node,
+                        to: sink,
+                        transmissions,
+                    });
+                }
                 best.extend(local);
                 best.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are finite"));
                 best.truncate(count);
             }
         }
+        cost.elapsed = self.transport.clock().now() - op_start;
         ledger_before.debug_assert_layers(
             self.transport.ledger(),
             "k_nearest",

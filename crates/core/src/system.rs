@@ -25,7 +25,7 @@ use crate::insert::{storage_cell, InsertError, Placement};
 use crate::layout::PoolLayout;
 use crate::monitor::{MonitorId, MonitorTable, Notification};
 use crate::storage::{CellStore, StoredEvent};
-use pool_gpsr::Route;
+use pool_gpsr::{Planarization, Route};
 use pool_netsim::geometry::{Point, Rect};
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::TrafficStats;
@@ -33,8 +33,7 @@ use pool_netsim::topology::Topology;
 use pool_transport::metrics::{LedgerSnapshot, LoadReport, NodeRole};
 use pool_transport::trace::{TraceOp, Tracer};
 use pool_transport::{
-    retry, DeliveryOutcome, Leg, OpRetryPolicy, ReverseDelivery, TrafficLayer, TrafficLedger,
-    Transport,
+    retry, DeliveryOutcome, OpRetryPolicy, TrafficLayer, TrafficLedger, Transport,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -130,7 +129,8 @@ impl PoolSystem {
     /// cells are free).
     ///
     /// The routing substrate is chosen by [`PoolConfig::transport`]
-    /// (plain GPSR by default, memoizing cache optionally).
+    /// (plain GPSR by default, memoizing cache optionally); GPSR runs over
+    /// the Gabriel planarization, as it does under DIM and GHT.
     ///
     /// # Errors
     ///
@@ -164,7 +164,7 @@ impl PoolSystem {
         };
         let transport = config.transport.build_stack(
             &topology,
-            config.planarization,
+            Planarization::Gabriel,
             config.lossy,
             config.faults.clone(),
             config.recovery,
@@ -218,8 +218,10 @@ impl PoolSystem {
     // ----- traced delivery: every routed leg goes through these ---------
 
     /// Delivers one packet along `path` through the shared retry loop
-    /// ([`retry::deliver`]), recording one trace span per attempt.
-    fn deliver_leg(
+    /// ([`retry::deliver`]), recording one trace span per attempt. Returns
+    /// the outcome and, when a retry detoured, the route the packet last
+    /// travelled.
+    pub(crate) fn deliver_leg(
         &mut self,
         op: TraceOp,
         path: &[NodeId],
@@ -239,52 +241,6 @@ impl PoolSystem {
         layer: TrafficLayer,
     ) -> DeliveryOutcome {
         self.deliver_leg(op, path, layer, None).0
-    }
-
-    /// Delivers along `leg` under [`PoolConfig::op_retry`]. Returns the
-    /// aggregated outcome and the leg the packet last travelled, which the
-    /// replies must retrace.
-    pub(crate) fn deliver_with_recovery(
-        &mut self,
-        op: TraceOp,
-        leg: Leg,
-        layer: TrafficLayer,
-    ) -> (DeliveryOutcome, Leg) {
-        let (outcome, rerouted) = self.deliver_leg(op, leg.path(), layer, self.config.op_retry);
-        (outcome, rerouted.map_or(leg, Leg::Route))
-    }
-
-    /// Same-path retry for legs whose path is fixed (delegation chain
-    /// walks): detouring never applies here — the chain *is* the route.
-    pub(crate) fn deliver_with_path_retry(
-        &mut self,
-        op: TraceOp,
-        path: &[NodeId],
-        layer: TrafficLayer,
-    ) -> DeliveryOutcome {
-        let policy = self.config.op_retry.map(OpRetryPolicy::on_fixed_path);
-        self.deliver_leg(op, path, layer, policy).0
-    }
-
-    /// Delivers `copies` reply packets in reverse along `path` under
-    /// [`PoolConfig::op_retry`] ([`retry::deliver_reverse`]), recording one
-    /// trace span per attempt.
-    pub(crate) fn deliver_reverse_with_retry(
-        &mut self,
-        op: TraceOp,
-        path: &[NodeId],
-        copies: u64,
-        layer: TrafficLayer,
-    ) -> ReverseDelivery {
-        retry::deliver_reverse(
-            &self.topology,
-            self.transport.as_mut(),
-            path,
-            copies,
-            layer,
-            self.config.op_retry,
-            Some((&mut self.tracer, op)),
-        )
     }
 
     /// Sends one backup copy from `source` to its neighbor `target` (see
@@ -547,31 +503,6 @@ impl PoolSystem {
     /// The continuous-query registry (for inspection).
     pub fn monitors(&self) -> &MonitorTable {
         &self.monitors
-    }
-
-    /// Routes a unicast, delivers it over the (possibly lossy) link layer,
-    /// charging every transmission to the ledger under `layer` and tracing
-    /// the leg under `op`. Returns the delivery outcome. Shared by the
-    /// batch and nearest-neighbor modules.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError::Undeliverable`] when ARQ exhausts its retry budget on
-    /// some hop (the transmissions already spent stay charged).
-    pub(crate) fn route_and_record(
-        &mut self,
-        op: TraceOp,
-        from: NodeId,
-        to: NodeId,
-        layer: TrafficLayer,
-    ) -> Result<DeliveryOutcome, PoolError> {
-        let route = self.transport.route_to_node(&self.topology, from, to)?;
-        let outcome = self.deliver_traced(op, &route.path, layer);
-        if outcome.delivered {
-            Ok(outcome)
-        } else {
-            Err(PoolError::Undeliverable { from, to, transmissions: outcome.transmissions })
-        }
     }
 
     /// Finds (or creates) the holder for a new event in `cell` under the

@@ -515,9 +515,7 @@ impl DimSystem {
                 Err(e) => return Err(e.into()),
             };
             let (fwd, leg) = self.deliver_with_recovery(TraceOp::Query, leg, TrafficLayer::Forward);
-            cost.forward_messages += fwd.transmissions - fwd.retransmissions;
-            cost.retransmit_messages += fwd.retransmissions;
-            cost.forward_latency += fwd.latency;
+            cost.add_forward(&fwd);
             if !fwd.delivered {
                 break;
             }
@@ -564,9 +562,7 @@ impl DimSystem {
                     1,
                     TrafficLayer::Reply,
                 );
-                cost.reply_messages += rev.transmissions - rev.retransmissions;
-                cost.retransmit_messages += rev.retransmissions;
-                cost.reply_latency += rev.latency;
+                cost.add_reply(&rev);
                 if rev.delivered_copies == 0 && j < first_failed_reverse {
                     first_failed_reverse = j;
                 }

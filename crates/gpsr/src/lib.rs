@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod beacon;
 pub mod greedy;
 pub mod perimeter;
 pub mod planar;

@@ -67,18 +67,6 @@ impl GilbertElliott {
         assert!(p_gb + p_bg > 0.0, "the chain must be able to change state");
         GilbertElliott { p_gb, p_bg, good_prr, bad_prr }
     }
-
-    /// Long-run fraction of attempts spent in the bad state
-    /// (`p_gb / (p_gb + p_bg)`, the chain's stationary distribution).
-    pub fn stationary_bad(&self) -> f64 {
-        self.p_gb / (self.p_gb + self.p_bg)
-    }
-
-    /// Long-run reception probability of the channel alone.
-    pub fn long_run_prr(&self) -> f64 {
-        let bad = self.stationary_bad();
-        self.good_prr * (1.0 - bad) + self.bad_prr * bad
-    }
 }
 
 /// One scheduled fault. Times are virtual seconds on the transport's

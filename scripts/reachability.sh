@@ -13,13 +13,21 @@
 # but its own crate's library code. The match is by name, so a common
 # name (`new`, `len`)
 # reads as reachable when it may not be: the list under-reports, never
-# over-reports. The report always exits 0; it informs, it does not gate.
+# over-reports.
+#
+# A gate that may only fall: the script exits 1 when more items are used
+# nowhere else than MAX_UNUSED below. Deleting dead code lowers the count;
+# lower the constant with it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 python3 - <<'EOF'
 import pathlib
+import sys
 import re
+
+# Items used nowhere but their own crate's library code, at most.
+MAX_UNUSED = 51
 
 ITEM = re.compile(r"^\s*pub\s+(?:const\s+|unsafe\s+|async\s+)*(fn|struct|enum|trait|type)\s+([A-Za-z_]\w*)")
 IDENT = re.compile(r"[A-Za-z_]\w*")
@@ -84,4 +92,9 @@ print(
     f"{count('-')} used nowhere else, {count('tests')} only by tests, "
     f"{count('benchmark')} only by benchmark/, {count('tests+benchmark')} by both"
 )
+if count("-") > MAX_UNUSED:
+    sys.exit(
+        f"reachability: {count('-')} items used nowhere else, above the gate's {MAX_UNUSED}: "
+        "use or delete the new ones (the list above marks them '-')"
+    )
 EOF

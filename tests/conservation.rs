@@ -16,7 +16,7 @@
 
 use pool_dcs::core::config::SharingPolicy;
 use pool_dcs::core::insert::InsertError;
-use pool_dcs::core::{AggregateOp, Event, PoolConfig, PoolSystem, RangeQuery};
+use pool_dcs::core::{AggregateOp, Event, PoolConfig, PoolSystem, QueryCost, RangeQuery};
 use pool_dcs::dim::DimSystem;
 use pool_dcs::netsim::radio::PrrModel;
 use pool_dcs::netsim::{Deployment, NodeId, Rect, Topology};
@@ -134,23 +134,16 @@ fn audit_pool(mut pool: PoolSystem, label: &str) {
         RangeQuery::exact(vec![(0.2, 0.5), (0.0, 0.6), (0.0, 1.0)]).unwrap(),
         RangeQuery::from_bounds(vec![None, Some((0.7, 0.9)), None]).unwrap(),
     ];
+    // A batch degrades like a query on a lossy radio; it never aborts.
     let before = LedgerSnapshot::of(pool.ledger());
-    match pool.query_batch(NodeId(3), &batch_queries) {
-        Ok(batch) => {
-            assert_eq!(
-                batch.cost.total(),
-                before.total_delta(pool.ledger()),
-                "{label}: batch total"
-            );
-        }
-        // On a lossy radio a batch leg may exhaust ARQ; the charge already
-        // made must still be visible in the ledger (nothing to compare the
-        // partial cost against, the op aborted).
-        Err(e) => assert!(
-            matches!(e, pool_dcs::core::PoolError::Undeliverable { .. }),
-            "{label}: unexpected batch failure: {e}"
-        ),
-    }
+    let batch = pool.query_batch(NodeId(3), &batch_queries).unwrap();
+    assert_eq!(batch.cost.total(), before.total_delta(pool.ledger()), "{label}: batch total");
+    assert_eq!(
+        batch.completeness.cells_reached + batch.completeness.unreached_cells.len(),
+        batch.completeness.cells_relevant,
+        "{label}: batch completeness arithmetic"
+    );
+    assert_eq!(batch.completeness.cells_relevant, batch.cells_visited, "{label}: batch cells");
 
     // Nearest-neighbor search.
     let before = LedgerSnapshot::of(pool.ledger());
@@ -515,6 +508,81 @@ fn monitor_install_reports_its_coverage() {
     assert_eq!(pool.monitors().cells_of(install.id).len(), install.completeness.cells_reached);
 }
 
+/// Runs every `(sink, query)` as `query_from` on `single` and as a batch of
+/// one on `batched` (two identically built and loaded systems, so their
+/// state stays in lockstep) and asserts the batch is the query: the same
+/// cost field by field, the same completeness, the same events as a
+/// multiset.
+fn assert_batch_of_one_is_a_query(
+    mut single: PoolSystem,
+    mut batched: PoolSystem,
+    queries: &[(NodeId, RangeQuery)],
+    label: &str,
+) {
+    let key = |e: &Event| e.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (i, (sink, q)) in queries.iter().enumerate() {
+        let want = single.query_from(*sink, q).unwrap();
+        let got = batched.query_batch(*sink, std::slice::from_ref(q)).unwrap();
+        assert_eq!(got.cost, want.cost, "{label}: query {i} cost");
+        assert_eq!(got.completeness, want.completeness, "{label}: query {i} completeness");
+        assert_eq!(got.cells_visited, want.relevant_cells, "{label}: query {i} cells");
+        let mut want_events = want.events;
+        let [mut got_events] = <[Vec<Event>; 1]>::try_from(got.per_query).unwrap();
+        want_events.sort_by_key(key);
+        got_events.sort_by_key(key);
+        assert_eq!(got_events, want_events, "{label}: query {i} events");
+    }
+}
+
+/// A batch of one query is that query, on a loss-free radio, over
+/// delegation chains, and on a lossy radio. The batch used to run its own
+/// loop: it skipped delegation chains, routed replies afresh, timed cells
+/// one after another, and aborted on the first lost leg.
+#[test]
+fn a_batch_of_one_query_is_that_query() {
+    let mut rng = StdRng::seed_from_u64(3131);
+    let mut generator = EventGenerator::new(3, EventDistribution::Uniform);
+    let events: Vec<(NodeId, Event)> = (0..300)
+        .map(|_| (NodeId(rng.gen_range(0..NODES as u32)), generator.generate(&mut rng)))
+        .collect();
+    let loaded = |config: PoolConfig| {
+        let (topo, field) = connected(31);
+        let mut pool = PoolSystem::build(topo, field, config).unwrap();
+        for (src, event) in &events {
+            let _ = pool.insert_from(*src, event.clone());
+        }
+        pool
+    };
+    let queries: Vec<(NodeId, RangeQuery)> = (0..40)
+        .map(|_| {
+            let sink = NodeId(rng.gen_range(0..NODES as u32));
+            (sink, exact_query(&mut rng, 3, RangeSizeDistribution::Exponential { mean: 0.1 }))
+        })
+        .collect();
+    let paper = PoolConfig::paper().with_seed(31);
+    assert_batch_of_one_is_a_query(loaded(paper.clone()), loaded(paper), &queries, "loss-free");
+
+    // A one-retry budget loses legs, so the lossy arm also compares
+    // degraded answers.
+    let radio = LossyConfig::fixed(0.8, 3232).with_retry_budget(1);
+    let lossy = PoolConfig::paper().with_seed(31).with_lossy(radio);
+    assert_batch_of_one_is_a_query(loaded(lossy.clone()), loaded(lossy), &queries, "lossy");
+
+    // Half the queries cover the hotspot, so they walk its delegation chain.
+    let hot: Vec<(NodeId, RangeQuery)> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, (sink, q))| {
+            let widen = 0.002 * i as f64;
+            let hot = RangeQuery::exact(vec![(0.94 - widen, 0.98), (0.0, 0.1 + widen), (0.0, 0.1)]);
+            (*sink, if i % 2 == 0 { hot.unwrap() } else { q.clone() })
+        })
+        .collect();
+    let (single, batched) = (hotspot_pool(71, 10, None), hotspot_pool(71, 10, None));
+    assert!(!delegated_cells(&single).is_empty(), "the hotspot must overflow into a chain");
+    assert_batch_of_one_is_a_query(single, batched, &hot, "sharing");
+}
+
 /// Virtual-time tolerance: elapsed times are sums of exact binary
 /// fractions of the latency model, so they agree to far better than this.
 const T_EPS: f64 = 1e-9;
@@ -559,27 +627,67 @@ fn audit_pool_time(mut pool: PoolSystem, label: &str) {
     for _ in 0..20 {
         let sink = NodeId(rng.gen_range(0..NODES as u32));
         let q = exact_query(&mut rng, 3, RangeSizeDistribution::Exponential { mean: 0.1 });
-        let start = pool.transport().clock().now();
-        pool.tracer_mut().clear();
-        let result = pool.query_from(sink, &q).unwrap();
-        let end = pool.transport().clock().now();
-        assert!(
-            (result.cost.elapsed - (end - start)).abs() < T_EPS,
-            "{label}: query elapsed {} vs clock advance {}",
-            result.cost.elapsed,
-            end - start
-        );
-        assert!(
-            result.cost.elapsed <= result.cost.forward_latency + result.cost.reply_latency + T_EPS,
-            "{label}: critical path {} exceeds per-leg latency sum {}",
-            result.cost.elapsed,
-            result.cost.forward_latency + result.cost.reply_latency
-        );
-        if result.cost.total() > 0 {
-            assert!(result.cost.elapsed > 0.0, "{label}: messages moved in zero time");
-        }
-        audit_spans(&pool, start, end, label, "query");
+        audit_op_time(&mut pool, label, "query", |pool| {
+            Some(pool.query_from(sink, &q).unwrap().cost)
+        });
     }
+
+    // Every other fan-out is timed by the same rules: aggregates, batches
+    // and monitor installation and removal walk the same splitter tree.
+    let q = RangeQuery::from_bounds(vec![Some((0.2, 0.6)), None, None]).unwrap();
+    audit_op_time(&mut pool, label, "aggregate", |pool| {
+        Some(pool.aggregate_from(NodeId(9), &q, AggregateOp::Count).unwrap().cost)
+    });
+    let batch = [q.clone(), RangeQuery::from_bounds(vec![None, Some((0.7, 0.9)), None]).unwrap()];
+    audit_op_time(&mut pool, label, "batch", |pool| {
+        Some(pool.query_batch(NodeId(3), &batch).unwrap().cost)
+    });
+    let mut installed = None;
+    audit_op_time(&mut pool, label, "install_monitor", |pool| {
+        let install = pool.install_monitor(NodeId(5), q.clone()).unwrap();
+        installed = Some(install.id);
+        Some(install.cost)
+    });
+    audit_op_time(&mut pool, label, "remove_monitor", |pool| {
+        pool.remove_monitor(installed.unwrap()).unwrap()
+    });
+    // The nearest-neighbour search is serial, and fails on a lost leg: only
+    // a search that answered has a cost to audit.
+    audit_op_time(&mut pool, label, "k_nearest", |pool| {
+        pool.k_nearest(NodeId(7), &[0.4, 0.5, 0.6], 3).ok().map(|nn| nn.cost)
+    });
+}
+
+/// Runs one operation and audits its reported time: `elapsed` equals the
+/// clock's advance, is at most the per-leg latency sum, is positive when
+/// messages moved, and the operation's spans obey [`audit_spans`]. `run`
+/// returns `None` for an operation that failed (nothing to audit).
+fn audit_op_time(
+    pool: &mut PoolSystem,
+    label: &str,
+    op: &str,
+    run: impl FnOnce(&mut PoolSystem) -> Option<QueryCost>,
+) {
+    let start = pool.transport().clock().now();
+    pool.tracer_mut().clear();
+    let Some(cost) = run(pool) else { return };
+    let end = pool.transport().clock().now();
+    assert!(
+        (cost.elapsed - (end - start)).abs() < T_EPS,
+        "{label}: {op} elapsed {} vs clock advance {}",
+        cost.elapsed,
+        end - start
+    );
+    assert!(
+        cost.elapsed <= cost.forward_latency + cost.reply_latency + T_EPS,
+        "{label}: {op} critical path {} exceeds per-leg latency sum {}",
+        cost.elapsed,
+        cost.forward_latency + cost.reply_latency
+    );
+    if cost.total() > 0 {
+        assert!(cost.elapsed > 0.0, "{label}: {op} moved messages in zero time");
+    }
+    audit_spans(pool, start, end, label, op);
 }
 
 /// Asserts the span-tree identity for the operation bracketed by
