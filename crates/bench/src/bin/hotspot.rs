@@ -72,7 +72,7 @@ fn main() {
                     "dim".to_string(),
                     dim.max_owner_load() as u64,
                     "-".to_string(),
-                    dim.traffic().total_messages() as f64 / events as f64,
+                    dim.ledger().total_messages() as f64 / events as f64,
                     Summary::of(&latencies),
                 )
             }
@@ -96,7 +96,7 @@ fn main() {
                     label,
                     pool.store().max_node_load() as u64,
                     pool.store().loaded_nodes().to_string(),
-                    pool.traffic().total_messages() as f64 / events as f64,
+                    pool.ledger().total_messages() as f64 / events as f64,
                     Summary::of(&latencies),
                 )
             }

@@ -70,17 +70,17 @@ fn main() {
                 pair.pool.query_from(sink, &q).expect("pool query");
                 pair.dim.query_from(sink, &q).expect("dim query");
             }
-            // Re-price the cumulative drain each round from the virtual
-            // clock's per-node transmit/receive counts: unlike the message
-            // ledger, the clock observes the receiving end of every
-            // transmission — ARQ retransmissions included — so batteries
-            // drain on both sides of every radio event.
-            let pool_clock = pair.pool.transport().clock();
+            // Re-price the cumulative drain each round on both sides of
+            // every radio event: sends from the message ledger's per-node
+            // loads (ARQ retransmissions are charged there, to the
+            // `Retransmit` layer) and receptions from the virtual clock,
+            // which counts the receiving end of every timed transmission.
             let mut pool_energy = EnergyLedger::new(nodes, capacity, model);
-            pool_energy.charge_counts(pool_clock.tx_counts(), pool_clock.rx_counts());
-            let dim_clock = pair.dim.transport().clock();
+            let pool_rx = pair.pool.transport().clock().rx_counts();
+            pool_energy.charge_counts(&pair.pool.ledger().node_loads(), pool_rx);
             let mut dim_energy = EnergyLedger::new(nodes, capacity, model);
-            dim_energy.charge_counts(dim_clock.tx_counts(), dim_clock.rx_counts());
+            let dim_rx = pair.dim.transport().clock().rx_counts();
+            dim_energy.charge_counts(&pair.dim.ledger().node_loads(), dim_rx);
 
             if pool_dead_round.is_none() && pool_energy.min_remaining_fraction() <= 0.0 {
                 pool_dead_round = Some(round);
@@ -99,11 +99,11 @@ fn main() {
             }
         }
         // Hotspot context: who is draining fastest?
-        let busiest = |t: &pool_netsim::stats::TrafficStats| {
+        let busiest = |t: &pool_transport::TrafficLedger| {
             (0..nodes as u32)
                 .map(NodeId)
-                .max_by_key(|&n| t.load(n))
-                .map(|n| (n, t.load(n)))
+                .max_by_key(|&n| t.node_load(n))
+                .map(|n| (n, t.node_load(n)))
                 .unwrap()
         };
         let _ = pair.rng().gen::<u8>();
@@ -111,8 +111,8 @@ fn main() {
             rows,
             pool_dead_round,
             dim_dead_round,
-            pool_busiest: busiest(pair.pool.traffic()),
-            dim_busiest: busiest(pair.dim.traffic()),
+            pool_busiest: busiest(pair.pool.ledger()),
+            dim_busiest: busiest(pair.dim.ledger()),
         }
     });
     let result = results.pop().expect("one trial");

@@ -145,8 +145,8 @@ fn run_ablation_leg(
     }
     TrialOutput::Ablation {
         kind,
-        pool_messages: pair.pool.traffic().total_messages(),
-        dim_messages: pair.dim.traffic().total_messages(),
+        pool_messages: pair.pool.ledger().total_messages(),
+        dim_messages: pair.dim.ledger().total_messages(),
         elapsed_secs: elapsed,
     }
 }

@@ -107,15 +107,16 @@ fn service_json_is_jobs_invariant() {
 }
 
 /// One trial's complete virtual-time trace, every float captured bit-exact.
-type EventTrace = (Vec<(u32, u32, u64, u64)>, Vec<u64>, Vec<u64>, Vec<u64>, u64);
+type EventTrace = (Vec<(u32, u32, u64, u64)>, Vec<u64>, Vec<u64>, u64);
 
 /// Identical workloads must yield identical *event traces* — not just
 /// identical aggregated tables — no matter how trials map onto workers.
 /// Each trial replays a small SystemPair workload and returns the full
 /// timeline: every traced span (endpoints plus bit-exact start/end
-/// timestamps), the clock's per-node transmit/receive counts and busy
-/// times, and the final virtual time. Running the same four trials on one
-/// worker and on eight must reproduce every bit.
+/// timestamps), the ledger's per-node send counts, the clock's per-node
+/// receive counts, and the final virtual time. Busy time is sends ×
+/// service time, so the send counts pin it too. Running the same four
+/// trials on one worker and on eight must reproduce every bit.
 #[test]
 fn event_traces_are_jobs_invariant() {
     fn traces(jobs: usize) -> Vec<EventTrace> {
@@ -140,9 +141,8 @@ fn event_traces_are_jobs_invariant() {
             let clock = pair.pool.transport().clock();
             (
                 spans,
-                clock.tx_counts().to_vec(),
+                pair.pool.ledger().node_loads(),
                 clock.rx_counts().to_vec(),
-                clock.busy_times().iter().map(|t| t.to_bits()).collect(),
                 clock.now().to_bits(),
             )
         })

@@ -1,11 +1,13 @@
 //! Whole-system invariant auditing.
 //!
 //! [`PoolSystem::audit`] sweeps the deployed system and checks every
-//! structural invariant the design relies on. Experiments call it after
-//! heavy mutation (bulk insertion, workload sharing, failures) to turn
-//! silent corruption into loud failure; the integration suite calls it as
-//! a final gate.
+//! structural invariant the design relies on. Every churn epoch (and so
+//! every failure burst) ends with it in debug builds; experiments call it
+//! after heavy mutation (bulk insertion, workload sharing) to turn silent
+//! corruption into loud failure; the integration suite calls it as a final
+//! gate.
 
+use crate::dynamics::{backup_pending, RepairQueue};
 use crate::insert::candidate_cells;
 use crate::system::PoolSystem;
 use std::fmt;
@@ -58,9 +60,19 @@ impl PoolSystem {
     ///    or on the cell's delegation chain;
     /// 4. delegation chains contain no duplicates and only live nodes;
     /// 5. under a sharing policy, no node holds more than `capacity`
-    ///    events.
-    pub fn audit(&self) -> AuditReport {
+    ///    events;
+    /// 6. every backup copy sits on a live node other than the event's
+    ///    holder (one node holding both copies is no replica);
+    /// 7. under replication, an event with no backup has a re-backup task
+    ///    in `pending` — unless none could have been made: its cell's index
+    ///    node has no live neighbour, or the link layer has lost a hop (a
+    ///    copy lost in flight is re-queued by the next epoch's store walk).
+    ///
+    /// `pending` is the repair queue carried between epochs; outside churn,
+    /// pass an empty one.
+    pub fn audit(&self, pending: &RepairQueue) -> AuditReport {
         let mut report = AuditReport::default();
+        let copies_lost_in_flight = self.transport().delivery_stats().hops_failed > 0;
 
         // (2) index-node election.
         for pool in self.layout().pools() {
@@ -83,7 +95,7 @@ impl PoolSystem {
             }
         }
 
-        // (1), (3) stored events.
+        // (1), (3), (6), (7) stored events.
         for (cell, stored) in self.store().iter() {
             let chain: Vec<_> = {
                 let mut c = Vec::new();
@@ -111,6 +123,29 @@ impl PoolSystem {
                         "holder-on-chain",
                         format!("{} held by {} outside chain {chain:?}", s.event, s.holder),
                     );
+                }
+                match s.backup.get() {
+                    Some(b) if !self.topology().is_alive(b) => {
+                        report.violate("backup-alive", format!("{} backed by dead {b}", s.event));
+                    }
+                    Some(b) if b == s.holder => report.violate(
+                        "backup-not-holder",
+                        format!("{} held and backed by {b}", s.event),
+                    ),
+                    None if self.config().replicate
+                        && !copies_lost_in_flight
+                        && self
+                            .index_node_of(*cell)
+                            .and_then(|i| self.backup_target(i))
+                            .is_some()
+                        && !backup_pending(pending, *cell, &s.event) =>
+                    {
+                        report.violate(
+                            "unbacked-queued",
+                            format!("{} in {cell} has no backup and no re-backup task", s.event),
+                        );
+                    }
+                    _ => {}
                 }
             }
         }
@@ -172,7 +207,7 @@ mod tests {
     #[test]
     fn fresh_system_is_healthy() {
         let pool = build(1, PoolConfig::paper());
-        let report = pool.audit();
+        let report = pool.audit(&RepairQueue::default());
         assert!(report.is_healthy(), "{:?}", report.violations);
         assert!(report.cells_checked >= 300);
     }
@@ -185,7 +220,7 @@ mod tests {
             let e = Event::new(vec![rng.gen(), rng.gen(), rng.gen()]).unwrap();
             pool.insert_from(NodeId(rng.gen_range(0..300)), e).unwrap();
         }
-        let report = pool.audit();
+        let report = pool.audit(&RepairQueue::default());
         assert!(report.is_healthy(), "{:?}", report.violations);
         assert_eq!(report.events_checked, 250);
     }
@@ -196,7 +231,7 @@ mod tests {
         for i in 0..60u32 {
             pool.insert_from(NodeId(i % 300), Event::new(vec![0.91, 0.07, 0.03]).unwrap()).unwrap();
         }
-        let report = pool.audit();
+        let report = pool.audit(&RepairQueue::default());
         assert!(report.is_healthy(), "{:?}", report.violations);
     }
 
@@ -216,7 +251,7 @@ mod tests {
             .take(3)
             .collect();
         pool.fail_nodes(&victims).unwrap();
-        let report = pool.audit();
+        let report = pool.audit(&RepairQueue::default());
         assert!(report.is_healthy(), "{:?}", report.violations);
     }
 

@@ -16,8 +16,8 @@
 //! * [`ChurnConfig`] — rates (joins/deaths/moves per epoch), mobility
 //!   distance, the repair budget, and an optional [`EnergyBudget`] that
 //!   makes deaths *energy-driven*: batteries drain from the actual per-node
-//!   tx/rx counts of the virtual clock, and a node fails when its ledger
-//!   hits zero.
+//!   sends (the message ledger) and receptions (the virtual clock), and a
+//!   node fails when its battery hits zero.
 //! * [`ChurnPlanner`] — deterministic (seeded) generator of per-epoch
 //!   [`EpochPlan`]s against the current topology. It is system-agnostic so
 //!   benchmark drivers can replay the *same* plan stream against Pool, DIM,
@@ -53,7 +53,8 @@ pub struct EnergyBudget {
     /// Initial battery capacity per node, in joules. Joiners start with a
     /// full battery.
     pub capacity: f64,
-    /// Radio energy model draining the batteries from tx/rx counts.
+    /// Radio energy model draining the batteries from send and receive
+    /// counts.
     pub model: EnergyModel,
 }
 
@@ -81,8 +82,8 @@ pub struct ChurnConfig {
     /// Per-epoch repair message budget. Repairs that do not fit are
     /// deferred to later epochs via the [`RepairQueue`].
     pub repair_budget: u64,
-    /// When set, batteries drain from real tx/rx counts and depleted nodes
-    /// die at the next epoch boundary.
+    /// When set, batteries drain from real send and receive counts and
+    /// depleted nodes die at the next epoch boundary.
     pub energy: Option<EnergyBudget>,
     /// Seed for the deterministic churn plan stream.
     pub seed: u64,
@@ -393,9 +394,7 @@ impl PoolSystem {
                     // queues grow without bound.
                     if backup.is_none()
                         && self.config.replicate
-                        && !queue.tasks.iter().any(|t| {
-                            t.kind == TaskKind::Backup && t.cell == cell && t.event == event
-                        })
+                        && !backup_pending(queue, cell, &event)
                     {
                         queue.tasks.push_back(RepairTask {
                             cell,
@@ -439,8 +438,22 @@ impl PoolSystem {
             report.repair_messages,
             &[TrafficLayer::Repair, TrafficLayer::Replication, TrafficLayer::Retransmit],
         );
+        if cfg!(debug_assertions) {
+            // Triage drops every delegation chain and repair lands each
+            // event at its cell's index node, so the sharing capacity is
+            // the one invariant an epoch does not keep.
+            let audit = self.audit(queue);
+            let broken: Vec<_> =
+                audit.violations.iter().filter(|v| v.invariant != "sharing-capacity").collect();
+            assert!(broken.is_empty(), "apply_epoch: {broken:?}");
+        }
         Ok(report)
     }
+}
+
+/// Whether `queue` holds a re-backup task for `event` in `cell`.
+pub(crate) fn backup_pending(queue: &RepairQueue, cell: CellCoord, event: &Event) -> bool {
+    queue.tasks.iter().any(|t| t.kind == TaskKind::Backup && t.cell == cell && t.event == *event)
 }
 
 /// Pool's side of the shared repair drain: a handoff or recovery is priced
@@ -550,9 +563,10 @@ impl ChurnScenario {
         }
     }
 
-    /// Advances `pool` by one epoch: drains batteries from the virtual
-    /// clock's tx/rx counters (energy-driven deaths join the scripted
-    /// ones), applies the next plan, and repairs under the budget.
+    /// Advances `pool` by one epoch: drains batteries from the message
+    /// ledger's per-node sends and the virtual clock's receptions
+    /// (energy-driven deaths join the scripted ones), applies the next
+    /// plan, and repairs under the budget.
     ///
     /// # Errors
     ///
@@ -566,19 +580,17 @@ impl ChurnScenario {
             let ledger = self
                 .energy
                 .get_or_insert_with(|| EnergyLedger::new(0, budget.capacity, budget.model));
-            let clock = pool.transport().clock();
-            let n = clock.tx_counts().len();
+            let tx = pool.ledger().node_loads();
+            let rx = pool.transport().clock().rx_counts();
+            let n = tx.len();
             ledger.grow_to(n);
             self.prev_tx.resize(n, 0);
             self.prev_rx.resize(n, 0);
-            // The clock's counters are cumulative; charge this epoch's
-            // delta only.
-            let dtx: Vec<u64> =
-                clock.tx_counts().iter().zip(&self.prev_tx).map(|(c, p)| c - p).collect();
-            let drx: Vec<u64> =
-                clock.rx_counts().iter().zip(&self.prev_rx).map(|(c, p)| c - p).collect();
-            self.prev_tx = clock.tx_counts().to_vec();
-            self.prev_rx = clock.rx_counts().to_vec();
+            // Both counts are cumulative; charge this epoch's delta only.
+            let dtx: Vec<u64> = tx.iter().zip(&self.prev_tx).map(|(c, p)| c - p).collect();
+            let drx: Vec<u64> = rx.iter().zip(&self.prev_rx).map(|(c, p)| c - p).collect();
+            self.prev_tx = tx;
+            self.prev_rx = rx.to_vec();
             ledger.charge_counts(&dtx, &drx);
             let mut live_left = pool.topology().alive_count() - plan.deaths.len();
             // O(1) duplicate lookup: `plan.deaths.contains()` inside this

@@ -224,10 +224,10 @@ mod tests {
     #[test]
     fn explain_charges_no_messages() {
         let pool = figure2_system();
-        let before = pool.traffic().total_messages();
+        let before = pool.ledger().total_messages();
         let q = RangeQuery::exact(vec![(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]).unwrap();
         let _ = pool.explain(NodeId(0), &q).unwrap();
-        assert_eq!(pool.traffic().total_messages(), before);
+        assert_eq!(pool.ledger().total_messages(), before);
     }
 
     #[test]

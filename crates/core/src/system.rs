@@ -28,7 +28,6 @@ use crate::storage::{CellStore, StoredEvent};
 use pool_gpsr::{Planarization, Route};
 use pool_netsim::geometry::{Point, Rect};
 use pool_netsim::node::NodeId;
-use pool_netsim::stats::TrafficStats;
 use pool_netsim::topology::Topology;
 use pool_transport::metrics::{LedgerSnapshot, LoadReport, NodeRole};
 use pool_transport::trace::{TraceOp, Tracer};
@@ -297,12 +296,6 @@ impl PoolSystem {
         &self.store
     }
 
-    /// All traffic charged so far (insertions and queries), as the flat
-    /// total + per-node load counter.
-    pub fn traffic(&self) -> &TrafficStats {
-        self.transport.ledger().stats()
-    }
-
     /// The per-layer message ledger.
     pub fn ledger(&self) -> &TrafficLedger {
         self.transport.ledger()
@@ -321,12 +314,12 @@ impl PoolSystem {
     }
 
     /// Assembles the per-node load report: message loads (total and per
-    /// layer) from the ledger, radio busy times from the virtual clock,
-    /// storage loads from the cell store, and role tags from the
-    /// index/splitter/delegate registries.
+    /// layer) from the ledger, radio busy times from those loads at the
+    /// clock's service time, storage loads from the cell store, and role
+    /// tags from the index/splitter/delegate registries.
     pub fn load_report(&self) -> LoadReport {
-        let mut report = LoadReport::from_ledger(self.transport.ledger());
-        report.set_busy_times(self.transport.clock().busy_times());
+        let service_time = self.transport.clock().model().service_time;
+        let mut report = LoadReport::from_ledger(self.transport.ledger(), service_time);
         report.set_delivery_stats(self.transport.delivery_stats());
         for node in self.topology.nodes() {
             report.set_events_held(node.id, self.store.count_at(node.id) as u64);
@@ -702,8 +695,8 @@ mod tests {
         assert!(r.elapsed > 0.0, "a routed insertion takes virtual time");
         assert!((after - before - r.elapsed).abs() < 1e-12, "the clock advances by elapsed");
         assert_eq!(r.notifications.len(), 1);
-        // The busy-time ledger saw the transmissions: utilization shows up
-        // in the load report.
+        // The transmissions occupied radios: utilization shows up in the
+        // load report.
         let report = pool.load_report();
         assert!(report.busy_distribution().max > 0.0);
         let source_row =
@@ -715,10 +708,10 @@ mod tests {
     fn traffic_ledger_accumulates() {
         let mut pool = build_system(300, 12, PoolConfig::paper());
         let r = pool.insert_from(NodeId(0), ev(&[0.5, 0.4, 0.3])).unwrap();
-        assert_eq!(pool.traffic().total_messages(), r.messages);
+        assert_eq!(pool.ledger().total_messages(), r.messages);
         let q = RangeQuery::exact(vec![(0.4, 0.6), (0.3, 0.5), (0.2, 0.4)]).unwrap();
         let res = pool.query_from(NodeId(1), &q).unwrap();
-        assert_eq!(pool.traffic().total_messages(), r.messages + res.cost.total());
+        assert_eq!(pool.ledger().total_messages(), r.messages + res.cost.total());
     }
 
     #[test]

@@ -27,7 +27,6 @@ use pool_core::PoolError;
 use pool_gpsr::{Planarization, Route};
 use pool_netsim::geometry::Rect;
 use pool_netsim::node::NodeId;
-use pool_netsim::stats::TrafficStats;
 use pool_netsim::topology::Topology;
 use pool_transport::metrics::{LedgerSnapshot, LoadReport, NodeRole};
 use pool_transport::trace::{TraceOp, Tracer};
@@ -286,11 +285,6 @@ impl DimSystem {
         &self.tree
     }
 
-    /// All traffic charged so far.
-    pub fn traffic(&self) -> &TrafficStats {
-        self.transport.ledger().stats()
-    }
-
     /// The per-layer message ledger.
     pub fn ledger(&self) -> &TrafficLedger {
         self.transport.ledger()
@@ -316,13 +310,14 @@ impl DimSystem {
         &mut self.tracer
     }
 
-    /// Assembles the per-node load report: message loads from the ledger,
-    /// storage loads from the zone store, and an [`NodeRole::Index`] tag on
-    /// every zone owner (DIM has no splitters or delegates — every owner is
-    /// its zone's index).
+    /// Assembles the per-node load report: message loads from the ledger
+    /// (busy times from them at the clock's service time), storage loads
+    /// from the zone store, and an [`NodeRole::Index`] tag on every zone
+    /// owner (DIM has no splitters or delegates — every owner is its
+    /// zone's index).
     pub fn load_report(&self) -> LoadReport {
-        let mut report = LoadReport::from_ledger(self.transport.ledger());
-        report.set_busy_times(self.transport.clock().busy_times());
+        let service_time = self.transport.clock().model().service_time;
+        let mut report = LoadReport::from_ledger(self.transport.ledger(), service_time);
         report.set_delivery_stats(self.transport.delivery_stats());
         let zones = self.tree.zones();
         let mut held: HashMap<NodeId, u64> = HashMap::new();
@@ -830,6 +825,6 @@ mod tests {
     fn traffic_ledger_tracks_costs() {
         let mut dim = build(300, 8);
         let r = dim.insert_from(NodeId(0), ev(&[0.3, 0.6, 0.2])).unwrap();
-        assert_eq!(dim.traffic().total_messages(), r.messages);
+        assert_eq!(dim.ledger().total_messages(), r.messages);
     }
 }

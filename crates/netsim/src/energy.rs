@@ -1,14 +1,14 @@
 //! A simple radio energy model.
 //!
 //! The paper motivates Pool by energy efficiency: fewer messages mean less
-//! energy drawn from sensor batteries. This module converts the message
-//! ledger into joules using a first-order radio model (cost per transmitted
-//! and received message) so experiments can also report energy and estimated
-//! network lifetime, and so the workload-sharing mechanism can decide when an
-//! index node's "remaining resource is below a certain threshold" (§4.2).
+//! energy drawn from sensor batteries. This module converts per-node send
+//! and receive counts into joules using a first-order radio model (cost per
+//! transmitted and received message) so experiments can also report energy
+//! and estimated network lifetime, and so the workload-sharing mechanism can
+//! decide when an index node's "remaining resource is below a certain
+//! threshold" (§4.2).
 
 use crate::node::NodeId;
-use crate::stats::TrafficStats;
 use serde::{Deserialize, Serialize};
 
 /// First-order radio energy model: a fixed energy cost per message sent and
@@ -73,18 +73,9 @@ impl EnergyLedger {
         self.remaining[to.index()] = (self.remaining[to.index()] - self.model.rx_cost).max(0.0);
     }
 
-    /// Charges every hop of a recorded traffic ledger. Receivers are not
-    /// tracked per-hop by [`TrafficStats`], so this charges tx to the sender
-    /// counts and rx matching the aggregate (one receive per send).
-    pub fn charge_traffic(&mut self, traffic: &TrafficStats) {
-        for (i, &sends) in traffic.per_node().iter().enumerate() {
-            self.remaining[i] = (self.remaining[i] - sends as f64 * self.model.tx_cost).max(0.0);
-        }
-    }
-
-    /// Charges exact per-node transmit and receive counts, as produced by
-    /// the virtual clock (which, unlike [`TrafficStats`], observes the
-    /// receiving end of every transmission — retransmissions included).
+    /// Charges exact per-node transmit and receive counts, in node order
+    /// (retransmissions included: the transport's message ledger counts
+    /// every attempt at its sender, its virtual clock at its receiver).
     ///
     /// # Panics
     ///
@@ -103,15 +94,11 @@ impl EnergyLedger {
         self.remaining[id.index()]
     }
 
-    /// Remaining energy as a fraction of initial capacity, in `[0, 1]`.
-    pub fn remaining_fraction(&self, id: NodeId) -> f64 {
-        self.remaining(id) / self.capacity
-    }
-
-    /// Whether `id`'s remaining fraction is at or below `threshold` — the
-    /// trigger condition of the paper's workload-sharing mechanism.
+    /// Whether `id`'s remaining energy, as a fraction of initial capacity,
+    /// is at or below `threshold` — the trigger condition of the paper's
+    /// workload-sharing mechanism.
     pub fn is_depleted_below(&self, id: NodeId, threshold: f64) -> bool {
-        self.remaining_fraction(id) <= threshold
+        self.remaining(id) / self.capacity <= threshold
     }
 
     /// The minimum remaining fraction over all nodes (the first node to die
@@ -181,16 +168,6 @@ mod tests {
         ledger.charge_hop(NodeId(0), NodeId(1));
         assert!(ledger.is_depleted_below(NodeId(0), 0.5));
         assert!((ledger.min_remaining_fraction() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn charge_traffic_matches_sends() {
-        let mut traffic = TrafficStats::new(2);
-        traffic.record_hop(NodeId(0), NodeId(1));
-        traffic.record_hop(NodeId(0), NodeId(1));
-        let mut ledger = EnergyLedger::new(2, 1.0, EnergyModel::new(0.1, 0.05));
-        ledger.charge_traffic(&traffic);
-        assert!((ledger.remaining(NodeId(0)) - 0.8).abs() < 1e-12);
     }
 
     #[test]

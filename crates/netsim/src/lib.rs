@@ -10,7 +10,8 @@
 //! * [`topology`] — unit-disk neighbor tables and spatial queries.
 //! * [`schedule`] — the deterministic discrete-event queue that serves as
 //!   the virtual clock of record for the latency-aware execution layer.
-//! * [`stats`] — the paper's cost metric: per-hop message counting.
+//! * [`stats`] — summary statistics (mean, spread, percentiles) over
+//!   per-query and per-node samples.
 //! * [`energy`] — first-order radio energy model for lifetime/hotspot
 //!   studies and the workload-sharing trigger.
 //!
@@ -48,5 +49,5 @@ pub use deployment::{Deployment, Placement};
 pub use error::NetsimError;
 pub use geometry::{Point, Rect};
 pub use node::{Node, NodeId};
-pub use stats::{Summary, TrafficStats};
+pub use stats::Summary;
 pub use topology::Topology;

@@ -1,114 +1,12 @@
-//! Message and load accounting.
+//! Summary statistics over experiment samples.
 //!
 //! The paper's cost metric is the **number of messages** exchanged while
-//! processing a query (forwarding to the relevant index nodes plus returning
-//! the qualifying events, §5). [`TrafficStats`] records every per-hop
-//! transmission so experiments can report totals, per-node load, and hotspot
-//! indicators.
+//! processing a query (§5); the per-hop counts themselves live in the
+//! transport's message ledger. [`Summary`] condenses a sample of such
+//! counts (per-query messages, per-node loads, latencies) into mean,
+//! spread and percentiles.
 
-use crate::node::NodeId;
 use serde::{Deserialize, Serialize};
-
-/// Accumulates per-hop message transmissions.
-///
-/// Every radio transmission between two distinct nodes counts as one
-/// message. Hops from a node to itself (e.g. when several grid cells map to
-/// the same physical sensor) are free, matching the physical intuition that
-/// no radio message is needed.
-///
-/// # Examples
-///
-/// ```
-/// use pool_netsim::node::NodeId;
-/// use pool_netsim::stats::TrafficStats;
-///
-/// let mut stats = TrafficStats::new(4);
-/// stats.record_path(&[NodeId(0), NodeId(1), NodeId(2)]);
-/// stats.record_hop(NodeId(2), NodeId(2)); // self-hop: free
-/// assert_eq!(stats.total_messages(), 2);
-/// assert_eq!(stats.load(NodeId(1)), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrafficStats {
-    sent: u64,
-    per_node: Vec<u64>,
-}
-
-impl TrafficStats {
-    /// Creates a ledger for a network of `n` nodes.
-    pub fn new(n: usize) -> Self {
-        TrafficStats { sent: 0, per_node: vec![0; n] }
-    }
-
-    /// Records one transmission from `from` to `to`. A self-hop is ignored.
-    pub fn record_hop(&mut self, from: NodeId, to: NodeId) {
-        if from == to {
-            return;
-        }
-        self.sent += 1;
-        self.per_node[from.index()] += 1;
-    }
-
-    /// Records every hop along `path` (consecutive node pairs).
-    pub fn record_path(&mut self, path: &[NodeId]) {
-        for w in path.windows(2) {
-            self.record_hop(w[0], w[1]);
-        }
-    }
-
-    /// Total messages recorded.
-    pub fn total_messages(&self) -> u64 {
-        self.sent
-    }
-
-    /// Messages sent by `id`.
-    pub fn load(&self, id: NodeId) -> u64 {
-        self.per_node[id.index()]
-    }
-
-    /// The largest per-node send count (hotspot indicator).
-    pub fn max_load(&self) -> u64 {
-        self.per_node.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Per-node send counts.
-    pub fn per_node(&self) -> &[u64] {
-        &self.per_node
-    }
-
-    /// Adds all counts from `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two ledgers track networks of different sizes.
-    pub fn merge(&mut self, other: &TrafficStats) {
-        assert_eq!(
-            self.per_node.len(),
-            other.per_node.len(),
-            "cannot merge ledgers of different network sizes"
-        );
-        self.sent += other.sent;
-        for (a, b) in self.per_node.iter_mut().zip(&other.per_node) {
-            *a += *b;
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn clear(&mut self) {
-        self.sent = 0;
-        self.per_node.iter_mut().for_each(|c| *c = 0);
-    }
-
-    /// Grows the ledger to track `n` nodes, appending zeroed counters for
-    /// the joiners. A no-op when the ledger already covers `n` nodes;
-    /// existing counts are never touched (ids are dense, so history stays
-    /// attributed correctly).
-    pub fn grow_to(&mut self, n: usize) {
-        if n > self.per_node.len() {
-            self.per_node.resize(n, 0);
-        }
-    }
-}
 
 /// Summary statistics over a sample of scalar observations (per-query
 /// message counts, per-node loads, ...).
@@ -181,66 +79,6 @@ fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hops_and_paths_accumulate() {
-        let mut s = TrafficStats::new(3);
-        s.record_path(&[NodeId(0), NodeId(1), NodeId(2), NodeId(1)]);
-        assert_eq!(s.total_messages(), 3);
-        assert_eq!(s.load(NodeId(1)), 1);
-        assert_eq!(s.load(NodeId(2)), 1);
-        assert_eq!(s.max_load(), 1);
-    }
-
-    #[test]
-    fn self_hops_are_free() {
-        let mut s = TrafficStats::new(2);
-        s.record_hop(NodeId(0), NodeId(0));
-        assert_eq!(s.total_messages(), 0);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = TrafficStats::new(2);
-        a.record_hop(NodeId(0), NodeId(1));
-        let mut b = TrafficStats::new(2);
-        b.record_hop(NodeId(1), NodeId(0));
-        b.record_hop(NodeId(0), NodeId(1));
-        a.merge(&b);
-        assert_eq!(a.total_messages(), 3);
-        assert_eq!(a.load(NodeId(0)), 2);
-        assert_eq!(a.load(NodeId(1)), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different network sizes")]
-    fn merge_rejects_size_mismatch() {
-        let mut a = TrafficStats::new(2);
-        a.merge(&TrafficStats::new(3));
-    }
-
-    #[test]
-    fn grow_to_preserves_history() {
-        let mut s = TrafficStats::new(2);
-        s.record_hop(NodeId(0), NodeId(1));
-        s.grow_to(4);
-        s.grow_to(1); // no-op: never shrinks
-        assert_eq!(s.per_node().len(), 4);
-        assert_eq!(s.total_messages(), 1);
-        assert_eq!(s.load(NodeId(0)), 1);
-        assert_eq!(s.load(NodeId(3)), 0);
-        s.record_hop(NodeId(3), NodeId(0));
-        assert_eq!(s.load(NodeId(3)), 1);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = TrafficStats::new(2);
-        s.record_hop(NodeId(0), NodeId(1));
-        s.clear();
-        assert_eq!(s.total_messages(), 0);
-        assert_eq!(s.max_load(), 0);
-    }
 
     #[test]
     fn summary_of_known_sample() {

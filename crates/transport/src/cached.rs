@@ -517,8 +517,8 @@ mod tests {
         cached.rebuild(&grown);
         assert_eq!(cached.generation(), 1);
         assert_eq!(cached.cached_routes(), 0, "join must clear the memo");
-        assert_eq!(cached.ledger().stats().per_node().len(), grown.len());
-        assert_eq!(cached.clock().tx_counts().len(), grown.len());
+        assert_eq!(cached.ledger().nodes(), grown.len());
+        assert_eq!(cached.clock().rx_counts().len(), grown.len());
         // The joiner is routable immediately.
         cached.route_to_node(&grown, joiner, b).expect("route from joiner");
 
@@ -550,11 +550,12 @@ mod tests {
         let (a, b) = (topology.nodes()[4].id, topology.nodes()[180].id);
         for _ in 0..3 {
             let rc = cached.route_to_node(&topology, a, b).expect("route");
-            cached.charge(&rc.path, TrafficLayer::Forward);
+            cached.deliver(&topology, &rc.path, TrafficLayer::Forward);
             let rg = fresh.route_to_node(&topology, a, b).expect("route");
-            fresh.charge(&rg.path, TrafficLayer::Forward);
+            fresh.deliver(&topology, &rg.path, TrafficLayer::Forward);
         }
         assert_eq!(cached.ledger(), fresh.ledger());
+        assert_eq!(cached.clock(), fresh.clock());
     }
 
     /// Eviction must never change what a route *costs* — only whether it
@@ -578,8 +579,8 @@ mod tests {
                 {
                     (Ok(rc), Ok(rg)) => {
                         assert_eq!(rc.path, rg.path);
-                        cached.charge(&rc.path, layer);
-                        fresh.charge(&rg.path, layer);
+                        cached.deliver(&topology, &rc.path, layer);
+                        fresh.deliver(&topology, &rg.path, layer);
                     }
                     (Err(ec), Err(eg)) => assert_eq!(ec, eg),
                     (c, g) => panic!("capacity-1 cache diverged: {c:?} vs {g:?}"),
@@ -588,7 +589,7 @@ mod tests {
             }
         }
         assert_eq!(cached.ledger(), fresh.ledger());
-        assert_eq!(cached.clock().now(), fresh.clock().now());
+        assert_eq!(cached.clock(), fresh.clock());
         let stats = cached.hit_stats();
         assert!(stats.evictions > 0, "alternating pairs must thrash a capacity-1 memo");
     }

@@ -289,8 +289,8 @@ mod tests {
     /// After every refresh the ledger and clock address every node, joiners
     /// included, and a delivery from the newest one is charged.
     fn assert_joiners_addressable(transport: &mut dyn Transport, topology: &Topology) {
-        assert_eq!(transport.ledger().stats().per_node().len(), topology.len());
-        assert_eq!(transport.clock().tx_counts().len(), topology.len());
+        assert_eq!(transport.ledger().nodes(), topology.len());
+        assert_eq!(transport.clock().rx_counts().len(), topology.len());
         let joiner = NodeId(topology.len() as u32 - 1);
         if let Some(&nb) = topology.neighbors(joiner).iter().find(|&&nb| nb != PAUSED) {
             let before = transport.ledger().total_messages();

@@ -98,22 +98,13 @@ pub struct VirtualClock {
     model: LatencyModel,
     cursor: SimTime,
     busy_until: Vec<SimTime>,
-    busy_time: Vec<f64>,
-    tx: Vec<u64>,
     rx: Vec<u64>,
 }
 
 impl VirtualClock {
     /// Creates a clock for a network of `n` nodes.
     pub fn new(n: usize, model: LatencyModel) -> Self {
-        VirtualClock {
-            model,
-            cursor: 0.0,
-            busy_until: vec![0.0; n],
-            busy_time: vec![0.0; n],
-            tx: vec![0; n],
-            rx: vec![0; n],
-        }
+        VirtualClock { model, cursor: 0.0, busy_until: vec![0.0; n], rx: vec![0; n] }
     }
 
     /// The timing model.
@@ -138,22 +129,8 @@ impl VirtualClock {
         self.cursor = t;
     }
 
-    /// Total time node `id`'s radio spent transmitting.
-    pub fn busy_time(&self, id: NodeId) -> f64 {
-        self.busy_time[id.index()]
-    }
-
-    /// Per-node busy time, in node order.
-    pub fn busy_times(&self) -> &[f64] {
-        &self.busy_time
-    }
-
-    /// Per-node transmission counts (retransmissions included).
-    pub fn tx_counts(&self) -> &[u64] {
-        &self.tx
-    }
-
-    /// Per-node reception counts.
+    /// Per-node reception counts: one per timed transmission, charged to
+    /// its receiver (the senders' counts are the ledger's node loads).
     pub fn rx_counts(&self) -> &[u64] {
         &self.rx
     }
@@ -170,15 +147,13 @@ impl VirtualClock {
         for _ in 0..hop.transmissions {
             let start = if self.busy_until[f] > t { self.busy_until[f] } else { t };
             self.busy_until[f] = start + self.model.service_time;
-            self.busy_time[f] += self.model.service_time;
-            self.tx[f] += 1;
             self.rx[hop.to.index()] += 1;
             // The next ARQ attempt waits for the missing-ack timeout, which
             // this model equates with one hop latency.
             t = start + self.model.service_time + self.model.hop_latency;
         }
         // Backoff delays are waiting, not transmitting: they push the
-        // arrival later but leave the sender's radio idle (no busy time).
+        // arrival later but leave the sender's radio idle.
         t + hop.backoff
     }
 
@@ -270,20 +245,8 @@ impl VirtualClock {
     pub fn grow_to(&mut self, n: usize) {
         if n > self.busy_until.len() {
             self.busy_until.resize(n, 0.0);
-            self.busy_time.resize(n, 0.0);
-            self.tx.resize(n, 0);
             self.rx.resize(n, 0);
         }
-    }
-
-    /// Resets busy state and counters to zero (the cursor too). Used when
-    /// a workload wants a fresh timeline over the same network.
-    pub fn clear(&mut self) {
-        self.cursor = 0.0;
-        self.busy_until.iter_mut().for_each(|t| *t = 0.0);
-        self.busy_time.iter_mut().for_each(|t| *t = 0.0);
-        self.tx.iter_mut().for_each(|c| *c = 0);
-        self.rx.iter_mut().for_each(|c| *c = 0);
     }
 }
 
@@ -317,9 +280,8 @@ mod tests {
         // Each hop: 0.5 service + 1.0 latency.
         assert!((elapsed - 3.0).abs() < 1e-12, "got {elapsed}");
         assert_eq!(clock.now(), elapsed);
-        assert_eq!(clock.tx_counts(), &[1, 1, 0]);
         assert_eq!(clock.rx_counts(), &[0, 1, 1]);
-        assert!((clock.busy_time(NodeId(0)) - 0.5).abs() < 1e-12);
+        assert_eq!(clock.busy_until, vec![0.5, 2.0, 0.0]);
     }
 
     #[test]
@@ -327,9 +289,9 @@ mod tests {
         let mut clock = VirtualClock::new(2, model(1.0, 0.5));
         let elapsed = clock.time_leg(&[Hop::new(NodeId(0), NodeId(1), 3)]);
         assert!((elapsed - 4.5).abs() < 1e-12, "got {elapsed}");
-        assert_eq!(clock.tx_counts()[0], 3);
         assert_eq!(clock.rx_counts()[1], 3);
-        assert!((clock.busy_time(NodeId(0)) - 1.5).abs() < 1e-12);
+        // Attempts start at 0, 1.5 and 3.0 (each waits out the ack timeout).
+        assert_eq!(clock.busy_until[0], 3.5);
     }
 
     #[test]
@@ -340,9 +302,10 @@ mod tests {
         let hop = Hop { backoff: 0.25, ..Hop::new(NodeId(0), NodeId(1), 2) };
         let slow = delayed.time_leg(&[hop]);
         assert!((slow - base - 0.25).abs() < 1e-12, "got {slow} vs {base}");
-        // Waiting out a backoff is idle time, not radio time.
-        assert_eq!(plain.busy_time(NodeId(0)), delayed.busy_time(NodeId(0)));
-        assert_eq!(plain.tx_counts(), delayed.tx_counts());
+        // Waiting out a backoff is idle time, not radio time: the radio
+        // frees at the same instant.
+        assert_eq!(plain.busy_until, delayed.busy_until);
+        assert_eq!(plain.rx_counts(), delayed.rx_counts());
     }
 
     #[test]
@@ -360,7 +323,7 @@ mod tests {
         let mut clock = VirtualClock::new(1, LatencyModel::default());
         let elapsed = clock.time_leg(&clean_hops(&[NodeId(0), NodeId(0)]));
         assert_eq!(elapsed, 0.0);
-        assert_eq!(clock.tx_counts()[0], 0);
+        assert_eq!(clock.rx_counts()[0], 0);
     }
 
     #[test]
@@ -380,7 +343,7 @@ mod tests {
         // The second copy queues behind the first on node 0's radio:
         // starts at 0.5, arrives at 2.0.
         assert!((elapsed - 2.0).abs() < 1e-12, "got {elapsed}");
-        assert!((clock.busy_time(NodeId(0)) - 1.0).abs() < 1e-12);
+        assert_eq!(clock.busy_until[0], 1.0);
     }
 
     #[test]
@@ -470,16 +433,6 @@ mod tests {
             assert_eq!(got.to_bits(), reverse.to_bits(), "case {case}: {copies} x {path:?}");
             assert_eq!(new, old, "case {case}: {copies} x {path:?}");
         }
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut clock = VirtualClock::new(2, LatencyModel::default());
-        clock.time_leg(&clean_hops(&[NodeId(0), NodeId(1)]));
-        clock.clear();
-        assert_eq!(clock.now(), 0.0);
-        assert_eq!(clock.tx_counts(), &[0, 0]);
-        assert_eq!(clock.busy_times(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -11,10 +11,8 @@ use std::sync::Arc;
 /// A [`Transport`] that recomputes every route with GPSR.
 ///
 /// This is the original behaviour of the storage schemes before the
-/// transport seam existed: message counts produced through this
-/// implementation are bit-identical to charging a raw
-/// [`pool_netsim::stats::TrafficStats`] along freshly computed
-/// [`Gpsr`] routes.
+/// transport seam existed: every delivery charges and times a route
+/// freshly computed by [`Gpsr`].
 #[derive(Debug, Clone)]
 pub struct GpsrTransport {
     gpsr: Gpsr,

@@ -1,14 +1,16 @@
 //! # pool-transport — the pluggable routing substrate
 //!
 //! Pool, DIM, and GHT all sit on the same two primitives: *route a packet*
-//! (GPSR, §2 of the Pool paper) and *charge its hops* (the paper's
-//! message-count cost metric, §5). This crate extracts that seam into one
-//! object-safe [`Transport`] trait so the storage schemes above it never
-//! touch [`pool_gpsr::Gpsr`] or [`pool_netsim::stats::TrafficStats`]
-//! directly:
+//! (GPSR, §2 of the Pool paper) and *deliver it hop by hop* (each hop one
+//! message of the paper's cost metric, §5, and one timed transmission).
+//! This crate extracts that seam into one object-safe [`Transport`] trait so
+//! the storage schemes above it never touch [`pool_gpsr::Gpsr`] directly and
+//! never write the [`TrafficLedger`] themselves:
 //!
 //! * [`Transport`] — route to a node or a location, refresh after topology
-//!   change, and account every charge in a per-layer [`TrafficLedger`].
+//!   change, and deliver along a route: every delivery charges the
+//!   per-layer [`TrafficLedger`] and times the same transmissions on the
+//!   [`VirtualClock`].
 //! * [`apply_change`] — the one place a batch of joins, moves and deaths is
 //!   validated, written into the topology, compacted, and handed to
 //!   [`Transport::refresh`] as the set of rows it dirtied.
@@ -36,8 +38,10 @@
 //! let mut transport = TransportKind::Cached.build(&topology, Planarization::Gabriel);
 //! let (from, to) = (topology.nodes()[0].id, topology.nodes()[100].id);
 //! let route = transport.route_to_node(&topology, from, to)?;
-//! transport.charge(&route.path, TrafficLayer::Forward);
+//! let outcome = transport.deliver(&topology, &route.path, TrafficLayer::Forward);
 //! assert_eq!(transport.ledger().total_messages(), route.hops() as u64);
+//! assert_eq!(outcome.transmissions, route.hops() as u64);
+//! assert!(transport.clock().now() > 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -113,8 +117,8 @@ impl Leg {
 
 /// A routing substrate: route computation plus message accounting.
 ///
-/// Routing and charging are deliberately separate calls — the storage
-/// schemes decide *how* a route is charged (forward once, retrace for
+/// Routing and delivery are deliberately separate calls — the storage
+/// schemes decide *how* a route is delivered (forward once, retrace for
 /// replies, fan out `copies` times), while the transport decides *how* the
 /// route is obtained (fresh GPSR computation vs. memo lookup). Routes are
 /// returned as [`Arc<Route>`] so cached implementations can hand out shared
@@ -247,33 +251,17 @@ pub trait Transport: fmt::Debug + Send {
     /// Which implementation this is.
     fn kind(&self) -> TransportKind;
 
-    /// Charges every hop along `path` against `layer`; returns messages
-    /// charged.
-    fn charge(&mut self, path: &[NodeId], layer: TrafficLayer) -> u64 {
-        self.ledger_mut().charge_path(path, layer)
-    }
-
-    /// Charges `copies` reverse traversals of `path` (reply retracing)
-    /// against `layer`; returns total messages charged.
-    fn charge_reverse(&mut self, path: &[NodeId], copies: u64, layer: TrafficLayer) -> u64 {
-        self.ledger_mut().charge_path_reversed(path, copies, layer)
-    }
-
-    /// Charges a single hop against `layer`; returns messages charged
-    /// (0 for a self-hop).
-    fn charge_hop(&mut self, from: NodeId, to: NodeId, layer: TrafficLayer) -> u64 {
-        self.ledger_mut().charge_hop(from, to, layer)
-    }
-
     /// Attempts to deliver one packet along `path`, charging transmissions
     /// under `layer` and reporting a structured [`DeliveryOutcome`].
     ///
     /// The default implementation is the loss-free link layer every
     /// substrate had before [`LossyTransport`]: each hop succeeds on its
-    /// first transmission, so this is exactly [`Transport::charge`] plus a
-    /// delivered outcome. Lossy decorators override it with per-hop drops
-    /// and ARQ. Either way the delivery advances the virtual clock and
-    /// reports its elapsed time in [`DeliveryOutcome::latency`].
+    /// first transmission, so the ledger is charged once per non-self hop
+    /// ([`TrafficLedger::charge_path`]) and the clock times the same hops.
+    /// Lossy decorators override it with per-hop drops and ARQ. Either way
+    /// every charged transmission is timed: the delivery advances the
+    /// virtual clock and reports its elapsed time in
+    /// [`DeliveryOutcome::latency`].
     ///
     /// # Panics
     ///
@@ -297,8 +285,8 @@ pub trait Transport: fmt::Debug + Send {
     /// charging under `layer`.
     ///
     /// The default implementation is loss-free: every copy arrives, and the
-    /// ledger charges match [`Transport::charge_reverse`] exactly
-    /// (including reverse-direction per-node load attribution). The copies
+    /// ledger charges [`TrafficLedger::charge_path_reversed`] (each hop to
+    /// its reverse-direction sender) for the transmissions it times. The copies
     /// launch concurrently on the virtual clock — they serialize on their
     /// shared sender's radio but overlap in flight, so
     /// [`ReverseDelivery::latency`] is the makespan of the fan-out, not a

@@ -94,8 +94,9 @@ pub struct NodeLoad {
     pub by_layer: [u64; TrafficLayer::ALL.len()],
     /// Events this node currently holds (storage load).
     pub events_held: u64,
-    /// Virtual time this node's radio spent transmitting, in seconds
-    /// (filled in from the transport's clock by the storage scheme).
+    /// Virtual time this node's radio spent transmitting, in seconds:
+    /// `messages` × the clock model's service time (every charged message
+    /// is one timed transmission).
     pub busy_time: f64,
     /// Protocol roles the node played.
     pub roles: RoleSet,
@@ -114,7 +115,7 @@ pub struct NodeLoad {
 ///
 /// let mut ledger = TrafficLedger::new(3);
 /// ledger.charge_path(&[NodeId(0), NodeId(1), NodeId(2)], TrafficLayer::Insert);
-/// let mut report = LoadReport::from_ledger(&ledger);
+/// let mut report = LoadReport::from_ledger(&ledger, 0.5e-3);
 /// report.set_events_held(NodeId(2), 5);
 /// report.tag(NodeId(1), NodeRole::Delegate);
 /// assert_eq!(report.message_distribution().max, 1.0);
@@ -128,18 +129,21 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Builds a report with message loads filled in from `ledger`
-    /// (storage loads zero, role sets empty, delivery stats zero).
-    pub fn from_ledger(ledger: &TrafficLedger) -> Self {
+    /// Builds a report with message loads filled in from `ledger` and
+    /// busy times derived from them at `service_time` seconds per
+    /// transmission (storage loads zero, role sets empty, delivery stats
+    /// zero).
+    pub fn from_ledger(ledger: &TrafficLedger, service_time: f64) -> Self {
         let nodes = (0..ledger.nodes())
             .map(|i| {
                 let node = NodeId(i as u32);
+                let messages = ledger.node_load(node);
                 NodeLoad {
                     node,
-                    messages: ledger.node_load(node),
+                    messages,
                     by_layer: *ledger.node_layers(node),
                     events_held: 0,
-                    busy_time: 0.0,
+                    busy_time: messages as f64 * service_time,
                     roles: RoleSet::empty(),
                 }
             })
@@ -163,19 +167,6 @@ impl LoadReport {
     /// Sets the storage load of `node`.
     pub fn set_events_held(&mut self, node: NodeId, events: u64) {
         self.nodes[node.index()].events_held = events;
-    }
-
-    /// Sets the radio busy time of `node`, in seconds.
-    pub fn set_busy_time(&mut self, node: NodeId, seconds: f64) {
-        self.nodes[node.index()].busy_time = seconds;
-    }
-
-    /// Fills busy times for every node from a per-node slice in node order
-    /// (as produced by the virtual clock).
-    pub fn set_busy_times(&mut self, seconds: &[f64]) {
-        for (row, &busy) in self.nodes.iter_mut().zip(seconds) {
-            row.busy_time = busy;
-        }
     }
 
     /// Tags `node` with a protocol role.
@@ -410,7 +401,7 @@ mod tests {
         ledger.charge_path(&[NodeId(0), NodeId(1)], TrafficLayer::Forward);
         ledger.charge_path(&[NodeId(1), NodeId(2)], TrafficLayer::Reply);
         ledger.charge_path(&[NodeId(2), NodeId(3)], TrafficLayer::Reply);
-        let mut report = LoadReport::from_ledger(&ledger);
+        let mut report = LoadReport::from_ledger(&ledger, 0.5);
         report.tag(NodeId(1), NodeRole::Delegate);
         report.tag(NodeId(2), NodeRole::Delegate);
         report.set_events_held(NodeId(3), 7);
@@ -420,6 +411,8 @@ mod tests {
         let hottest = report.hottest(2);
         assert_eq!(hottest.len(), 2);
         assert!(hottest[0].messages >= hottest[1].messages);
+        // Nodes 0, 1 and 2 each sent once, at 0.5 s of radio time apiece.
+        assert_eq!(report.busy_distribution().max, 0.5);
     }
 
     #[test]

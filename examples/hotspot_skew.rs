@@ -37,19 +37,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             pool.insert_from(NodeId((i % 600) as u32), event)?;
         }
 
-        // Estimate the energy picture from the traffic ledger.
-        let mut ledger = EnergyLedger::new(pool.topology().len(), 1.0, EnergyModel::default());
-        ledger.charge_traffic(pool.traffic());
+        // Estimate the energy picture: sends from the message ledger,
+        // receptions from the virtual clock.
+        let sends = pool.ledger().node_loads();
+        let mut battery = EnergyLedger::new(sends.len(), 1.0, EnergyModel::default());
+        battery.charge_counts(&sends, pool.transport().clock().rx_counts());
 
         println!("--- {label} ---");
         println!("  events stored            : {}", pool.store().len());
         println!("  max events on one node   : {}", pool.store().max_node_load());
         println!("  nodes holding events     : {}", pool.store().loaded_nodes());
-        println!("  total insert messages    : {}", pool.traffic().total_messages());
-        println!("  busiest node sent        : {} messages", pool.traffic().max_load());
+        println!("  total insert messages    : {}", pool.ledger().total_messages());
+        println!("  busiest node sent        : {} messages", sends.iter().max().unwrap_or(&0));
         println!(
             "  min remaining battery    : {:.4} (fraction of capacity)",
-            ledger.min_remaining_fraction()
+            battery.min_remaining_fraction()
         );
 
         // Storage stays fully queryable either way.

@@ -90,35 +90,6 @@ EOF
     echo "    ${#bins[@]} binaries ran; $artifacts artifacts validated against baselines"
 }
 
-release_audit() {
-    # The greedy kernel's and the planar row kernel's correctness arguments
-    # are about float compares and row order, the path-reading delivery's
-    # about float operation order, the delivery engine's golden digest's
-    # about RNG draw and float order, the one-hop rule's about a distance
-    # tolerance, the flat zone walk's about compares at split midpoints and
-    # the Hilbert storage order's about ties broken by id — what an
-    # optimiser may change — so their oracles, the epoch-triage oracle and
-    # the transport equivalence suite also run once in the profile the
-    # artifacts ship in.
-    cargo test --release -q -p pool-netsim --lib -- \
-        storage_order_is_unobservable
-    cargo test --release -q -p pool-gpsr --lib -- \
-        kernel_matches_reference_scan \
-        gathered_rows_equal_the_reference_kernel \
-        routes_map_through_id_permutations
-    cargo test --release -q -p pool-core --lib -- \
-        untouched_cells_stay_put_exactly_as_the_full_walk_leaves_them \
-        splitter_rows_agree_with_the_per_cell_lookup_through_churn
-    cargo test --release -q -p pool-transport --lib -- \
-        path_timers_match_the_hop_vector_reference_bit_for_bit \
-        reversed_charge_equals_charging_the_reversed_path \
-        golden_delivery_digest \
-        neighbour_bypass_matches_gpsr_on_every_adjacent_pair
-    cargo test --release -q -p pool-dim --lib -- \
-        flat_walk_matches_brute_force_over_every_zone
-    cargo test --release -q --test transport_equivalence
-}
-
 reachability() {
     # The count of pub items no other library code names; fails when the
     # count of items used nowhere else rises above the script's gate
@@ -144,7 +115,9 @@ stage "cargo build --release" cargo build --release --workspace
 stage "benchmark gate (benchmark/check.sh)" benchmark/check.sh
 stage "cargo test" cargo test --workspace -q
 stage "conservation audit" cargo test -q --test conservation
-stage "release-profile routing audit" release_audit
+# The oracles an optimiser could break, in the shipping profile: the one
+# list both this gate and CI run.
+stage "release-profile routing audit" ./scripts/release_audit.sh
 stage "bench smoke (--smoke --jobs 2)" bench_smoke
 
 report

@@ -693,8 +693,16 @@ fn audit_op_time(
 /// Asserts the span-tree identity for the operation bracketed by
 /// `[start, end]`: every span lies inside the bracket, and the clock's
 /// resting point is the maximum span end (or `start`, for an op that
-/// launched no legs).
+/// launched no legs). Also asserts that every message the ledger holds was
+/// timed: each timed transmission has exactly one receive, so the clock's
+/// receive counts sum to the ledger total.
 fn audit_spans(pool: &PoolSystem, start: f64, end: f64, label: &str, op: &str) {
+    let received: u64 = pool.transport().clock().rx_counts().iter().sum();
+    assert_eq!(
+        received,
+        pool.ledger().total_messages(),
+        "{label}: after {op}, the clock timed other than the ledger charged"
+    );
     let mut max_end = start;
     for span in pool.tracer().spans() {
         assert!(

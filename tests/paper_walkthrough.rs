@@ -3,7 +3,7 @@
 //! accounting), not just the pure math.
 
 use pool_dcs::core::grid::CellCoord;
-use pool_dcs::core::{Event, PoolConfig, PoolSystem, RangeQuery};
+use pool_dcs::core::{Event, PoolConfig, PoolSystem, RangeQuery, RepairQueue};
 use pool_dcs::netsim::{Deployment, NodeId, Placement, Rect, Topology};
 
 /// A dense 100 m network hosting exactly Figure 2's pool layout
@@ -106,6 +106,6 @@ fn section_3_and_4_walkthrough() {
     assert_eq!(result.events, vec![tied]);
 
     // --- Final integrity audit --------------------------------------------
-    let audit = pool.audit();
+    let audit = pool.audit(&RepairQueue::default());
     assert!(audit.is_healthy(), "{:?}", audit.violations);
 }

@@ -64,10 +64,12 @@ fn edge_queries(events: &Placements) -> SinkQueries {
     vec![(NodeId(3), nothing), (NodeId(NODES as u32 - 1), RangeQuery::exact(stored).unwrap())]
 }
 
-/// Every virtual-time quantity a substrate holds, as bit patterns.
+/// The clock's final instant as a bit pattern, and its per-node receive
+/// counts. Per-node sends (and so busy time, sends × service time) are the
+/// ledger's, compared on their own.
 fn clock_bits(transport: &dyn Transport) -> (u64, Vec<u64>) {
     let clock = transport.clock();
-    (clock.now().to_bits(), clock.busy_times().iter().map(|t| t.to_bits()).collect())
+    (clock.now().to_bits(), clock.rx_counts().to_vec())
 }
 
 #[test]
@@ -110,8 +112,6 @@ fn pool_costs_identical_across_substrates() {
     assert!(!one.events.is_empty() && one.cost.reply_messages > 0);
 
     assert_eq!(clock_bits(gpsr.transport()), clock_bits(cached.transport()));
-    assert_eq!(gpsr.traffic().total_messages(), cached.traffic().total_messages());
-    assert_eq!(gpsr.traffic().per_node(), cached.traffic().per_node());
     for layer in TrafficLayer::ALL {
         assert_eq!(
             gpsr.ledger().layer_total(layer),
@@ -119,6 +119,8 @@ fn pool_costs_identical_across_substrates() {
             "layer {layer:?} diverges"
         );
     }
+    assert_eq!(gpsr.ledger().node_loads(), cached.ledger().node_loads());
+    assert_eq!(gpsr.ledger(), cached.ledger());
 }
 
 #[test]
