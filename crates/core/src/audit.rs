@@ -247,7 +247,11 @@ mod tests {
         let victims: Vec<NodeId> = (0..300u32)
             .map(NodeId)
             .filter(|&n| pool.store().count_at(n) > 0)
-            .filter(|&n| pool.topology().without_nodes(&[n]).is_connected())
+            .filter(|&n| {
+                let mut without = pool.topology().clone();
+                without.fail_nodes(&[n]);
+                without.is_connected()
+            })
             .take(3)
             .collect();
         pool.fail_nodes(&victims).unwrap();

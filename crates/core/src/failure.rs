@@ -419,10 +419,10 @@ mod tests {
         assert!(err.to_string().contains("unknown node"), "{err}");
     }
 
-    /// Regression: `fail_nodes` went through the clone-and-overlay
-    /// `Topology::without_nodes` and never compacted, so every failure's
-    /// rows stayed in the overlay for the life of the system and each later
-    /// lookup on them paid the indirection.
+    /// Regression: `fail_nodes` failed the nodes on a fresh copy of the
+    /// topology and never compacted it, so every failure's rows stayed in
+    /// the overlay for the life of the system and each later lookup on them
+    /// paid the indirection.
     #[test]
     fn failures_and_epochs_leave_no_overlay_rows() {
         use crate::dynamics::{EpochPlan, RepairQueue};

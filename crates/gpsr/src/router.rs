@@ -166,6 +166,32 @@ impl Gpsr {
         from: NodeId,
         target: Point,
     ) -> Result<Route, RouteError> {
+        self.route_with(topology, from, target, |_| None)
+    }
+
+    /// [`Gpsr::route`], asking `splice` at every greedy-mode loop top for
+    /// the rest of the route from the node the packet is at.
+    ///
+    /// `splice(at)` either answers `None`, and the walk goes on, or hands
+    /// back `route(at, target)`'s `(path, greedy_hops, perimeter_hops)`:
+    /// the path starting at `at`. Greedy mode is memoryless — the packet
+    /// header carries no perimeter state, so every later step depends only
+    /// on the node and the target — and from a greedy-mode loop top the
+    /// rest of the walk is exactly `route(at, target)`. The route appends
+    /// that path and returns, unless the spliced length would pass the hop
+    /// budget; then it keeps walking, so its error is the one the walk
+    /// meets. Either way the result is [`Gpsr::route`]'s, hop for hop.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Gpsr::route`]'s.
+    pub fn route_with<'s>(
+        &self,
+        topology: &Topology,
+        from: NodeId,
+        target: Point,
+        mut splice: impl FnMut(NodeId) -> Option<(&'s [NodeId], usize, usize)>,
+    ) -> Result<Route, RouteError> {
         let budget = 10 * topology.len() + 100;
         let mut path = vec![from];
         let mut at = from;
@@ -188,6 +214,24 @@ impl Gpsr {
 
             match mode {
                 None => {
+                    if let Some((rest, greedy, perimeter)) = splice(at) {
+                        debug_assert_eq!(
+                            rest.first(),
+                            Some(&at),
+                            "a suffix starts where it splices"
+                        );
+                        // Every loop top the walk would reach along `rest`
+                        // holds at most this many nodes, so within the
+                        // budget the walk would return this very route.
+                        if path.len() + rest.len() - 1 <= budget {
+                            path.reserve_exact(rest.len() - 1);
+                            path.extend_from_slice(&rest[1..]);
+                            let delivered = rest[rest.len() - 1];
+                            greedy_hops += greedy;
+                            perimeter_hops += perimeter;
+                            return Ok(Route { path, delivered, greedy_hops, perimeter_hops });
+                        }
+                    }
                     if let Some(next) = greedy_next_by(topology, at, target, self.metric) {
                         at = next;
                         path.push(at);
@@ -309,6 +353,22 @@ impl Gpsr {
         from: NodeId,
         to: NodeId,
     ) -> Result<Route, RouteError> {
+        self.route_to_node_with(topology, from, to, |_| None)
+    }
+
+    /// [`Gpsr::route_to_node`] with [`Gpsr::route_with`]'s `splice`
+    /// lookup, whose target is `to`'s position.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Gpsr::route_to_node`]'s.
+    pub fn route_to_node_with<'s>(
+        &self,
+        topology: &Topology,
+        from: NodeId,
+        to: NodeId,
+        splice: impl FnMut(NodeId) -> Option<(&'s [NodeId], usize, usize)>,
+    ) -> Result<Route, RouteError> {
         if from == to {
             return Ok(Route {
                 path: vec![from],
@@ -320,7 +380,7 @@ impl Gpsr {
         if self.routes_directly(topology, from, to) {
             return Ok(Route::single_hop(from, to));
         }
-        let route = self.route(topology, from, topology.position(to))?;
+        let route = self.route_with(topology, from, topology.position(to), splice)?;
         if route.delivered != to {
             return Err(RouteError::NotDelivered { to, delivered: route.delivered });
         }
@@ -546,6 +606,41 @@ mod tests {
         // blocked by the void inside the C.
         let route = gpsr.route_to_node(&topo, NodeId(2), NodeId(id - 1)).unwrap();
         assert!(route.perimeter_hops > 0, "expected perimeter hops, got {route:?}");
+    }
+
+    /// Greedy mode is memoryless: a lookup that hands back `route(at,
+    /// target)` at every greedy-mode loop top past the source — perimeter
+    /// legs and face tours included — leaves every route unchanged, to
+    /// node positions and to points between nodes, on a dense and on a
+    /// sparse field.
+    #[test]
+    fn splicing_the_rest_of_the_route_changes_no_hop() {
+        let (mut spliced, mut toured) = (0, 0);
+        for (n, range, seed) in [(150, 30.0, 11), (150, 16.0, 12)] {
+            let nodes = Deployment::new(Rect::square(130.0), n, Placement::Uniform, seed).nodes();
+            let topo = Topology::build(nodes, range).unwrap();
+            let gpsr = Gpsr::new(&topo, Planarization::Gabriel);
+            let targets =
+                (0..6).map(|i| Point::new((i * 37 % 130) as f64 + 0.3, (i * 53 % 130) as f64));
+            let to_nodes = (0..6).map(|i| topo.position(NodeId(i * 23)));
+            for target in targets.chain(to_nodes) {
+                let rest: Vec<Result<Route, RouteError>> =
+                    topo.nodes().iter().map(|node| gpsr.route(&topo, node.id, target)).collect();
+                for node in topo.nodes() {
+                    let route = gpsr.route_with(&topo, node.id, target, |at| {
+                        let Ok(rest) = rest[at.index()].as_ref() else { return None };
+                        if at == node.id {
+                            return None;
+                        }
+                        spliced += 1;
+                        toured += usize::from(rest.perimeter_hops > 0);
+                        Some((&rest.path[..], rest.greedy_hops, rest.perimeter_hops))
+                    });
+                    assert_eq!(route, rest[node.id.index()], "from {} to {target}", node.id);
+                }
+            }
+        }
+        assert!(toured > 0 && spliced > toured, "{toured} of {spliced} splices left greedy mode");
     }
 
     #[test]

@@ -188,7 +188,8 @@ mod tests {
             Node::new(NodeId(0), Point::new(2.0, 2.0)),
             Node::new(NodeId(1), Point::new(8.0, 8.0)),
         ];
-        let topo = Topology::build(nodes, 20.0).unwrap().without_nodes(&[NodeId(1)]);
+        let mut topo = Topology::build(nodes, 20.0).unwrap();
+        topo.fail_nodes(&[NodeId(1)]);
         let mut canvas = Canvas::new(Rect::square(10.0), 20, 20);
         canvas.draw_nodes(&topo, '.');
         let art = canvas.render();

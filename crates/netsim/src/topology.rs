@@ -529,43 +529,6 @@ impl Topology {
         self.patch_rows.len()
     }
 
-    /// A copy of this topology with `dead` nodes failed: they keep their
-    /// ids and positions but are removed from every neighbor table, the
-    /// spatial index, and connectivity. A test convenience: library code
-    /// clones and calls [`Topology::fail_nodes`] (or mutates in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dead id is out of range.
-    pub fn without_nodes(&self, dead: &[NodeId]) -> Topology {
-        let mut topo = self.clone();
-        topo.fail_nodes(dead);
-        topo
-    }
-
-    /// A copy of this topology with one freshly deployed node at
-    /// `position`, returned along with its newly assigned id — the
-    /// clone-then-[`Topology::add_node`] test convenience. The original
-    /// topology is untouched.
-    pub fn with_node(&self, position: Point) -> (Topology, NodeId) {
-        let mut topo = self.clone();
-        let id = topo.add_node(position);
-        (topo, id)
-    }
-
-    /// A copy of this topology with node `id` relocated to `new_position` —
-    /// the clone-then-[`Topology::move_node`] test convenience. The
-    /// original topology is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range or dead — a failed node cannot move.
-    pub fn with_moved_node(&self, id: NodeId, new_position: Point) -> Topology {
-        let mut topo = self.clone();
-        topo.move_node(id, new_position);
-        topo
-    }
-
     /// Whether node `id` is alive (has not been failed).
     pub fn is_alive(&self, id: NodeId) -> bool {
         self.alive[id.index()]
@@ -1037,7 +1000,8 @@ mod tests {
             Err(NetsimError::Disconnected { largest_component: 2, total: 3 })
         ));
         // Killing a member of the majority component flips the balance.
-        let flipped = topo.without_nodes(&[NodeId(1)]);
+        let mut flipped = topo.clone();
+        flipped.fail_nodes(&[NodeId(1)]);
         assert_eq!(flipped.largest_component_members().len(), 1);
     }
 
@@ -1100,7 +1064,8 @@ mod failure_tests {
     fn failed_nodes_leave_neighbor_tables() {
         let topo = sample(60, 80.0, 30.0, 2);
         let dead = NodeId(10);
-        let failed = topo.without_nodes(&[dead]);
+        let mut failed = topo.clone();
+        failed.fail_nodes(&[dead]);
         assert!(!failed.is_alive(dead));
         assert_eq!(failed.alive_count(), 59);
         assert!(failed.neighbors(dead).is_empty());
@@ -1117,7 +1082,8 @@ mod failure_tests {
         let topo = sample(50, 70.0, 25.0, 3);
         let probe = topo.position(NodeId(7));
         assert_eq!(topo.nearest_node(probe), NodeId(7));
-        let failed = topo.without_nodes(&[NodeId(7)]);
+        let mut failed = topo.clone();
+        failed.fail_nodes(&[NodeId(7)]);
         let nearest = failed.nearest_node(probe);
         assert_ne!(nearest, NodeId(7));
         assert!(failed.is_alive(nearest));
@@ -1134,22 +1100,29 @@ mod failure_tests {
         ];
         let topo = Topology::build(nodes, 5.0).unwrap();
         assert!(topo.is_connected());
-        assert!(!topo.without_nodes(&[NodeId(1)]).is_connected());
-        assert!(topo.without_nodes(&[NodeId(0)]).is_connected());
+        let mut without_middle = topo.clone();
+        without_middle.fail_nodes(&[NodeId(1)]);
+        assert!(!without_middle.is_connected());
+        let mut without_end = topo.clone();
+        without_end.fail_nodes(&[NodeId(0)]);
+        assert!(without_end.is_connected());
     }
 
     #[test]
     fn positions_remain_queryable_after_failure() {
         let topo = sample(30, 50.0, 25.0, 4);
-        let failed = topo.without_nodes(&[NodeId(3)]);
+        let mut failed = topo.clone();
+        failed.fail_nodes(&[NodeId(3)]);
         assert_eq!(failed.position(NodeId(3)), topo.position(NodeId(3)));
     }
 
     #[test]
     fn cascading_failures_accumulate() {
         let topo = sample(40, 60.0, 30.0, 5);
-        let once = topo.without_nodes(&[NodeId(0), NodeId(1)]);
-        let twice = once.without_nodes(&[NodeId(2)]);
+        let mut once = topo.clone();
+        once.fail_nodes(&[NodeId(0), NodeId(1)]);
+        let mut twice = once.clone();
+        twice.fail_nodes(&[NodeId(2)]);
         assert_eq!(twice.alive_count(), 37);
         for id in [0u32, 1, 2] {
             assert!(!twice.is_alive(NodeId(id)));
@@ -1202,7 +1175,8 @@ mod mutation_tests {
     fn joined_node_gets_dense_id_and_symmetric_links() {
         let topo = sample(60, 80.0, 25.0, 11);
         let p = Point::new(40.0, 40.0);
-        let (grown, id) = topo.with_node(p);
+        let mut grown = topo.clone();
+        let id = grown.add_node(p);
         assert_eq!(id, NodeId(60));
         assert_eq!(grown.len(), 61);
         assert!(grown.is_alive(id));
@@ -1218,7 +1192,8 @@ mod mutation_tests {
     fn joined_node_is_spatially_indexed() {
         let topo = sample(50, 70.0, 25.0, 12);
         let p = Point::new(200.0, 200.0); // far outside the field
-        let (grown, id) = topo.with_node(p);
+        let mut grown = topo.clone();
+        let id = grown.add_node(p);
         assert_eq!(grown.nearest_node(Point::new(199.0, 199.0)), id);
         assert!(grown.bounds().contains(p));
         assert!(grown.neighbors(id).is_empty(), "an isolated joiner has no links");
@@ -1229,8 +1204,10 @@ mod mutation_tests {
     fn join_after_failure_ignores_the_dead() {
         let topo = sample(60, 80.0, 25.0, 13);
         let dead = NodeId(17);
-        let failed = topo.without_nodes(&[dead]);
-        let (grown, id) = failed.with_node(topo.position(dead));
+        let mut failed = topo.clone();
+        failed.fail_nodes(&[dead]);
+        let mut grown = failed.clone();
+        let id = grown.add_node(topo.position(dead));
         assert!(!grown.neighbors(id).contains(&dead));
         assert_tables_consistent(&grown);
     }
@@ -1240,7 +1217,8 @@ mod mutation_tests {
         let topo = sample(70, 90.0, 25.0, 14);
         let mover = NodeId(5);
         let dest = Point::new(85.0, 85.0);
-        let moved = topo.with_moved_node(mover, dest);
+        let mut moved = topo.clone();
+        moved.move_node(mover, dest);
         assert_eq!(moved.position(mover), dest);
         assert_tables_consistent(&moved);
         // Old links that are now out of range are gone, in both directions.
@@ -1262,8 +1240,10 @@ mod mutation_tests {
         let topo = sample(40, 60.0, 20.0, 15);
         let mover = NodeId(9);
         let home = topo.position(mover);
-        let away = topo.with_moved_node(mover, Point::new(-10.0, -10.0));
-        let back = away.with_moved_node(mover, home);
+        let mut away = topo.clone();
+        away.move_node(mover, Point::new(-10.0, -10.0));
+        let mut back = away.clone();
+        back.move_node(mover, home);
         for node in topo.nodes() {
             assert_eq!(back.neighbors(node.id), topo.neighbors(node.id), "node {}", node.id);
         }
@@ -1273,8 +1253,9 @@ mod mutation_tests {
     #[should_panic(expected = "cannot move dead node")]
     fn moving_a_dead_node_panics() {
         let topo = sample(30, 50.0, 20.0, 16);
-        let failed = topo.without_nodes(&[NodeId(3)]);
-        let _ = failed.with_moved_node(NodeId(3), Point::new(1.0, 1.0));
+        let mut failed = topo.clone();
+        failed.fail_nodes(&[NodeId(3)]);
+        failed.move_node(NodeId(3), Point::new(1.0, 1.0));
     }
 
     #[test]
@@ -1284,14 +1265,16 @@ mod mutation_tests {
             (0..12).map(|i| (i * 3 % 50, f64::from(i * 7 % 60), f64::from(i * 11 % 60))).collect();
         for (i, &(raw, x, y)) in steps.iter().enumerate() {
             match i % 3 {
-                0 => topo = topo.with_node(Point::new(x, y)).0,
+                0 => {
+                    topo.add_node(Point::new(x, y));
+                }
                 1 => {
                     let id = NodeId(raw);
                     if topo.is_alive(id) {
-                        topo = topo.with_moved_node(id, Point::new(x, y));
+                        topo.move_node(id, Point::new(x, y));
                     }
                 }
-                _ => topo = topo.without_nodes(&[NodeId(raw)]),
+                _ => topo.fail_nodes(&[NodeId(raw)]),
             }
             assert_tables_consistent(&topo);
             assert_buckets_sorted(&topo);
@@ -1392,14 +1375,21 @@ mod arena_tests {
         let moves = [(NodeId(3), Point::new(44.0, 44.0)), (NodeId(60), Point::new(2.0, 2.0))];
         let deaths = [NodeId(7), NodeId(41), NodeId(42)];
 
+        // A fresh copy per event, never compacted.
         let mut persistent = base.clone();
         for &p in &joins {
-            persistent = persistent.with_node(p).0;
+            let mut next = persistent.clone();
+            next.add_node(p);
+            persistent = next;
         }
         for &(id, dest) in &moves {
-            persistent = persistent.with_moved_node(id, dest);
+            let mut next = persistent.clone();
+            next.move_node(id, dest);
+            persistent = next;
         }
-        persistent = persistent.without_nodes(&deaths);
+        let mut next = persistent.clone();
+        next.fail_nodes(&deaths);
+        persistent = next;
 
         let mut in_place = base.clone();
         for &p in &joins {

@@ -7,6 +7,8 @@ use pool_gpsr::{Gpsr, Planarization, Route, RouteError};
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Memo key: either a node-addressed or a location-addressed route.
@@ -21,9 +23,185 @@ enum RouteKey {
     Location(NodeId, u64, u64),
 }
 
-/// Default memo capacity: 64k routes (a few MiB of path data) covers the
-/// full working set of every paper workload while bounding the worst case.
+/// Default memo capacity: 64k routes covers the full working set of every
+/// paper workload while bounding the worst case. A memoized route costs its
+/// path (4 B per node), a 48 B `Route` behind a 16 B `Arc` header, and
+/// ~80 B of LRU slab and map slot: `capacity × (4·(hops + 1) + 144)` bytes,
+/// ~28 MB at the ~72 hops of a cold 100k-node route (~23 MB of it routes).
+/// The suffix index beside it holds at most `capacity` 8-byte entries in
+/// at most as many per-target tables, and pins at most one route per entry
+/// — routes the memo may since have evicted, so in the worst case the index
+/// keeps as many paths alive again.
 const DEFAULT_CAPACITY: usize = 1 << 16;
+
+/// An all-greedy route records, in the suffix index, the nodes of its
+/// walked prefix whose remaining hop count is a positive multiple of this.
+/// That count is a property of the node (the length of `route(node,
+/// target)`), so a walk that merges into a recorded route meets an entry
+/// within `SPLICE_STRIDE - 1` steps.
+const SPLICE_STRIDE: usize = 8;
+
+/// Hashes a node id, the suffix index's only key: a 64×64→128-bit multiply
+/// folded to 64 bits, which spreads the id over the low bits that pick a
+/// bucket and the high bits that tag it. SipHash's keyed rounds cost as
+/// much as the splice saves; nothing here needs DoS resistance.
+#[derive(Debug, Clone, Copy, Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let product = u128::from(x ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by node id under [`FoldHasher`].
+type NodeMap<V> = HashMap<u32, V, BuildHasherDefault<FoldHasher>>;
+
+/// `path[offset..]` for the offset at which `node` was recorded: one whose
+/// remaining hop count is a positive multiple of [`SPLICE_STRIDE`].
+fn recorded_suffix(path: &[NodeId], node: NodeId) -> Option<&[NodeId]> {
+    let hops = path.len() - 1;
+    let offset = (hops % SPLICE_STRIDE..hops).step_by(SPLICE_STRIDE).find(|&i| path[i] == node)?;
+    Some(&path[offset..])
+}
+
+/// The shared suffixes of node-addressed routes, one table per target.
+///
+/// An entry `node → pin` in `target`'s table says that the suffix of
+/// `pins[pin]` from `node` ([`recorded_suffix`]) is `route(node, target's
+/// position)`: the rest of an all-greedy route from a node it reached in
+/// greedy mode. A walk toward the same target that reaches `node` in greedy
+/// mode splices that path on ([`Gpsr::route_with`]) instead of walking it.
+/// One small table per target keeps a walk's lookups on the few cache
+/// lines of its own target's entries.
+#[derive(Debug, Clone, Default)]
+struct SuffixIndex {
+    targets: NodeMap<NodeMap<u32>>,
+    pins: Vec<Arc<Route>>,
+    /// Entries over all tables.
+    entries: usize,
+    /// One bit per node id: the targets a route was computed to since the
+    /// index was last emptied. A target's first route is walked with no
+    /// lookups and not recorded, so targets that never recur (a DIM zone
+    /// owner, one insert's) cost neither lookups nor entries.
+    seen: Vec<u64>,
+    /// Hops appended from the index instead of walked, since construction.
+    spliced: u64,
+}
+
+impl SuffixIndex {
+    /// `gpsr.route_to_node(from, to)`, spliced onto the index wherever the
+    /// walk meets it, and how many of its leading hops are new to the
+    /// index: the walked ones, or none on a target's first route.
+    fn route_to_node(
+        &mut self,
+        gpsr: &Gpsr,
+        topology: &Topology,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<(Route, usize), RouteError> {
+        let (word, bit) = (to.index() / 64, 1 << (to.index() % 64));
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        let first = self.seen[word] & bit == 0;
+        self.seen[word] |= bit;
+        // Only a seen target has a table. Without one the plain walk runs:
+        // the loop `Gpsr` compiled with no lookup in it.
+        let Some(table) = self.targets.get(&to.0) else {
+            return gpsr.route_to_node(topology, from, to).map(|route| {
+                let new = if first { 0 } else { route.hops() };
+                (route, new)
+            });
+        };
+        let pins = &self.pins;
+        let mut handed = 0;
+        let route = gpsr.route_to_node_with(topology, from, to, |at| {
+            let rest = recorded_suffix(&pins[*table.get(&at.0)? as usize].path, at)?;
+            handed = rest.len() - 1;
+            Some((rest, handed, 0))
+        })?;
+        // Every suffix here is greedy end to end, so one the router
+        // declined ends past the hop budget, and so does the walk that
+        // declined it: an `Ok` route spliced the last suffix handed to it.
+        self.spliced += handed as u64;
+        let walked = route.hops() - handed;
+        Ok((route, walked))
+    }
+
+    /// Records the walked prefix of `route` to `to`, if the route is
+    /// greedy end to end, at the nodes `SPLICE_STRIDE` divides the
+    /// remaining hop count of. A full index (`cap` entries) starts over.
+    fn record(&mut self, to: NodeId, route: &Arc<Route>, walked: usize, cap: usize) {
+        if route.perimeter_hops > 0 {
+            return;
+        }
+        let hops = route.hops();
+        let offsets = (hops % SPLICE_STRIDE..walked).step_by(SPLICE_STRIDE);
+        let new = offsets.len();
+        if new == 0 {
+            return;
+        }
+        if self.entries + new > cap {
+            self.clear();
+            if new > cap {
+                return;
+            }
+        }
+        let pin = self.pins.len() as u32;
+        let table = self.targets.entry(to.0).or_default();
+        for offset in offsets {
+            self.entries += usize::from(table.insert(route.path[offset].0, pin).is_none());
+        }
+        self.pins.push(Arc::clone(route));
+    }
+
+    /// Drops every entry whose suffix passes through `node`, and unpins
+    /// the routes no entry refers to any more.
+    fn evict_through(&mut self, node: NodeId) {
+        let pins = &self.pins;
+        for table in self.targets.values_mut() {
+            table.retain(|&at, pin| {
+                recorded_suffix(&pins[*pin as usize].path, NodeId(at))
+                    .is_some_and(|rest| !rest.contains(&node))
+            });
+        }
+        self.targets.retain(|_, table| !table.is_empty());
+        self.entries = self.targets.values().map(NodeMap::len).sum();
+        let mut slot = vec![u32::MAX; self.pins.len()];
+        let mut kept = Vec::new();
+        for pin in self.targets.values_mut().flat_map(NodeMap::values_mut) {
+            if slot[*pin as usize] == u32::MAX {
+                slot[*pin as usize] = kept.len() as u32;
+                kept.push(Arc::clone(&self.pins[*pin as usize]));
+            }
+            *pin = slot[*pin as usize];
+        }
+        self.pins = kept;
+    }
+
+    fn clear(&mut self) {
+        self.targets.clear();
+        self.pins.clear();
+        self.entries = 0;
+        self.seen.fill(0);
+    }
+}
 
 /// A [`Transport`] that memoizes delivered GPSR routes.
 ///
@@ -56,8 +234,17 @@ const DEFAULT_CAPACITY: usize = 1 << 16;
 /// `hits + misses` is the number of lookups that consulted the memo, and
 /// `hits + misses + bypassed` the number of lookups.
 ///
-/// Invalidation: [`Transport::refresh`] clears the memo and bumps the
-/// generation counter, so no route ever crosses a topology change.
+/// Splicing: a memo miss on a node-addressed route walks GPSR with a
+/// per-target suffix index ([`Gpsr::route_with`]). Routes to one target
+/// share their tails — data-centric storage sends all-to-few traffic — so
+/// once the walk reaches, in greedy mode, a node an earlier all-greedy route
+/// to the same target recorded, it appends that route's rest instead of
+/// walking it. The route is the one the walk would have found, hop for hop;
+/// [`CachedTransport::spliced_hops`] counts the hops it did not walk.
+///
+/// Invalidation: [`Transport::refresh`] clears the memo and the suffix
+/// index and bumps the generation counter, so no route ever crosses a
+/// topology change.
 /// Only `Ok` routes are cached — errors are recomputed, keeping failure
 /// semantics identical to [`crate::GpsrTransport`]. Charging is unaffected:
 /// a cache hit is charged exactly like a fresh route.
@@ -68,6 +255,7 @@ pub struct CachedTransport {
     clock: VirtualClock,
     generation: u64,
     routes: ShardedLru<RouteKey, Arc<Route>>,
+    suffixes: SuffixIndex,
     hits: u64,
     misses: u64,
     bypassed: u64,
@@ -96,6 +284,7 @@ impl CachedTransport {
             clock: VirtualClock::new(topology.nodes().len(), LatencyModel::default()),
             generation: 0,
             routes: ShardedLru::new(capacity),
+            suffixes: SuffixIndex::default(),
             hits: 0,
             misses: 0,
             bypassed: 0,
@@ -127,6 +316,12 @@ impl CachedTransport {
         self.bypassed
     }
 
+    /// Hops of node-addressed routes since construction that were appended
+    /// from the suffix index instead of walked.
+    pub fn spliced_hops(&self) -> u64 {
+        self.suffixes.spliced
+    }
+
     /// Number of memoized routes whose path traverses `node` (test and
     /// diagnostics hook for targeted invalidation).
     pub fn routes_through(&mut self, node: NodeId) -> usize {
@@ -146,14 +341,14 @@ impl CachedTransport {
     fn memoized(
         &mut self,
         key: RouteKey,
-        compute: impl FnOnce(&Gpsr) -> Result<Route, RouteError>,
+        compute: impl FnOnce(&Gpsr, &mut SuffixIndex) -> Result<Route, RouteError>,
     ) -> Result<Arc<Route>, RouteError> {
         if let Some(route) = self.routes.get(&key) {
             self.hits += 1;
             return Ok(Arc::clone(route));
         }
         self.misses += 1;
-        let mut route = compute(&self.gpsr)?;
+        let mut route = compute(&self.gpsr, &mut self.suffixes)?;
         route.path.shrink_to_fit();
         let route = Arc::new(route);
         self.routes.insert(key, Arc::clone(&route));
@@ -178,9 +373,17 @@ impl Transport for CachedTransport {
         to: NodeId,
     ) -> Result<Leg, RouteError> {
         if !topology.are_neighbors(from, to) {
-            let route = self
-                .memoized(RouteKey::Node(from, to), |gpsr| gpsr.route_to_node(topology, from, to));
-            return route.map(Leg::Route);
+            let mut new = 0;
+            let route = self.memoized(RouteKey::Node(from, to), |gpsr, suffixes| {
+                let (route, hops) = suffixes.route_to_node(gpsr, topology, from, to)?;
+                new = hops;
+                Ok(route)
+            })?;
+            if new > 0 {
+                let cap = self.routes.capacity();
+                self.suffixes.record(to, &route, new, cap);
+            }
+            return Ok(Leg::Route(route));
         }
         self.bypassed += 1;
         if self.gpsr.routes_directly(topology, from, to) {
@@ -196,7 +399,7 @@ impl Transport for CachedTransport {
         target: Point,
     ) -> Result<Arc<Route>, RouteError> {
         let key = RouteKey::Location(from, target.x.to_bits(), target.y.to_bits());
-        self.memoized(key, |gpsr| gpsr.route(topology, from, target))
+        self.memoized(key, |gpsr, _| gpsr.route(topology, from, target))
     }
 
     fn route_to_node_avoiding(
@@ -214,13 +417,16 @@ impl Transport for CachedTransport {
     fn evict_routes_through(&mut self, node: NodeId) -> u64 {
         // Targeted invalidation: drop exactly the memoized routes crossing
         // `node`, not the whole generation. Cheaper than a rebuild and
-        // cost-neutral — an evicted route is recomputed identically.
+        // cost-neutral — an evicted route is recomputed identically. No
+        // suffix through `node` is spliced either.
+        self.suffixes.evict_through(node);
         self.routes.retain(|_, route| !route.path.contains(&node)) as u64
     }
 
     fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
         self.gpsr.refresh(topology, dirty);
         self.routes.clear();
+        self.suffixes.clear();
         // Joins grow the network; the ledger and clock must keep every
         // node id addressable (counters for existing nodes are preserved).
         self.ledger.grow_to(topology.len());
@@ -454,6 +660,136 @@ mod tests {
         assert!(errors > 0, "co-located endpoints must exercise the error answer");
     }
 
+    /// Sources drawn at random among live nodes, destinations among
+    /// `targets`: every leg and route `cached` answers must be a fresh
+    /// `Gpsr::route_to_node`'s, `Ok` and `Err` alike, hop split included,
+    /// and the suffix index must stay within its bounds. Returns the
+    /// perimeter hops and the errors the reference answered.
+    fn check_spliced_routes(
+        topology: &Topology,
+        cached: &mut CachedTransport,
+        targets: &[NodeId],
+        seed: u64,
+    ) -> (usize, usize) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let reference = Gpsr::new(topology, Planarization::Gabriel);
+        let live: Vec<NodeId> =
+            topology.nodes().iter().map(|n| n.id).filter(|&id| topology.is_alive(id)).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut perimeter_hops, mut errors) = (0, 0);
+        for _ in 0..300 {
+            let a = live[rng.gen_range(0..live.len())];
+            let b = targets[rng.gen_range(0..targets.len())];
+            let want = reference.route_to_node(topology, a, b).map(Arc::new);
+            let leg = cached.leg_to_node(topology, a, b).map(Leg::into_route);
+            assert_eq!(leg, want, "leg {a} -> {b}");
+            assert_eq!(cached.route_to_node(topology, a, b), want, "route {a} -> {b}");
+            match want {
+                Ok(route) => perimeter_hops += route.perimeter_hops,
+                Err(_) => errors += 1,
+            }
+        }
+        let index = &cached.suffixes;
+        let (entries, pinned) = (index.entries, index.pins.len());
+        assert_eq!(entries, index.targets.values().map(NodeMap::len).sum::<usize>());
+        assert!(entries <= cached.capacity(), "{entries} entries over the cap");
+        assert!(pinned <= entries, "{pinned} routes pinned by {entries} entries");
+        (perimeter_hops, errors)
+    }
+
+    /// `count` live nodes of `topology`, drawn with `seed`.
+    fn few_targets(topology: &Topology, count: usize, seed: u64) -> Vec<NodeId> {
+        let live: Vec<NodeId> =
+            topology.nodes().iter().map(|n| n.id).filter(|&id| topology.is_alive(id)).collect();
+        (0..count).map(|k| live[(seed as usize * 7919 + k * 104_729) % live.len()]).collect()
+    }
+
+    /// Oracle for splicing onto the suffix index: all-to-few routes, as the
+    /// storage schemes send them, equal the walk's on a dense field at the
+    /// paper's degree (with a memo and index that overflow, too), on a
+    /// sparse perimeter-heavy one, after joins, moves and deaths left in
+    /// the overlay and a refresh, after a targeted eviction, and with nodes
+    /// placed on or within 1e-10 m of another — where some answers are
+    /// errors. Some hops must have been spliced.
+    #[test]
+    fn spliced_routes_match_fresh_gpsr() {
+        let field = |n: usize, degree: f64, seed: u64| {
+            let deployment = Deployment::paper_setting(n, 40.0, degree, seed).expect("deployment");
+            Topology::build(deployment.nodes(), 40.0).expect("topology")
+        };
+        let (mut perimeter_hops, mut errors, mut spliced) = (0, 0, 0);
+        for seed in [41, 42] {
+            let dense = field(1000, 20.0, seed);
+            let targets = few_targets(&dense, 4, seed);
+            let mut cached = CachedTransport::new(&dense, Planarization::Gabriel);
+            check_spliced_routes(&dense, &mut cached, &targets, seed);
+            let mut small = CachedTransport::with_capacity(&dense, Planarization::Gabriel, 16);
+            check_spliced_routes(&dense, &mut small, &targets, seed + 1);
+            assert!(small.hit_stats().evictions > 0, "the small memo must overflow");
+            spliced += small.spliced_hops();
+
+            let sparse = field(1000, 7.0, seed);
+            let mut thin = CachedTransport::new(&sparse, Planarization::Gabriel);
+            let (hops, failed) =
+                check_spliced_routes(&sparse, &mut thin, &few_targets(&sparse, 4, seed), seed);
+            (perimeter_hops, errors, spliced) =
+                (perimeter_hops + hops, errors + failed, spliced + thin.spliced_hops());
+
+            // Joins, moves and deaths written in place and left uncompacted,
+            // then refreshed over a warm index.
+            let mut churned = dense.clone();
+            let near = |topology: &Topology, id: NodeId, by: f64| {
+                let p = topology.position(id);
+                Point::new(p.x + by, p.y + by)
+            };
+            churned.add_node(near(&churned, targets[0], 3.0));
+            churned.move_node(NodeId(20), near(&churned, NodeId(21), 0.5));
+            let dead: Vec<NodeId> =
+                [NodeId(5), NodeId(40)].into_iter().filter(|id| !targets.contains(id)).collect();
+            churned.fail_nodes(&dead);
+            assert!(churned.patched_rows() > 0, "the overlay must still be in use");
+            assert!(cached.suffixes.entries > 0, "the index is warm before the refresh");
+            cached.rebuild(&churned);
+            let index = &cached.suffixes;
+            assert!(index.targets.is_empty() && index.pins.is_empty(), "a refresh empties it");
+            assert_eq!(index.entries, 0);
+            check_spliced_routes(&churned, &mut cached, &targets, seed + 2);
+
+            // A targeted eviction prunes exactly the suffixes through the node.
+            let index = &cached.suffixes;
+            let entries = index.entries;
+            let relay = index.targets.values().flat_map(|table| table.keys()).next();
+            let relay = NodeId(*relay.expect("an entry"));
+            cached.evict_routes_through(relay);
+            let index = &cached.suffixes;
+            assert!(index.entries < entries, "the entry at {relay} must go");
+            for (&at, &pin) in index.targets.values().flat_map(|table| table.iter()) {
+                let rest = recorded_suffix(&index.pins[pin as usize].path, NodeId(at));
+                assert!(rest.is_some_and(|rest| !rest.contains(&relay)), "{relay} still spliced");
+            }
+            check_spliced_routes(&churned, &mut cached, &targets, seed + 3);
+            spliced += cached.spliced_hops();
+
+            // Co-located as built: a twin exactly on one target, twins
+            // 1e-10 m off two others, each twin a target too.
+            let mut nodes = dense.nodes().to_vec();
+            let mut twin_targets = targets.clone();
+            for (&of, by) in targets.iter().zip([0.0, 1e-10, -1e-10]) {
+                let id = NodeId(nodes.len() as u32);
+                nodes.push(Node::new(id, near(&dense, of, by)));
+                twin_targets.push(id);
+            }
+            let twinned = Topology::build(nodes, 40.0).expect("topology");
+            let mut cached = CachedTransport::new(&twinned, Planarization::Gabriel);
+            let (_, failed) = check_spliced_routes(&twinned, &mut cached, &twin_targets, seed);
+            (errors, spliced) = (errors + failed, spliced + cached.spliced_hops());
+        }
+        assert!(spliced > 0, "some hops must have been spliced");
+        assert!(perimeter_hops > 0, "the sparse field must exercise perimeter mode");
+        assert!(errors > 0, "co-located targets must exercise the error answer");
+    }
+
     /// A route is computed into a doubling `Vec` and then kept for as long
     /// as the topology stands: the memo must hold it without the slack.
     #[test]
@@ -513,7 +849,8 @@ mod tests {
         assert!(stale.path.len() > 2, "endpoints must not be direct neighbors");
 
         // A join grows the network and must bump the generation.
-        let (grown, joiner) = topology.with_node(Point::new(5.0, 5.0));
+        let mut grown = topology.clone();
+        let joiner = grown.add_node(Point::new(5.0, 5.0));
         cached.rebuild(&grown);
         assert_eq!(cached.generation(), 1);
         assert_eq!(cached.cached_routes(), 0, "join must clear the memo");
@@ -525,7 +862,8 @@ mod tests {
         // Move a route-interior relay far outside radio range of its old
         // neighborhood: every link it carried is now dead.
         let relay = stale.path[stale.path.len() / 2];
-        let moved = grown.with_moved_node(relay, Point::new(-500.0, -500.0));
+        let mut moved = grown.clone();
+        moved.move_node(relay, Point::new(-500.0, -500.0));
         cached.rebuild(&moved);
         assert_eq!(cached.generation(), 2, "move must bump the generation");
         assert_eq!(cached.cached_routes(), 0, "move must clear the memo");

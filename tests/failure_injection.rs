@@ -33,7 +33,9 @@ fn safe_victims(topo: &Topology, count: usize, rng: &mut StdRng) -> Vec<NodeId> 
         }
         let mut attempt = picked.clone();
         attempt.push(candidate);
-        if topo.without_nodes(&attempt).is_connected() {
+        let mut without = topo.clone();
+        without.fail_nodes(&attempt);
+        if without.is_connected() {
             picked.push(candidate);
         }
     }
@@ -45,7 +47,8 @@ fn gpsr_still_delivers_after_failures() {
     let (topo, _) = connected(300, 1);
     let mut rng = StdRng::seed_from_u64(2);
     let victims = safe_victims(&topo, 15, &mut rng);
-    let failed = topo.without_nodes(&victims);
+    let mut failed = topo.clone();
+    failed.fail_nodes(&victims);
     let gpsr = Gpsr::new(&failed, Planarization::Gabriel);
     let survivors: Vec<NodeId> =
         failed.nodes().iter().filter(|n| failed.is_alive(n.id)).map(|n| n.id).collect();
@@ -214,7 +217,9 @@ fn connected_victims(
             break;
         }
         picked.push(candidate);
-        if !topo.without_nodes(&picked).is_connected() {
+        let mut without = topo.clone();
+        without.fail_nodes(&picked);
+        if !without.is_connected() {
             picked.pop();
         }
     }
@@ -317,7 +322,8 @@ fn a_failure_burst_pays_only_for_the_copies_it_killed() {
     let (primary, heir) = ordered
         .into_iter()
         .find_map(|p| {
-            let without = pool.topology().without_nodes(&[p]);
+            let mut without = pool.topology().clone();
+            without.fail_nodes(&[p]);
             held.iter().filter(|&&(_, h, _)| h == p).find_map(|&(c, _, b)| {
                 let heir = without.nearest_node(pool.grid().center(c));
                 (b == Some(heir)).then_some((p, heir))

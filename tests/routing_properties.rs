@@ -142,7 +142,8 @@ proptest! {
     ) {
         let Some(topo) = build(n, seed, 90.0, 30.0) else { return Ok(()) };
         let victim = NodeId((victim_sel % n) as u32);
-        let failed = topo.without_nodes(&[victim]);
+        let mut failed = topo.clone();
+        failed.fail_nodes(&[victim]);
         if !failed.is_connected() {
             return Ok(()); // articulation point: vacuous
         }

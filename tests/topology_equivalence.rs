@@ -74,14 +74,21 @@ fn churn_in_place(base: &Topology, compact: bool) -> Topology {
     topo
 }
 
-/// Applies the same script with the persistent clone-per-change methods.
+/// Applies the same script persistently: a fresh copy per change, never
+/// compacted.
 fn churn_persistent(base: &Topology) -> Topology {
     let (first, join_at, mover, move_to, second) = churn_script(base.len());
-    let topo = base.without_nodes(&first);
-    let (topo, joined) = topo.with_node(join_at);
-    let topo = topo.with_moved_node(mover, move_to);
-    let topo = topo.with_moved_node(joined, Point::new(56.0, 48.5));
-    topo.without_nodes(&second)
+    let mut topo = base.clone();
+    topo.fail_nodes(&first);
+    let mut topo = topo.clone();
+    let joined = topo.add_node(join_at);
+    let mut topo = topo.clone();
+    topo.move_node(mover, move_to);
+    let mut topo = topo.clone();
+    topo.move_node(joined, Point::new(56.0, 48.5));
+    let mut topo = topo.clone();
+    topo.fail_nodes(&second);
+    topo
 }
 
 #[test]
