@@ -9,8 +9,14 @@
 use crate::error::PoolError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A `k`-dimensional event with attribute values normalized into `[0, 1]`.
+///
+/// The values are immutable and shared: an event is a 16-byte handle on
+/// one buffer allocated by [`Event::new`], so the copies a query answer,
+/// a backup, a monitor notification or a service response carries are
+/// clones of the handle, never of the buffer.
 ///
 /// # Examples
 ///
@@ -26,7 +32,7 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
-    values: Vec<f64>,
+    values: Arc<[f64]>,
 }
 
 impl Event {
@@ -47,7 +53,7 @@ impl Event {
                 });
             }
         }
-        Ok(Event { values })
+        Ok(Event { values: values.into() })
     }
 
     /// The attribute values.

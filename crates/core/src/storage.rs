@@ -12,9 +12,10 @@ use pool_netsim::node::NodeId;
 use std::collections::HashMap;
 
 /// Which node holds an event's backup copy, if any: an `Option<NodeId>`
-/// packed into four bytes, so that a [`StoredEvent`] stays 32 bytes — the
-/// store is most of a loaded system's heap. (`u32::MAX` stands for "none";
-/// no deployment comes near that many nodes.)
+/// packed into four bytes, so that a [`StoredEvent`] stays 24 bytes (a
+/// 16-byte [`Event`] handle, the holder and the slot) — the store is most
+/// of a loaded system's heap. (`u32::MAX` stands for "none"; no deployment
+/// comes near that many nodes.)
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct BackupSlot(u32);
 
@@ -170,8 +171,9 @@ mod tests {
     /// The point of [`BackupSlot`]: carrying the backup holder costs a
     /// stored event no space (the four bytes were padding).
     #[test]
-    fn backup_slot_round_trips_and_keeps_stored_events_at_32_bytes() {
-        assert_eq!(std::mem::size_of::<StoredEvent>(), 32);
+    fn backup_slot_round_trips_and_keeps_stored_events_at_24_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        assert_eq!(std::mem::size_of::<StoredEvent>(), 24);
         assert_eq!(BackupSlot::NONE.get(), None);
         assert_eq!(BackupSlot::from(None), BackupSlot::NONE);
         for id in [0, 7, u32::MAX - 1] {

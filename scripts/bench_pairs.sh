@@ -17,7 +17,10 @@
 # the benchmark's default length. Prints, per end-to-end metric, both sides'
 # q1 / median / q3, the ratio of medians (change / parent) and the pairs the
 # change won (ties count for neither side), then every run's value and each
-# side's failed total, digest(s) and rounds completed.
+# side's failed total, digest(s) and rounds completed. The peak_rss_mib row
+# also shows each side's median rounds and their ratio: the harness keeps
+# every round's latencies until it reads VmHWM, so a side that completes
+# more rounds reads larger.
 set -euo pipefail
 
 usage() {
@@ -73,6 +76,9 @@ import json, statistics, sys
 spec, parent_path, change_path, workload, seed = sys.argv[1:]
 better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
 sides = [[json.loads(line) for line in open(p)] for p in (parent_path, change_path)]
+digests = [[line.split() for line in open(p.replace(".jsonl", ".digests"))]
+           for p in (parent_path, change_path)]
+rounds = [statistics.median(int(n) for _, n in runs) for runs in digests]
 
 def quartiles(xs):
     if len(xs) == 1:
@@ -93,14 +99,15 @@ for name, direction in better.items():
     ratio = f"{cm / pm:.3f}" if pm else "n/a"
     print(f"  {name:18} {p1:12.4f} {pm:12.4f} {p3:12.4f} | {c1:12.4f} {cm:12.4f} {c3:12.4f}"
           f"  ratio {ratio}  won {won} lost {lost}  ({direction} is better;"
-          f" parent IQR {p3 - p1:.4f}, medians apart {abs(cm - pm):.4f})")
+          f" parent IQR {p3 - p1:.4f}, medians apart {abs(cm - pm):.4f})"
+          + (f"  rounds {rounds[0]:g} | {rounds[1]:g} ratio {rounds[1] / rounds[0]:.3f}"
+             if name == "peak_rss_mib" and rounds[0] else ""))
 print("runs, in pair order (parent -> change):")
 for name in better:
     cols = [" ".join(f"{run['metrics'][name]['value']:.6g}" for run in side if name in run["metrics"])
             for side in sides]
     print(f"  {name:18} {cols[0]} -> {cols[1]}")
-for label, side, path in zip(("parent", "change"), sides, (parent_path, change_path)):
-    runs = [line.split() for line in open(path.replace(".jsonl", ".digests"))]
+for label, side, runs in zip(("parent", "change"), sides, digests):
     print(f"  {label}: attempted {sum(r['attempted'] for r in side)},"
           f" failed {sum(r['failed'] for r in side)},"
           f" correct {all(r['correct'] for r in side)},"
