@@ -5,11 +5,49 @@
 //! pulling a CLI dependency for two integers and an enum. [`BenchOpts`]
 //! adds the two flags the parallel execution engine gave every binary:
 //! `--jobs N` (worker threads) and `--smoke` (a scaled-down configuration
-//! fast enough for the CI bench-smoke gate).
+//! fast enough for the CI bench-smoke gate). Every flag any binary reads
+//! is listed in one table, and [`BenchOpts::from_env`] rejects any other
+//! `--` argument, so a misspelt flag cannot run the default experiment.
 
 use crate::report::Table;
 use pool_transport::TransportKind;
 use std::path::PathBuf;
+
+/// Every flag the figure binaries read: the value flags the `arg_*`
+/// helpers parse and the bare `--smoke`. Each helper asserts (in debug
+/// builds) that its flag is listed, so the table cannot drift.
+const FLAGS: [&str; 15] = [
+    "--ablation-nodes",
+    "--budget",
+    "--epochs",
+    "--events",
+    "--gets",
+    "--inserts",
+    "--jobs",
+    "--keys",
+    "--max-nodes",
+    "--nodes",
+    "--queries",
+    "--requests",
+    "--rounds",
+    "--smoke",
+    "--transport",
+];
+
+/// `flag`, checked (in debug builds) against [`FLAGS`].
+fn known(flag: &str) -> &str {
+    debug_assert!(FLAGS.contains(&flag), "{flag} is missing from cli::FLAGS");
+    flag
+}
+
+/// The first argument after the program name that looks like a flag
+/// (`--…`) but is not one any binary reads.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    args.iter()
+        .skip(1)
+        .map(String::as_str)
+        .find(|arg| arg.starts_with("--") && !FLAGS.contains(arg))
+}
 
 /// The value following `flag` in `args`: `None` when the flag is absent,
 /// an error when it is the last argument.
@@ -28,7 +66,7 @@ fn value_of<'a>(flag: &str, args: &'a [String]) -> Result<Option<&'a str>, Strin
 /// silently running a different experiment than the one asked for.
 fn arg_or_exit<T>(flag: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
     let args: Vec<String> = std::env::args().collect();
-    value_of(flag, &args).and_then(parse).unwrap_or_else(|e| {
+    value_of(known(flag), &args).and_then(parse).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     })
@@ -94,9 +132,10 @@ pub fn arg_transport(flag: &str, default: TransportKind) -> TransportKind {
 /// # Examples
 ///
 /// ```
-/// assert!(!pool_bench::cli::arg_flag("--definitely-not-passed"));
+/// assert!(!pool_bench::cli::arg_flag("--smoke"));
 /// ```
 pub fn arg_flag(flag: &str) -> bool {
+    let flag = known(flag);
     std::env::args().any(|a| a == flag)
 }
 
@@ -117,8 +156,15 @@ pub struct BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parses `--jobs` and `--smoke` from `std::env::args`.
+    /// Parses `--jobs` and `--smoke` from `std::env::args`. Every binary
+    /// calls this first, so it also rejects a `--` argument no binary reads:
+    /// it prints the flag's name and exits with status 2.
     pub fn from_env() -> Self {
+        let args: Vec<String> = std::env::args().collect();
+        if let Some(flag) = unknown_flag(&args) {
+            eprintln!("{flag}: unknown flag (known: {})", FLAGS.join(" "));
+            std::process::exit(2);
+        }
         BenchOpts { jobs: arg_usize("--jobs", 1).max(1), smoke: arg_flag("--smoke") }
     }
 
@@ -193,7 +239,7 @@ mod tests {
 
     #[test]
     fn missing_flag_yields_default() {
-        assert_eq!(arg_usize("--definitely-not-passed", 7), 7);
+        assert_eq!(arg_usize("--budget", 7), 7);
     }
 
     #[test]
@@ -217,7 +263,18 @@ mod tests {
 
     #[test]
     fn missing_transport_flag_yields_default() {
-        assert_eq!(arg_transport("--no-such-flag", TransportKind::Cached), TransportKind::Cached);
+        assert_eq!(arg_transport("--transport", TransportKind::Cached), TransportKind::Cached);
+    }
+
+    #[test]
+    fn a_misspelt_flag_is_unknown_and_a_listed_one_is_not() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let misspelt = args(&["fig6", "--smoke", "--queires", "3"]);
+        assert_eq!(unknown_flag(&misspelt), Some("--queires"));
+        let known = args(&["fig6", "--smoke", "--queries", "3", "--transport", "cached"]);
+        assert_eq!(unknown_flag(&known), None);
+        // The program name and values are not flags.
+        assert_eq!(unknown_flag(&args(&["--fig6", "--jobs", "2"])), None);
     }
 
     #[test]

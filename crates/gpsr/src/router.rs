@@ -395,7 +395,10 @@ impl Gpsr {
     ///
     /// The detour router is rebuilt per call (re-planarizing the reduced
     /// topology) — exclusion sets describe transient suspicions, so the
-    /// result must never be memoized against the full topology.
+    /// result must never be memoized against the full topology. The clone
+    /// is free (it shares the topology's arenas, and failing the excluded
+    /// nodes copies only the liveness flags), so a detour costs its
+    /// re-planarization.
     ///
     /// # Errors
     ///

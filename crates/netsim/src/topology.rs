@@ -30,6 +30,16 @@
 //! allocation and a pointer chase per node, which dominates once
 //! deployments reach 10⁵ nodes. Liveness flags are indexed by id.
 //!
+//! Every arena — the node records, both CSR arrays, the slot map, the
+//! liveness flags and the dense grid — sits behind its own `Arc`, so a
+//! clone shares every arena and costs `O(1)`: a DIM system, a detour or a
+//! churned snapshot built over a clone of a 100k-node topology shares its
+//! ~11 MiB of arenas instead of copying them. Only the mutation overlay
+//! (below) and the scalars are owned, and a compacted topology's overlay
+//! is empty — unless its extent is so sparse that the grid keeps its
+//! cells in the overlay map (see `SpatialGrid`), which a clone then
+//! copies.
+//!
 //! # Mutation
 //!
 //! Churn does not rebuild the arenas. The in-place mutators
@@ -40,6 +50,17 @@
 //! get back the ids of the rows the epoch wrote. A joiner takes the next
 //! slot and a mover keeps its own; compaction never re-sorts, so storage
 //! order drifts from the curve only by what churn added.
+//!
+//! Every write to an arena goes through `Arc::make_mut`, so sharing is
+//! invisible: the first write after a clone copies exactly the arenas it
+//! touches (a death the liveness flags; a move the node records; a join
+//! those, the slot map and the CSR offsets), later writes are in place,
+//! and no clone ever observes another's writes. The adjacency links and
+//! the grid are never written in place — the overlay takes their writes
+//! and compaction builds fresh ones — so no mutator copies them.
+//! `tests/topology_sharing.rs` checks the isolation against never-shared
+//! replays, and `pool-dim`'s `tests/topology_clone_allocs.rs` pins what a
+//! clone and its first write allocate.
 //!
 //! # Determinism
 //!
@@ -54,6 +75,7 @@ use crate::geometry::{Point, Rect, COINCIDENT_SQ};
 use crate::node::{Node, NodeId};
 use std::collections::HashMap;
 use std::ops::Index;
+use std::sync::Arc;
 
 /// Sentinel in `row_patch`: the row lives in the flat CSR arena.
 const UNPATCHED: u32 = u32::MAX;
@@ -65,16 +87,19 @@ const UNPATCHED: u32 = u32::MAX;
 ///
 /// Degenerate deployments whose bounding box is far larger than the node
 /// count (two clusters a continent apart) would make the dense grid
-/// quadratic in wasted cells; `rebuild` detects that and keeps every
+/// quadratic in wasted cells; `build` detects that and keeps every
 /// occupied cell in the overlay map instead.
+///
+/// The dense arenas are shared between clones and never written in place:
+/// mutation goes to the overlay, and compaction builds fresh ones.
 #[derive(Debug, Clone, Default)]
 struct SpatialGrid {
     min_bx: i64,
     min_by: i64,
     w: i64,
     h: i64,
-    offsets: Vec<u32>,
-    slots: Vec<u32>,
+    offsets: Arc<Vec<u32>>,
+    slots: Arc<Vec<u32>>,
     patched: HashMap<(i64, i64), Vec<u32>>,
 }
 
@@ -114,12 +139,10 @@ impl SpatialGrid {
         self.patched.get_mut(&key).expect("just inserted")
     }
 
-    /// Rebuilds the dense grid from the live nodes (visited in storage
-    /// order, so every cell comes out slot-sorted) and clears the overlay.
-    fn rebuild(&mut self, nodes: &[Node], alive: &[bool], bucket_size: f64) {
-        self.patched.clear();
-        self.offsets.clear();
-        self.slots.clear();
+    /// The grid of the live nodes (visited in storage order, so every cell
+    /// comes out slot-sorted), with an empty overlay.
+    fn build(nodes: &[Node], alive: &[bool], bucket_size: f64) -> SpatialGrid {
+        let mut grid = SpatialGrid::default();
         let live = || {
             nodes
                 .iter()
@@ -131,8 +154,7 @@ impl SpatialGrid {
         let Some(first) = keys.next() else {
             // Nothing alive: an empty grid answers every lookup with an
             // empty bucket.
-            (self.min_bx, self.min_by, self.w, self.h) = (0, 0, 0, 0);
-            return;
+            return grid;
         };
         let (mut min_bx, mut min_by) = first;
         let (mut max_bx, mut max_by) = first;
@@ -148,28 +170,29 @@ impl SpatialGrid {
         let live_count = alive.iter().filter(|&&a| a).count();
         if cells > (4 * live_count + 64) as i128 {
             // Pathologically sparse extent: keep occupied cells in the map.
-            (self.min_bx, self.min_by, self.w, self.h) = (0, 0, 0, 0);
             for (slot, key) in live() {
-                self.patched.entry(key).or_default().push(slot);
+                grid.patched.entry(key).or_default().push(slot);
             }
-            return;
+            return grid;
         }
-        (self.min_bx, self.min_by, self.w, self.h) = (min_bx, min_by, w, h);
+        (grid.min_bx, grid.min_by, grid.w, grid.h) = (min_bx, min_by, w, h);
         let mut counts = vec![0u32; cells as usize + 1];
         for (_, key) in live() {
-            counts[self.cell_index(key).expect("in extent") + 1] += 1;
+            counts[grid.cell_index(key).expect("in extent") + 1] += 1;
         }
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
-        self.slots = vec![0; counts[counts.len() - 1] as usize];
+        let mut slots = vec![0; counts[counts.len() - 1] as usize];
         let mut cursor = counts.clone();
         for (slot, key) in live() {
-            let i = self.cell_index(key).expect("in extent");
-            self.slots[cursor[i] as usize] = slot;
+            let i = grid.cell_index(key).expect("in extent");
+            slots[cursor[i] as usize] = slot;
             cursor[i] += 1;
         }
-        self.offsets = counts;
+        grid.slots = Arc::new(slots);
+        grid.offsets = Arc::new(counts);
+        grid
     }
 }
 
@@ -191,8 +214,10 @@ impl SpatialGrid {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Topology {
-    /// Node records in storage order (see the module docs).
-    nodes: Vec<Node>,
+    /// Node records in storage order (see the module docs). This and every
+    /// other `Arc`'d arena is shared by clones and copied by its first
+    /// write (see "Mutation" in the module docs).
+    nodes: Arc<Vec<Node>>,
     radio_range: f64,
     /// CSR adjacency: the neighbor row of the node in slot `s` is
     /// `adj_links[adj_offsets[s]..adj_offsets[s + 1]]`, ascending by id —
@@ -200,10 +225,10 @@ pub struct Topology {
     /// case it lives in `patch_rows[row_patch[s]]`. `row_patch` is empty
     /// while nothing is overlaid, so a compacted topology carries no
     /// overlay index and a lookup reads no flag.
-    adj_offsets: Vec<u32>,
-    adj_links: Vec<NodeId>,
+    adj_offsets: Arc<Vec<u32>>,
+    adj_links: Arc<Vec<NodeId>>,
     /// The storage slot of each node, indexed by id.
-    slot_of: Vec<u32>,
+    slot_of: Arc<Vec<u32>>,
     row_patch: Vec<u32>,
     patch_rows: Vec<Vec<NodeId>>,
     grid: SpatialGrid,
@@ -212,7 +237,7 @@ pub struct Topology {
     /// Liveness flags, indexed by id: failed nodes keep their id and
     /// position (so bookkeeping stays dense) but vanish from neighbor
     /// tables, spatial queries, and connectivity.
-    alive: Vec<bool>,
+    alive: Arc<Vec<bool>>,
     /// Whether two radio neighbours were ever closer than [`COINCIDENT_SQ`]
     /// (see [`Topology::has_coincident_nodes`]).
     coincident: bool,
@@ -284,21 +309,22 @@ impl Topology {
             *entry = slot as u32;
         }
         let bucket_size = radio_range;
+        let alive = vec![true; n];
+        let grid = SpatialGrid::build(&nodes, &alive, bucket_size);
         let mut topo = Topology {
-            nodes,
-            slot_of,
+            nodes: Arc::new(nodes),
+            slot_of: Arc::new(slot_of),
             radio_range,
-            adj_offsets: Vec::new(),
-            adj_links: Vec::new(),
+            adj_offsets: Arc::default(),
+            adj_links: Arc::default(),
             row_patch: Vec::new(),
             patch_rows: Vec::new(),
-            grid: SpatialGrid::default(),
+            grid,
             bucket_size,
             bounds,
-            alive: vec![true; n],
+            alive: Arc::new(alive),
             coincident: false,
         };
-        topo.grid.rebuild(&topo.nodes, &topo.alive, bucket_size);
         let mut offsets = order;
         offsets.clear();
         let mut links = Vec::new();
@@ -313,8 +339,8 @@ impl Topology {
         }
         // The arena lives as long as the topology: drop the doubling slack.
         links.shrink_to_fit();
-        topo.adj_offsets = offsets;
-        topo.adj_links = links;
+        topo.adj_offsets = Arc::new(offsets);
+        topo.adj_links = Arc::new(links);
         topo.coincident = coincident;
         Ok(topo)
     }
@@ -403,7 +429,7 @@ impl Topology {
             if !self.alive[id.index()] {
                 continue;
             }
-            self.alive[id.index()] = false;
+            Arc::make_mut(&mut self.alive)[id.index()] = false;
             let slot = self.slot(id);
             let links = std::mem::take(self.row_mut(slot));
             for &nb in &links {
@@ -429,13 +455,13 @@ impl Topology {
         for &nb in &links {
             insert_sorted(self.row_mut(self.slot(nb)), id);
         }
-        self.nodes.push(Node::new(id, position));
-        self.slot_of.push(slot as u32);
-        self.alive.push(true);
+        Arc::make_mut(&mut self.nodes).push(Node::new(id, position));
+        Arc::make_mut(&mut self.slot_of).push(slot as u32);
+        Arc::make_mut(&mut self.alive).push(true);
         // The CSR row for the new node is empty (duplicate trailing
         // offset); its real row lives in the overlay until compaction.
-        let end = *self.adj_offsets.last().expect("offsets non-empty");
-        self.adj_offsets.push(end);
+        let offsets = Arc::make_mut(&mut self.adj_offsets);
+        offsets.push(*offsets.last().expect("offsets non-empty"));
         *self.row_mut(slot) = links;
         insert_sorted(self.grid.bucket_mut(bucket_key(position, self.bucket_size)), slot as u32);
         self.grow_bounds(position);
@@ -461,7 +487,7 @@ impl Topology {
             remove_sorted(self.row_mut(self.slot(nb)), id);
         }
         // Re-deploy at the new position.
-        self.nodes[slot].position = new_position;
+        Arc::make_mut(&mut self.nodes)[slot].position = new_position;
         let mut links = Vec::new();
         self.coincident |= self.links_at(new_position, slot, &mut links);
         for &nb in &links {
@@ -509,16 +535,22 @@ impl Topology {
             }
             folded.sort_unstable();
             links.shrink_to_fit();
-            self.adj_offsets = offsets;
-            self.adj_links = links;
+            self.adj_offsets = Arc::new(offsets);
+            self.adj_links = Arc::new(links);
             self.row_patch = Vec::new();
             self.patch_rows.clear();
-            // Joins grew these by doubling; they too live on.
-            self.nodes.shrink_to_fit();
-            self.slot_of.shrink_to_fit();
+            // Joins grew these by doubling; they too live on. A joiner's
+            // write left them unshared; one shared since is exact already,
+            // and trimming it would copy it.
+            if let Some(nodes) = Arc::get_mut(&mut self.nodes) {
+                nodes.shrink_to_fit();
+            }
+            if let Some(slot_of) = Arc::get_mut(&mut self.slot_of) {
+                slot_of.shrink_to_fit();
+            }
         }
         if !self.grid.patched.is_empty() {
-            self.grid.rebuild(&self.nodes, &self.alive, self.bucket_size);
+            self.grid = SpatialGrid::build(&self.nodes, &self.alive, self.bucket_size);
         }
         folded
     }

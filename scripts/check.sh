@@ -48,6 +48,14 @@ bench_smoke() {
         bins+=("$bin")
     done < scripts/figure_bins.txt
     rm -rf target/smoke
+    # A misspelt flag must stop a binary with status 2, not run the
+    # default experiment.
+    local status=0
+    target/release/fig6 --smoke --no-such-flag >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "fig6 --smoke --no-such-flag exited $status, want 2 (unknown flag)" >&2
+        exit 1
+    fi
     for bin in "${bins[@]}"; do
         local start=$SECONDS
         "target/release/$bin" --smoke --jobs 2 >/dev/null
