@@ -63,6 +63,10 @@ pub struct InsertReceipt {
 
 /// A running Pool deployment over one sensor network.
 ///
+/// A clone is an independent deployment that shares only the immutable
+/// topology and planar graph; a clone of a freshly built system behaves
+/// exactly as a second build from the same inputs.
+///
 /// # Examples
 ///
 /// ```
@@ -90,7 +94,7 @@ pub struct InsertReceipt {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PoolSystem {
     pub(crate) topology: Arc<Topology>,
     pub(crate) field: Rect,
@@ -141,10 +145,9 @@ impl PoolSystem {
 
     /// Builds a Pool deployment over an already-shared `topology`.
     ///
-    /// The service layer builds many per-shard systems over one network
-    /// snapshot; sharing the [`Arc`] keeps them all reading the identical
-    /// immutable neighbor tables without cloning the arena per shard.
-    /// Behaviour is byte-identical to [`PoolSystem::build`].
+    /// Callers that build several systems over one network snapshot share
+    /// the [`Arc`], so they all read the identical immutable neighbor
+    /// tables. Behaviour is byte-identical to [`PoolSystem::build`].
     ///
     /// # Errors
     ///

@@ -72,6 +72,10 @@ pub struct DimInsertReceipt {
 
 /// A running DIM deployment over one sensor network.
 ///
+/// A clone is an independent deployment that shares only the immutable
+/// topology and planar graph; a clone of a freshly built system behaves
+/// exactly as a second build from the same inputs.
+///
 /// # Examples
 ///
 /// ```
@@ -97,7 +101,7 @@ pub struct DimInsertReceipt {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DimSystem {
     pub(crate) topology: Arc<Topology>,
     pub(crate) transport: Box<dyn Transport>,
@@ -181,10 +185,10 @@ impl DimSystem {
     }
 
     /// Builds a DIM deployment over an already-shared `topology` with the
-    /// full resilience stack. The service layer builds many per-shard
-    /// systems over one network snapshot; sharing the [`Arc`] keeps them
-    /// all reading the identical immutable neighbor tables. Behaviour is
-    /// byte-identical to [`DimSystem::build_with_resilience`].
+    /// full resilience stack. Callers that build several systems over one
+    /// network snapshot share the [`Arc`], so they all read the identical
+    /// immutable neighbor tables. Behaviour is byte-identical to
+    /// [`DimSystem::build_with_resilience`].
     ///
     /// # Errors
     ///

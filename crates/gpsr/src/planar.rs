@@ -9,6 +9,7 @@
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
+use std::sync::Arc;
 
 /// Which planar subgraph to extract from the unit-disk graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,21 +50,27 @@ pub enum Planarization {
 /// storage order ([`Topology::rows`]), so building reads the topology front
 /// to back, and a row is looked up through the topology it was built from.
 /// Equal graphs have equal rows.
+///
+/// The arenas are immutable once built and shared behind [`Arc`]s, so a
+/// clone is O(1) and clones read the same rows; [`PlanarGraph::refresh`]
+/// builds new arenas for the graph it is called on and leaves every other
+/// clone reading the old ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanarGraph {
     method: Planarization,
     /// The planar neighbors of the node in storage slot `s` of the topology
     /// ([`Topology::slot`]) are `links[offsets[s]..offsets[s + 1]]`, sorted
     /// by the angle of the edge.
-    offsets: Vec<u32>,
-    links: Vec<NodeId>,
+    offsets: Arc<Vec<u32>>,
+    links: Arc<Vec<NodeId>>,
 }
 
 impl PlanarGraph {
     /// Extracts the chosen planar subgraph from `topology`: the refresh of
     /// a graph that has no rows yet, so every row is computed.
     pub fn build(topology: &Topology, method: Planarization) -> Self {
-        let mut graph = PlanarGraph { method, offsets: vec![0], links: Vec::new() };
+        let mut graph =
+            PlanarGraph { method, offsets: Arc::new(vec![0]), links: Arc::new(Vec::new()) };
         graph.refresh(topology, &[]);
         graph
     }
@@ -106,8 +113,8 @@ impl PlanarGraph {
             }
             offsets.push(links.len() as u32);
         }
-        self.offsets = offsets;
-        self.links = links;
+        self.offsets = Arc::new(offsets);
+        self.links = Arc::new(links);
     }
 
     /// The planarization method used.

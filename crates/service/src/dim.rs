@@ -44,6 +44,12 @@ impl DimBackend {
     /// [`DimSystem::build_with_resilience`]. `shards` is clamped to at
     /// least 1 and at most the zone count.
     ///
+    /// One system is built; every shard starts as a clone of it, which
+    /// behaves exactly as a second build would, so the topology is
+    /// planarised and the zone tree built once per handle. The router
+    /// takes that system's tree, so zone indices agree across the whole
+    /// deployment.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`DimSystem::build`].
@@ -59,28 +65,27 @@ impl DimBackend {
         op_retry: Option<OpRetryPolicy>,
         shards: usize,
     ) -> Result<(Self, Vec<DimShard>), PoolError> {
-        let topology = Arc::new(topology);
-        // The router's tree is built exactly as every shard's is, so zone
-        // indices agree across the whole deployment.
-        let tree = ZoneTree::build(&topology, field);
+        let system = DimSystem::build_shared(
+            Arc::new(topology),
+            field,
+            dims,
+            kind,
+            lossy,
+            faults,
+            recovery,
+            op_retry,
+        )?;
+        let tree = system.tree().clone();
         let zone_count = tree.zones().len();
         let shards = shards.clamp(1, zone_count.max(1));
         let shard_of_zone: Vec<usize> = (0..zone_count).map(|z| z % shards).collect();
-        let mut shard_state = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let system = DimSystem::build_shared(
-                Arc::clone(&topology),
-                field,
-                dims,
-                kind,
-                lossy,
-                faults.clone(),
-                recovery,
-                op_retry,
-            )?;
-            let zones = (0..zone_count).filter(|&z| shard_of_zone[z] == s).collect();
-            shard_state.push(DimShard { system, zones });
-        }
+        let shard_state = std::iter::repeat_n(system, shards)
+            .enumerate()
+            .map(|(s, system)| {
+                let zones = (0..zone_count).filter(|&z| shard_of_zone[z] == s).collect();
+                DimShard { system, zones }
+            })
+            .collect();
         Ok((DimBackend { tree, shard_of_zone, shards }, shard_state))
     }
 }

@@ -34,7 +34,7 @@ pub struct GhtBackend {
 }
 
 /// One shard: the table slice for its keys plus its own transport stack.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GhtShard {
     /// The shard's hash-table slice.
     pub table: GhtTable<u64>,
@@ -48,6 +48,10 @@ impl GhtBackend {
     /// the same transport stack Pool and DIM ride (fault plan evaluated
     /// against each shard's clock, optional adaptive recovery and
     /// operation retry).
+    ///
+    /// One stack and one empty table are built; every shard starts with
+    /// clones of them, which behave exactly as second builds would, so the
+    /// topology is planarised once per handle.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         topology: Topology,
@@ -60,19 +64,10 @@ impl GhtBackend {
     ) -> (Self, Vec<GhtShard>) {
         let topology = Arc::new(topology);
         let shards = shards.max(1);
-        let mut shard_state = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let transport = kind.build_stack(
-                &topology,
-                Planarization::Gabriel,
-                lossy,
-                faults.clone(),
-                recovery,
-                0,
-            );
-            shard_state.push(GhtShard { table: GhtTable::new(&topology), transport, retry });
-        }
-        (GhtBackend { topology, shards }, shard_state)
+        let transport =
+            kind.build_stack(&topology, Planarization::Gabriel, lossy, faults, recovery, 0);
+        let shard = GhtShard { table: GhtTable::new(&topology), transport, retry };
+        (GhtBackend { topology, shards }, vec![shard; shards])
     }
 
     fn shard_of_key(&self, key: &str) -> usize {

@@ -8,9 +8,9 @@
 //! is the max over branches either way. Inserts land in exactly one
 //! pool (the Theorem 3.1 storage cell), monitors decompose like queries.
 //!
-//! Every shard holds a full [`PoolSystem`] built over the shared
-//! topology with the *same* config/seed — so all shards agree on the
-//! grid, layout, and index-node election — but only ever executes
+//! Every shard holds a full [`PoolSystem`], a clone of one system built
+//! over the shared topology — so all shards agree on the grid, layout,
+//! and index-node election — but only ever executes
 //! operations restricted to its owned pools, keeping the mutable halves
 //! (stores, monitor tables, ledgers, clocks) disjoint.
 
@@ -58,6 +58,12 @@ impl PoolBackend {
     /// `shards` is clamped to `1..=config.dims` (a pool is the unit of
     /// ownership).
     ///
+    /// One system is built; every shard starts as a clone of it, which
+    /// behaves exactly as a second build would, so all shards agree on the
+    /// grid, layout and index-node election, and the topology is
+    /// planarised once per handle. The router takes its grid and layout
+    /// from that system.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`PoolSystem::build`].
@@ -67,26 +73,19 @@ impl PoolBackend {
         config: PoolConfig,
         shards: usize,
     ) -> Result<(Self, Vec<PoolShard>), PoolError> {
-        config.validate()?;
         let topology = Arc::new(topology);
-        let shards = shards.clamp(1, config.dims);
-        // The router derives the grid/layout exactly as PoolSystem::build
-        // does, so router-side placement agrees with every shard.
-        let grid = Grid::over(field, config.alpha)?;
-        let layout = match &config.pivots {
-            Some(pivots) => PoolLayout::with_pivots(&grid, config.pool_side, pivots.clone())?,
-            None => PoolLayout::random(&grid, config.dims, config.pool_side, config.seed)?,
-        };
-        let shard_of_pool: Vec<usize> = (0..config.dims).map(|d| d % shards).collect();
-        let mut shard_state = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let system = PoolSystem::build_shared(Arc::clone(&topology), field, config.clone())?;
-            let pools = (0..config.dims).filter(|&d| shard_of_pool[d] == s).collect();
-            shard_state.push(PoolShard { system, pools });
-        }
-        debug_assert!(shard_state
-            .iter()
-            .all(|sh| sh.system.layout() == &layout && sh.system.grid() == &grid));
+        let dims = config.dims;
+        let system = PoolSystem::build_shared(Arc::clone(&topology), field, config)?;
+        let shards = shards.clamp(1, dims);
+        let (grid, layout) = (system.grid().clone(), system.layout().clone());
+        let shard_of_pool: Vec<usize> = (0..dims).map(|d| d % shards).collect();
+        let shard_state = std::iter::repeat_n(system, shards)
+            .enumerate()
+            .map(|(s, system)| {
+                let pools = (0..dims).filter(|&d| shard_of_pool[d] == s).collect();
+                PoolShard { system, pools }
+            })
+            .collect();
         Ok((PoolBackend { topology, grid, layout, shard_of_pool, shards }, shard_state))
     }
 

@@ -172,7 +172,7 @@ impl FaultPlan {
 /// A [`FaultPlan`] resolved once, at wrap time, into one table per fault
 /// kind, so a hop scans only the faults that can apply to it. Each table
 /// keeps plan order.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FaultTables {
     /// `(node, from, until)`: a crash is a pause that never ends.
     down: Vec<(NodeId, SimTime, SimTime)>,

@@ -131,7 +131,15 @@ impl Leg {
 /// `Send` is a supertrait so whole deployments (which own their transport,
 /// ledger, and tracer) can move into the bench harness's worker threads;
 /// implementations hold only owned data, never shared mutable state.
-pub trait Transport: fmt::Debug + Send {
+///
+/// A `Box<dyn Transport>` clones ([`TransportClone`]), and the clone is
+/// independent: its ledger, clock, route memo, RNG streams, link
+/// estimator and failure detector are copies that evolve on their own
+/// from then on. Only the immutable planar graph is shared, and a
+/// [`Transport::refresh`] on one clone gives that clone new planar arenas
+/// without touching its siblings'. A clone of a transport that has carried
+/// no traffic behaves exactly as a second build from the same inputs.
+pub trait Transport: fmt::Debug + Send + TransportClone {
     /// Routes from `from` to the specific node `to`.
     ///
     /// A `from == to` route is the zero-hop path `[from]`.
@@ -311,6 +319,25 @@ pub trait Transport: fmt::Debug + Send {
     }
 }
 
+/// The object-safe half of `Clone` every [`Transport`] has, so a
+/// `Box<dyn Transport>` clones; implemented for every `Clone` transport.
+pub trait TransportClone {
+    /// A boxed copy of this transport.
+    fn clone_box(&self) -> Box<dyn Transport>;
+}
+
+impl<T: Transport + Clone + 'static> TransportClone for T {
+    fn clone_box(&self) -> Box<dyn Transport> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Transport> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+}
+
 /// Selects a [`Transport`] implementation at configuration time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransportKind {
@@ -375,6 +402,41 @@ impl FromStr for TransportKind {
             "gpsr" => Ok(TransportKind::Gpsr),
             "cached" => Ok(TransportKind::Cached),
             other => Err(format!("unknown transport {other:?} (expected \"gpsr\" or \"cached\")")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pool_netsim::deployment::Deployment;
+
+    /// Every stack `build_stack` makes clones through the object-safe
+    /// [`TransportClone`], into a transport of the same kind whose traffic
+    /// the original never sees.
+    #[test]
+    fn a_boxed_clone_is_an_independent_transport() {
+        let deployment = Deployment::paper_setting(200, 40.0, 20.0, 3).expect("deployment");
+        let topology = Topology::build(deployment.nodes(), 40.0).expect("topology");
+        let (from, to) = (topology.nodes()[0].id, topology.nodes()[150].id);
+        let lossy = Some(LossyConfig::fixed(0.8, 7));
+        let stacks = [
+            (TransportKind::Gpsr, None, None),
+            (TransportKind::Cached, None, None),
+            (TransportKind::Cached, lossy, None),
+            (TransportKind::Gpsr, lossy, Some(RecoveryConfig::default())),
+        ];
+        for (kind, lossy, recovery) in stacks {
+            let original =
+                kind.build_stack(&topology, Planarization::Gabriel, lossy, None, recovery, 0);
+            let mut copy = TransportClone::clone_box(original.as_ref());
+            assert_eq!(copy.kind(), original.kind());
+            let route = copy.route_to_node(&topology, from, to).expect("connected");
+            copy.deliver(&topology, &route.path, TrafficLayer::Forward);
+            assert!(copy.ledger().total_messages() > 0 && copy.clock().now() > 0.0);
+            assert_eq!(original.ledger(), &TrafficLedger::new(topology.len()), "{kind} {lossy:?}");
+            assert_eq!(original.clock().now(), 0.0);
+            assert_eq!(original.delivery_stats(), DeliveryStats::default());
         }
     }
 }

@@ -402,7 +402,7 @@ impl DeliveryStats {
 /// budget evicts memoized routes through the receiver, then strikes the
 /// failure detector. With no plan the fault tables are empty, so "empty
 /// plan ≡ lossy" holds by construction.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ArqTransport<P> {
     engine: ArqEngine,
     pub(crate) plan: P,
@@ -411,7 +411,7 @@ pub struct ArqTransport<P> {
 /// Everything of [`ArqTransport`] but the plan as given. Not generic, so
 /// the hop loop is compiled once, here, beside the code it calls — not
 /// again in every crate that names one of the public aliases.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ArqEngine {
     inner: Box<dyn Transport>,
     config: LossyConfig,
@@ -618,7 +618,7 @@ impl ArqEngine {
     }
 }
 
-impl<P: std::fmt::Debug + Send> Transport for ArqTransport<P> {
+impl<P: std::fmt::Debug + Send + Clone + 'static> Transport for ArqTransport<P> {
     fn route_to_node(
         &mut self,
         topology: &Topology,

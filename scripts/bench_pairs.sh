@@ -3,7 +3,7 @@
 # PR that claims a gain has to show (benchmark/README.md, end of `compare`).
 #
 # Usage:
-#   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD N [--seed S]
+#   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD N [--seed S] [--seconds T]
 #
 #   PARENT_DIR, CHANGE_DIR  two checkouts of this repository (e.g. a
 #                           `git clone` of the parent commit and the working
@@ -12,9 +12,11 @@
 #   N                       pairs to run; which side goes first alternates
 #   --seed S                workload seed (default 1); use one the change was
 #                           not written against
+#   --seconds T             length of every run, passed to pool-benchmark
+#                           (default: the benchmark's own, `run_seconds` of
+#                           BENCHMARK.json); shorter runs make more pairs fit
 #
-# Each side is built once, into <DIR>/.bench_build/target, and every run is
-# the benchmark's default length. Prints, per end-to-end metric, both sides'
+# Each side is built once, into <DIR>/.bench_build/target. Prints, per end-to-end metric, both sides'
 # q1 / median / q3, the ratio of medians (change / parent) and the pairs the
 # change won (ties count for neither side), then every run's value and each
 # side's failed total, digest(s) and rounds completed. The peak_rss_mib row
@@ -24,7 +26,7 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD N [--seed S]" >&2
+    echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD N [--seed S] [--seconds T]" >&2
     exit 2
 }
 
@@ -35,9 +37,11 @@ workload=$3
 pairs=$4
 shift 4
 seed=1
+seconds=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --seed) [ $# -ge 2 ] || usage; seed=$2; shift 2 ;;
+        --seconds) [ $# -ge 2 ] || usage; seconds=(--seconds "$2"); shift 2 ;;
         *) usage ;;
     esac
 done
@@ -54,7 +58,7 @@ for dir in "$parent" "$change"; do
 done
 
 run() { # side dir
-    "$(bin_of "$2")" --workload "$workload" --seed "$seed" --out "$scratch/out-$1" \
+    "$(bin_of "$2")" --workload "$workload" --seed "$seed" "${seconds[@]}" --out "$scratch/out-$1" \
         | tail -n 1 >> "$scratch/$1.jsonl"
     python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); print(r["digest"], r["rounds"])' \
         "$scratch/out-$1/$workload.json" >> "$scratch/$1.digests"
