@@ -31,15 +31,14 @@ use pool_core::config::PoolConfig;
 use pool_core::query::RangeQuery;
 use pool_core::system::QueryCost;
 use pool_ght::GhtTable;
-use pool_gpsr::Planarization;
 use pool_netsim::deployment::Deployment;
 use pool_netsim::geometry::{Point, Rect};
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
 use pool_netsim::topology::Topology;
 use pool_transport::{
-    Fault, FaultPlan, FaultyTransport, GilbertElliott, LossyConfig, LossyTransport, OpRetryPolicy,
-    RecoveryConfig, TrafficLayer, Transport, TransportKind,
+    Fault, FaultPlan, GilbertElliott, LossyConfig, OpRetryPolicy, RecoveryConfig, Substrate,
+    TrafficLayer, Transport,
 };
 use pool_workloads::events::EventDistribution;
 use pool_workloads::queries::RangeSizeDistribution;
@@ -112,6 +111,12 @@ fn lossy_for(scenario: &Scenario) -> LossyConfig {
     // A perfect link: the only disturbances are the injected faults, so
     // every completeness loss is attributable to the campaign.
     LossyConfig::fixed(1.0, scenario.seed ^ 0xC405)
+}
+
+/// GHT's substrate before a campaign adds its faults: plain GPSR over the
+/// perfect link of [`lossy_for`].
+fn ght_radio(scenario: &Scenario) -> Substrate {
+    Substrate { lossy: Some(lossy_for(scenario)), ..Substrate::default() }
 }
 
 /// What the scout run learns from a fault-free replay of the workload:
@@ -357,11 +362,10 @@ struct GhtScout {
 }
 
 fn ght_scout(scenario: &Scenario, work: &GhtWorkload, victims_wanted: usize) -> GhtScout {
-    let gpsr = TransportKind::Gpsr.build(&work.topology, Planarization::Gabriel);
-    let mut transport = LossyTransport::wrap(gpsr, lossy_for(scenario));
+    let mut transport = ght_radio(scenario).stack(&work.topology, 0);
     let mut ght: GhtTable<u64> = GhtTable::new(&work.topology);
     for (i, (source, key)) in work.puts.iter().enumerate() {
-        ght.put(&work.topology, &mut transport, *source, key, i as u64).expect("scout ght put");
+        ght.put(&work.topology, transport.as_mut(), *source, key, i as u64).expect("scout ght put");
     }
     let window_lo = transport.clock().now();
 
@@ -397,7 +401,7 @@ fn ght_scout(scenario: &Scenario, work: &GhtWorkload, victims_wanted: usize) -> 
     }
 
     for (sink, key) in &work.gets {
-        ght.get(&work.topology, &mut transport, *sink, key).expect("scout ght get");
+        ght.get(&work.topology, transport.as_mut(), *sink, key).expect("scout ght get");
     }
     let window_hi = transport.clock().now().max(window_lo);
     GhtScout { window_lo, window_hi, field: work.topology.bounds(), victims }
@@ -411,21 +415,8 @@ struct GhtArm {
     latencies_ms: Vec<f64>,
 }
 
-fn run_ght_arm(
-    scenario: &Scenario,
-    work: &GhtWorkload,
-    plan: FaultPlan,
-    recovery: Option<RecoveryConfig>,
-    retry: Option<OpRetryPolicy>,
-) -> GhtArm {
-    let mut transport = TransportKind::Gpsr.build_stack(
-        &work.topology,
-        Planarization::Gabriel,
-        Some(lossy_for(scenario)),
-        Some(plan),
-        recovery,
-        0,
-    );
+fn run_ght_arm(work: &GhtWorkload, substrate: &Substrate) -> GhtArm {
+    let mut transport = substrate.stack(&work.topology, 0);
     let mut ght: GhtTable<u64> = GhtTable::new(&work.topology);
     for (i, (source, key)) in work.puts.iter().enumerate() {
         // Puts precede every fault window, so the stored state matches the
@@ -436,7 +427,7 @@ fn run_ght_arm(
     let mut latencies_ms = Vec::with_capacity(work.gets.len());
     for (sink, key) in &work.gets {
         let (values, receipt) = ght
-            .get_with_retry(&work.topology, transport.as_mut(), *sink, key, retry)
+            .get_with_retry(&work.topology, transport.as_mut(), *sink, key, substrate.op_retry)
             .expect("ght get");
         // Every key was stored (puts precede the faults), so an empty
         // answer always means a lost leg, not a missing key.
@@ -458,17 +449,17 @@ fn run_ght_campaign(scenario: &Scenario, campaign: Campaign, gets: usize) -> Sys
         // Pinned: the fault decorator with an empty plan must be
         // byte-identical to the bare lossy substrate, and every get must
         // come back complete.
-        let gpsr = TransportKind::Gpsr.build(&work.topology, Planarization::Gabriel);
-        let mut bare = LossyTransport::wrap(gpsr, lossy_for(scenario));
+        let mut bare = ght_radio(scenario).stack(&work.topology, 0);
         let mut ght: GhtTable<u64> = GhtTable::new(&work.topology);
         for (i, (source, key)) in work.puts.iter().enumerate() {
-            ght.put(&work.topology, &mut bare, *source, key, i as u64).expect("ght put");
+            ght.put(&work.topology, bare.as_mut(), *source, key, i as u64).expect("ght put");
         }
         for (sink, key) in &work.gets {
-            ght.get(&work.topology, &mut bare, *sink, key).expect("ght get");
+            ght.get(&work.topology, bare.as_mut(), *sink, key).expect("ght get");
         }
-        let arm = run_ght_arm(scenario, &work, FaultPlan::new(), None, None);
-        let wrapped = run_ght_control_ledger(scenario, &work);
+        let control = Substrate { faults: Some(FaultPlan::new()), ..ght_radio(scenario) };
+        let arm = run_ght_arm(&work, &control);
+        let wrapped = run_ght_control_ledger(&work, &control);
         assert_eq!(
             bare.ledger(),
             wrapped.ledger(),
@@ -518,16 +509,17 @@ fn run_ght_campaign(scenario: &Scenario, campaign: Campaign, gets: usize) -> Sys
             until: f64::INFINITY,
         }),
     };
-    let recovery = RecoveryConfig::default();
+    let chaos = Substrate {
+        faults: Some(plan),
+        recovery: Some(RecoveryConfig::default()),
+        ..ght_radio(scenario)
+    };
     let detour = run_ght_arm(
-        scenario,
         &work,
-        plan.clone(),
-        Some(recovery),
-        Some(OpRetryPolicy::detouring(2)),
+        &Substrate { op_retry: Some(OpRetryPolicy::detouring(2)), ..chaos.clone() },
     );
     let ablation =
-        run_ght_arm(scenario, &work, plan, Some(recovery), Some(OpRetryPolicy::same_path(2)));
+        run_ght_arm(&work, &Substrate { op_retry: Some(OpRetryPolicy::same_path(2)), ..chaos });
     let latency = Summary::of(&detour.latencies_ms);
     SystemRow {
         system: "ght",
@@ -541,12 +533,10 @@ fn run_ght_campaign(scenario: &Scenario, campaign: Campaign, gets: usize) -> Sys
     }
 }
 
-/// Replays the control workload over the wrapped-but-empty fault transport
-/// so its ledger can be compared against the bare substrate's.
-fn run_ght_control_ledger(scenario: &Scenario, work: &GhtWorkload) -> Box<dyn Transport> {
-    let gpsr = TransportKind::Gpsr.build(&work.topology, Planarization::Gabriel);
-    let mut transport: Box<dyn Transport> =
-        Box::new(FaultyTransport::wrap(gpsr, lossy_for(scenario), FaultPlan::new()));
+/// Replays the control workload over `control`, the wrapped-but-empty fault
+/// transport, so its ledger can be compared against the bare substrate's.
+fn run_ght_control_ledger(work: &GhtWorkload, control: &Substrate) -> Box<dyn Transport> {
+    let mut transport = control.stack(&work.topology, 0);
     let mut ght: GhtTable<u64> = GhtTable::new(&work.topology);
     for (i, (source, key)) in work.puts.iter().enumerate() {
         ght.put(&work.topology, transport.as_mut(), *source, key, i as u64).expect("ght put");

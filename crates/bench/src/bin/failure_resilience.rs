@@ -25,6 +25,7 @@ use pool_dim::system::DimSystem;
 use pool_netsim::deployment::Deployment;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
+use pool_transport::Substrate;
 use pool_workloads::events::{EventDistribution, EventGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,7 +47,7 @@ fn main() {
             seed += 0x1000;
         };
 
-        let mut dim = DimSystem::build(topology.clone(), field, 3).unwrap();
+        let mut dim = DimSystem::build(topology.clone(), field, 3, &Substrate::default()).unwrap();
         let mut plain =
             PoolSystem::build(topology.clone(), field, PoolConfig::paper().with_seed(seed))
                 .unwrap();

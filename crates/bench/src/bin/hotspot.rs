@@ -21,6 +21,7 @@ use pool_netsim::deployment::Deployment;
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
 use pool_netsim::topology::Topology;
+use pool_transport::Substrate;
 use pool_workloads::events::{EventDistribution, EventGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,7 +62,7 @@ fn main() {
         let mut generator = EventGenerator::new(3, skew.clone());
         match subject {
             Subject::Dim => {
-                let mut dim = DimSystem::build(topology, field, 3).unwrap();
+                let mut dim = DimSystem::build(topology, field, 3, &Substrate::default()).unwrap();
                 let mut latencies = Vec::with_capacity(events);
                 for i in 0..events {
                     let event = generator.generate(&mut rng);

@@ -20,6 +20,7 @@ use pool_netsim::deployment::Deployment;
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
 use pool_netsim::topology::Topology;
+use pool_transport::Substrate;
 use pool_workloads::events::{EventDistribution, EventGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +44,7 @@ fn main() {
             PoolConfig::paper().with_seed(scenario.seed),
         )
         .unwrap();
-        let mut dim = DimSystem::build(topology, field, 3).unwrap();
+        let mut dim = DimSystem::build(topology, field, 3, &Substrate::default()).unwrap();
 
         let mut rng = StdRng::seed_from_u64(scenario.seed);
         let mut generator = EventGenerator::new(3, EventDistribution::Uniform);

@@ -34,10 +34,9 @@ use pool_core::failure::FailureReport;
 use pool_dim::churn::DimRepairQueue;
 use pool_ght::churn::{GhtChurnReport, GhtRepairQueue};
 use pool_ght::table::GhtTable;
-use pool_gpsr::Planarization;
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
-use pool_transport::TransportKind;
+use pool_transport::Substrate;
 use pool_workloads::events::EventDistribution;
 use pool_workloads::queries::RangeSizeDistribution;
 use rand::rngs::StdRng;
@@ -156,7 +155,7 @@ fn run_level(
     // GHT rides its own copy of the same deployment (it is externally
     // driven: the table owns only storage).
     let mut ght_topology = pair.pool.topology().clone();
-    let mut ght_transport = TransportKind::Gpsr.build(&ght_topology, Planarization::Gabriel);
+    let mut ght_transport = Substrate::default().stack(&ght_topology, 0);
     let mut ght: GhtTable<u64> = GhtTable::new(&ght_topology);
     let n = ght_topology.len() as u32;
     for i in 0..params.keys {
@@ -191,9 +190,7 @@ fn run_level(
             .apply_epoch(
                 &mut ght_topology,
                 ght_transport.as_mut(),
-                &plan.joins,
-                &plan.deaths,
-                &plan.moves,
+                &plan,
                 &mut ght_queue,
                 params.budget,
             )

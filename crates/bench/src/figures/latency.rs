@@ -36,13 +36,10 @@ use crate::harness::{QueryKind, Scenario, SystemPair};
 use crate::report::Table;
 use pool_core::config::PoolConfig;
 use pool_ght::replication::ReplicatedGht;
-use pool_gpsr::Planarization;
 use pool_netsim::node::NodeId;
 use pool_netsim::radio::PrrModel;
 use pool_netsim::stats::Summary;
-use pool_transport::{
-    LinkQuality, LossyConfig, LossyTransport, TrafficLayer, Transport, TransportKind,
-};
+use pool_transport::{LinkQuality, LossyConfig, Substrate, TrafficLayer};
 use pool_workloads::events::EventDistribution;
 use pool_workloads::queries::RangeSizeDistribution;
 
@@ -127,19 +124,14 @@ fn run_level(
     }
 
     // GHT: replicated puts over the same deployment. The overlapped
-    // transport runs the real mirror fan-out; the shadow transport —
-    // identically configured, including the loss seed — delivers the same
+    // transport runs the real mirror fan-out; the shadow transport — its
+    // clone before any traffic, loss seed included — delivers the same
     // mirror routes strictly one after another.
     let topology = pair.pool.topology().clone();
     let ght_lossy = LossyConfig { quality, ..LossyConfig::fixed(1.0, scenario.seed ^ 0x647) };
-    let mut overlapped = LossyTransport::wrap(
-        TransportKind::Gpsr.build(&topology, Planarization::Gabriel),
-        ght_lossy,
-    );
-    let mut shadow = LossyTransport::wrap(
-        TransportKind::Gpsr.build(&topology, Planarization::Gabriel),
-        ght_lossy,
-    );
+    let mut overlapped =
+        Substrate { lossy: Some(ght_lossy), ..Substrate::default() }.stack(&topology, 0);
+    let mut shadow = overlapped.clone();
     let mut ght: ReplicatedGht<u64> = ReplicatedGht::new(&topology, GHT_MIRRORS);
     let n = topology.len() as u32;
     let mut ght_overlap = Vec::with_capacity(queries);
@@ -149,7 +141,8 @@ fn run_level(
     for i in 0..queries {
         let key = format!("evt-{i}");
         let from = NodeId((i as u32).wrapping_mul(37) % n);
-        let receipt = ght.put(&topology, &mut overlapped, from, &key, i as u64).expect("ght put");
+        let receipt =
+            ght.put(&topology, overlapped.as_mut(), from, &key, i as u64).expect("ght put");
         ght_overlap.push(receipt.elapsed * 1e3);
         ght_msgs += receipt.messages;
         let before = shadow.clock().now();

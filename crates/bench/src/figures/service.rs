@@ -53,7 +53,7 @@ use pool_service::{
     AdmissionConfig, DimBackend, GhtBackend, PoolBackend, Request, ScheduledRequest, ServeOutcome,
     ServiceBackend, ServiceHandle,
 };
-use pool_transport::{Fault, FaultPlan, OpRetryPolicy, RecoveryConfig, TransportKind};
+use pool_transport::{Fault, FaultPlan, OpRetryPolicy, RecoveryConfig, Substrate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -359,19 +359,22 @@ struct ArmRow {
 fn run_arm(params: &Params, profile: Profile, system: SystemKind) -> ArmRow {
     let setup = setup_profile(params, profile);
     let jobs = params.opts.jobs;
-    let recovery = (!setup.victims.is_empty()).then(RecoveryConfig::default);
-    let op_retry = (!setup.victims.is_empty()).then(|| OpRetryPolicy::detouring(2));
+    // One substrate under all three schemes: a chaos profile's fault plan
+    // comes with adaptive recovery and detouring operation retries.
+    let chaos = !setup.victims.is_empty();
+    let substrate = |faults: Option<FaultPlan>| Substrate {
+        faults,
+        recovery: chaos.then(RecoveryConfig::default),
+        op_retry: chaos.then(|| OpRetryPolicy::detouring(2)),
+        ..Substrate::default()
+    };
 
     let (coalesced, ablation) = match system {
         SystemKind::Pool => {
             let base_config = PoolConfig::paper().with_dims(POOL_DIMS).with_seed(setup.seed);
             measure_system(
                 |plan| {
-                    let mut config = base_config.clone();
-                    if let Some(plan) = plan {
-                        config = config.with_faults(plan).with_recovery(recovery.unwrap());
-                        config = config.with_op_retry(op_retry.unwrap());
-                    }
+                    let config = PoolConfig { substrate: substrate(plan), ..base_config.clone() };
                     let (backend, shards) =
                         PoolBackend::build(setup.topology.clone(), setup.field, config, POOL_DIMS)
                             .expect("pool backend builds");
@@ -390,11 +393,7 @@ fn run_arm(params: &Params, profile: Profile, system: SystemKind) -> ArmRow {
                     setup.topology.clone(),
                     setup.field,
                     POOL_DIMS,
-                    TransportKind::Gpsr,
-                    None,
-                    plan,
-                    recovery,
-                    op_retry,
+                    &substrate(plan),
                     DIM_SHARDS,
                 )
                 .expect("dim backend builds");
@@ -408,15 +407,8 @@ fn run_arm(params: &Params, profile: Profile, system: SystemKind) -> ArmRow {
         ),
         SystemKind::Ght => measure_system(
             |plan| {
-                let (backend, shards) = GhtBackend::build(
-                    setup.topology.clone(),
-                    TransportKind::Gpsr,
-                    None,
-                    plan,
-                    recovery,
-                    op_retry,
-                    GHT_SHARDS,
-                );
+                let (backend, shards) =
+                    GhtBackend::build(setup.topology.clone(), &substrate(plan), GHT_SHARDS);
                 ServiceHandle::new(backend, shards)
             },
             &setup.preload_kv,

@@ -22,6 +22,7 @@ use pool_workloads::queries::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// One experimental deployment, parameterized like §5.1.
 #[derive(Debug, Clone)]
@@ -95,26 +96,14 @@ impl SystemPair {
             seed = seed.wrapping_add(0x1000);
         };
         let config = config.with_dims(scenario.dims).with_seed(scenario.seed);
-        // Both systems ride the same routing substrate — and the same lossy
-        // link layer, when configured — so the comparison (and the route
-        // cache, when selected) is apples to apples.
-        let transport = config.transport;
-        let lossy = config.lossy;
-        let faults = config.faults.clone();
-        let recovery = config.recovery;
-        let op_retry = config.op_retry;
-        let mut pool = PoolSystem::build(topology.clone(), field, config).expect("pool builds");
-        let mut dim = DimSystem::build_with_resilience(
-            topology,
-            field,
-            scenario.dims,
-            transport,
-            lossy,
-            faults,
-            recovery,
-            op_retry,
-        )
-        .expect("dim builds");
+        // Both systems ride the same substrate — routing, link layer,
+        // faults and retries — so the comparison (and the route cache, when
+        // selected) is apples to apples.
+        let topology = Arc::new(topology);
+        let mut dim =
+            DimSystem::build(Arc::clone(&topology), field, scenario.dims, &config.substrate)
+                .expect("dim builds");
+        let mut pool = PoolSystem::build(topology, field, config).expect("pool builds");
 
         let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0xE7E7_E7E7);
         let mut generator = EventGenerator::new(scenario.dims, events);

@@ -2,7 +2,9 @@
 
 use crate::error::PoolError;
 use crate::grid::CellCoord;
-use pool_transport::{FaultPlan, LossyConfig, OpRetryPolicy, RecoveryConfig, TransportKind};
+use pool_transport::{
+    FaultPlan, LossyConfig, OpRetryPolicy, RecoveryConfig, Substrate, TransportKind,
+};
 
 /// Workload-sharing policy (§4.2): when an index node's stored-event count
 /// reaches `capacity`, subsequent events for its cells are delegated to a
@@ -28,7 +30,9 @@ impl SharingPolicy {
 /// Configuration for a [`crate::system::PoolSystem`].
 ///
 /// Defaults mirror the paper's §5.1 settings: `α = 5` m cells, pool side
-/// `l = 10`, `k = 3` dimensions, Gabriel planarization, no workload sharing.
+/// `l = 10`, `k = 3` dimensions, no workload sharing, and the paper's radio
+/// ([`Substrate::default`]: plain GPSR over Gabriel planarization,
+/// loss-free).
 ///
 /// # Examples
 ///
@@ -50,11 +54,12 @@ pub struct PoolConfig {
     pub pool_side: u32,
     /// Event dimensionality `k` (= number of pools).
     pub dims: usize,
-    /// Seed for random pivot placement.
+    /// Seed for random pivot placement. It also seeds the perfect-link
+    /// stand-in a fault plan runs over when [`Substrate::lossy`] is `None`.
     pub seed: u64,
-    /// Routing substrate implementation (plain GPSR, or the memoizing
-    /// route cache — identical message counts either way).
-    pub transport: TransportKind,
+    /// How the system reaches the radio: routing substrate, lossy link
+    /// layer, fault plan, adaptive recovery and operation retry.
+    pub substrate: Substrate,
     /// Optional workload sharing (§4.2).
     pub sharing: Option<SharingPolicy>,
     /// Explicit pivot cells (overrides random placement when set).
@@ -67,27 +72,6 @@ pub struct PoolConfig {
     /// index node, enabling recovery after index-node failure (+1 message
     /// per insertion).
     pub replicate: bool,
-    /// Optional lossy link layer: when set, the routing substrate is
-    /// wrapped in a [`pool_transport::LossyTransport`] so every hop can be
-    /// dropped and retried (bounded ARQ). `None` keeps the paper's
-    /// loss-free radio.
-    pub lossy: Option<LossyConfig>,
-    /// Optional structured fault injection: when set, the substrate is
-    /// wrapped in a [`pool_transport::FaultyTransport`] driving the plan's
-    /// crashes, pauses, partitions, burst loss, and asymmetric links
-    /// against virtual time. Implies a lossy substrate (a perfect link is
-    /// substituted when [`PoolConfig::lossy`] is `None`).
-    pub faults: Option<FaultPlan>,
-    /// Optional adaptive recovery on the lossy/faulty substrate: EWMA link
-    /// estimation, exponential backoff priced on the virtual clock, and a
-    /// passive failure detector feeding detour routing and targeted route
-    /// eviction.
-    pub recovery: Option<RecoveryConfig>,
-    /// Optional bounded idempotent retry at the operation level: failed
-    /// query legs are re-delivered (optionally via a detour route around
-    /// the failed hop). Completeness can only improve; every attempt is
-    /// charged to the ledger.
-    pub op_retry: Option<OpRetryPolicy>,
 }
 
 impl PoolConfig {
@@ -98,15 +82,11 @@ impl PoolConfig {
             pool_side: 10,
             dims: 3,
             seed: 0,
-            transport: TransportKind::Gpsr,
+            substrate: Substrate::default(),
             sharing: None,
             pivots: None,
             aggregate_replies: true,
             replicate: false,
-            lossy: None,
-            faults: None,
-            recovery: None,
-            op_retry: None,
         }
     }
 
@@ -134,9 +114,9 @@ impl PoolConfig {
         self
     }
 
-    /// Selects the routing-substrate implementation.
+    /// Sets [`Substrate::kind`] (a shim the benchmark package calls).
     pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
+        self.substrate.kind = transport;
         self
     }
 
@@ -164,29 +144,27 @@ impl PoolConfig {
         self
     }
 
-    /// Runs the system over a lossy link layer (per-hop drops + bounded
-    /// ARQ) instead of the paper's loss-free radio.
+    /// Sets [`Substrate::lossy`] (a shim the benchmark package calls).
     pub fn with_lossy(mut self, lossy: LossyConfig) -> Self {
-        self.lossy = Some(lossy);
+        self.substrate.lossy = Some(lossy);
         self
     }
 
-    /// Injects the structured faults of `plan` against virtual time.
+    /// Sets [`Substrate::faults`] (a shim the benchmark package calls).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.substrate.faults = Some(plan);
         self
     }
 
-    /// Enables adaptive recovery (EWMA estimation, priced backoff, passive
-    /// failure detection) on the lossy/faulty substrate.
+    /// Sets [`Substrate::recovery`] (a shim the benchmark package calls).
     pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = Some(recovery);
+        self.substrate.recovery = Some(recovery);
         self
     }
 
-    /// Enables bounded idempotent operation-level retry for query legs.
+    /// Sets [`Substrate::op_retry`] (a shim the benchmark package calls).
     pub fn with_op_retry(mut self, policy: OpRetryPolicy) -> Self {
-        self.op_retry = Some(policy);
+        self.substrate.op_retry = Some(policy);
         self
     }
 

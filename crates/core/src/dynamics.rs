@@ -47,6 +47,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
+/// One epoch's worth of scripted churn. It lives beside
+/// [`pool_transport::apply_change`], which applies it for every scheme;
+/// this path stays because the benchmark package imports it from here.
+pub use pool_transport::EpochPlan;
+
 /// Battery provisioning for energy-driven deaths.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBudget {
@@ -129,38 +134,6 @@ impl ChurnConfig {
     pub fn with_energy(mut self, energy: EnergyBudget) -> Self {
         self.energy = Some(energy);
         self
-    }
-}
-
-/// One epoch's worth of scripted churn, referencing the topology it was
-/// planned against: `deaths` and `moves` name pre-epoch nodes; `joins` are
-/// field positions for new nodes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochPlan {
-    /// Deployment positions for the nodes joining this epoch.
-    pub joins: Vec<Point>,
-    /// Nodes dying this epoch (scripted and energy-driven).
-    pub deaths: Vec<NodeId>,
-    /// Waypoint moves: `(node, destination)`.
-    pub moves: Vec<(NodeId, Point)>,
-}
-
-impl EpochPlan {
-    /// A plan that changes nothing (repair-only epoch: the queue still
-    /// drains under the budget).
-    pub fn empty() -> Self {
-        EpochPlan { joins: Vec::new(), deaths: Vec::new(), moves: Vec::new() }
-    }
-
-    /// The failure burst `dead` as a deaths-only plan, or `None` when it
-    /// would kill nobody (an empty list, or only deployed nodes already
-    /// dead): a double kill must touch neither the network nor the
-    /// transport. An id that was never deployed still makes a plan, which
-    /// the epoch refuses as [`PoolError::UnknownNode`].
-    pub fn deaths_only(topology: &Topology, dead: &[NodeId]) -> Option<EpochPlan> {
-        let corpse = |d: &NodeId| d.index() < topology.len() && !topology.is_alive(*d);
-        (!dead.iter().all(corpse))
-            .then(|| EpochPlan { deaths: dead.to_vec(), ..EpochPlan::empty() })
     }
 }
 
@@ -314,9 +287,7 @@ impl PoolSystem {
         let change = pool_transport::apply_change(
             Arc::make_mut(&mut self.topology),
             self.transport.as_mut(),
-            &plan.joins,
-            &plan.moves,
-            &plan.deaths,
+            plan,
         )?;
         report.failed_nodes = change.victims.len();
         report.partitioned = change.partitioned;

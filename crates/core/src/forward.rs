@@ -10,14 +10,14 @@
 //! index node and expect no reply.
 //!
 //! Every leg is routed and charged through the system's
-//! [`pool_transport::Transport`] under [`PoolConfig::op_retry`]:
+//! [`pool_transport::Transport`] under [`Substrate::op_retry`]:
 //! forwarding under [`TrafficLayer::Forward`], replies under
 //! [`TrafficLayer::Reply`], and monitor control traffic under
 //! [`TrafficLayer::Monitor`]. A leg that has no route or exhausts its retry
 //! budget marks the cells behind it unreached instead of failing the
 //! operation.
 //!
-//! [`PoolConfig::op_retry`]: crate::config::PoolConfig::op_retry
+//! [`Substrate::op_retry`]: pool_transport::Substrate::op_retry
 
 use crate::error::PoolError;
 use crate::event::Event;
@@ -572,7 +572,7 @@ impl PoolSystem {
                 if !chain.is_empty() {
                     // Same-path retry: the chain *is* the route, so it never
                     // detours.
-                    let policy = self.config.op_retry.map(OpRetryPolicy::on_fixed_path);
+                    let policy = self.config.substrate.op_retry.map(OpRetryPolicy::on_fixed_path);
                     let (w, _) = self.deliver_leg(op, &chain, TrafficLayer::Forward, policy);
                     cost.add_forward(&w);
                     if !w.delivered {
@@ -663,7 +663,7 @@ impl PoolSystem {
     }
 
     /// Sends one packet `from → to` under `layer` and
-    /// [`crate::config::PoolConfig::op_retry`], charging it to `cost`.
+    /// [`pool_transport::Substrate::op_retry`], charging it to `cost`.
     /// Returns the leg the packet last travelled, which replies retrace, or
     /// `None` when there was no route or the packet was lost.
     ///
@@ -684,13 +684,14 @@ impl PoolSystem {
             Err(pool_gpsr::RouteError::NotDelivered { .. }) => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let (outcome, rerouted) = self.deliver_leg(op, leg.path(), layer, self.config.op_retry);
+        let (outcome, rerouted) =
+            self.deliver_leg(op, leg.path(), layer, self.config.substrate.op_retry);
         cost.add_forward(&outcome);
         Ok(outcome.delivered.then(|| rerouted.map_or(leg, Leg::Route)))
     }
 
     /// Sends `copies` reply packets back along `path` (tail → head) under
-    /// [`TrafficLayer::Reply`] and [`crate::config::PoolConfig::op_retry`]
+    /// [`TrafficLayer::Reply`] and [`pool_transport::Substrate::op_retry`]
     /// ([`retry::deliver_reverse`], one trace span per attempt), charging
     /// them to `cost`. Returns how many arrived.
     pub(crate) fn retrace(
@@ -706,7 +707,7 @@ impl PoolSystem {
             path,
             copies,
             TrafficLayer::Reply,
-            self.config.op_retry,
+            self.config.substrate.op_retry,
             Some((&mut self.tracer, op)),
         );
         cost.add_reply(&rev);

@@ -78,7 +78,7 @@ impl PoolSystem {
     /// index node in ascending bound order, one cell after the other; each
     /// visited node returns its best matches along the reverse path
     /// (aggregated, one message per hop). Legs follow
-    /// [`crate::config::PoolConfig::op_retry`], and the result's
+    /// [`pool_transport::Substrate::op_retry`], and the result's
     /// `cost.elapsed` is the whole serial search.
     ///
     /// # Errors

@@ -25,7 +25,7 @@ use crate::insert::{storage_cell, InsertError, Placement};
 use crate::layout::PoolLayout;
 use crate::monitor::{MonitorId, MonitorTable, Notification};
 use crate::storage::{CellStore, StoredEvent};
-use pool_gpsr::{Planarization, Route};
+use pool_gpsr::Route;
 use pool_netsim::geometry::{Point, Rect};
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
@@ -131,32 +131,21 @@ impl PoolSystem {
     /// cells may share one physical index node, and hops between co-located
     /// cells are free).
     ///
-    /// The routing substrate is chosen by [`PoolConfig::transport`]
-    /// (plain GPSR by default, memoizing cache optionally); GPSR runs over
-    /// the Gabriel planarization, as it does under DIM and GHT.
+    /// The transport is [`PoolConfig::substrate`]'s stack, with
+    /// [`PoolConfig::seed`] as its stand-in seed. Callers that build several
+    /// systems over one network snapshot pass clones of one [`Arc`], so they
+    /// all read the identical immutable neighbor tables.
     ///
     /// # Errors
     ///
     /// Configuration validation errors, [`PoolError::Routing`] for a
     /// disconnected network, and layout errors if the pools do not fit.
-    pub fn build(topology: Topology, field: Rect, config: PoolConfig) -> Result<Self, PoolError> {
-        Self::build_shared(Arc::new(topology), field, config)
-    }
-
-    /// Builds a Pool deployment over an already-shared `topology`.
-    ///
-    /// Callers that build several systems over one network snapshot share
-    /// the [`Arc`], so they all read the identical immutable neighbor
-    /// tables. Behaviour is byte-identical to [`PoolSystem::build`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PoolSystem::build`].
-    pub fn build_shared(
-        topology: Arc<Topology>,
+    pub fn build(
+        topology: impl Into<Arc<Topology>>,
         field: Rect,
         config: PoolConfig,
     ) -> Result<Self, PoolError> {
+        let topology = topology.into();
         config.validate()?;
         topology.require_connected().map_err(|e| PoolError::Routing(e.to_string()))?;
         let grid = Grid::over(field, config.alpha)?;
@@ -164,14 +153,7 @@ impl PoolSystem {
             Some(pivots) => PoolLayout::with_pivots(&grid, config.pool_side, pivots.clone())?,
             None => PoolLayout::random(&grid, config.dims, config.pool_side, config.seed)?,
         };
-        let transport = config.transport.build_stack(
-            &topology,
-            Planarization::Gabriel,
-            config.lossy,
-            config.faults.clone(),
-            config.recovery,
-            config.seed,
-        );
+        let transport = config.substrate.stack(&topology, config.seed);
         let mut system = PoolSystem {
             topology,
             field,
@@ -191,6 +173,20 @@ impl PoolSystem {
         };
         system.elect_index_nodes();
         Ok(system)
+    }
+
+    /// [`PoolSystem::build`] over an already-shared `topology` (a shim the
+    /// benchmark package calls).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PoolSystem::build`].
+    pub fn build_shared(
+        topology: Arc<Topology>,
+        field: Rect,
+        config: PoolConfig,
+    ) -> Result<Self, PoolError> {
+        Self::build(topology, field, config)
     }
 
     /// Elects every pool cell's index node from the live population (§2's

@@ -11,14 +11,13 @@
 //! ([`DimSystem::fail_nodes`]) is the deaths-only epoch with no budget.
 
 use crate::system::DimSystem;
-use pool_core::dynamics::EpochPlan;
 use pool_core::event::Event;
 use pool_core::failure::FailureReport;
 use pool_core::PoolError;
 use pool_netsim::node::NodeId;
 use pool_transport::metrics::LedgerSnapshot;
 use pool_transport::trace::TraceOp;
-use pool_transport::{Leg, Price, Repair, RepairQueue, TrafficLayer};
+use pool_transport::{EpochPlan, Leg, Price, Repair, RepairQueue, TrafficLayer};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -67,9 +66,7 @@ impl DimSystem {
         let change = pool_transport::apply_change(
             Arc::make_mut(&mut self.topology),
             self.transport.as_mut(),
-            &plan.joins,
-            &plan.moves,
-            &plan.deaths,
+            plan,
         )?;
         report.failed_nodes = change.victims.len();
         report.partitioned = change.partitioned;
@@ -167,6 +164,7 @@ mod tests {
     use pool_netsim::deployment::Deployment;
     use pool_netsim::geometry::{Point, Rect};
     use pool_netsim::topology::Topology;
+    use pool_transport::Substrate;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -176,7 +174,10 @@ mod tests {
             let dep = Deployment::paper_setting(n, 40.0, 20.0, s).unwrap();
             let topo = Topology::build(dep.nodes(), 40.0).unwrap();
             if topo.is_connected() {
-                return (DimSystem::build(topo, dep.field(), 3).unwrap(), dep.field());
+                return (
+                    DimSystem::build(topo, dep.field(), 3, &Substrate::default()).unwrap(),
+                    dep.field(),
+                );
             }
             s += 1000;
         }

@@ -17,22 +17,21 @@
 
 use crate::churn::DimRepairQueue;
 use crate::zone::ZoneTree;
-use pool_core::dynamics::EpochPlan;
 use pool_core::event::Event;
 use pool_core::failure::FailureReport;
 use pool_core::insert::InsertError;
 use pool_core::query::RangeQuery;
 use pool_core::system::QueryCost;
 use pool_core::PoolError;
-use pool_gpsr::{Planarization, Route};
+use pool_gpsr::Route;
 use pool_netsim::geometry::Rect;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
 use pool_transport::metrics::{LedgerSnapshot, LoadReport, NodeRole};
 use pool_transport::trace::{TraceOp, Tracer};
 use pool_transport::{
-    retry, DeliveryOutcome, FaultPlan, Leg, LossyConfig, OpRetryPolicy, RecoveryConfig,
-    ReverseDelivery, TrafficLayer, TrafficLedger, Transport, TransportKind,
+    retry, DeliveryOutcome, EpochPlan, Leg, LossyConfig, OpRetryPolicy, ReverseDelivery, Substrate,
+    TrafficLayer, TrafficLedger, Transport, TransportKind,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,12 +83,13 @@ pub struct DimInsertReceipt {
 /// use pool_dim::system::DimSystem;
 /// use pool_netsim::deployment::Deployment;
 /// use pool_netsim::topology::Topology;
+/// use pool_transport::Substrate;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let deployment = Deployment::paper_setting(300, 40.0, 20.0, 23)?;
 /// let field = deployment.field();
 /// let topology = Topology::build(deployment.nodes(), 40.0)?;
-/// let mut dim = DimSystem::build(topology, field, 3)?;
+/// let mut dim = DimSystem::build(topology, field, 3, &Substrate::default())?;
 ///
 /// let src = dim.topology().nodes()[4].id;
 /// dim.insert_from(src, Event::new(vec![0.7, 0.2, 0.4])?)?;
@@ -110,42 +110,48 @@ pub struct DimSystem {
     /// Events stored per zone index (index into `tree.zones()`).
     pub(crate) store: HashMap<usize, Vec<Event>>,
     tracer: Tracer,
-    /// Optional bounded operation-level retry for query legs (mirrors
-    /// [`pool_core::config::PoolConfig::op_retry`]).
+    /// Optional bounded operation-level retry for query legs
+    /// ([`Substrate::op_retry`]).
     op_retry: Option<OpRetryPolicy>,
 }
 
 impl DimSystem {
-    /// Builds a DIM deployment for `dims`-dimensional events.
+    /// Builds a DIM deployment for `dims`-dimensional events over
+    /// `topology`, reaching the radio through `substrate`'s stack (stand-in
+    /// seed 0). Pass Pool's [`Substrate`] to make both schemes route,
+    /// memoize, lose and retry identically; callers that build several
+    /// systems over one network snapshot pass clones of one [`Arc`].
     ///
     /// # Errors
     ///
     /// [`PoolError::InvalidConfig`] for `dims == 0` and
     /// [`PoolError::Routing`] for a disconnected network.
-    pub fn build(topology: Topology, field: Rect, dims: usize) -> Result<Self, PoolError> {
-        Self::build_with_transport(topology, field, dims, TransportKind::Gpsr)
-    }
-
-    /// Builds a DIM deployment over the chosen routing substrate (the
-    /// benchmark harness passes the same [`TransportKind`] to Pool and DIM
-    /// so both schemes route — and memoize — identically).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DimSystem::build`].
-    pub fn build_with_transport(
-        topology: Topology,
+    pub fn build(
+        topology: impl Into<Arc<Topology>>,
         field: Rect,
         dims: usize,
-        kind: TransportKind,
+        substrate: &Substrate,
     ) -> Result<Self, PoolError> {
-        Self::build_with_substrate(topology, field, dims, kind, None)
+        let topology = topology.into();
+        if dims == 0 {
+            return Err(PoolError::InvalidConfig { reason: "k = 0".into() });
+        }
+        topology.require_connected().map_err(|e| PoolError::Routing(e.to_string()))?;
+        let tree = ZoneTree::build(&topology, field);
+        let transport = substrate.stack(&topology, 0);
+        Ok(DimSystem {
+            topology,
+            transport,
+            tree,
+            dims,
+            store: HashMap::new(),
+            tracer: Tracer::default(),
+            op_retry: substrate.op_retry,
+        })
     }
 
-    /// Builds a DIM deployment over the chosen routing substrate and an
-    /// optional lossy link layer — the same degraded-mode radio Pool runs
-    /// on via [`pool_core::config::PoolConfig::with_lossy`], so lossy
-    /// benchmarks stress both schemes identically.
+    /// [`DimSystem::build`] over a substrate of `kind` and `lossy` (a shim
+    /// the benchmark package calls).
     ///
     /// # Errors
     ///
@@ -157,69 +163,7 @@ impl DimSystem {
         kind: TransportKind,
         lossy: Option<LossyConfig>,
     ) -> Result<Self, PoolError> {
-        Self::build_with_resilience(topology, field, dims, kind, lossy, None, None, None)
-    }
-
-    /// Builds a DIM deployment with the full resilience stack: structured
-    /// fault injection, adaptive recovery, and operation-level retry — the
-    /// same knobs Pool exposes via [`pool_core::config::PoolConfig`], so
-    /// chaos campaigns stress both schemes identically. When `faults` or
-    /// `recovery` is set, a perfect-link lossy substrate is substituted if
-    /// `lossy` is `None` (the fault machinery needs the ARQ walk).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DimSystem::build`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_with_resilience(
-        topology: Topology,
-        field: Rect,
-        dims: usize,
-        kind: TransportKind,
-        lossy: Option<LossyConfig>,
-        faults: Option<FaultPlan>,
-        recovery: Option<RecoveryConfig>,
-        op_retry: Option<OpRetryPolicy>,
-    ) -> Result<Self, PoolError> {
-        Self::build_shared(Arc::new(topology), field, dims, kind, lossy, faults, recovery, op_retry)
-    }
-
-    /// Builds a DIM deployment over an already-shared `topology` with the
-    /// full resilience stack. Callers that build several systems over one
-    /// network snapshot share the [`Arc`], so they all read the identical
-    /// immutable neighbor tables. Behaviour is byte-identical to
-    /// [`DimSystem::build_with_resilience`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DimSystem::build`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_shared(
-        topology: Arc<Topology>,
-        field: Rect,
-        dims: usize,
-        kind: TransportKind,
-        lossy: Option<LossyConfig>,
-        faults: Option<FaultPlan>,
-        recovery: Option<RecoveryConfig>,
-        op_retry: Option<OpRetryPolicy>,
-    ) -> Result<Self, PoolError> {
-        if dims == 0 {
-            return Err(PoolError::InvalidConfig { reason: "k = 0".into() });
-        }
-        topology.require_connected().map_err(|e| PoolError::Routing(e.to_string()))?;
-        let tree = ZoneTree::build(&topology, field);
-        let transport =
-            kind.build_stack(&topology, Planarization::Gabriel, lossy, faults, recovery, 0);
-        Ok(DimSystem {
-            topology,
-            transport,
-            tree,
-            dims,
-            store: HashMap::new(),
-            tracer: Tracer::default(),
-            op_retry,
-        })
+        Self::build(topology, field, dims, &Substrate { kind, lossy, ..Substrate::default() })
     }
 
     /// Delivers one packet along `path` through the shared retry loop
@@ -642,7 +586,7 @@ mod tests {
             let dep = Deployment::paper_setting(n, 40.0, 20.0, s).unwrap();
             let topo = Topology::build(dep.nodes(), 40.0).unwrap();
             if topo.is_connected() {
-                return DimSystem::build(topo, dep.field(), 3).unwrap();
+                return DimSystem::build(topo, dep.field(), 3, &Substrate::default()).unwrap();
             }
             s += 1000;
         }

@@ -9,7 +9,7 @@ use pool_netsim::deployment::Deployment;
 use pool_netsim::geometry::{Point, Rect};
 use pool_netsim::node::{Node, NodeId};
 use pool_netsim::topology::Topology;
-use pool_transport::TransportKind;
+use pool_transport::{Substrate, TransportKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -112,25 +112,17 @@ fn a_clones_first_death_copies_neither_the_links_nor_the_node_records() {
     assert!(bytes <= bound, "clone + first death allocated {bytes} B (bound {bound} B)");
 }
 
-/// DIM's by-value constructors wrap the topology in an `Arc` of its own;
-/// over a clone they must allocate what the shared-snapshot constructor
-/// does, give or take that `Arc` — no copy of the arenas.
+/// DIM built from a topology by value wraps it in an `Arc` of its own;
+/// over a clone (through the benchmark's `build_with_substrate`) it must
+/// allocate what a build over the shared snapshot does, give or take that
+/// `Arc` — no copy of the arenas.
 #[test]
 fn dim_over_a_clone_allocates_what_dim_over_the_shared_snapshot_does() {
     let (topology, field) = network();
     let shared = Arc::new(topology);
     let (over_shared, system) = bytes_during(|| {
-        DimSystem::build_shared(
-            Arc::clone(&shared),
-            field,
-            3,
-            TransportKind::Cached,
-            None,
-            None,
-            None,
-            None,
-        )
-        .expect("connected")
+        let cached = Substrate { kind: TransportKind::Cached, ..Substrate::default() };
+        DimSystem::build(Arc::clone(&shared), field, 3, &cached).expect("connected")
     });
     drop(system);
     let (over_clone, system) = bytes_during(|| {

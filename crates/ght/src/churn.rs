@@ -9,16 +9,14 @@
 //! per-epoch message budget; until the handoff lands, a `get` routes to
 //! the new home and honestly misses them.
 //!
-//! This module is deliberately free of `pool-core` types: the caller (the
-//! benchmark driver) converts whatever churn plan it uses into plain
-//! `joins` / `deaths` / `moves` slices.
+//! This module is deliberately free of `pool-core` types: an epoch is the
+//! same [`EpochPlan`] Pool and DIM take, from `pool-transport`.
 
 use crate::table::GhtTable;
-use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
 use pool_transport::{
-    apply_change, Leg, Price, Repair, RepairQueue, TrafficLayer, Transport, UnknownNode,
+    apply_change, EpochPlan, Leg, Price, Repair, RepairQueue, TrafficLayer, Transport, UnknownNode,
 };
 
 /// Outcome of one GHT churn epoch (counters add across epochs via
@@ -83,10 +81,10 @@ impl<V: Clone> GhtTable<V> {
         }
     }
 
-    /// Applies one epoch of churn to the table and its network: `joins`
-    /// (new nodes at the given positions), `moves` (waypoint relocations
-    /// of live nodes), then `deaths` — one transport refresh for the whole
-    /// batch. Every surviving value whose key no longer homes at its
+    /// Applies one epoch of churn to the table and its network: `plan`'s
+    /// joins (new nodes at the given positions), moves (waypoint
+    /// relocations of live nodes), then deaths — one transport refresh for
+    /// the whole batch. Every surviving value whose key no longer homes at its
     /// holder is handed off to the new home, FIFO under `budget` radio
     /// messages (charged to [`TrafficLayer::Repair`]); the remainder waits
     /// in `queue`. A budget of 0 pauses re-homing; a handoff whose
@@ -97,22 +95,19 @@ impl<V: Clone> GhtTable<V> {
     ///
     /// # Errors
     ///
-    /// [`UnknownNode`] if `deaths` or `moves` name a node that was never
-    /// deployed; nothing is applied.
-    #[allow(clippy::too_many_arguments)]
+    /// [`UnknownNode`] if the plan's deaths or moves name a node that was
+    /// never deployed; nothing is applied.
     pub fn apply_epoch(
         &mut self,
         topology: &mut Topology,
         transport: &mut dyn Transport,
-        joins: &[Point],
-        deaths: &[NodeId],
-        moves: &[(NodeId, Point)],
+        plan: &EpochPlan,
         queue: &mut GhtRepairQueue<V>,
         budget: u64,
     ) -> Result<GhtChurnReport, UnknownNode> {
         // Joins, moves, then deaths, written in place once every id is
         // known; the transport refreshes over the rows they dirtied.
-        let change = apply_change(topology, transport, joins, moves, deaths)?;
+        let change = apply_change(topology, transport, plan)?;
         let victims = change.victims;
         let mut report = GhtChurnReport {
             failed_nodes: victims.len(),
@@ -217,6 +212,7 @@ mod tests {
     use super::*;
     use pool_gpsr::Planarization;
     use pool_netsim::deployment::Deployment;
+    use pool_netsim::geometry::Point;
     use pool_transport::TransportKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -257,9 +253,8 @@ mod tests {
             .collect();
         homes.sort_unstable_by(|a, b| b.cmp(a));
         let victims: Vec<NodeId> = homes.iter().take(10).map(|&(_, n)| n).collect();
-        let report = ght
-            .apply_epoch(&mut topo, t.as_mut(), &[], &victims, &[], &mut queue, u64::MAX)
-            .unwrap();
+        let plan = EpochPlan { deaths: victims, ..EpochPlan::empty() };
+        let report = ght.apply_epoch(&mut topo, t.as_mut(), &plan, &mut queue, u64::MAX).unwrap();
         assert_eq!(report.failed_nodes, 10);
         assert!(report.values_lost > 0, "dead homes lose their values: {report:?}");
         assert_eq!(
@@ -291,9 +286,8 @@ mod tests {
                 .filter(|&n| topo.is_alive(n) && rng.gen_bool(0.02))
                 .collect();
             let before = t.ledger().layer_total(TrafficLayer::Repair);
-            let report = ght
-                .apply_epoch(&mut topo, t.as_mut(), &[], &victims, &[], &mut queue, budget)
-                .unwrap();
+            let plan = EpochPlan { deaths: victims, ..EpochPlan::empty() };
+            let report = ght.apply_epoch(&mut topo, t.as_mut(), &plan, &mut queue, budget).unwrap();
             let after = t.ledger().layer_total(TrafficLayer::Repair);
             assert!(after - before <= budget, "epoch spent {} > {budget}", after - before);
             assert_eq!(report.repair_messages, after - before);
@@ -304,7 +298,8 @@ mod tests {
             if queue.is_empty() {
                 break;
             }
-            ght.apply_epoch(&mut topo, t.as_mut(), &[], &[], &[], &mut queue, budget).unwrap();
+            ght.apply_epoch(&mut topo, t.as_mut(), &EpochPlan::empty(), &mut queue, budget)
+                .unwrap();
         }
         assert!(queue.is_empty(), "the queue must drain when churn stops");
     }
@@ -316,11 +311,12 @@ mod tests {
         load(&mut ght, &topo, t.as_mut(), 60, 3);
         let before = ght.total_stored();
         let mut queue = GhtRepairQueue::default();
-        let joins = [Point::new(100.0, 100.0), topo.bounds().center()];
-        let moves = [(NodeId(5), Point::new(20.0, 20.0)), (NodeId(9), topo.bounds().center())];
-        let report = ght
-            .apply_epoch(&mut topo, t.as_mut(), &joins, &[], &moves, &mut queue, u64::MAX)
-            .unwrap();
+        let plan = EpochPlan {
+            joins: vec![Point::new(100.0, 100.0), topo.bounds().center()],
+            deaths: vec![],
+            moves: vec![(NodeId(5), Point::new(20.0, 20.0)), (NodeId(9), topo.bounds().center())],
+        };
+        let report = ght.apply_epoch(&mut topo, t.as_mut(), &plan, &mut queue, u64::MAX).unwrap();
         assert_eq!(report.failed_nodes, 0);
         assert_eq!(report.values_lost, 0, "nobody died: {report:?}");
         assert_eq!(
@@ -330,8 +326,9 @@ mod tests {
         );
         assert_eq!(topo.len(), 252);
         // Every key now lives at its current home: a fresh walk is a no-op.
-        let report =
-            ght.apply_epoch(&mut topo, t.as_mut(), &[], &[], &[], &mut queue, u64::MAX).unwrap();
+        let report = ght
+            .apply_epoch(&mut topo, t.as_mut(), &EpochPlan::empty(), &mut queue, u64::MAX)
+            .unwrap();
         assert_eq!(report.values_rehomed, 0, "{report:?}");
         assert_eq!(report.repair_messages, 0);
     }
@@ -373,17 +370,15 @@ mod tests {
         let stored = ght.total_stored();
         let reference = topo.clone();
         let mut queue = GhtRepairQueue::default();
-        let joins = [Point::new(10.0, 10.0)];
-        let moves = [(NodeId(3), Point::new(50.0, 50.0))];
-        let err = ght
-            .apply_epoch(&mut topo, t.as_mut(), &joins, &[NodeId(9999)], &moves, &mut queue, 50)
-            .unwrap_err();
+        let joins = vec![Point::new(10.0, 10.0)];
+        let moves = vec![(NodeId(3), Point::new(50.0, 50.0))];
+        let plan = EpochPlan { joins: joins.clone(), deaths: vec![NodeId(9999)], moves };
+        let err = ght.apply_epoch(&mut topo, t.as_mut(), &plan, &mut queue, 50).unwrap_err();
         assert_eq!(err, UnknownNode { node: NodeId(9999), nodes: 251 });
         assert!(err.to_string().contains("unknown node"), "{err}");
-        let bad_move = [(NodeId(251), Point::new(1.0, 1.0))];
-        let err = ght
-            .apply_epoch(&mut topo, t.as_mut(), &joins, &[], &bad_move, &mut queue, 50)
-            .unwrap_err();
+        let bad_move = vec![(NodeId(251), Point::new(1.0, 1.0))];
+        let plan = EpochPlan { joins, deaths: vec![], moves: bad_move };
+        let err = ght.apply_epoch(&mut topo, t.as_mut(), &plan, &mut queue, 50).unwrap_err();
         assert_eq!(err.node, NodeId(251), "a mover may not name this epoch's joiner + 1");
         // Nothing applied: no joiner, no move, no refresh, no value touched.
         assert_eq!(topo.len(), reference.len());

@@ -1,88 +1,9 @@
-//! Greedy geographic forwarding.
-//!
-//! GPSR's default greedy rule forwards to the neighbor closest to the
-//! destination, but the geographic-routing literature offers alternatives
-//! with different trade-offs; [`GreedyMetric`] implements the classic
-//! three so the routing substrate can be ablated.
+//! Greedy geographic forwarding: GPSR's rule, to the neighbor closest to
+//! the destination.
 
 use pool_netsim::geometry::Point;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
-
-/// The rule used to pick the next greedy hop among neighbors that make
-/// progress toward the destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GreedyMetric {
-    /// Minimize remaining Euclidean distance (GPSR's rule; the default).
-    #[default]
-    Distance,
-    /// Most Forward within Radius: maximize progress along the straight
-    /// line to the destination (Takagi & Kleinrock).
-    MostForward,
-    /// Compass routing: minimize the angle between the neighbor direction
-    /// and the destination direction (Kranakis et al.).
-    Compass,
-}
-
-/// Like [`greedy_next`] but with a configurable forwarding metric.
-///
-/// All metrics only consider neighbors *strictly closer* to the target
-/// than the current node, so every variant retains GPSR's loop-freedom and
-/// falls back to perimeter mode at the same local minima.
-pub fn greedy_next_by(
-    topology: &Topology,
-    at: NodeId,
-    target: Point,
-    metric: GreedyMetric,
-) -> Option<NodeId> {
-    let own_pos = topology.position(at);
-    let own = own_pos.distance_sq(target);
-    let row = topology.neighbors(at).iter().map(|&nb| (nb, topology.position(nb)));
-    // Only strict progress keeps routing loop-free.
-    let closer = row.clone().filter(|(_, pos)| pos.distance_sq(target) < own);
-    // Smaller score is better for every metric.
-    match metric {
-        // Bounded by the node's own distance, the running minimum is the
-        // progress test and the selection in one compare.
-        GreedyMetric::Distance => {
-            first_least(own, row.map(|(nb, pos)| (nb, pos.distance_sq(target))))
-        }
-        GreedyMetric::MostForward => {
-            // Progress = projection of the step onto the line to the
-            // target; maximize it, i.e. minimize its negation.
-            let to_target = target.sub(own_pos);
-            let norm = to_target.distance(Point::new(0.0, 0.0)).max(1e-12);
-            let score = |(nb, pos): (NodeId, Point)| {
-                let step = pos.sub(own_pos);
-                (nb, -(step.x * to_target.x + step.y * to_target.y) / norm)
-            };
-            first_least(f64::INFINITY, closer.map(score))
-        }
-        GreedyMetric::Compass => {
-            let bearing = own_pos.angle_to(target);
-            let score = |(nb, pos): (NodeId, Point)| {
-                let diff = (bearing - own_pos.angle_to(pos)).abs();
-                (nb, if diff > std::f64::consts::PI { std::f64::consts::TAU - diff } else { diff })
-            };
-            first_least(f64::INFINITY, closer.map(score))
-        }
-    }
-}
-
-/// The one greedy scan: the first neighbor whose score is the least one
-/// strictly below `bound`. Rows ascend by id, so "first" is the lower-id
-/// tie-break, and a new minimum is recorded O(log degree) times per step —
-/// not at every neighbor that makes progress, which is every other one.
-#[inline]
-fn first_least(bound: f64, scored: impl Iterator<Item = (NodeId, f64)>) -> Option<NodeId> {
-    let (mut least, mut best) = (bound, None);
-    for (nb, score) in scored {
-        if score < least {
-            (least, best) = (score, Some(nb));
-        }
-    }
-    best
-}
 
 /// The neighbor of `at` strictly closer to `target` than `at` itself, or
 /// `None` when `at` is a local minimum (which triggers perimeter mode).
@@ -108,7 +29,19 @@ fn first_least(bound: f64, scored: impl Iterator<Item = (NodeId, f64)>) -> Optio
 /// assert_eq!(greedy_next(&topo, NodeId(2), Point::new(10.0, 0.0)), None);
 /// ```
 pub fn greedy_next(topology: &Topology, at: NodeId, target: Point) -> Option<NodeId> {
-    greedy_next_by(topology, at, target, GreedyMetric::Distance)
+    // Bounded by the node's own distance, the running minimum is the
+    // progress test and the selection in one compare. Rows ascend by id, so
+    // keeping the first least is the lower-id tie-break, and a new minimum
+    // is recorded O(log degree) times per step — not at every neighbor that
+    // makes progress, which is every other one.
+    let (mut least, mut best) = (topology.position(at).distance_sq(target), None);
+    for &nb in topology.neighbors(at) {
+        let d = topology.position(nb).distance_sq(target);
+        if d < least {
+            (least, best) = (d, Some(nb));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -175,8 +108,6 @@ mod tests {
 #[cfg(test)]
 mod metric_tests {
     use super::*;
-    use crate::router::Gpsr;
-    use crate::Planarization;
     use pool_netsim::deployment::{Deployment, Placement};
     use pool_netsim::geometry::Rect;
     use pool_netsim::node::Node;
@@ -184,60 +115,32 @@ mod metric_tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    const METRICS: [GreedyMetric; 3] =
-        [GreedyMetric::Distance, GreedyMetric::MostForward, GreedyMetric::Compass];
-
     /// The scan the kernel replaced, kept as the oracle: test progress per
-    /// neighbor, score it under the metric, then a three-way compare that
-    /// spells out the lower-id tie-break instead of leaning on row order.
-    /// (Not an oracle for a NaN target, where it takes the first neighbor.)
-    fn reference_next_by(
-        topology: &Topology,
-        at: NodeId,
-        target: Point,
-        metric: GreedyMetric,
-    ) -> Option<NodeId> {
-        let own_pos = topology.position(at);
-        let own = own_pos.distance_sq(target);
+    /// neighbor, then a three-way compare on distance that spells out the
+    /// lower-id tie-break instead of leaning on row order. (Not an oracle
+    /// for a NaN target, where it takes the first neighbor.)
+    fn reference_next(topology: &Topology, at: NodeId, target: Point) -> Option<NodeId> {
+        let own = topology.position(at).distance_sq(target);
         let mut best: Option<(f64, NodeId)> = None;
         for &nb in topology.neighbors(at) {
-            let nb_pos = topology.position(nb);
-            let d = nb_pos.distance_sq(target);
+            let d = topology.position(nb).distance_sq(target);
             if d >= own {
                 continue; // only strict progress keeps routing loop-free
             }
-            let score = match metric {
-                GreedyMetric::Distance => d,
-                GreedyMetric::MostForward => {
-                    let to_target = target.sub(own_pos);
-                    let step = nb_pos.sub(own_pos);
-                    let norm = to_target.distance(Point::new(0.0, 0.0));
-                    -(step.x * to_target.x + step.y * to_target.y) / norm.max(1e-12)
-                }
-                GreedyMetric::Compass => {
-                    let a1 = own_pos.angle_to(target);
-                    let a2 = own_pos.angle_to(nb_pos);
-                    let mut diff = (a1 - a2).abs();
-                    if diff > std::f64::consts::PI {
-                        diff = std::f64::consts::TAU - diff;
-                    }
-                    diff
-                }
-            };
             let better = match best {
                 None => true,
-                Some((bs, bid)) => score < bs || (score == bs && nb < bid),
+                Some((bd, bid)) => d < bd || (d == bd && nb < bid),
             };
             if better {
-                best = Some((score, nb));
+                best = Some((d, nb));
             }
         }
         best.map(|(_, id)| id)
     }
 
-    /// Kernel and oracle agree at every live node, for every metric, on
-    /// targets chosen to tie: each node's own position, the midpoint of
-    /// each node and its first neighbor, and `extra`.
+    /// Kernel and oracle agree at every live node on targets chosen to
+    /// tie: each node's own position, the midpoint of each node and its
+    /// first neighbor, and `extra`.
     fn assert_kernel_matches_reference(topo: &Topology, extra: &[Point]) {
         let mut targets = extra.to_vec();
         for node in topo.nodes() {
@@ -248,18 +151,15 @@ mod metric_tests {
         }
         for &target in &targets {
             for node in topo.nodes() {
-                for metric in METRICS {
-                    assert_eq!(
-                        greedy_next_by(topo, node.id, target, metric),
-                        reference_next_by(topo, node.id, target, metric),
-                        "{metric:?} at {} toward {target}",
-                        node.id
-                    );
-                }
+                assert_eq!(
+                    greedy_next(topo, node.id, target),
+                    reference_next(topo, node.id, target),
+                    "at {} toward {target}",
+                    node.id
+                );
             }
         }
     }
-
     /// A point likely to tie: on another node, on a 10 m lattice, or
     /// anywhere in (and a little around) the field.
     fn tie_prone_point(rng: &mut StdRng, taken: &[Point]) -> Point {
@@ -320,80 +220,16 @@ mod metric_tests {
         }
     }
 
-    #[test]
-    fn distance_metric_matches_greedy_next() {
-        let topo = connected(80, 5);
-        let target = Point::new(90.0, 90.0);
-        for node in topo.nodes() {
-            assert_eq!(
-                greedy_next_by(&topo, node.id, target, GreedyMetric::Distance),
-                greedy_next(&topo, node.id, target)
-            );
-        }
-    }
-
-    /// A NaN target is closer to nobody: every metric reports a local
+    /// A NaN target is closer to nobody: every node reports a local
     /// minimum (the router then tours the face and delivers or fails typed)
     /// rather than hopping neighbor to neighbor until the hop budget.
     #[test]
-    fn nan_target_is_a_local_minimum_under_every_metric() {
+    fn nan_target_is_a_local_minimum() {
         let topo = connected(80, 5);
         for target in [Point::new(f64::NAN, f64::NAN), Point::new(50.0, f64::NAN)] {
             for node in topo.nodes() {
                 assert_eq!(greedy_next(&topo, node.id, target), None);
-                for metric in METRICS {
-                    assert_eq!(greedy_next_by(&topo, node.id, target, metric), None, "{metric:?}");
-                }
             }
         }
-    }
-
-    #[test]
-    fn all_metrics_only_make_strict_progress() {
-        let topo = connected(80, 6);
-        let target = Point::new(10.0, 80.0);
-        for metric in METRICS {
-            for node in topo.nodes() {
-                if let Some(next) = greedy_next_by(&topo, node.id, target, metric) {
-                    assert!(
-                        topo.position(next).distance_sq(target)
-                            < topo.position(node.id).distance_sq(target),
-                        "{metric:?} failed to make progress at {}",
-                        node.id
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn every_metric_delivers_end_to_end() {
-        let topo = connected(90, 7);
-        for metric in METRICS {
-            let gpsr = Gpsr::new(&topo, Planarization::Gabriel).with_metric(metric);
-            for dst in topo.nodes().iter().step_by(9) {
-                let route = gpsr.route_to_node(&topo, NodeId(0), dst.id);
-                assert!(route.is_ok(), "{metric:?} failed to reach {}: {route:?}", dst.id);
-            }
-        }
-    }
-
-    #[test]
-    fn metrics_can_choose_different_neighbors() {
-        // On random dense graphs the three rules usually agree near the
-        // target but diverge somewhere; just assert they are all valid and
-        // at least one divergence exists across the network.
-        let topo = connected(120, 8);
-        let target = Point::new(95.0, 5.0);
-        let mut diverged = false;
-        for node in topo.nodes() {
-            let d = greedy_next_by(&topo, node.id, target, GreedyMetric::Distance);
-            let m = greedy_next_by(&topo, node.id, target, GreedyMetric::MostForward);
-            let c = greedy_next_by(&topo, node.id, target, GreedyMetric::Compass);
-            if d != m || d != c {
-                diverged = true;
-            }
-        }
-        assert!(diverged, "expected at least one divergence between metrics");
     }
 }

@@ -42,6 +42,5 @@ pub mod planar;
 pub mod router;
 pub mod shortest;
 
-pub use greedy::GreedyMetric;
 pub use planar::{PlanarGraph, Planarization};
 pub use router::{Gpsr, Route, RouteError};

@@ -6,7 +6,7 @@
 //! intersection point, first face edge), and the planarized neighbor subset.
 //! The full path is returned so callers can charge per-hop message costs.
 
-use crate::greedy::{greedy_next_by, GreedyMetric};
+use crate::greedy::greedy_next;
 use crate::perimeter::right_hand_next;
 use crate::planar::{PlanarGraph, Planarization};
 use pool_netsim::geometry::{line_intersection, segments_cross, Point, COINCIDENT_SQ};
@@ -116,32 +116,19 @@ struct PerimeterState {
 #[derive(Debug, Clone)]
 pub struct Gpsr {
     planar: PlanarGraph,
-    metric: GreedyMetric,
 }
 
 impl Gpsr {
-    /// Builds a router for `topology` using the given planarization and
-    /// GPSR's default distance-greedy metric.
+    /// Builds a router for `topology` using the given planarization.
     pub fn new(topology: &Topology, method: Planarization) -> Self {
-        Gpsr { planar: PlanarGraph::build(topology, method), metric: GreedyMetric::Distance }
+        Gpsr { planar: PlanarGraph::build(topology, method) }
     }
 
     /// Brings the router up to date with a changed `topology` by
     /// re-planarizing only the `dirty` rows ([`PlanarGraph::refresh`]
-    /// states what `dirty` must cover). The greedy metric is kept.
+    /// states what `dirty` must cover).
     pub fn refresh(&mut self, topology: &Topology, dirty: &[NodeId]) {
         self.planar.refresh(topology, dirty);
-    }
-
-    /// Switches the greedy forwarding rule (routing-substrate ablation).
-    pub fn with_metric(mut self, metric: GreedyMetric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// The greedy forwarding rule in use.
-    pub fn metric(&self) -> GreedyMetric {
-        self.metric
     }
 
     /// The planar graph used by perimeter mode.
@@ -232,7 +219,7 @@ impl Gpsr {
                             return Ok(Route { path, delivered, greedy_hops, perimeter_hops });
                         }
                     }
-                    if let Some(next) = greedy_next_by(topology, at, target, self.metric) {
+                    if let Some(next) = greedy_next(topology, at, target) {
                         at = next;
                         path.push(at);
                         greedy_hops += 1;
@@ -324,20 +311,16 @@ impl Gpsr {
 
     /// Whether [`Gpsr::route_to_node`] answers `from → to` by construction,
     /// as [`Route::single_hop`], without scanning: `to` is a radio
-    /// neighbour of `from`, the metric is distance, and the topology has no
-    /// coincident nodes ([`Topology::has_coincident_nodes`]).
+    /// neighbour of `from` and the topology has no coincident nodes
+    /// ([`Topology::has_coincident_nodes`]).
     ///
     /// That answer is the scan's. `from` is no closer than the tolerance to
     /// `to`, so the packet does not arrive at `from`; `to` scores distance 0,
     /// which no other neighbour of `from` can tie or beat without standing
     /// on `to`'s position (a coincident pair), so the strict-minimum greedy
-    /// step picks `to`, and the packet arrives there. The other metrics
-    /// weigh neighbours by bearing or progress, not by distance, so a
-    /// neighbour destination can lose to another neighbour under them.
+    /// step picks `to`, and the packet arrives there.
     pub fn routes_directly(&self, topology: &Topology, from: NodeId, to: NodeId) -> bool {
-        self.metric == GreedyMetric::Distance
-            && !topology.has_coincident_nodes()
-            && topology.are_neighbors(from, to)
+        !topology.has_coincident_nodes() && topology.are_neighbors(from, to)
     }
 
     /// Routes to a specific node's position and verifies delivery.
@@ -419,7 +402,7 @@ impl Gpsr {
         }
         let mut reduced = topology.clone();
         reduced.fail_nodes(&dead);
-        let detour = Gpsr::new(&reduced, self.planar.method()).with_metric(self.metric);
+        let detour = Gpsr::new(&reduced, self.planar.method());
         detour.route_to_node(&reduced, from, to)
     }
 

@@ -68,7 +68,7 @@ impl Point {
 
     /// Vector difference `self - other`.
     #[allow(clippy::should_implement_trait)]
-    pub fn sub(self, other: Point) -> Point {
+    pub(crate) fn sub(self, other: Point) -> Point {
         Point::new(self.x - other.x, self.y - other.y)
     }
 

@@ -16,8 +16,7 @@ use pool_core::PoolError;
 use pool_dim::{DimSystem, ZoneTree};
 use pool_netsim::geometry::Rect;
 use pool_netsim::topology::Topology;
-use pool_transport::{FaultPlan, LossyConfig, OpRetryPolicy, RecoveryConfig, TransportKind};
-use std::sync::Arc;
+use pool_transport::Substrate;
 
 /// The immutable router half of a sharded DIM deployment.
 #[derive(Debug)]
@@ -39,10 +38,10 @@ pub struct DimShard {
 }
 
 impl DimBackend {
-    /// Builds the router and its shards over one shared topology, with
-    /// the same resilience knobs as
-    /// [`DimSystem::build_with_resilience`]. `shards` is clamped to at
-    /// least 1 and at most the zone count.
+    /// Builds the router and its shards over one shared topology, each
+    /// shard reaching the radio through `substrate`, as
+    /// [`DimSystem::build`] does. `shards` is clamped to at least 1 and at
+    /// most the zone count.
     ///
     /// One system is built; every shard starts as a clone of it, which
     /// behaves exactly as a second build would, so the topology is
@@ -53,28 +52,14 @@ impl DimBackend {
     /// # Errors
     ///
     /// Same conditions as [`DimSystem::build`].
-    #[allow(clippy::too_many_arguments)]
     pub fn build(
         topology: Topology,
         field: Rect,
         dims: usize,
-        kind: TransportKind,
-        lossy: Option<LossyConfig>,
-        faults: Option<FaultPlan>,
-        recovery: Option<RecoveryConfig>,
-        op_retry: Option<OpRetryPolicy>,
+        substrate: &Substrate,
         shards: usize,
     ) -> Result<(Self, Vec<DimShard>), PoolError> {
-        let system = DimSystem::build_shared(
-            Arc::new(topology),
-            field,
-            dims,
-            kind,
-            lossy,
-            faults,
-            recovery,
-            op_retry,
-        )?;
+        let system = DimSystem::build(topology, field, dims, substrate)?;
         let tree = system.tree().clone();
         let zone_count = tree.zones().len();
         let shards = shards.clamp(1, zone_count.max(1));

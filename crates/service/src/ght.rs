@@ -9,11 +9,8 @@
 use crate::backend::ServiceBackend;
 use crate::request::{Request, ShardResponse};
 use pool_ght::GhtTable;
-use pool_gpsr::Planarization;
 use pool_netsim::topology::Topology;
-use pool_transport::{
-    FaultPlan, LossyConfig, OpRetryPolicy, RecoveryConfig, Transport, TransportKind,
-};
+use pool_transport::{OpRetryPolicy, Substrate, Transport};
 use std::sync::Arc;
 
 /// FNV-1a over the key bytes — a stable, dependency-free shard hash.
@@ -44,28 +41,23 @@ pub struct GhtShard {
 }
 
 impl GhtBackend {
-    /// Builds the router and its shards over one shared topology, with
-    /// the same transport stack Pool and DIM ride (fault plan evaluated
-    /// against each shard's clock, optional adaptive recovery and
-    /// operation retry).
+    /// Builds the router and its shards over one shared topology, each
+    /// shard reaching the radio through `substrate`'s stack (stand-in seed
+    /// 0), as Pool and DIM do: the fault plan is evaluated against each
+    /// shard's clock, and [`Substrate::op_retry`] retries puts and gets.
     ///
     /// One stack and one empty table are built; every shard starts with
     /// clones of them, which behave exactly as second builds would, so the
     /// topology is planarised once per handle.
-    #[allow(clippy::too_many_arguments)]
     pub fn build(
         topology: Topology,
-        kind: TransportKind,
-        lossy: Option<LossyConfig>,
-        faults: Option<FaultPlan>,
-        recovery: Option<RecoveryConfig>,
-        retry: Option<OpRetryPolicy>,
+        substrate: &Substrate,
         shards: usize,
     ) -> (Self, Vec<GhtShard>) {
         let topology = Arc::new(topology);
         let shards = shards.max(1);
-        let transport =
-            kind.build_stack(&topology, Planarization::Gabriel, lossy, faults, recovery, 0);
+        let transport = substrate.stack(&topology, 0);
+        let retry = substrate.op_retry;
         let shard = GhtShard { table: GhtTable::new(&topology), transport, retry };
         (GhtBackend { topology, shards }, vec![shard; shards])
     }

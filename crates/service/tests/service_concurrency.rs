@@ -29,7 +29,7 @@ use pool_service::{
     AdmissionConfig, DimBackend, GhtBackend, PoolBackend, Request, Response, ScheduledRequest,
     ServiceBackend, ServiceHandle,
 };
-use pool_transport::TransportKind;
+use pool_transport::Substrate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -152,7 +152,7 @@ fn shard_partitioned_threads_match_the_serial_reference() {
 #[test]
 fn ledger_conservation_holds_under_unpartitioned_contention() {
     let (topo, _field) = topology(733);
-    let (backend, shards) = GhtBackend::build(topo, TransportKind::Gpsr, None, None, None, None, 4);
+    let (backend, shards) = GhtBackend::build(topo, &Substrate::default(), 4);
     let service = ServiceHandle::new(backend, shards);
 
     let before = service.total_messages();
@@ -292,8 +292,7 @@ fn serve_outcomes_are_jobs_invariant() {
     fn run(jobs: usize) -> pool_service::ServeOutcome {
         let (topo, field) = topology(1601);
         let (backend, shards) =
-            DimBackend::build(topo, field, DIMS, TransportKind::Gpsr, None, None, None, None, 4)
-                .expect("dim backend");
+            DimBackend::build(topo, field, DIMS, &Substrate::default(), 4).expect("dim backend");
         let service = ServiceHandle::new(backend, shards);
 
         let mut rng = StdRng::seed_from_u64(0x1D1D);
@@ -317,7 +316,7 @@ fn serve_outcomes_are_jobs_invariant() {
 #[test]
 fn duplicate_gets_coalesce_and_answer_everyone() {
     let (topo, _field) = topology(1999);
-    let (backend, shards) = GhtBackend::build(topo, TransportKind::Gpsr, None, None, None, None, 4);
+    let (backend, shards) = GhtBackend::build(topo, &Substrate::default(), 4);
     let service = ServiceHandle::new(backend, shards);
 
     let put = Request::Put { source: NodeId(3), key: "hot".into(), value: 41 };

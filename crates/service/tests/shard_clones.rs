@@ -10,20 +10,19 @@
 //! delivery statistics must be identical.
 
 use pool_core::config::PoolConfig;
-use pool_core::dynamics::{ChurnConfig, ChurnPlanner, EpochPlan, RepairQueue};
+use pool_core::dynamics::{ChurnConfig, ChurnPlanner, RepairQueue};
 use pool_core::event::Event;
 use pool_core::query::RangeQuery;
 use pool_core::system::PoolSystem;
 use pool_dim::{DimRepairQueue, DimSystem};
 use pool_ght::{GhtRepairQueue, GhtTable};
-use pool_gpsr::Planarization;
 use pool_netsim::deployment::Deployment;
 use pool_netsim::geometry::Rect;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
 use pool_transport::{
-    DeliveryStats, Fault, FaultPlan, GilbertElliott, LossyConfig, OpRetryPolicy, RecoveryConfig,
-    TrafficLedger, Transport, TransportKind, VirtualClock,
+    DeliveryStats, EpochPlan, Fault, FaultPlan, GilbertElliott, LossyConfig, OpRetryPolicy,
+    RecoveryConfig, Substrate, TrafficLedger, Transport, TransportKind, VirtualClock,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,6 +48,18 @@ fn fault_plan() -> FaultPlan {
         from: 0.2,
         until: f64::INFINITY,
     })
+}
+
+/// The route cache over a lossy radio (loss seed `seed`) under
+/// [`fault_plan`], with adaptive recovery and detouring operation retry.
+fn substrate(seed: u64) -> Substrate {
+    Substrate {
+        kind: TransportKind::Cached,
+        lossy: Some(LossyConfig::fixed(0.9, seed)),
+        faults: Some(fault_plan()),
+        recovery: Some(RecoveryConfig::default()),
+        op_retry: Some(OpRetryPolicy::detouring(2)),
+    }
 }
 
 fn churn_plan(topology: &Topology, field: Rect) -> EpochPlan {
@@ -123,15 +134,11 @@ fn a_pool_clone_behaves_like_a_fresh_build() {
     let (topology, field) = network(11);
     let plan = churn_plan(&topology, field);
     let topology = Arc::new(topology);
-    let config = PoolConfig::paper()
-        .with_dims(DIMS)
-        .with_seed(11)
-        .with_transport(TransportKind::Cached)
-        .with_lossy(LossyConfig::fixed(0.9, 1111))
-        .with_faults(fault_plan())
-        .with_recovery(RecoveryConfig::default())
-        .with_op_retry(OpRetryPolicy::detouring(2));
-    let build = || PoolSystem::build_shared(Arc::clone(&topology), field, config.clone());
+    let config = PoolConfig {
+        substrate: substrate(1111),
+        ..PoolConfig::paper().with_dims(DIMS).with_seed(11)
+    };
+    let build = || PoolSystem::build(Arc::clone(&topology), field, config.clone());
     let script = |system: &mut PoolSystem| {
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let mut outcomes = Vec::new();
@@ -164,18 +171,7 @@ fn a_dim_clone_behaves_like_a_fresh_build() {
     let (topology, field) = network(21);
     let plan = churn_plan(&topology, field);
     let topology = Arc::new(topology);
-    let build = || {
-        DimSystem::build_shared(
-            Arc::clone(&topology),
-            field,
-            DIMS,
-            TransportKind::Cached,
-            Some(LossyConfig::fixed(0.9, 2121)),
-            Some(fault_plan()),
-            Some(RecoveryConfig::default()),
-            Some(OpRetryPolicy::detouring(2)),
-        )
-    };
+    let build = || DimSystem::build(Arc::clone(&topology), field, DIMS, &substrate(2121));
     let script = |system: &mut DimSystem| {
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let mut outcomes = Vec::new();
@@ -203,7 +199,7 @@ fn a_dim_clone_behaves_like_a_fresh_build() {
     assert_clone_is_a_fresh_build(original, fresh, script, "dim");
 }
 
-/// GHT owns no transport: the shard is a table and a `build_stack`
+/// GHT owns no transport: the shard is a table and a [`Substrate::stack`]
 /// transport, and the run needs its own copy of the topology to churn.
 #[derive(Clone)]
 struct GhtRun {
@@ -219,16 +215,9 @@ fn a_ght_stack_clone_behaves_like_a_fresh_build() {
     let build = || GhtRun {
         topology: topology.clone(),
         table: GhtTable::new(&topology),
-        transport: TransportKind::Cached.build_stack(
-            &topology,
-            Planarization::Gabriel,
-            Some(LossyConfig::fixed(0.9, 3131)),
-            Some(fault_plan()),
-            Some(RecoveryConfig::default()),
-            0,
-        ),
+        transport: substrate(3131).stack(&topology, 0),
     };
-    let retry = Some(OpRetryPolicy::detouring(2));
+    let retry = substrate(3131).op_retry;
     let script = |run: &mut GhtRun| {
         let GhtRun { topology, table, transport } = run;
         let mut rng = StdRng::seed_from_u64(0x5EED);
@@ -248,9 +237,7 @@ fn a_ght_stack_clone_behaves_like_a_fresh_build() {
                 let report = table.apply_epoch(
                     topology,
                     transport.as_mut(),
-                    &plan.joins,
-                    &plan.deaths,
-                    &plan.moves,
+                    &plan,
                     &mut GhtRepairQueue::default(),
                     500,
                 );

@@ -55,9 +55,42 @@ pub struct NetworkChange {
     pub partitioned: bool,
 }
 
-/// Applies `joins` (dense new ids), then `moves` (of live nodes; a dead
-/// mover is skipped), then `deaths` to `topology` in place, compacts it
-/// once, and refreshes `transport` over exactly the rows that changed.
+/// One epoch's worth of scripted churn, referencing the topology it was
+/// planned against: `deaths` and `moves` name pre-epoch nodes; `joins` are
+/// field positions for new nodes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EpochPlan {
+    /// Deployment positions for the nodes joining this epoch.
+    pub joins: Vec<Point>,
+    /// Nodes dying this epoch (scripted and energy-driven).
+    pub deaths: Vec<NodeId>,
+    /// Waypoint moves: `(node, destination)`.
+    pub moves: Vec<(NodeId, Point)>,
+}
+
+impl EpochPlan {
+    /// A plan that changes nothing (repair-only epoch: the queue still
+    /// drains under the budget).
+    pub fn empty() -> Self {
+        EpochPlan { joins: Vec::new(), deaths: Vec::new(), moves: Vec::new() }
+    }
+
+    /// The failure burst `dead` as a deaths-only plan, or `None` when it
+    /// would kill nobody (an empty list, or only deployed nodes already
+    /// dead): a double kill must touch neither the network nor the
+    /// transport. An id that was never deployed still makes a plan, which
+    /// [`apply_change`] refuses as [`UnknownNode`].
+    pub fn deaths_only(topology: &Topology, dead: &[NodeId]) -> Option<EpochPlan> {
+        let corpse = |d: &NodeId| d.index() < topology.len() && !topology.is_alive(*d);
+        (!dead.iter().all(corpse))
+            .then(|| EpochPlan { deaths: dead.to_vec(), ..EpochPlan::empty() })
+    }
+}
+
+/// Applies `plan` to `topology` in place — its joins (dense new ids), then
+/// its moves (of live nodes; a dead mover is skipped), then its deaths —
+/// compacts it once, and refreshes `transport` over exactly the rows that
+/// changed.
 ///
 /// The refresh always happens — an empty batch still bumps the generation,
 /// empties the memo and resets adaptive link state, as one rebuild per epoch
@@ -71,27 +104,25 @@ pub struct NetworkChange {
 pub fn apply_change(
     topology: &mut Topology,
     transport: &mut dyn Transport,
-    joins: &[Point],
-    moves: &[(NodeId, Point)],
-    deaths: &[NodeId],
+    plan: &EpochPlan,
 ) -> Result<NetworkChange, UnknownNode> {
-    let nodes = topology.len() + joins.len();
-    let mut named = moves.iter().map(|&(id, _)| id).chain(deaths.iter().copied());
+    let nodes = topology.len() + plan.joins.len();
+    let mut named = plan.moves.iter().map(|&(id, _)| id).chain(plan.deaths.iter().copied());
     if let Some(node) = named.find(|id| id.index() >= nodes) {
         return Err(UnknownNode { node, nodes });
     }
-    for &at in joins {
+    for &at in &plan.joins {
         topology.add_node(at);
     }
     let mut displaced = Vec::new();
-    for &(id, to) in moves {
+    for &(id, to) in &plan.moves {
         if topology.is_alive(id) {
             topology.move_node(id, to);
             displaced.push(id);
         }
     }
     let mut victims: Vec<NodeId> =
-        deaths.iter().copied().filter(|&d| topology.is_alive(d)).collect();
+        plan.deaths.iter().copied().filter(|&d| topology.is_alive(d)).collect();
     victims.sort_unstable();
     victims.dedup();
     topology.fail_nodes(&victims);
@@ -242,12 +273,10 @@ mod tests {
         Topology::build(deployment.nodes(), 40.0).expect("topology")
     }
 
-    type Batch = (Vec<Point>, Vec<(NodeId, Point)>, Vec<NodeId>);
-
     /// One epoch's batch against the current `topology`: 2 joins, 3 moves,
     /// 2 deaths, anywhere in the field (dead movers and corpses included —
     /// `apply_change` must skip them).
-    fn batch(topology: &Topology, rng: &mut StdRng) -> Batch {
+    fn batch(topology: &Topology, rng: &mut StdRng) -> EpochPlan {
         let side = topology.bounds().max.x;
         let mut at = || Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
         let joins: Vec<Point> = (0..2).map(|_| at()).collect();
@@ -255,7 +284,7 @@ mod tests {
         let mut id = || NodeId(rng.gen_range(0..topology.len() as u32));
         let moves = moves.into_iter().map(|to| (id(), to)).collect();
         let deaths = (0..2).map(|_| id()).collect();
-        (joins, moves, deaths)
+        EpochPlan { joins, deaths, moves }
     }
 
     /// 200 random endpoint pairs (dead nodes and joiners included) route to
@@ -307,14 +336,10 @@ mod tests {
             let mut gpsr = GpsrTransport::new(&topology, method);
             let mut cached = CachedTransport::new(&topology, method);
             for epoch in 1..=4u64 {
-                let (joins, moves, deaths) = batch(&topology, &mut rng);
+                let plan = batch(&topology, &mut rng);
                 let mut mirror = topology.clone();
-                let change =
-                    apply_change(&mut topology, &mut gpsr, &joins, &moves, &deaths).unwrap();
-                assert_eq!(
-                    apply_change(&mut mirror, &mut cached, &joins, &moves, &deaths).unwrap(),
-                    change
-                );
+                let change = apply_change(&mut topology, &mut gpsr, &plan).unwrap();
+                assert_eq!(apply_change(&mut mirror, &mut cached, &plan).unwrap(), change);
                 assert_eq!(topology.patched_rows(), 0);
                 assert!(
                     !change.dirty.is_empty() && change.dirty.len() < topology.len() / 2,
@@ -375,8 +400,8 @@ mod tests {
                 }
                 assert!(faulty.adaptive().expect("adaptive wrapper").is_suspect(PAUSED));
             }
-            let (joins, moves, deaths) = batch(&topology, &mut rng);
-            apply_change(&mut topology, &mut faulty, &joins, &moves, &deaths).unwrap();
+            let plan = batch(&topology, &mut rng);
+            apply_change(&mut topology, &mut faulty, &plan).unwrap();
             assert_eq!(faulty.generation(), epoch);
             assert_eq!(faulty.adaptive().expect("adaptive wrapper").suspects().count(), 0);
             assert_routes_like_fresh(
@@ -408,23 +433,25 @@ mod tests {
     fn unknown_ids_are_refused_before_anything_is_written() {
         let mut topology = deployed(65);
         let mut transport = GpsrTransport::new(&topology, Planarization::Gabriel);
-        let joins = [Point::new(5.0, 5.0)];
-        let moves = [(NodeId(0), Point::new(9.0, 9.0)), (NodeId(900), Point::new(1.0, 1.0))];
-        let err = apply_change(&mut topology, &mut transport, &joins, &moves, &[NodeId(999)]);
+        let joins = vec![Point::new(5.0, 5.0)];
+        let moves = vec![(NodeId(0), Point::new(9.0, 9.0)), (NodeId(900), Point::new(1.0, 1.0))];
+        let plan = EpochPlan { joins: joins.clone(), deaths: vec![NodeId(999)], moves };
+        let err = apply_change(&mut topology, &mut transport, &plan);
         assert_eq!(
             err,
             Err(UnknownNode { node: NodeId(900), nodes: NODES + 1 }),
             "moves come first"
         );
-        let err = apply_change(&mut topology, &mut transport, &[], &[], &[NodeId(3), NodeId(500)]);
+        let plan = EpochPlan { deaths: vec![NodeId(3), NodeId(500)], ..EpochPlan::empty() };
+        let err = apply_change(&mut topology, &mut transport, &plan);
         assert_eq!(err, Err(UnknownNode { node: NodeId(500), nodes: NODES }));
         assert_eq!(topology.len(), NODES);
         assert_eq!(topology.alive_count(), NODES);
         assert_eq!(topology.patched_rows(), 0);
         assert_eq!(transport.generation(), 0);
         // A joiner's id is known to the same batch's moves and deaths.
-        let change =
-            apply_change(&mut topology, &mut transport, &joins, &[], &[NodeId(500)]).unwrap();
+        let plan = EpochPlan { joins, deaths: vec![NodeId(500)], moves: vec![] };
+        let change = apply_change(&mut topology, &mut transport, &plan).unwrap();
         assert_eq!(change.victims, vec![NodeId(500)]);
     }
 

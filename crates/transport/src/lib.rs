@@ -23,6 +23,9 @@
 //!   much less recomputation on repeated-query workloads.
 //! * [`TransportKind`] — the configuration-level selector that builds
 //!   either implementation behind `Box<dyn Transport>`.
+//! * [`Substrate`] — how a storage scheme reaches the radio: a
+//!   [`TransportKind`] plus the link-layer options stacked over it. Every
+//!   scheme's transport is built by [`Substrate::stack`].
 //!
 //! # Examples
 //!
@@ -61,7 +64,7 @@ pub mod retry;
 pub mod trace;
 
 pub use cached::CachedTransport;
-pub use change::{apply_change, NetworkChange, Price, Repair, RepairQueue, UnknownNode};
+pub use change::{apply_change, EpochPlan, NetworkChange, Price, Repair, RepairQueue, UnknownNode};
 pub use clock::{clean_hops, Hop, LatencyModel, VirtualClock};
 pub use faults::{Fault, FaultPlan, FaultyTransport, GilbertElliott};
 pub use gpsr::GpsrTransport;
@@ -356,28 +359,59 @@ impl TransportKind {
             TransportKind::Cached => Box::new(CachedTransport::new(topology, planarization)),
         }
     }
+}
 
-    /// Builds the selected transport and stacks the link layer the
-    /// resilience options call for — the one rule Pool, DIM and GHT share:
-    /// a fault plan or adaptive recovery puts the fault engine on top (over
-    /// a perfect-link stand-in seeded with `stand_in_seed` when no loss
-    /// model is configured, so the plan alone can be exercised); a loss
-    /// model alone puts the lossy engine on top; neither leaves the bare
-    /// substrate.
-    pub fn build_stack(
-        self,
-        topology: &Topology,
-        planarization: Planarization,
-        lossy: Option<LossyConfig>,
-        faults: Option<FaultPlan>,
-        recovery: Option<RecoveryConfig>,
-        stand_in_seed: u64,
-    ) -> Box<dyn Transport> {
-        let substrate = self.build(topology, planarization);
-        if faults.is_some() || recovery.is_some() {
-            let lossy = lossy.unwrap_or_else(|| LossyConfig::fixed(1.0, stand_in_seed));
-            Box::new(FaultyTransport::build(substrate, lossy, faults.unwrap_or_default(), recovery))
-        } else if let Some(lossy) = lossy {
+/// How a storage scheme reaches the radio: the routing substrate and the
+/// link layer stacked over it. Pool (`PoolConfig::substrate`), DIM, GHT
+/// and the service backends each take one, so every scheme in a comparison
+/// can ride the identical radio.
+///
+/// Every field defaults to the paper's radio: plain GPSR, no loss, no
+/// faults, no recovery, no operation retry.
+///
+/// A few one-line shims still spell these options loose, because the
+/// benchmark package calls them; each is marked for the next change to the
+/// benchmark: `PoolSystem::build_shared`, `DimSystem::build_with_substrate`
+/// and `PoolConfig::{with_transport, with_lossy, with_faults,
+/// with_recovery, with_op_retry}`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Substrate {
+    /// Routing substrate implementation: plain GPSR, or the memoizing
+    /// route cache (identical message counts either way).
+    pub kind: TransportKind,
+    /// Optional lossy link layer: every hop can be dropped and retried
+    /// (bounded ARQ). `None` keeps the paper's loss-free radio.
+    pub lossy: Option<LossyConfig>,
+    /// Optional structured fault injection (crashes, pauses, partitions,
+    /// burst loss, asymmetric links) against virtual time.
+    pub faults: Option<FaultPlan>,
+    /// Optional adaptive recovery: EWMA link estimation, backoff priced on
+    /// the virtual clock, and a passive failure detector feeding detours
+    /// and targeted route eviction.
+    pub recovery: Option<RecoveryConfig>,
+    /// Optional bounded idempotent retry of failed operation legs. The
+    /// stack does not read it; the scheme applies it leg by leg.
+    pub op_retry: Option<OpRetryPolicy>,
+}
+
+impl Substrate {
+    /// Builds the transport stack over `topology`: the [`TransportKind`]
+    /// over the Gabriel planarization, with the link layer the options
+    /// call for on top. A fault plan or adaptive recovery puts the fault
+    /// engine on top; with no loss model it runs over a perfect-link
+    /// stand-in, [`LossyConfig::fixed`]`(1.0, stand_in_seed)`, so the plan
+    /// alone can be exercised. A loss model alone puts the lossy engine on
+    /// top. Neither leaves the bare substrate.
+    ///
+    /// The stand-in seed seeds the burst-loss channel, so it is part of a
+    /// scheme's identity: Pool passes its pivot seed, DIM and GHT pass 0.
+    pub fn stack(&self, topology: &Topology, stand_in_seed: u64) -> Box<dyn Transport> {
+        let substrate = self.kind.build(topology, Planarization::Gabriel);
+        if self.faults.is_some() || self.recovery.is_some() {
+            let lossy = self.lossy.unwrap_or_else(|| LossyConfig::fixed(1.0, stand_in_seed));
+            let plan = self.faults.clone().unwrap_or_default();
+            Box::new(FaultyTransport::build(substrate, lossy, plan, self.recovery))
+        } else if let Some(lossy) = self.lossy {
             Box::new(LossyTransport::wrap(substrate, lossy))
         } else {
             substrate
@@ -411,32 +445,65 @@ mod tests {
     use super::*;
     use pool_netsim::deployment::Deployment;
 
-    /// Every stack `build_stack` makes clones through the object-safe
-    /// [`TransportClone`], into a transport of the same kind whose traffic
-    /// the original never sees.
+    fn deployed() -> Topology {
+        let deployment = Deployment::paper_setting(200, 40.0, 20.0, 3).expect("deployment");
+        Topology::build(deployment.nodes(), 40.0).expect("topology")
+    }
+
+    /// Every stack [`Substrate::stack`] makes clones through the
+    /// object-safe [`TransportClone`], into a transport of the same kind
+    /// whose traffic the original never sees.
     #[test]
     fn a_boxed_clone_is_an_independent_transport() {
-        let deployment = Deployment::paper_setting(200, 40.0, 20.0, 3).expect("deployment");
-        let topology = Topology::build(deployment.nodes(), 40.0).expect("topology");
+        let topology = deployed();
         let (from, to) = (topology.nodes()[0].id, topology.nodes()[150].id);
         let lossy = Some(LossyConfig::fixed(0.8, 7));
-        let stacks = [
-            (TransportKind::Gpsr, None, None),
-            (TransportKind::Cached, None, None),
-            (TransportKind::Cached, lossy, None),
-            (TransportKind::Gpsr, lossy, Some(RecoveryConfig::default())),
+        let substrates = [
+            Substrate::default(),
+            Substrate { kind: TransportKind::Cached, ..Substrate::default() },
+            Substrate { kind: TransportKind::Cached, lossy, ..Substrate::default() },
+            Substrate { lossy, recovery: Some(RecoveryConfig::default()), ..Substrate::default() },
         ];
-        for (kind, lossy, recovery) in stacks {
-            let original =
-                kind.build_stack(&topology, Planarization::Gabriel, lossy, None, recovery, 0);
+        for substrate in substrates {
+            let original = substrate.stack(&topology, 0);
             let mut copy = TransportClone::clone_box(original.as_ref());
             assert_eq!(copy.kind(), original.kind());
             let route = copy.route_to_node(&topology, from, to).expect("connected");
             copy.deliver(&topology, &route.path, TrafficLayer::Forward);
             assert!(copy.ledger().total_messages() > 0 && copy.clock().now() > 0.0);
-            assert_eq!(original.ledger(), &TrafficLedger::new(topology.len()), "{kind} {lossy:?}");
+            assert_eq!(original.ledger(), &TrafficLedger::new(topology.len()), "{substrate:?}");
             assert_eq!(original.clock().now(), 0.0);
             assert_eq!(original.delivery_stats(), DeliveryStats::default());
         }
+    }
+
+    /// A fault plan with no loss model runs over the perfect-link stand-in
+    /// `LossyConfig::fixed(1.0, stand_in_seed)`: the seed reaches the
+    /// burst-loss channel, so two seeds lose different hops, and each
+    /// stack delivers exactly as one built with that stand-in spelt out.
+    #[test]
+    fn the_stand_in_seed_seeds_the_perfect_link_under_a_fault_plan() {
+        let topology = deployed();
+        let channel = GilbertElliott { p_gb: 0.3, p_bg: 0.3, good_prr: 1.0, bad_prr: 0.2 };
+        let plan = FaultPlan::new().with(Fault::BurstLoss { channel, from: 0.0, until: 1e9 });
+        let bursty = Substrate { faults: Some(plan), ..Substrate::default() };
+        let n = topology.len();
+        let stats = |transport: &mut Box<dyn Transport>| {
+            for i in 0..40 {
+                let (from, to) = (topology.nodes()[i].id, topology.nodes()[n - 1 - i].id);
+                let route = transport.route_to_node(&topology, from, to).expect("connected");
+                transport.deliver(&topology, &route.path, TrafficLayer::Forward);
+            }
+            transport.delivery_stats()
+        };
+        let [one, two] = [1, 2].map(|seed| {
+            let stand_in = stats(&mut bursty.stack(&topology, seed));
+            let spelt_out =
+                Substrate { lossy: Some(LossyConfig::fixed(1.0, seed)), ..bursty.clone() };
+            assert_eq!(stats(&mut spelt_out.stack(&topology, 99)), stand_in, "seed {seed}");
+            stand_in
+        });
+        assert!(one.retransmissions > 0, "the burst channel drops hops");
+        assert_ne!(one, two, "the stand-in seed reaches the burst channel");
     }
 }

@@ -9,6 +9,7 @@
 use pool_dcs::core::{Event, PoolConfig, PoolSystem, RangeQuery};
 use pool_dcs::dim::DimSystem;
 use pool_dcs::netsim::{Deployment, NodeId, Topology};
+use pool_dcs::transport::Substrate;
 use pool_dcs::workloads::events::{EventDistribution, EventGenerator};
 use pool_dcs::workloads::queries::{exact_query, partial_query, RangeSizeDistribution};
 use rand::rngs::StdRng;
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let field = deployment.field();
 
     let mut pool = PoolSystem::build(topology.clone(), field, PoolConfig::paper())?;
-    let mut dim = DimSystem::build(topology, field, 3)?;
+    let mut dim = DimSystem::build(topology, field, 3, &Substrate::default())?;
 
     // Load the same 3 events per node into both systems.
     let mut rng = StdRng::seed_from_u64(6);

@@ -15,6 +15,11 @@
 # reads as reachable when it may not be: the list under-reports, never
 # over-reports.
 #
+# A trait named in the supertrait list of a `pub trait` counts as used
+# wherever that trait is used: `pub trait Transport: ... + TransportClone`
+# makes every use of `Transport` a use of `TransportClone`, though no code
+# outside its crate spells the supertrait's name.
+#
 # A gate that may only fall: the script exits 1 when more items are used
 # nowhere else than MAX_UNUSED below. Deleting dead code lowers the count;
 # lower the constant with it.
@@ -31,6 +36,8 @@ MAX_UNUSED = 49
 
 ITEM = re.compile(r"^\s*pub\s+(?:const\s+|unsafe\s+|async\s+)*(fn|struct|enum|trait|type)\s+([A-Za-z_]\w*)")
 IDENT = re.compile(r"[A-Za-z_]\w*")
+# `pub trait Name: Super + Other {`, possibly across lines.
+SUPERTRAITS = re.compile(r"\bpub\s+trait\s+([A-Za-z_]\w*)\s*:([^{;]*)\{")
 
 
 def split(path):
@@ -47,12 +54,16 @@ def idents(text):
 crates = sorted(p.parent for p in pathlib.Path("crates").glob("*/src"))
 lib_uses, test_uses = {}, {}  # crate (None: outside crates/) -> identifiers
 items = []
+subtraits = {}  # supertrait name -> the pub traits that list it
 for crate in crates:
     lib_uses[crate], test_uses[crate] = set(), set()
     for path in sorted((crate / "src").rglob("*.rs")):
         above, below = split(path)
         lib_uses[crate] |= idents(above)
         test_uses[crate] |= idents(below)
+        for trait, supers in SUPERTRAITS.findall(above):
+            for name in idents(supers):
+                subtraits.setdefault(name, set()).add(trait)
         for number, line in enumerate(above.splitlines(), 1):
             m = ITEM.match(line)
             if m:
@@ -73,13 +84,19 @@ for path in sorted(pathlib.Path("benchmark").rglob("*.rs")):
     if "target" not in path.parts:
         bench_uses |= idents(path.read_text())
 
+def used_in(names, uses):
+    """Whether one of `names` (an item and its subtraits) appears in `uses`."""
+    return any(name in uses for name in names)
+
+
 listed = []
 for crate, where, kind, name in items:
     other_lib = outside_lib.union(*(u for c, u in lib_uses.items() if c != crate))
-    if name in other_lib:
+    names = {name} | subtraits.get(name, set())
+    if used_in(names, other_lib):
         continue
-    by_tests = any(name in uses for uses in test_uses.values())
-    by_bench = name in bench_uses
+    by_tests = any(used_in(names, uses) for uses in test_uses.values())
+    by_bench = used_in(names, bench_uses)
     mark = {(True, True): "tests+benchmark", (True, False): "tests",
             (False, True): "benchmark"}.get((by_tests, by_bench), "-")
     listed.append((where, kind, name, mark))

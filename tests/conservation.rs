@@ -21,7 +21,9 @@ use pool_dcs::dim::DimSystem;
 use pool_dcs::netsim::radio::PrrModel;
 use pool_dcs::netsim::{Deployment, NodeId, Rect, Topology};
 use pool_dcs::transport::trace::{SpanOutcome, TraceOp};
-use pool_dcs::transport::{LedgerSnapshot, LossyConfig, NodeRole, TrafficLayer, TransportKind};
+use pool_dcs::transport::{
+    LedgerSnapshot, LossyConfig, NodeRole, Substrate, TrafficLayer, TransportKind,
+};
 use pool_dcs::workloads::events::{EventDistribution, EventGenerator};
 use pool_dcs::workloads::queries::{exact_query, RangeSizeDistribution};
 use proptest::prelude::*;
@@ -281,17 +283,13 @@ fn audit_dim(mut dim: DimSystem, label: &str) {
 #[test]
 fn dim_conserves_messages_on_gpsr_and_lossy() {
     let (topo, field) = connected(61);
+    audit_dim(DimSystem::build(topo.clone(), field, 3, &Substrate::default()).unwrap(), "gpsr");
     audit_dim(
-        DimSystem::build_with_transport(topo.clone(), field, 3, TransportKind::Gpsr).unwrap(),
-        "gpsr",
-    );
-    audit_dim(
-        DimSystem::build_with_substrate(
+        DimSystem::build(
             topo,
             field,
             3,
-            TransportKind::Gpsr,
-            Some(LossyConfig::fixed(0.85, 6161)),
+            &Substrate { lossy: Some(LossyConfig::fixed(0.85, 6161)), ..Substrate::default() },
         )
         .unwrap(),
         "lossy",
@@ -763,7 +761,7 @@ fn pool_conserves_time_on_lossy() {
 #[test]
 fn dim_conserves_time() {
     let (topo, field) = connected(62);
-    let mut dim = DimSystem::build_with_transport(topo, field, 3, TransportKind::Gpsr).unwrap();
+    let mut dim = DimSystem::build(topo, field, 3, &Substrate::default()).unwrap();
     let mut rng = StdRng::seed_from_u64(2727);
     let mut generator = EventGenerator::new(3, EventDistribution::Uniform);
     for _ in 0..150 {

@@ -5,6 +5,7 @@
 use pool_dcs::core::{Event, PoolConfig, PoolSystem, RangeQuery};
 use pool_dcs::dim::DimSystem;
 use pool_dcs::netsim::{Deployment, NodeId, Topology};
+use pool_dcs::transport::Substrate;
 use pool_dcs::workloads::events::{EventDistribution, EventGenerator};
 use pool_dcs::workloads::queries::{
     exact_query, partial_query, partial_query_at, RangeSizeDistribution,
@@ -24,7 +25,7 @@ fn build_pair(n: usize, seed: u64, events: usize) -> (PoolSystem, DimSystem) {
     };
     let mut pool =
         PoolSystem::build(topology.clone(), field, PoolConfig::paper().with_seed(seed)).unwrap();
-    let mut dim = DimSystem::build(topology, field, 3).unwrap();
+    let mut dim = DimSystem::build(topology, field, 3, &Substrate::default()).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut generator = EventGenerator::new(3, EventDistribution::Uniform);
     for i in 0..events {

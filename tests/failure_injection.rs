@@ -6,7 +6,7 @@ use pool_dcs::core::{Event, PoolConfig, PoolSystem, RangeQuery};
 use pool_dcs::dim::DimSystem;
 use pool_dcs::gpsr::{Gpsr, Planarization};
 use pool_dcs::netsim::{Deployment, NodeId, Topology};
-use pool_dcs::transport::TransportKind;
+use pool_dcs::transport::{Substrate, TransportKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -98,7 +98,7 @@ fn unreplicated_loss_is_exactly_the_dead_holders_inventory() {
     let (topo, field) = connected(350, 5);
     let mut pool =
         PoolSystem::build(topo.clone(), field, PoolConfig::paper().with_seed(5)).unwrap();
-    let mut dim = DimSystem::build(topo, field, 3).unwrap();
+    let mut dim = DimSystem::build(topo, field, 3, &Substrate::default()).unwrap();
     let mut rng = StdRng::seed_from_u64(6);
     for _ in 0..400 {
         let e = Event::new(vec![rng.gen(), rng.gen(), rng.gen()]).unwrap();
@@ -284,7 +284,7 @@ fn a_failure_burst_pays_only_for_the_copies_it_killed() {
     let (topo, field) = connected(400, 31);
     let config = PoolConfig::paper().with_seed(31).with_replication();
     let mut pool = PoolSystem::build(topo.clone(), field, config).unwrap();
-    let mut dim = DimSystem::build(topo, field, 3).unwrap();
+    let mut dim = DimSystem::build(topo, field, 3, &Substrate::default()).unwrap();
     let mut rng = StdRng::seed_from_u64(32);
     for _ in 0..300 {
         let e = Event::new(vec![rng.gen(), rng.gen(), rng.gen()]).unwrap();

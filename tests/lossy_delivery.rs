@@ -26,7 +26,7 @@ use pool_dcs::gpsr::Planarization;
 use pool_dcs::netsim::radio::PrrModel;
 use pool_dcs::netsim::{Deployment, NodeId, Rect, Topology};
 use pool_dcs::transport::{
-    LinkQuality, LossyConfig, LossyTransport, TrafficLayer, Transport, TransportKind,
+    LinkQuality, LossyConfig, LossyTransport, Substrate, TrafficLayer, Transport, TransportKind,
 };
 use pool_dcs::workloads::events::{EventDistribution, EventGenerator};
 use pool_dcs::workloads::queries::{exact_query, RangeSizeDistribution};
@@ -123,14 +123,12 @@ fn perfect_link_reproduces_loss_free_dim_exactly() {
     let (topo, field) = connected(23);
     let (events, queries) = workload(24);
 
-    let mut plain =
-        DimSystem::build_with_transport(topo.clone(), field, 3, TransportKind::Gpsr).unwrap();
-    let mut lossy = DimSystem::build_with_substrate(
+    let mut plain = DimSystem::build(topo.clone(), field, 3, &Substrate::default()).unwrap();
+    let mut lossy = DimSystem::build(
         topo.clone(),
         field,
         3,
-        TransportKind::Gpsr,
-        Some(LossyConfig::fixed(1.0, 778)),
+        &Substrate { lossy: Some(LossyConfig::fixed(1.0, 778)), ..Substrate::default() },
     )
     .unwrap();
 

@@ -10,7 +10,7 @@
 use pool_dcs::core::{Event, PoolConfig, PoolSystem, RangeQuery};
 use pool_dcs::dim::DimSystem;
 use pool_dcs::netsim::{Deployment, NodeId, Rect, Topology};
-use pool_dcs::transport::{TrafficLayer, Transport, TransportKind};
+use pool_dcs::transport::{Substrate, TrafficLayer, Transport, TransportKind};
 use pool_dcs::workloads::events::{EventDistribution, EventGenerator};
 use pool_dcs::workloads::queries::{exact_query, RangeSizeDistribution};
 use rand::rngs::StdRng;
@@ -130,7 +130,9 @@ fn dim_costs_identical_across_substrates() {
     queries.extend(edge_queries(&events));
 
     let build = |kind| {
-        let mut dim = DimSystem::build_with_transport(topo.clone(), field, 3, kind).unwrap();
+        let mut dim =
+            DimSystem::build(topo.clone(), field, 3, &Substrate { kind, ..Substrate::default() })
+                .unwrap();
         for (src, e) in &events {
             dim.insert_from(*src, e.clone()).unwrap();
         }
