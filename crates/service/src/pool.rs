@@ -54,9 +54,10 @@ pub struct PoolShard {
 }
 
 impl PoolBackend {
-    /// Builds the router and its shards over one shared topology.
-    /// `shards` is clamped to `1..=config.dims` (a pool is the unit of
-    /// ownership).
+    /// Builds the router and its shards over one shared topology, each
+    /// shard reaching the radio through `config.substrate`, as
+    /// [`PoolSystem::build`] does. `shards` is clamped to `1..=config.dims`
+    /// (a pool is the unit of ownership).
     ///
     /// One system is built; every shard starts as a clone of it, which
     /// behaves exactly as a second build would, so all shards agree on the
@@ -75,7 +76,7 @@ impl PoolBackend {
     ) -> Result<(Self, Vec<PoolShard>), PoolError> {
         let topology = Arc::new(topology);
         let dims = config.dims;
-        let system = PoolSystem::build_shared(Arc::clone(&topology), field, config)?;
+        let system = PoolSystem::build(Arc::clone(&topology), field, config)?;
         let shards = shards.clamp(1, dims);
         let (grid, layout) = (system.grid().clone(), system.layout().clone());
         let shard_of_pool: Vec<usize> = (0..dims).map(|d| d % shards).collect();
