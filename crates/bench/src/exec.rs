@@ -9,10 +9,8 @@
 //!   are stubs). Workers pull trial indices from a shared queue and write
 //!   results into per-index slots, so aggregation order — and therefore
 //!   every emitted byte — is independent of the worker count.
-//! * [`Trial`] — the unit of work: one
-//!   [`WorkloadSpec`](pool_workloads::scenario::WorkloadSpec) plus a
-//!   routing substrate, evaluated to one
-//!   [`Measurement`](crate::harness::Measurement).
+//! * [`Trial`] — the unit of work: one [`WorkloadSpec`] plus a routing
+//!   substrate, evaluated to one [`Measurement`].
 //! * [`derive_seed`] — the per-trial seed derivation (splitmix64 over the
 //!   base seed and a stream index). Figure binaries whose serial loops used
 //!   to thread one RNG through every point now give each trial its own

@@ -15,13 +15,12 @@ use pool_netsim::geometry::{Point, Rect};
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
 
-/// A leaf zone of the tree.
-#[derive(Debug, Clone, PartialEq)]
+/// A leaf zone of the tree: 24 bytes. Its physical region is not stored;
+/// [`ZoneTree::region`] derives it from the code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Zone {
     /// The zone's code.
     pub code: ZoneCode,
-    /// The physical region of the field this zone covers.
-    pub region: Rect,
     /// The sensor that owns (stores events for) this zone.
     pub owner: NodeId,
 }
@@ -29,6 +28,18 @@ pub struct Zone {
 /// Flag bit of an internal entry of [`ZoneTree`]'s preorder array; the
 /// other 31 bits index the entry's hi child. A leaf entry is a zone index.
 const INTERNAL: u32 = 1 << 31;
+
+/// A leaf entry's payload, between the build's two passes, for a zone no
+/// sensor lies in; any other payload is the owner's id.
+const EMPTY: u32 = INTERNAL - 1;
+
+/// Depth guard: co-located nodes can never be separated by halving, so a
+/// branch stops here, before the 64-bit code overflows, and the first node
+/// in id order owns the merged zone.
+const MAX_DEPTH: usize = 60;
+
+/// A sensor as the build partitions it: its position and id.
+type Sited = (Point, NodeId);
 
 /// The complete zone tree over one deployment.
 ///
@@ -57,6 +68,7 @@ const INTERNAL: u32 = 1 << 31;
 pub struct ZoneTree {
     zones: Vec<Zone>,
     entries: Vec<u32>,
+    field: Rect,
 }
 
 impl ZoneTree {
@@ -64,69 +76,67 @@ impl ZoneTree {
     ///
     /// Splitting detail: even depths split vertically (x), odd depths
     /// horizontally (y), exactly like the code's physical reading.
+    ///
+    /// Two passes. The first gathers every sensor's position and id once,
+    /// in id order, and splits that buffer level by level, stably, into a
+    /// scratch buffer of the same length and back (the two swap roles at
+    /// every level), laying down the preorder entries; a leaf entry holds
+    /// its owner's id, or a mark for an empty zone. The second walks the
+    /// entries in order, knowing the zone count exactly, and turns each
+    /// leaf into its zone: code and region follow the walk, and an empty
+    /// zone is backed by the network node nearest its center.
     pub fn build(topology: &Topology, field: Rect) -> Self {
-        let ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
-        let mut tree = ZoneTree { zones: Vec::new(), entries: Vec::new() };
-        tree.split(topology, field, ids, ZoneCode::root(), 0);
-        tree.zones.shrink_to_fit();
-        tree.entries.shrink_to_fit();
-        tree
-    }
+        let mut sited: Vec<Sited> = topology.nodes().iter().map(|n| (n.position, n.id)).collect();
+        let mut scratch = sited.clone();
+        // A uniform deployment has ~1.44 zones, so ~2.9 entries, a node:
+        // reserving three a node spares the array its doublings.
+        let mut entries = Vec::with_capacity(3 * sited.len() + 1);
+        split(&mut entries, &mut sited, &mut scratch, field, 0);
+        drop((sited, scratch));
+        entries.shrink_to_fit();
 
-    /// Appends the subtree over `region` in preorder.
-    fn split(
-        &mut self,
-        topology: &Topology,
-        region: Rect,
-        ids: Vec<NodeId>,
-        code: ZoneCode,
-        depth: usize,
-    ) {
-        // Depth guard: co-located nodes can never be separated by halving;
-        // stop before the 64-bit code overflows and let the first node own
-        // the merged zone.
-        if ids.len() <= 1 || depth >= 60 {
-            let owner = match ids.first() {
-                Some(&id) => id,
-                // Empty zone: backed by the network node nearest its center.
-                None => topology.nearest_node(region.center()),
-            };
-            self.entries.push(entry_index(self.zones.len()));
-            self.zones.push(Zone { code, region, owner });
-            return;
-        }
-        let vertical = depth.is_multiple_of(2);
-        let (lo_region, hi_region) = if vertical {
-            let mid = (region.min.x + region.max.x) / 2.0;
-            (
-                Rect::new(region.min, Point::new(mid, region.max.y)),
-                Rect::new(Point::new(mid, region.min.y), region.max),
-            )
-        } else {
-            let mid = (region.min.y + region.max.y) / 2.0;
-            (
-                Rect::new(region.min, Point::new(region.max.x, mid)),
-                Rect::new(Point::new(region.min.x, mid), region.max),
-            )
-        };
-        let (lo_ids, hi_ids): (Vec<NodeId>, Vec<NodeId>) = ids.into_iter().partition(|&id| {
-            let p = topology.position(id);
-            if vertical {
-                p.x < (lo_region.max.x)
-            } else {
-                p.y < (lo_region.max.y)
+        let mut zones = Vec::with_capacity(entries.len().div_ceil(2));
+        let mut pending: Vec<(ZoneCode, Rect)> = Vec::with_capacity(MAX_DEPTH);
+        let (mut code, mut region) = (ZoneCode::root(), field);
+        for entry in &mut entries {
+            if *entry & INTERNAL != 0 {
+                let (lo, hi) = halves(region, code.len());
+                pending.push((code.child(true), hi));
+                (code, region) = (code.child(false), lo);
+                continue;
             }
-        });
-        let at = self.entries.len();
-        self.entries.push(INTERNAL);
-        self.split(topology, lo_region, lo_ids, code.child(false), depth + 1);
-        self.entries[at] = INTERNAL | entry_index(self.entries.len());
-        self.split(topology, hi_region, hi_ids, code.child(true), depth + 1);
+            let owner = match *entry {
+                EMPTY => topology.nearest_node(region.center()),
+                id => NodeId(id),
+            };
+            *entry = entry_index(zones.len());
+            zones.push(Zone { code, owner });
+            if let Some(next) = pending.pop() {
+                (code, region) = next;
+            }
+        }
+        ZoneTree { zones, entries, field }
     }
 
     /// All leaf zones, in code (DFS) order.
     pub fn zones(&self) -> &[Zone] {
         &self.zones
+    }
+
+    /// The physical region of the field that zone `index` covers: the
+    /// field halved along its code, exactly as the build halves it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below `zones().len()`.
+    pub fn region(&self, index: usize) -> Rect {
+        region_of(self.field, self.zones[index].code)
+    }
+
+    /// Heap bytes the tree holds, from its arrays' capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.zones.capacity() * std::mem::size_of::<Zone>()
+            + self.entries.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The zone that stores a `k`-dimensional event with the given values:
@@ -227,7 +237,7 @@ impl ZoneTree {
         let mut changed = Vec::new();
         for (i, zone) in self.zones.iter_mut().enumerate() {
             if !topology.is_alive(zone.owner) || displaced.contains(&zone.owner) {
-                let elected = topology.nearest_node(zone.region.center());
+                let elected = topology.nearest_node(region_of(self.field, zone.code).center());
                 if elected != zone.owner {
                     changed.push((i, zone.owner, elected));
                     zone.owner = elected;
@@ -243,9 +253,78 @@ impl ZoneTree {
     }
 }
 
-/// `index` as the payload of a preorder entry.
+/// Appends the preorder entries of the subtree over `region` at `depth`,
+/// whose sensors are `sited` (ascending by id); `scratch` is as long and
+/// its contents are spent.
+fn split(
+    entries: &mut Vec<u32>,
+    sited: &mut [Sited],
+    scratch: &mut [Sited],
+    region: Rect,
+    depth: usize,
+) {
+    if sited.len() <= 1 || depth >= MAX_DEPTH {
+        entries.push(sited.first().map_or(EMPTY, |&(_, id)| entry_index(id.index())));
+        return;
+    }
+    let (lo, hi) = halves(region, depth);
+    let below = if depth.is_multiple_of(2) {
+        split_stably(sited, scratch, |p| p.x < lo.max.x)
+    } else {
+        split_stably(sited, scratch, |p| p.y < lo.max.y)
+    };
+    let at = entries.len();
+    entries.push(INTERNAL);
+    let (sited_lo, sited_hi) = sited.split_at_mut(below);
+    let (scratch_lo, scratch_hi) = scratch.split_at_mut(below);
+    split(entries, scratch_lo, sited_lo, lo, depth + 1);
+    entries[at] = INTERNAL | entry_index(entries.len());
+    split(entries, scratch_hi, sited_hi, hi, depth + 1);
+}
+
+/// Copies `from` into `to`, the items whose position is `below` first,
+/// each side in its order in `from`; returns how many are below. The
+/// store goes to one of two cursors without a branch.
+fn split_stably(from: &[Sited], to: &mut [Sited], below: impl Fn(Point) -> bool) -> usize {
+    let count = from.iter().filter(|&&(p, _)| below(p)).count();
+    let (mut lo, mut hi) = (0, count);
+    for &item in from {
+        let is_below = below(item.0);
+        to[if is_below { lo } else { hi }] = item;
+        lo += usize::from(is_below);
+        hi += usize::from(!is_below);
+    }
+    count
+}
+
+/// The lo and hi halves of the region of a zone at `depth`: even depths
+/// split vertically (x), odd depths horizontally (y).
+fn halves(region: Rect, depth: usize) -> (Rect, Rect) {
+    let Rect { min, max } = region;
+    if depth.is_multiple_of(2) {
+        let mid = (min.x + max.x) / 2.0;
+        (Rect { min, max: Point::new(mid, max.y) }, Rect { min: Point::new(mid, min.y), max })
+    } else {
+        let mid = (min.y + max.y) / 2.0;
+        (Rect { min, max: Point::new(max.x, mid) }, Rect { min: Point::new(min.x, mid), max })
+    }
+}
+
+/// The region of `field` that `code` names, halving as the build does.
+fn region_of(field: Rect, code: ZoneCode) -> Rect {
+    (0..code.len()).fold(field, |region, depth| {
+        let (lo, hi) = halves(region, depth);
+        if code.bit(depth) {
+            hi
+        } else {
+            lo
+        }
+    })
+}
+
+/// `index` as the payload of a preorder entry (below [`EMPTY`]).
 fn entry_index(index: usize) -> u32 {
-    u32::try_from(index).ok().filter(|&i| i & INTERNAL == 0).expect("zone tree under 2^31 entries")
+    u32::try_from(index).ok().filter(|&i| i < EMPTY).expect("zone tree under 2^31 - 1 entries")
 }
 
 #[cfg(test)]
@@ -289,9 +368,9 @@ mod tests {
     fn figure1_owners_match_their_zone() {
         let (topo, field) = figure1_topology();
         let tree = ZoneTree::build(&topo, field);
-        for zone in tree.zones() {
+        for (i, zone) in tree.zones().iter().enumerate() {
             assert!(
-                zone.region.contains(topo.position(zone.owner)),
+                tree.region(i).contains(topo.position(zone.owner)),
                 "owner of {} outside its region",
                 zone.code
             );
@@ -330,7 +409,7 @@ mod tests {
     fn zones_partition_the_field() {
         let (topo, field) = figure1_topology();
         let tree = ZoneTree::build(&topo, field);
-        let area: f64 = tree.zones().iter().map(|z| z.region.area()).sum();
+        let area: f64 = (0..tree.zones().len()).map(|i| tree.region(i).area()).sum();
         assert!((area - field.area()).abs() < 1e-9);
         // Codes are prefix-free.
         for (i, a) in tree.zones().iter().enumerate() {
@@ -490,6 +569,216 @@ mod tests {
         }
     }
 
+    /// The recursive build the one-pass build replaced, kept as its
+    /// oracle: a `Vec<NodeId>` partition per split, a position lookup per
+    /// id, and each zone's region carried down and stored. Returns the
+    /// zones as `(code, region, owner)` and the preorder entries.
+    fn reference_build(
+        topology: &Topology,
+        field: Rect,
+    ) -> (Vec<(ZoneCode, Rect, NodeId)>, Vec<u32>) {
+        fn split(
+            topology: &Topology,
+            region: Rect,
+            ids: Vec<NodeId>,
+            code: ZoneCode,
+            depth: usize,
+            zones: &mut Vec<(ZoneCode, Rect, NodeId)>,
+            entries: &mut Vec<u32>,
+        ) {
+            if ids.len() <= 1 || depth >= 60 {
+                let owner = match ids.first() {
+                    Some(&id) => id,
+                    None => topology.nearest_node(region.center()),
+                };
+                entries.push(zones.len() as u32);
+                zones.push((code, region, owner));
+                return;
+            }
+            let vertical = depth.is_multiple_of(2);
+            let (lo_region, hi_region) = if vertical {
+                let mid = (region.min.x + region.max.x) / 2.0;
+                (
+                    Rect::new(region.min, Point::new(mid, region.max.y)),
+                    Rect::new(Point::new(mid, region.min.y), region.max),
+                )
+            } else {
+                let mid = (region.min.y + region.max.y) / 2.0;
+                (
+                    Rect::new(region.min, Point::new(region.max.x, mid)),
+                    Rect::new(Point::new(region.min.x, mid), region.max),
+                )
+            };
+            let (lo_ids, hi_ids): (Vec<NodeId>, Vec<NodeId>) = ids.into_iter().partition(|&id| {
+                let p = topology.position(id);
+                if vertical {
+                    p.x < lo_region.max.x
+                } else {
+                    p.y < lo_region.max.y
+                }
+            });
+            let at = entries.len();
+            entries.push(INTERNAL);
+            split(topology, lo_region, lo_ids, code.child(false), depth + 1, zones, entries);
+            entries[at] = INTERNAL | entries.len() as u32;
+            split(topology, hi_region, hi_ids, code.child(true), depth + 1, zones, entries);
+        }
+        let ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
+        let (mut zones, mut entries) = (Vec::new(), Vec::new());
+        split(topology, field, ids, ZoneCode::root(), 0, &mut zones, &mut entries);
+        (zones, entries)
+    }
+
+    /// The bits of a rectangle's four coordinates.
+    fn rect_bits(r: Rect) -> [u64; 4] {
+        [r.min.x.to_bits(), r.min.y.to_bits(), r.max.x.to_bits(), r.max.y.to_bits()]
+    }
+
+    /// A field whose corners are not dyadic, so two ways of halving it
+    /// round differently and a derived region matches the build's only if
+    /// it halves exactly as the build does.
+    fn odd_field() -> Rect {
+        Rect::new(Point::new(-3.7, 1.3), Point::new(97.1, 101.9))
+    }
+
+    /// A random deployment of `n` nodes on [`odd_field`], with ids shuffled
+    /// against positions. Clustered draws leave most of the field empty;
+    /// `stacks` piles of 2–4 co-located nodes are mixed in, each pile's ids
+    /// drawn at random so the lowest is not the first placed.
+    fn random_topology(seed: u64, n: usize, clustered: bool, stacks: usize) -> Topology {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut spots: Vec<Point> = (0..n)
+            .map(|_| {
+                let (side, at) = if clustered { (12.0, 30.0) } else { (100.0, 0.0) };
+                let min = odd_field().min;
+                Point::new(
+                    min.x + at + rng.gen_range(0.0..side),
+                    min.y + at + rng.gen_range(0.0..side),
+                )
+            })
+            .collect();
+        for _ in 0..stacks {
+            let pile = spots[rng.gen_range(0..spots.len())];
+            for _ in 0..rng.gen_range(1..=3) {
+                spots.push(pile);
+            }
+        }
+        let mut ids: Vec<u32> = (0..spots.len() as u32).collect();
+        ids.shuffle(&mut rng);
+        let nodes = spots.iter().zip(&ids).map(|(&p, &id)| NetNode::new(NodeId(id), p)).collect();
+        Topology::build(nodes, 150.0).unwrap()
+    }
+
+    /// Asserts that `tree` is `reference` exactly: the same entries, and
+    /// zone by zone the same code, owner and region, bit for bit.
+    fn assert_matches_reference(
+        tree: &ZoneTree,
+        reference: &(Vec<(ZoneCode, Rect, NodeId)>, Vec<u32>),
+        context: &str,
+    ) {
+        let (zones, entries) = reference;
+        assert_eq!(&tree.entries, entries, "{context}: entries");
+        assert_eq!(tree.zones().len(), zones.len(), "{context}: zone count");
+        for (i, (zone, &(code, region, owner))) in tree.zones().iter().zip(zones).enumerate() {
+            assert_eq!((zone.code, zone.owner), (code, owner), "{context}: zone {i}");
+            assert_eq!(rect_bits(tree.region(i)), rect_bits(region), "{context}: region of {i}");
+        }
+    }
+
+    #[test]
+    fn a_zone_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Zone>(), 24);
+    }
+
+    /// The one-pass build is the recursive reference on random uniform and
+    /// clustered deployments: the same entries, codes, owners and regions,
+    /// empty zones and depth-guard piles included — where a pile's owner is
+    /// its lowest id.
+    #[test]
+    fn one_pass_build_matches_the_recursive_reference() {
+        let field = odd_field();
+        let mut empty_zones = 0;
+        for seed in 0..12u64 {
+            let topo = random_topology(seed, 30 + 40 * seed as usize, seed % 3 == 2, 4);
+            let tree = ZoneTree::build(&topo, field);
+            assert_matches_reference(
+                &tree,
+                &reference_build(&topo, field),
+                &format!("seed {seed}"),
+            );
+            assert_eq!(tree.depth(), MAX_DEPTH, "seed {seed}: every pile reaches the guard");
+            for (i, zone) in tree.zones().iter().enumerate() {
+                if zone.code.len() == MAX_DEPTH {
+                    let pile = topo.nodes_within(topo.position(zone.owner), 0.0);
+                    assert!(pile.len() > 1, "seed {seed}: a guard zone holds a pile");
+                    assert_eq!(zone.owner, pile[0], "seed {seed}: the pile's first id owns it");
+                }
+                // An owner outside its zone backs an empty one.
+                empty_zones += usize::from(!tree.region(i).contains(topo.position(zone.owner)));
+            }
+        }
+        assert!(empty_zones > 100, "empty zones exercised: {empty_zones}");
+        // One node, and the eight of Figure 1.
+        let lone =
+            Topology::build(vec![NetNode::new(NodeId(0), Point::new(5.0, 5.0))], 1.0).unwrap();
+        let tree = ZoneTree::build(&lone, field);
+        assert_matches_reference(&tree, &reference_build(&lone, field), "one node");
+        assert_eq!(tree.zones(), &[Zone { code: ZoneCode::root(), owner: NodeId(0) }]);
+        let (topo, field) = figure1_topology();
+        let tree = ZoneTree::build(&topo, field);
+        assert_matches_reference(&tree, &reference_build(&topo, field), "figure 1");
+    }
+
+    /// After random deaths and moves, `re_elect_owners` elects exactly the
+    /// owners the reference elects from its stored regions, and reports
+    /// exactly the zones that changed hands.
+    #[test]
+    fn re_election_matches_the_reference_regions() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let field = odd_field();
+        for seed in 0..8u64 {
+            let mut topo = random_topology(100 + seed, 150, seed % 2 == 1, 3);
+            let mut tree = ZoneTree::build(&topo, field);
+            let (reference, _) = reference_build(&topo, field);
+            let mut owners: Vec<NodeId> = reference.iter().map(|&(_, _, owner)| owner).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for epoch in 0..4 {
+                let n = topo.len() as u32;
+                let pick = |rng: &mut StdRng| NodeId(rng.gen_range(0..n));
+                let dead: Vec<NodeId> = (0..rng.gen_range(1..12)).map(|_| pick(&mut rng)).collect();
+                topo.fail_nodes(&dead);
+                let mut displaced = Vec::new();
+                for _ in 0..rng.gen_range(0..10) {
+                    let id = pick(&mut rng);
+                    if topo.is_alive(id) && topo.alive_count() > 1 {
+                        let to = Point::new(rng.gen_range(-3.0..97.0), rng.gen_range(2.0..101.0));
+                        topo.move_node(id, to);
+                        displaced.push(id);
+                    }
+                }
+                let mut want = Vec::new();
+                for (i, &(_, region, _)) in reference.iter().enumerate() {
+                    let old = owners[i];
+                    if !topo.is_alive(old) || displaced.contains(&old) {
+                        let elected = topo.nearest_node(region.center());
+                        if elected != old {
+                            want.push((i, old, elected));
+                            owners[i] = elected;
+                        }
+                    }
+                }
+                let got = tree.re_elect_owners(&topo, &displaced);
+                assert_eq!(got, want, "seed {seed} epoch {epoch}");
+                let now: Vec<NodeId> = tree.zones().iter().map(|z| z.owner).collect();
+                assert_eq!(now, owners, "seed {seed} epoch {epoch}");
+            }
+        }
+    }
+
     #[test]
     fn larger_network_zones_scale_with_nodes() {
         use pool_netsim::deployment::{Deployment, Placement};
@@ -521,9 +810,10 @@ mod physical_reading_tests {
         let nodes = Deployment::new(field, 60, Placement::Uniform, 9).nodes();
         let topo = Topology::build(nodes, 40.0).unwrap();
         let tree = ZoneTree::build(&topo, field);
-        for zone in tree.zones() {
-            let derived = ZoneCode::of_position(zone.region.center(), field, zone.code.len());
-            assert_eq!(derived, zone.code, "zone {} region {:?}", zone.code, zone.region);
+        for (i, zone) in tree.zones().iter().enumerate() {
+            let region = tree.region(i);
+            let derived = ZoneCode::of_position(region.center(), field, zone.code.len());
+            assert_eq!(derived, zone.code, "zone {} region {region:?}", zone.code);
         }
     }
 
@@ -535,9 +825,9 @@ mod physical_reading_tests {
         let nodes = Deployment::new(field, 50, Placement::Uniform, 12).nodes();
         let topo = Topology::build(nodes, 40.0).unwrap();
         let tree = ZoneTree::build(&topo, field);
-        for zone in tree.zones() {
+        for (i, zone) in tree.zones().iter().enumerate() {
             let owner_pos = topo.position(zone.owner);
-            if zone.region.contains(owner_pos) {
+            if tree.region(i).contains(owner_pos) {
                 let reading = ZoneCode::of_position(owner_pos, field, zone.code.len());
                 assert_eq!(reading, zone.code);
             }

@@ -62,6 +62,13 @@
 //! replays, and `pool-dim`'s `tests/topology_clone_allocs.rs` pins what a
 //! clone and its first write allocate.
 //!
+//! Connectivity is decided once per snapshot: the first
+//! [`Topology::largest_component`] (and so [`Topology::is_connected`] and
+//! [`Topology::require_connected`]) runs the BFS and keeps its answer,
+//! which each of the four mutators drops and a clone copies. Every system
+//! build checks connectivity, so builds over one snapshot share one BFS;
+//! `tests/connectivity_memo.rs` pins the rule.
+//!
 //! # Determinism
 //!
 //! Every spatial-hash bucket holds its members' slots in ascending order —
@@ -75,6 +82,7 @@ use crate::geometry::{Point, Rect, COINCIDENT_SQ};
 use crate::node::{Node, NodeId};
 use std::collections::HashMap;
 use std::ops::Index;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Sentinel in `row_patch`: the row lives in the flat CSR arena.
@@ -241,6 +249,46 @@ pub struct Topology {
     /// Whether two radio neighbours were ever closer than [`COINCIDENT_SQ`]
     /// (see [`Topology::has_coincident_nodes`]).
     coincident: bool,
+    /// [`Topology::largest_component`], once asked, for this snapshot:
+    /// every mutator forgets it, and a clone copies it.
+    largest: ComponentMemo,
+}
+
+/// A memoised component size, [`ComponentMemo::UNASKED`] until asked. A
+/// `u32` fits the padding beside `Topology::coincident`, so the memo does
+/// not grow the struct; a 16-byte `OnceLock<usize>` grew it from 240 to 256
+/// bytes, and `pool_hot_10k`, which never asks, then ran at 0.80–0.88× the
+/// inserts and queries per second of the smaller layout (alternating
+/// benchmark pairs, 2-vCPU host). Two threads asking at once both search
+/// and store the same answer; a size of `u32::MAX` or more is never kept.
+#[derive(Debug)]
+struct ComponentMemo(AtomicU32);
+
+impl ComponentMemo {
+    const UNASKED: u32 = u32::MAX;
+
+    fn new() -> Self {
+        ComponentMemo(AtomicU32::new(Self::UNASKED))
+    }
+
+    fn get(&self) -> Option<usize> {
+        let size = self.0.load(Ordering::Relaxed);
+        (size != Self::UNASKED).then_some(size as usize)
+    }
+
+    fn set(&self, size: usize) {
+        self.0.store(u32::try_from(size).unwrap_or(Self::UNASKED), Ordering::Relaxed);
+    }
+
+    fn forget(&mut self) {
+        *self.0.get_mut() = Self::UNASKED;
+    }
+}
+
+impl Clone for ComponentMemo {
+    fn clone(&self) -> Self {
+        ComponentMemo(AtomicU32::new(self.0.load(Ordering::Relaxed)))
+    }
 }
 
 impl Topology {
@@ -324,6 +372,7 @@ impl Topology {
             bounds,
             alive: Arc::new(alive),
             coincident: false,
+            largest: ComponentMemo::new(),
         };
         let mut offsets = order;
         offsets.clear();
@@ -425,6 +474,7 @@ impl Topology {
     ///
     /// Panics if a dead id is out of range.
     pub fn fail_nodes(&mut self, dead: &[NodeId]) {
+        self.largest.forget();
         for &id in dead {
             if !self.alive[id.index()] {
                 continue;
@@ -448,6 +498,7 @@ impl Topology {
     /// and it is spliced into each neighbor's sorted table, the spatial
     /// hash, and the bounding box.
     pub fn add_node(&mut self, position: Point) -> NodeId {
+        self.largest.forget();
         let slot = self.nodes.len();
         let id = NodeId(slot as u32);
         let mut links = Vec::new();
@@ -478,6 +529,7 @@ impl Topology {
     /// Panics if `id` is out of range or dead — a failed node cannot move.
     pub fn move_node(&mut self, id: NodeId, new_position: Point) {
         assert!(self.alive[id.index()], "cannot move dead node {id}");
+        self.largest.forget();
         let slot = self.slot(id);
         // Tear down the old links and spatial-hash entry.
         let old_key = bucket_key(self.nodes[slot].position, self.bucket_size);
@@ -520,6 +572,7 @@ impl Topology {
     /// a neighbor whose position changed — the set a per-node structure
     /// derived from one-hop tables (a planarization) must recompute.
     pub fn compact(&mut self) -> Vec<NodeId> {
+        self.largest.forget();
         let mut folded = Vec::with_capacity(self.patch_rows.len());
         if !self.patch_rows.is_empty() {
             let n = self.nodes.len();
@@ -742,10 +795,17 @@ impl Topology {
     }
 
     /// Size of the largest connected component of *live* nodes (BFS over
-    /// the unit-disk graph).
+    /// the unit-disk graph). The BFS runs once per snapshot: its answer is
+    /// kept until [`Topology::fail_nodes`], [`Topology::add_node`],
+    /// [`Topology::move_node`] or [`Topology::compact`] writes this
+    /// topology, and a clone carries it.
     pub fn largest_component(&self) -> usize {
+        if let Some(size) = self.largest.get() {
+            return size;
+        }
         let mut best = 0;
         self.for_each_component(|members| best = best.max(members.len()));
+        self.largest.set(best);
         best
     }
 

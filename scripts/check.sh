@@ -117,6 +117,9 @@ if [ "$QUICK" -eq 1 ]; then
 fi
 
 stage "cargo build --release" cargo build --release --workspace
+# Broken or redundant intra-doc links fail here, not only in a reader's
+# browser.
+stage "rustdoc (-D warnings)" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # benchmark/ is its own workspace: nothing above compiles it, so a changed
 # `pub` signature under crates/ could break it unseen. Its own gate (fmt,
 # clippy, tests, every workload at smoke scale) runs here.

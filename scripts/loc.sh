@@ -5,9 +5,11 @@
 # Usage:
 #   ./scripts/loc.sh            # from anywhere in the repository
 #
-# A file counts the lines above its first `#[cfg(test)]` (all of them, when
-# it has none): blank lines and comments included, test modules and
-# crates/*/tests excluded. This is the count ROADMAP.md's aim 2 reads.
+# A file counts the lines above its test module — the first `#[cfg(test)]`
+# whose next line declares a `mod` (all of them, when it has none): blank
+# lines and comments included, test modules and crates/*/tests excluded. A
+# `#[cfg(test)]` on a field, a helper or a statement above it does not cut
+# the file. This is the count ROADMAP.md's aim 2 reads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,7 +19,12 @@ for dir in crates/*/; do
     [ "$crate" = compat ] && continue
     lines=0
     while IFS= read -r -d '' file; do
-        above=$(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
+        above=$(awk '
+            held && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]/ { exit }
+            held { n++; held = 0 }
+            /#\[cfg\(test\)\]/ { held = 1; next }
+            { n++ }
+            END { print n + 0 }' "$file")
         lines=$((lines + above))
     done < <(find "$dir/src" -name '*.rs' -print0)
     printf '%-10s %6d\n' "$crate" "$lines"

@@ -248,8 +248,8 @@ fn assert_dim_burst_matches_the_one_shot_repair(dim: &mut DimSystem, victims: &[
     let report = dim.fail_nodes(victims).unwrap();
     let topology = dim.topology();
     let zones = dim.tree().zones();
-    for (zone, old) in zones.iter().zip(&owners) {
-        let elected = topology.nearest_node(zone.region.center());
+    for (zone_idx, (zone, old)) in zones.iter().zip(&owners).enumerate() {
+        let elected = topology.nearest_node(dim.tree().region(zone_idx).center());
         assert_eq!(zone.owner, if dying.contains(old) { elected } else { *old });
     }
     assert_eq!((report.failed_nodes, report.events_lost, report.epochs), (dying.len(), lost, 0));
