@@ -1,75 +1,124 @@
-//! Minimal shared CLI parsing for the figure binaries.
+//! Argument parsing for `pool-bench <figure> [flags]`.
 //!
-//! Every binary accepts `--queries N` and `--nodes N` style flags (and
-//! `--transport gpsr|cached` to select the routing substrate); this avoids
-//! pulling a CLI dependency for two integers and an enum. [`BenchOpts`]
-//! adds the two flags the parallel execution engine gave every binary:
-//! `--jobs N` (worker threads) and `--smoke` (a scaled-down configuration
-//! fast enough for the CI bench-smoke gate). Every flag any binary reads
-//! is listed in one table, and [`BenchOpts::from_env`] rejects any other
-//! `--` argument, so a misspelt flag cannot run the default experiment.
+//! Every figure reads `--jobs N` (worker threads for the trial engine) and
+//! `--smoke` (a scaled-down configuration fast enough for the CI
+//! bench-smoke gate), plus the few value flags its registry entry lists
+//! (`--queries N`, `--nodes N`, `--transport gpsr|cached`, …); this avoids
+//! pulling a CLI dependency for a handful of integers and an enum.
+//! [`Args::parse`] checks a figure's argv against that list before the
+//! figure runs: a flag the figure does not read, a flag without its value
+//! and a malformed value are all errors, so a misspelt or misplaced flag
+//! cannot run the default experiment.
 
-use crate::report::Table;
 use pool_transport::TransportKind;
 use std::path::PathBuf;
 
-/// Every flag the figure binaries read: the value flags the `arg_*`
-/// helpers parse and the bare `--smoke`. Each helper asserts (in debug
-/// builds) that its flag is listed, so the table cannot drift.
-const FLAGS: [&str; 15] = [
-    "--ablation-nodes",
-    "--budget",
-    "--epochs",
-    "--events",
-    "--gets",
-    "--inserts",
-    "--jobs",
-    "--keys",
-    "--max-nodes",
-    "--nodes",
-    "--queries",
-    "--requests",
-    "--rounds",
-    "--smoke",
-    "--transport",
+/// What follows a flag on the command line.
+pub(crate) enum Value {
+    /// Nothing: the flag is a switch.
+    None,
+    /// A non-negative integer.
+    Count,
+    /// A routing substrate (`gpsr` or `cached`).
+    Transport,
+}
+
+/// Every flag any figure reads, with the value it takes.
+pub(crate) const FLAGS: [(&str, Value); 15] = [
+    ("--ablation-nodes", Value::Count),
+    ("--budget", Value::Count),
+    ("--epochs", Value::Count),
+    ("--events", Value::Count),
+    ("--gets", Value::Count),
+    ("--inserts", Value::Count),
+    ("--jobs", Value::Count),
+    ("--keys", Value::Count),
+    ("--max-nodes", Value::Count),
+    ("--nodes", Value::Count),
+    ("--queries", Value::Count),
+    ("--requests", Value::Count),
+    ("--rounds", Value::Count),
+    ("--smoke", Value::None),
+    ("--transport", Value::Transport),
 ];
 
-/// `flag`, checked (in debug builds) against [`FLAGS`].
-fn known(flag: &str) -> &str {
-    debug_assert!(FLAGS.contains(&flag), "{flag} is missing from cli::FLAGS");
-    flag
+/// The flags every figure reads, on top of the ones its registry entry
+/// lists.
+pub const COMMON_FLAGS: [&str; 2] = ["--jobs", "--smoke"];
+
+/// One figure's command line, checked: every argument is a flag the
+/// figure reads, followed by a well-formed value when it takes one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Args {
+    /// The figure's own flags ([`COMMON_FLAGS`] are always accepted).
+    accepted: &'static [&'static str],
+    argv: Vec<String>,
 }
 
-/// The first argument after the program name that looks like a flag
-/// (`--…`) but is not one any binary reads.
-fn unknown_flag(args: &[String]) -> Option<&str> {
-    args.iter()
-        .skip(1)
-        .map(String::as_str)
-        .find(|arg| arg.starts_with("--") && !FLAGS.contains(arg))
-}
-
-/// The value following `flag` in `args`: `None` when the flag is absent,
-/// an error when it is the last argument.
-fn value_of<'a>(flag: &str, args: &'a [String]) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(value) => Ok(Some(value)),
-            None => Err(format!("{flag}: missing value")),
-        },
+impl Args {
+    /// Checks `argv` — the arguments after the figure's name — for a figure
+    /// that reads `accepted` and [`COMMON_FLAGS`]. The error names the
+    /// offending argument.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pool_bench::cli::Args;
+    ///
+    /// assert!(Args::parse(&["--nodes"], &["--smoke", "--nodes", "300"]).is_ok());
+    /// assert!(Args::parse(&["--nodes"], &["--queries", "3"]).is_err());
+    /// assert!(Args::parse(&["--nodes"], &["--nodes", "10k"]).is_err());
+    /// ```
+    pub fn parse<S: AsRef<str>>(
+        accepted: &'static [&'static str],
+        argv: &[S],
+    ) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.as_ref().to_owned()).collect();
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            let reads = COMMON_FLAGS.contains(&arg.as_str()) || accepted.contains(&arg.as_str());
+            let Some((_, value)) = FLAGS.iter().find(|(flag, _)| reads && flag == arg) else {
+                if !arg.starts_with("--") {
+                    return Err(format!("{arg}: unexpected argument"));
+                }
+                let mut known: Vec<&str> = accepted.iter().chain(&COMMON_FLAGS).copied().collect();
+                known.sort_unstable();
+                return Err(format!("{arg}: unknown flag (known: {})", known.join(" ")));
+            };
+            let mut next = || rest.next().ok_or(format!("{arg}: missing value"));
+            match value {
+                Value::None => {}
+                Value::Count => {
+                    parse_usize(arg, Some(next()?), 0)?;
+                }
+                Value::Transport => {
+                    next()?.parse::<TransportKind>().map_err(|e| format!("{arg}: {e}"))?;
+                }
+            }
+        }
+        Ok(Args { accepted, argv })
     }
-}
 
-/// Reads `flag`'s value from `std::env::args` with `parse`; a missing or
-/// malformed value prints the error and exits with status 2 rather than
-/// silently running a different experiment than the one asked for.
-fn arg_or_exit<T>(flag: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    value_of(known(flag), &args).and_then(parse).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+    /// Where `flag` sits in the argv, when present. Every read goes
+    /// through here, which asserts (in debug builds) that the figure lists
+    /// `flag`.
+    fn position(&self, flag: &str) -> Option<usize> {
+        debug_assert!(
+            COMMON_FLAGS.contains(&flag) || self.accepted.contains(&flag),
+            "{flag} is missing from the figure's registry entry"
+        );
+        self.argv.iter().position(|a| a == flag)
+    }
+
+    /// The value following `flag`, when present.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.position(flag).map(|at| self.argv[at + 1].as_str())
+    }
+
+    /// The execution options: `--jobs` (at least 1) and `--smoke`.
+    pub fn opts(&self) -> BenchOpts {
+        BenchOpts { jobs: arg_usize(self, "--jobs", 1).max(1), smoke: arg_flag(self, "--smoke") }
+    }
 }
 
 /// The count a `flag <value>` pair asks for: `default` when the flag is
@@ -92,56 +141,54 @@ pub fn parse_usize(flag: &str, value: Option<&str>, default: usize) -> Result<us
     }
 }
 
-/// Parses `flag <value>` from `std::env::args`, falling back to `default`
-/// when absent; exits with the parse error on a missing or malformed value
-/// (`--nodes 10k` must not benchmark the default network).
+/// `flag`'s count, or `default` when the flag is absent.
 ///
 /// # Examples
 ///
 /// ```
-/// // With no matching argv entry, the default is returned.
-/// let queries = pool_bench::cli::arg_usize("--queries", 100);
-/// assert_eq!(queries, 100);
+/// use pool_bench::cli::{arg_usize, Args};
+///
+/// let args = Args::parse(&["--queries"], &["--queries", "40"]).unwrap();
+/// assert_eq!(arg_usize(&args, "--queries", 100), 40);
+/// assert_eq!(arg_usize(&args, "--jobs", 1), 1);
 /// ```
-pub fn arg_usize(flag: &str, default: usize) -> usize {
-    arg_or_exit(flag, |value| parse_usize(flag, value, default))
+pub fn arg_usize(args: &Args, flag: &str, default: usize) -> usize {
+    parse_usize(flag, args.value(flag), default).expect("checked by Args::parse")
 }
 
-/// Parses `flag <value>` as a routing-substrate selector (`gpsr` or
-/// `cached`), falling back to `default` when absent; exits with the parse
-/// error on a missing or malformed value rather than silently benchmarking
-/// the wrong substrate.
+/// `flag`'s routing substrate (`gpsr` or `cached`), or `default` when the
+/// flag is absent.
 ///
 /// # Examples
 ///
 /// ```
+/// use pool_bench::cli::{arg_transport, Args};
 /// use pool_transport::TransportKind;
 ///
-/// let t = pool_bench::cli::arg_transport("--transport", TransportKind::Gpsr);
-/// assert_eq!(t, TransportKind::Gpsr);
+/// let args = Args::parse(&["--transport"], &[] as &[&str]).unwrap();
+/// assert_eq!(arg_transport(&args, "--transport", TransportKind::Gpsr), TransportKind::Gpsr);
 /// ```
-pub fn arg_transport(flag: &str, default: TransportKind) -> TransportKind {
-    arg_or_exit(flag, |value| match value {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|e| format!("{flag}: {e}")),
-    })
+pub fn arg_transport(args: &Args, flag: &str, default: TransportKind) -> TransportKind {
+    args.value(flag).map_or(default, |v| v.parse().expect("checked by Args::parse"))
 }
 
-/// Returns whether the bare flag is present in `std::env::args`.
+/// Whether the bare `flag` is present.
 ///
 /// # Examples
 ///
 /// ```
-/// assert!(!pool_bench::cli::arg_flag("--smoke"));
+/// use pool_bench::cli::{arg_flag, Args};
+///
+/// assert!(arg_flag(&Args::parse(&[], &["--smoke"]).unwrap(), "--smoke"));
+/// assert!(!arg_flag(&Args::parse(&[], &["--jobs", "2"]).unwrap(), "--smoke"));
 /// ```
-pub fn arg_flag(flag: &str) -> bool {
-    let flag = known(flag);
-    std::env::args().any(|a| a == flag)
+pub fn arg_flag(args: &Args, flag: &str) -> bool {
+    args.position(flag).is_some()
 }
 
-/// The execution options shared by every figure binary: how many worker
-/// threads drive the trial engine, and whether to run the scaled-down
-/// smoke configuration.
+/// The execution options shared by every figure: how many worker threads
+/// drive the trial engine, and whether to run the scaled-down smoke
+/// configuration.
 ///
 /// The determinism contract (DESIGN.md §11) guarantees `jobs` never
 /// changes any emitted byte; `smoke` selects a *different* (smaller)
@@ -156,23 +203,6 @@ pub struct BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parses `--jobs` and `--smoke` from `std::env::args`. Every binary
-    /// calls this first, so it also rejects a `--` argument no binary reads:
-    /// it prints the flag's name and exits with status 2.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if let Some(flag) = unknown_flag(&args) {
-            eprintln!("{flag}: unknown flag (known: {})", FLAGS.join(" "));
-            std::process::exit(2);
-        }
-        BenchOpts { jobs: arg_usize("--jobs", 1).max(1), smoke: arg_flag("--smoke") }
-    }
-
-    /// A fixed-size configuration for tests: `jobs` workers, smoke scale.
-    pub fn smoke_with_jobs(jobs: usize) -> Self {
-        BenchOpts { jobs: jobs.max(1), smoke: true }
-    }
-
     /// Picks the full-scale or smoke-scale value of a parameter.
     pub fn scale(&self, full: usize, smoke: usize) -> usize {
         if self.smoke {
@@ -214,32 +244,20 @@ impl BenchOpts {
             PathBuf::from(file)
         }
     }
-
-    /// Prints `table` and writes its canonical JSON artifact for `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the artifact cannot be written.
-    pub fn emit(&self, name: &str, table: &Table) {
-        table.print_tsv();
-        let path = self.artifact_path(name);
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create artifact directory");
-            }
-        }
-        std::fs::write(&path, table.to_json()).expect("write JSON artifact");
-        println!("wrote {}", path.display());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const FIG6: &[&str] = &["--queries", "--rounds", "--ablation-nodes", "--transport"];
+
     #[test]
     fn missing_flag_yields_default() {
-        assert_eq!(arg_usize("--budget", 7), 7);
+        let args = Args::parse(&["--budget"], &["--smoke"]).unwrap();
+        assert_eq!(arg_usize(&args, "--budget", 7), 7);
+        assert!(arg_flag(&args, "--smoke"));
+        assert!(!arg_flag(&Args::parse(&["--budget"], &["--budget", "7"]).unwrap(), "--smoke"));
     }
 
     #[test]
@@ -250,50 +268,66 @@ mod tests {
             let err = parse_usize("--nodes", Some(malformed), 900).unwrap_err();
             assert!(err.starts_with("--nodes: "), "{err}");
             assert!(err.contains(&format!("{malformed:?}")), "{err}");
+            let err = Args::parse(&["--nodes"], &["--nodes", malformed]).unwrap_err();
+            assert!(err.starts_with("--nodes: "), "{err}");
         }
     }
 
     #[test]
     fn a_flag_without_a_value_is_an_error_not_the_default() {
-        let args: Vec<String> = ["fig6", "--queries", "40", "--nodes"].map(String::from).to_vec();
-        assert_eq!(value_of("--jobs", &args), Ok(None));
-        assert_eq!(value_of("--queries", &args), Ok(Some("40")));
-        assert_eq!(value_of("--nodes", &args), Err("--nodes: missing value".to_string()));
+        let err = Args::parse(FIG6, &["--queries", "40", "--rounds"]).unwrap_err();
+        assert_eq!(err, "--rounds: missing value");
+        let args = Args::parse(FIG6, &["--queries", "40"]).unwrap();
+        assert_eq!(arg_usize(&args, "--queries", 100), 40);
+        assert_eq!(arg_usize(&args, "--rounds", 20), 20);
     }
 
     #[test]
     fn missing_transport_flag_yields_default() {
-        assert_eq!(arg_transport("--transport", TransportKind::Cached), TransportKind::Cached);
+        let args = Args::parse(FIG6, &["--smoke"]).unwrap();
+        assert_eq!(
+            arg_transport(&args, "--transport", TransportKind::Cached),
+            TransportKind::Cached
+        );
+        let args = Args::parse(FIG6, &["--transport", "gpsr"]).unwrap();
+        assert_eq!(arg_transport(&args, "--transport", TransportKind::Cached), TransportKind::Gpsr);
+        let err = Args::parse(FIG6, &["--transport", "carrier-pigeon"]).unwrap_err();
+        assert!(err.starts_with("--transport: "), "{err}");
     }
 
     #[test]
     fn a_misspelt_flag_is_unknown_and_a_listed_one_is_not() {
-        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        let misspelt = args(&["fig6", "--smoke", "--queires", "3"]);
-        assert_eq!(unknown_flag(&misspelt), Some("--queires"));
-        let known = args(&["fig6", "--smoke", "--queries", "3", "--transport", "cached"]);
-        assert_eq!(unknown_flag(&known), None);
-        // The program name and values are not flags.
-        assert_eq!(unknown_flag(&args(&["--fig6", "--jobs", "2"])), None);
+        let err = Args::parse(FIG6, &["--smoke", "--queires", "3"]).unwrap_err();
+        assert!(err.starts_with("--queires: unknown flag"), "{err}");
+        assert!(Args::parse(FIG6, &["--smoke", "--queries", "3", "--transport", "cached"]).is_ok());
+        // A flag another figure reads is unknown to this one.
+        assert!(FLAGS.iter().any(|(flag, _)| *flag == "--nodes"));
+        let err = Args::parse(FIG6, &["--nodes", "7"]).unwrap_err();
+        assert!(err.starts_with("--nodes: unknown flag"), "{err}");
+        // A stray positional argument is not silently ignored.
+        let err = Args::parse(FIG6, &["--jobs", "2", "extra"]).unwrap_err();
+        assert_eq!(err, "extra: unexpected argument");
     }
 
     #[test]
     fn smoke_scales_down_but_never_up() {
-        let smoke = BenchOpts::smoke_with_jobs(2);
+        let smoke = Args::parse(&[], &["--smoke", "--jobs", "2"]).unwrap().opts();
+        assert_eq!(smoke, BenchOpts { jobs: 2, smoke: true });
         assert_eq!(smoke.queries(100), 5);
         assert_eq!(smoke.queries(3), 3);
         assert_eq!(smoke.nodes(900), 150);
         assert_eq!(smoke.nodes(120), 120);
         assert_eq!(smoke.network_sizes(), vec![150, 200]);
 
-        let full = BenchOpts { jobs: 1, smoke: false };
+        let full = Args::parse(&[], &["--jobs", "0"]).unwrap().opts();
+        assert_eq!(full, BenchOpts { jobs: 1, smoke: false });
         assert_eq!(full.queries(100), 100);
         assert_eq!(full.network_sizes(), vec![300, 600, 900, 1200]);
     }
 
     #[test]
     fn smoke_artifacts_never_overwrite_checked_in_results() {
-        let smoke = BenchOpts::smoke_with_jobs(1);
+        let smoke = BenchOpts { jobs: 1, smoke: true };
         assert_eq!(smoke.artifact_path("fig6"), PathBuf::from("target/smoke/BENCH_fig6.json"));
         let full = BenchOpts { jobs: 4, smoke: false };
         assert_eq!(full.artifact_path("fig6"), PathBuf::from("BENCH_fig6.json"));

@@ -12,7 +12,7 @@
 //! * [`Trial`] — the unit of work: one [`WorkloadSpec`] plus a routing
 //!   substrate, evaluated to one [`Measurement`].
 //! * [`derive_seed`] — the per-trial seed derivation (splitmix64 over the
-//!   base seed and a stream index). Figure binaries whose serial loops used
+//!   base seed and a stream index). Figures whose serial loops used
 //!   to thread one RNG through every point now give each trial its own
 //!   derived stream, which is what makes the points schedulable in any
 //!   order on any number of workers.
@@ -33,8 +33,7 @@ use pool_workloads::scenario::WorkloadSpec;
 // The scoped worker pool and seed derivation now live in the substrate
 // crate (`pool_netsim::exec`) so non-bench consumers — notably the
 // service layer's per-shard executor — schedule on the same engine.
-// Re-exported here because every figure binary imports them from
-// `pool_bench::exec`.
+// Re-exported here because the figures import them from `crate::exec`.
 pub use pool_netsim::exec::{derive_seed, run_trials};
 
 /// One schedulable unit of the §5 evaluation grid: a complete workload

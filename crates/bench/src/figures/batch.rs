@@ -6,22 +6,22 @@
 //! batch size and query overlap. Each batch size is an independent trial
 //! over its own deployment — the serial binary reused one pair (and one
 //! RNG) across all sizes. Emits `BENCH_batch.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin batch_ablation --release
-//!       [-- --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
-use pool_bench::harness::{Scenario, SystemPair};
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{Scenario, SystemPair};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_core::query::RangeQuery;
 use pool_netsim::stats::Summary;
 use pool_workloads::events::EventDistribution;
 use rand::Rng;
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let nodes = arg_usize("--nodes", opts.nodes(600));
+/// Runs one trial per batch size on `--jobs` workers and returns the
+/// table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
     let trials_per_size = opts.scale(15, 4);
     let batch_sizes: Vec<usize> = if opts.smoke { vec![2, 8] } else { vec![2, 4, 8, 16] };
 
@@ -69,7 +69,7 @@ fn main() {
 
     // Latency columns: virtual time of issuing the whole batch serially vs
     // through the batch API, in milliseconds.
-    let mut table = pool_bench::Table::new(
+    let mut table = Table::new(
         "Query batching (overlapping threshold sweeps)",
         &[
             "batch_size",
@@ -96,5 +96,5 @@ fn main() {
             batched_lat.p99.into(),
         ]);
     }
-    opts.emit("batch", &table);
+    table.into()
 }

@@ -6,21 +6,20 @@
 //! hops but coarser placement). The paper fixes α = 5 m. Each α is an
 //! independent trial (serial seeds `11_000 + 10α` unchanged). Emits
 //! `BENCH_cell_size.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin sweep_cell_size --release
-//!       [-- --queries N --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
-use pool_bench::harness::{measure, QueryKind, Scenario, SystemPair};
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{measure, QueryKind, Scenario, SystemPair, LATENCY_COLUMNS};
+use crate::report::{Cell, Report, Table};
 use pool_core::config::PoolConfig;
 use pool_workloads::events::EventDistribution;
 use pool_workloads::queries::RangeSizeDistribution;
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let queries = arg_usize("--queries", opts.queries(50));
-    let nodes = arg_usize("--nodes", opts.nodes(600));
+/// Runs the sweep on `--jobs` workers and returns its table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(50));
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
     let alphas: Vec<f64> =
         if opts.smoke { vec![5.0, 10.0] } else { vec![2.5, 5.0, 7.5, 10.0, 15.0] };
 
@@ -39,13 +38,12 @@ fn main() {
 
     // Latency columns report the exact-match workload's virtual time.
     let mut columns = vec!["alpha_m", "pool_msgs", "pool_cells", "pool_msgs_1partial"];
-    columns.extend(pool_bench::LATENCY_COLUMNS);
-    let mut table =
-        pool_bench::Table::new("Cell size sweep (l = 10, exponential exact-match)", &columns);
+    columns.extend(LATENCY_COLUMNS);
+    let mut table = Table::new("Cell size sweep (l = 10, exponential exact-match)", &columns);
     table.meta("nodes", nodes);
     table.meta("queries", queries);
     for (alpha, exact, partial) in &results {
-        let mut row: Vec<pool_bench::Cell> = vec![
+        let mut row: Vec<Cell> = vec![
             (*alpha).into(),
             exact.pool.mean.into(),
             exact.pool_cells.into(),
@@ -54,5 +52,5 @@ fn main() {
         row.extend(exact.latency_cells());
         table.row(row);
     }
-    opts.emit("cell_size", &table);
+    table.into()
 }

@@ -20,18 +20,15 @@
 //!
 //! Every campaign is an independent trial (own deployment, RNG streams,
 //! ledger), so the artifact is byte-identical for any `--jobs` count.
-//!
-//! Run: `cargo run -p pool-bench --bin chaos_suite --release
-//!       [-- --queries N --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
-use pool_bench::harness::{QueryKind, Scenario, SystemPair};
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{connected_deployment, QueryKind, Scenario, SystemPair};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_core::query::RangeQuery;
 use pool_core::system::QueryCost;
 use pool_ght::GhtTable;
-use pool_netsim::deployment::Deployment;
 use pool_netsim::geometry::{Point, Rect};
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
@@ -253,7 +250,7 @@ fn run_pair_arm(
         sync_epoch(&mut pair);
     }
     let queries = work.len() as f64;
-    let mut pool = ArmStats {
+    let empty = || ArmStats {
         completeness_sum: 0.0,
         ops_complete: 0,
         costs: Vec::with_capacity(work.len()),
@@ -262,15 +259,7 @@ fn run_pair_arm(
         total_messages: 0,
         latencies_ms: Vec::with_capacity(work.len()),
     };
-    let mut dim = ArmStats {
-        completeness_sum: 0.0,
-        ops_complete: 0,
-        costs: Vec::with_capacity(work.len()),
-        detour_routes: 0,
-        rtx_messages: 0,
-        total_messages: 0,
-        latencies_ms: Vec::with_capacity(work.len()),
-    };
+    let (mut pool, mut dim) = (empty(), empty());
     for (sink, query) in work {
         let p = pair.pool.query_from(*sink, query).expect("pool query");
         pool.completeness_sum += p.completeness.ratio();
@@ -324,22 +313,7 @@ struct GhtWorkload {
 }
 
 fn ght_workload(scenario: &Scenario, gets: usize) -> GhtWorkload {
-    let mut seed = scenario.seed;
-    let topology = loop {
-        let dep = Deployment::paper_setting(
-            scenario.nodes,
-            scenario.radio_range,
-            scenario.avg_neighbors,
-            seed,
-        )
-        .expect("valid deployment parameters");
-        let topo =
-            Topology::build(dep.nodes(), scenario.radio_range).expect("valid topology parameters");
-        if topo.is_connected() {
-            break topo;
-        }
-        seed = seed.wrapping_add(0x1000);
-    };
+    let (topology, _, _) = connected_deployment(scenario);
     let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x6417_0000);
     let n = topology.len() as u32;
     let keys = (gets / 2).clamp(8, 64);
@@ -354,14 +328,7 @@ fn ght_workload(scenario: &Scenario, gets: usize) -> GhtWorkload {
     GhtWorkload { topology, puts, gets }
 }
 
-struct GhtScout {
-    window_lo: f64,
-    window_hi: f64,
-    field: Rect,
-    victims: Vec<NodeId>,
-}
-
-fn ght_scout(scenario: &Scenario, work: &GhtWorkload, victims_wanted: usize) -> GhtScout {
+fn ght_scout(scenario: &Scenario, work: &GhtWorkload, victims_wanted: usize) -> ScoutReport {
     let mut transport = ght_radio(scenario).stack(&work.topology, 0);
     let mut ght: GhtTable<u64> = GhtTable::new(&work.topology);
     for (i, (source, key)) in work.puts.iter().enumerate() {
@@ -404,7 +371,7 @@ fn ght_scout(scenario: &Scenario, work: &GhtWorkload, victims_wanted: usize) -> 
         ght.get(&work.topology, transport.as_mut(), *sink, key).expect("scout ght get");
     }
     let window_hi = transport.clock().now().max(window_lo);
-    GhtScout { window_lo, window_hi, field: work.topology.bounds(), victims }
+    ScoutReport { window_lo, window_hi, field: work.topology.bounds(), victims }
 }
 
 struct GhtArm {
@@ -483,31 +450,17 @@ fn run_ght_campaign(scenario: &Scenario, campaign: Campaign, gets: usize) -> Sys
         };
     }
     let scout = ght_scout(scenario, &work, 6);
-    let span = scout.window_hi - scout.window_lo;
+    // GHT's crashes land a tenth into its query window; the other plans
+    // are the pair's.
     let plan = match campaign {
-        Campaign::Control => unreachable!("handled above"),
         Campaign::Kill => {
-            let at = scout.window_lo + 0.10 * span;
+            let at = scout.window_lo + 0.10 * (scout.window_hi - scout.window_lo);
             scout
                 .victims
                 .iter()
                 .fold(FaultPlan::new(), |plan, &node| plan.with(Fault::Crash { node, at }))
         }
-        Campaign::Partition => {
-            let f = scout.field;
-            let region =
-                Rect::new(f.min, Point::new(f.min.x + 0.35 * (f.max.x - f.min.x), f.max.y));
-            FaultPlan::new().with(Fault::Partition {
-                region,
-                from: scout.window_lo + 0.10 * span,
-                until: scout.window_lo + 0.55 * span,
-            })
-        }
-        Campaign::Burst => FaultPlan::new().with(Fault::BurstLoss {
-            channel: GilbertElliott { p_gb: 0.08, p_bg: 0.25, good_prr: 1.0, bad_prr: 0.15 },
-            from: scout.window_lo,
-            until: f64::INFINITY,
-        }),
+        _ => plan_for(campaign, &scout),
     };
     let chaos = Substrate {
         faults: Some(plan),
@@ -592,17 +545,24 @@ fn run_campaign(scenario: &Scenario, campaign: Campaign, queries: usize) -> Camp
     CampaignResult { label: campaign.label(), rows }
 }
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let queries = arg_usize("--queries", opts.queries(40)).max(1);
-    let nodes = arg_usize("--nodes", opts.nodes(400));
+/// Runs the four campaigns on `--jobs` workers and returns the table.
+///
+/// # Panics
+///
+/// Panics if a control arm diverges from the bare lossy substrate, or if
+/// detouring loses completeness in the kill campaign (or, at full scale,
+/// recovers none).
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(40)).max(1);
+    let nodes = arg_usize(args, "--nodes", opts.nodes(400));
     let scenario = Scenario::paper(nodes, 90_000);
 
     let campaigns = vec![Campaign::Control, Campaign::Kill, Campaign::Partition, Campaign::Burst];
     let results =
         run_trials(opts.jobs, campaigns, |_, campaign| run_campaign(&scenario, campaign, queries));
 
-    let mut table = pool_bench::Table::new(
+    let mut table = Table::new(
         "Chaos suite: fault injection, adaptive recovery, detour ablation",
         &[
             "campaign",
@@ -635,7 +595,6 @@ fn main() {
             ]);
         }
     }
-    opts.emit("chaos", &table);
 
     // The kill campaign is the tentpole claim: detour rerouting must never
     // hurt, and at full scale it must demonstrably buy completeness back
@@ -656,4 +615,5 @@ fn main() {
             "kill campaign: detour routing recovered nothing over the ablation"
         );
     }
+    table.into()
 }

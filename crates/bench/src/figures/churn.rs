@@ -23,10 +23,10 @@
 //! joins, deaths, or moves, all three systems must report completeness
 //! exactly 1.0.
 
-use crate::cli::{arg_usize, BenchOpts};
+use crate::cli::{arg_usize, Args, BenchOpts};
 use crate::exec::{derive_seed, run_trials};
 use crate::harness::{QueryKind, Scenario, SystemPair};
-use crate::report::Table;
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_core::dynamics::{ChurnConfig, ChurnPlanner, RepairQueue};
 use pool_core::event::Event;
@@ -45,54 +45,36 @@ use rand::{Rng, SeedableRng};
 /// Base seed for the churn trials' derived streams.
 const BASE_SEED: u64 = 87_341;
 
-/// The binary's parameter surface (CLI flags + smoke scaling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Params {
+/// The figure's parameters: flags over full-scale or smoke defaults.
+struct Params {
     /// Engine options (`--jobs`, `--smoke`).
-    pub opts: BenchOpts,
+    opts: BenchOpts,
     /// Network size at deployment time.
-    pub nodes: usize,
+    nodes: usize,
     /// Churn epochs per level.
-    pub epochs: usize,
+    epochs: usize,
     /// Range queries per system per epoch.
-    pub queries: usize,
+    queries: usize,
     /// Keys loaded into the GHT.
-    pub keys: usize,
+    keys: usize,
     /// Key lookups per epoch.
-    pub gets: usize,
+    gets: usize,
     /// Per-epoch repair message budget (shared by all three systems).
-    pub budget: u64,
+    budget: u64,
 }
 
 impl Params {
-    /// Parses the binary's CLI: explicit flags override smoke defaults.
-    pub fn from_env() -> Self {
-        let opts = BenchOpts::from_env();
-        let keys = arg_usize("--keys", opts.scale(240, 60)).max(1);
+    fn from_args(args: &Args) -> Self {
+        let opts = args.opts();
+        let keys = arg_usize(args, "--keys", opts.scale(240, 60)).max(1);
         Params {
             opts,
-            nodes: arg_usize("--nodes", opts.nodes(600)),
-            epochs: arg_usize("--epochs", opts.scale(8, 3)).max(1),
-            queries: arg_usize("--queries", opts.scale(10, 3)).max(1),
+            nodes: arg_usize(args, "--nodes", opts.nodes(600)),
+            epochs: arg_usize(args, "--epochs", opts.scale(8, 3)).max(1),
+            queries: arg_usize(args, "--queries", opts.scale(10, 3)).max(1),
             keys,
-            gets: arg_usize("--gets", opts.scale(40, 10)).clamp(1, keys),
-            budget: arg_usize("--budget", 150) as u64,
-        }
-    }
-
-    /// The exact configuration `churn_resilience --smoke --jobs N` runs
-    /// with (used by the determinism regression test).
-    pub fn smoke(jobs: usize) -> Self {
-        let opts = BenchOpts::smoke_with_jobs(jobs);
-        let keys = opts.scale(240, 60).max(1);
-        Params {
-            opts,
-            nodes: opts.nodes(600),
-            epochs: opts.scale(8, 3).max(1),
-            queries: opts.scale(10, 3).max(1),
-            keys,
-            gets: opts.scale(40, 10).clamp(1, keys),
-            budget: 150,
+            gets: arg_usize(args, "--gets", opts.scale(40, 10)).clamp(1, keys),
+            budget: arg_usize(args, "--budget", 150) as u64,
         }
     }
 }
@@ -280,7 +262,7 @@ fn run_level(
     }
 }
 
-/// Runs the churn levels on `params.opts.jobs` workers and aggregates the
+/// Runs the churn levels on `--jobs` workers and aggregates the
 /// deterministic table.
 ///
 /// # Panics
@@ -288,7 +270,8 @@ fn run_level(
 /// Panics if a regression guard trips: per-epoch repair traffic exceeding
 /// the budget on any system, a completeness score outside `[0, 1]`, or
 /// the zero-churn control failing to score exactly 1.0 everywhere.
-pub fn collect(params: &Params) -> Table {
+pub fn run(args: &Args) -> Report {
+    let params = &Params::from_args(args);
     let levels: Vec<(usize, &'static str, (usize, usize, usize))> =
         LEVELS.iter().enumerate().map(|(i, &(label, rates))| (i, label, rates)).collect();
     let results = run_trials(params.opts.jobs, levels, |_, (index, label, rates)| {
@@ -351,5 +334,5 @@ pub fn collect(params: &Params) -> Table {
         );
         assert_eq!(row.events_lost, 0, "{} lost events without churn", row.system);
     }
-    table
+    table.into()
 }

@@ -7,21 +7,20 @@
 //! k = 2 to k = 6 at a fixed 600-node network; each `k` is an independent
 //! trial (serial seeds `7000 + k` unchanged). Emits
 //! `BENCH_dimensionality.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin dimensionality_sweep --release
-//!       [-- --queries N --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
-use pool_bench::harness::{measure, QueryKind, Scenario, SystemPair};
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{measure, QueryKind, Scenario, SystemPair, LATENCY_COLUMNS};
+use crate::report::{Cell, Report, Table};
 use pool_core::config::PoolConfig;
 use pool_workloads::events::EventDistribution;
 use pool_workloads::queries::RangeSizeDistribution;
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let queries = arg_usize("--queries", opts.queries(50));
-    let nodes = arg_usize("--nodes", opts.nodes(600));
+/// Runs the sweep on `--jobs` workers and returns its table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(50));
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
     let ks: Vec<usize> = (2..=opts.scale(6, 4)).collect();
 
     let results = run_trials(opts.jobs, ks, |_, k| {
@@ -39,15 +38,13 @@ fn main() {
 
     // Latency columns report the exact-match workload's virtual time.
     let mut columns = vec!["k", "pool_exact", "dim_exact", "pool_1partial", "dim_1partial"];
-    columns.extend(pool_bench::LATENCY_COLUMNS);
-    let mut table = pool_bench::Table::new(
-        "Dimensionality sweep (exponential exact match + 1-partial)",
-        &columns,
-    );
+    columns.extend(LATENCY_COLUMNS);
+    let mut table =
+        Table::new("Dimensionality sweep (exponential exact match + 1-partial)", &columns);
     table.meta("nodes", nodes);
     table.meta("queries", queries);
     for (k, exact, partial) in &results {
-        let mut row: Vec<pool_bench::report::Cell> = vec![
+        let mut row: Vec<Cell> = vec![
             (*k).into(),
             exact.pool.mean.into(),
             exact.dim.mean.into(),
@@ -57,5 +54,5 @@ fn main() {
         row.extend(exact.latency_cells());
         table.row(row);
     }
-    opts.emit("dimensionality", &table);
+    table.into()
 }

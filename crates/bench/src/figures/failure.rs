@@ -10,42 +10,33 @@
 //! Failure rounds are inherently sequential (each round mutates the same
 //! three deployments), so the campaign is submitted as a single trial;
 //! `--jobs` is accepted for CLI uniformity. Emits `BENCH_failure.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin failure_resilience --release
-//!       [-- --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{connected_deployment, Scenario};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_core::event::Event;
 use pool_core::failure::FailureReport;
 use pool_core::query::RangeQuery;
 use pool_core::system::PoolSystem;
 use pool_dim::system::DimSystem;
-use pool_netsim::deployment::Deployment;
 use pool_netsim::node::NodeId;
-use pool_netsim::topology::Topology;
 use pool_transport::Substrate;
 use pool_workloads::events::{EventDistribution, EventGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let nodes = arg_usize("--nodes", opts.nodes(600));
+/// Runs the failure campaign as one trial and returns the table, plus
+/// the replicated system's repair totals for stdout.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
     let events = opts.scale(1200, 300);
     let rounds = opts.scale(5, 2);
 
     let mut results = run_trials(opts.jobs, vec![()], |_, ()| {
-        let mut seed = 2026u64;
-        let (topology, field) = loop {
-            let dep = Deployment::paper_setting(nodes, 40.0, 20.0, seed).unwrap();
-            let topo = Topology::build(dep.nodes(), 40.0).unwrap();
-            if topo.is_connected() {
-                break (topo, dep.field());
-            }
-            seed += 0x1000;
-        };
+        let (topology, field, seed) = connected_deployment(&Scenario::paper(nodes, 2026));
 
         let mut dim = DimSystem::build(topology.clone(), field, 3, &Substrate::default()).unwrap();
         let mut plain =
@@ -139,7 +130,7 @@ fn main() {
 
     // The latency columns time the full-domain audit query on the wounded
     // network, in virtual milliseconds.
-    let mut table = pool_bench::Table::new(
+    let mut table = Table::new(
         "Failure resilience (rounds of 2% failures)",
         &[
             "round",
@@ -167,6 +158,5 @@ fn main() {
             (*dim_ms).into(),
         ]);
     }
-    opts.emit("failure", &table);
-    println!("\ncampaign (replicated Pool): {campaign}");
+    Report { table, lines: vec![format!("campaign (replicated Pool): {campaign}")] }
 }

@@ -12,70 +12,16 @@
 //! inherently non-deterministic, so they are returned separately and go
 //! to stdout only, never into the JSON artifact.
 
-use crate::cli::{arg_transport, arg_usize, BenchOpts};
+use crate::cli::{arg_transport, arg_usize, Args};
 use crate::exec::run_trials;
 use crate::harness::{measure, QueryKind, Scenario, SystemPair};
-use crate::report::Table;
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_netsim::node::NodeId;
 use pool_transport::TransportKind;
 use pool_workloads::events::EventDistribution;
 use pool_workloads::queries::RangeSizeDistribution;
 use std::time::Instant;
-
-/// The figure's full parameter surface (CLI flags + smoke scaling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Params {
-    /// Engine options (`--jobs`, `--smoke`).
-    pub opts: BenchOpts,
-    /// Queries per measurement point.
-    pub queries: usize,
-    /// Replay rounds per timed ablation trial.
-    pub rounds: usize,
-    /// Network size of the substrate ablation.
-    pub ablation_nodes: usize,
-    /// Routing substrate for the panel measurements.
-    pub transport: TransportKind,
-}
-
-impl Params {
-    /// Parses the binary's CLI: explicit flags override smoke defaults.
-    pub fn from_env() -> Self {
-        let opts = BenchOpts::from_env();
-        Params {
-            opts,
-            queries: arg_usize("--queries", opts.queries(100)),
-            rounds: arg_usize("--rounds", opts.scale(20, 2)),
-            ablation_nodes: arg_usize("--ablation-nodes", opts.nodes(1200)),
-            transport: arg_transport("--transport", TransportKind::Gpsr),
-        }
-    }
-
-    /// The exact configuration `fig6 --smoke --jobs N` runs with (used by
-    /// the determinism regression test).
-    pub fn smoke(jobs: usize) -> Self {
-        let opts = BenchOpts::smoke_with_jobs(jobs);
-        Params {
-            opts,
-            queries: opts.queries(100),
-            rounds: opts.scale(20, 2),
-            ablation_nodes: opts.nodes(1200),
-            transport: TransportKind::Gpsr,
-        }
-    }
-}
-
-/// What [`collect`] produces: the deterministic table plus the
-/// non-deterministic wall-clock lines for stdout.
-#[derive(Debug)]
-pub struct Fig6Report {
-    /// Panel measurements + ablation message totals; fully deterministic.
-    pub table: Table,
-    /// Human-readable timing summary (varies run to run).
-    pub timing_lines: Vec<String>,
-    /// The measured GPSR/cached wall-clock ratio (> 1 when the memo wins).
-    pub cached_speedup: f64,
-}
 
 /// One trial of the figure: either a (panel, size) measurement point or
 /// one substrate's leg of the timed ablation.
@@ -151,21 +97,27 @@ fn run_ablation_leg(
     }
 }
 
-/// Runs the full figure on `params.opts.jobs` workers.
+/// Runs the full figure on `--jobs` workers: the deterministic table,
+/// plus the ablation's wall-clock lines for stdout.
 ///
 /// # Panics
 ///
 /// Panics if any trial's cross-validation fails or the two ablation
 /// substrates disagree on message totals (the PR 1 equivalence
 /// invariant).
-pub fn collect(params: &Params) -> Fig6Report {
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(100));
+    let rounds = arg_usize(args, "--rounds", opts.scale(20, 2));
+    let ablation_nodes = arg_usize(args, "--ablation-nodes", opts.nodes(1200));
+    let transport = arg_transport(args, "--transport", TransportKind::Gpsr);
     let mut inputs = Vec::new();
     // Heaviest trials first: the scheduler pulls in submission order, so
     // leading with the big networks keeps workers busy at the tail.
     // Output order is restored at aggregation time from the trial labels.
     inputs.push(TrialInput::Ablation { kind: TransportKind::Gpsr });
     inputs.push(TrialInput::Ablation { kind: TransportKind::Cached });
-    let mut sizes = params.opts.network_sizes();
+    let mut sizes = opts.network_sizes();
     sizes.reverse();
     for &nodes in &sizes {
         for (panel, dist, label) in [
@@ -176,10 +128,7 @@ pub fn collect(params: &Params) -> Fig6Report {
         }
     }
 
-    let queries = params.queries;
-    let (rounds, ablation_nodes, transport) =
-        (params.rounds, params.ablation_nodes, params.transport);
-    let outputs = run_trials(params.opts.jobs, inputs, |_, input| match input {
+    let outputs = run_trials(opts.jobs, inputs, |_, input| match input {
         TrialInput::Panel { panel, dist, label, nodes } => {
             let scenario = Scenario::paper(nodes, 42 + nodes as u64);
             let config = PoolConfig::paper().with_transport(transport);
@@ -254,7 +203,7 @@ pub fn collect(params: &Params) -> Fig6Report {
     );
 
     let cached_speedup = gpsr_secs / cached_secs;
-    let timing_lines = vec![
+    let lines = vec![
         format!(
             "# Routing-substrate ablation ({ablation_nodes} nodes, {queries} queries x {rounds} \
              rounds, DIM leg)"
@@ -263,5 +212,5 @@ pub fn collect(params: &Params) -> Fig6Report {
         format!("cached: {cached_secs:.4}s"),
         format!("cached speedup: {cached_speedup:.2}x (wall-clock; not part of the artifact)"),
     ];
-    Fig6Report { table, timing_lines, cached_speedup }
+    Report { table, lines }
 }

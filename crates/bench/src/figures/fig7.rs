@@ -12,20 +12,19 @@
 //! thread one deployment and one RNG through all five measurements, which
 //! coupled every point to its predecessors and made the sweep
 //! unschedulable. Emits `BENCH_fig7.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin fig7 --release
-//!       [-- --queries N --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::{derive_seed, run_trials};
-use pool_bench::harness::{measure, QueryKind, Scenario, SystemPair};
+use crate::cli::{arg_usize, Args};
+use crate::exec::{derive_seed, run_trials};
+use crate::harness::{measure, QueryKind, Scenario, SystemPair, LATENCY_COLUMNS};
+use crate::report::{Cell, Report, Table};
 use pool_core::config::PoolConfig;
 use pool_workloads::events::EventDistribution;
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let queries = arg_usize("--queries", opts.queries(100));
-    let nodes = arg_usize("--nodes", opts.nodes(900));
+/// Runs the five workloads on `--jobs` workers and returns the table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(100));
+    let nodes = arg_usize(args, "--nodes", opts.nodes(900));
 
     let workloads: Vec<(&str, &str, QueryKind)> = vec![
         ("7a", "1-partial", QueryKind::MPartial(1)),
@@ -50,13 +49,12 @@ fn main() {
         "pool_cells",
         "dim_zones",
     ];
-    columns.extend(pool_bench::LATENCY_COLUMNS);
-    let mut table =
-        pool_bench::Table::new("Figure 7: partial-match query cost by workload", &columns);
+    columns.extend(LATENCY_COLUMNS);
+    let mut table = Table::new("Figure 7: partial-match query cost by workload", &columns);
     table.meta("nodes", nodes);
     table.meta("queries", queries);
     for (panel, label, m) in &results {
-        let mut row: Vec<pool_bench::report::Cell> = vec![
+        let mut row: Vec<Cell> = vec![
             (*panel).into(),
             (*label).into(),
             m.pool.mean.into(),
@@ -68,5 +66,5 @@ fn main() {
         row.extend(m.latency_cells());
         table.row(row);
     }
-    opts.emit("fig7", &table);
+    table.into()
 }

@@ -8,42 +8,32 @@
 //! of deployments and a derived query seed (`derive_seed(31_337, i)`) —
 //! the serial binary threaded one RNG across all sizes. Emits
 //! `BENCH_forwarding.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin forwarding_ablation --release
-//!       [-- --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::{derive_seed, run_trials};
-use pool_bench::harness::Scenario;
+use crate::cli::{arg_usize, Args};
+use crate::exec::{derive_seed, run_trials};
+use crate::harness::{connected_deployment, Scenario};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_core::query::RangeQuery;
 use pool_core::system::PoolSystem;
-use pool_netsim::deployment::Deployment;
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
-use pool_netsim::topology::Topology;
 use pool_workloads::events::{EventDistribution, EventGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let nodes = arg_usize("--nodes", opts.nodes(600));
+/// Runs one trial per range size on `--jobs` workers and returns the
+/// table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
     let trials_per_size = opts.scale(25, 5);
     let sizes: Vec<f64> =
         if opts.smoke { vec![0.1, 0.4] } else { vec![0.05, 0.1, 0.2, 0.4, 0.6, 0.8] };
     let scenario = Scenario::paper(nodes, 31337);
 
     let results = run_trials(opts.jobs, sizes, |trial_index, size| {
-        let mut seed = scenario.seed;
-        let (topology, field) = loop {
-            let dep = Deployment::paper_setting(nodes, 40.0, 20.0, seed).unwrap();
-            let topo = Topology::build(dep.nodes(), 40.0).unwrap();
-            if topo.is_connected() {
-                break (topo, dep.field());
-            }
-            seed += 0x1000;
-        };
+        let (topology, field, _) = connected_deployment(&scenario);
         let build = |aggregate: bool| -> PoolSystem {
             let mut config = PoolConfig::paper().with_seed(scenario.seed);
             if !aggregate {
@@ -97,7 +87,7 @@ fn main() {
 
     // Latency columns: whole-query virtual time with and without reply
     // aggregation, in milliseconds.
-    let mut table = pool_bench::Table::new(
+    let mut table = Table::new(
         "Reply aggregation ablation (growing query selectivity)",
         &[
             "range_size",
@@ -126,5 +116,5 @@ fn main() {
             raw_lat.p99.into(),
         ]);
     }
-    opts.emit("forwarding", &table);
+    table.into()
 }

@@ -7,20 +7,16 @@
 //! per-node storage load — the hotspot indicator. Each system/capacity is
 //! an independent trial over the same (seed-pinned) deployment and event
 //! stream. Emits `BENCH_hotspot.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin hotspot --release
-//!       [-- --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
-use pool_bench::harness::Scenario;
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{connected_deployment, Scenario};
+use crate::report::{Report, Table};
 use pool_core::config::{PoolConfig, SharingPolicy};
 use pool_core::system::PoolSystem;
 use pool_dim::system::DimSystem;
-use pool_netsim::deployment::Deployment;
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
-use pool_netsim::topology::Topology;
 use pool_transport::Substrate;
 use pool_workloads::events::{EventDistribution, EventGenerator};
 use rand::rngs::StdRng;
@@ -34,9 +30,11 @@ enum Subject {
     Pool(Option<usize>),
 }
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let nodes = arg_usize("--nodes", opts.nodes(600));
+/// Runs one trial per system and sharing capacity on `--jobs` workers
+/// and returns the table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
     let events = opts.scale(1200, 300);
     let scenario = Scenario::paper(nodes, 999);
     let skew = EventDistribution::Hotspot { center: vec![0.85, 0.1, 0.1], std_dev: 0.02 };
@@ -49,15 +47,7 @@ fn main() {
         Subject::Pool(Some(10)),
     ];
     let results = run_trials(opts.jobs, subjects, |_, subject| {
-        let mut seed = scenario.seed;
-        let (topology, field) = loop {
-            let dep = Deployment::paper_setting(nodes, 40.0, 20.0, seed).unwrap();
-            let topo = Topology::build(dep.nodes(), 40.0).unwrap();
-            if topo.is_connected() {
-                break (topo, dep.field());
-            }
-            seed += 0x1000;
-        };
+        let (topology, field, _) = connected_deployment(&scenario);
         let mut rng = StdRng::seed_from_u64(7);
         let mut generator = EventGenerator::new(3, skew.clone());
         match subject {
@@ -105,7 +95,7 @@ fn main() {
     });
 
     // Latency columns report per-insert virtual time in milliseconds.
-    let mut table = pool_bench::Table::new(
+    let mut table = Table::new(
         "Hotspot under skewed events",
         &[
             "system",
@@ -128,5 +118,5 @@ fn main() {
             latency.p99.into(),
         ]);
     }
-    opts.emit("hotspot", &table);
+    table.into()
 }

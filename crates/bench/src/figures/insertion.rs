@@ -2,42 +2,32 @@
 //!
 //! The paper drops this plot because "the data insertion cost of both
 //! methods are conceptually the same" (both GPSR-route each event to one
-//! storage node). This binary verifies that claim empirically; each
+//! storage node). This figure verifies that claim empirically; each
 //! network size is an independent trial on the execution engine (the
 //! serial seeds, `77 + nodes`, are unchanged). Emits
 //! `BENCH_insertion.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin insertion_cost --release
-//!       [-- --jobs N --smoke]`
 
-use pool_bench::cli::BenchOpts;
-use pool_bench::exec::run_trials;
-use pool_bench::harness::Scenario;
+use crate::cli::Args;
+use crate::exec::run_trials;
+use crate::harness::{connected_deployment, Scenario, LATENCY_COLUMNS};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_core::system::PoolSystem;
 use pool_dim::system::DimSystem;
-use pool_netsim::deployment::Deployment;
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
-use pool_netsim::topology::Topology;
 use pool_transport::Substrate;
 use pool_workloads::events::{EventDistribution, EventGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let opts = BenchOpts::from_env();
+/// Runs one trial per network size on `--jobs` workers and returns the
+/// table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
     let results = run_trials(opts.jobs, opts.network_sizes(), |_, n| {
         let scenario = Scenario::paper(n, 77 + n as u64);
-        let mut seed = scenario.seed;
-        let (topology, field) = loop {
-            let dep = Deployment::paper_setting(n, 40.0, 20.0, seed).unwrap();
-            let topo = Topology::build(dep.nodes(), 40.0).unwrap();
-            if topo.is_connected() {
-                break (topo, dep.field());
-            }
-            seed += 0x1000;
-        };
+        let (topology, field, _) = connected_deployment(&scenario);
         let mut pool = PoolSystem::build(
             topology.clone(),
             field,
@@ -74,9 +64,8 @@ fn main() {
 
     // Latency columns report per-insert virtual time in milliseconds.
     let mut columns = vec!["nodes", "pool_mean", "dim_mean", "pool_p95", "dim_p95"];
-    columns.extend(pool_bench::LATENCY_COLUMNS);
-    let mut table =
-        pool_bench::Table::new("Insertion cost (messages per event) vs network size", &columns);
+    columns.extend(LATENCY_COLUMNS);
+    let mut table = Table::new("Insertion cost (messages per event) vs network size", &columns);
     for (n, ps, ds, pl, dl) in &results {
         table.row(vec![
             (*n).into(),
@@ -90,5 +79,5 @@ fn main() {
             dl.p99.into(),
         ]);
     }
-    opts.emit("insertion", &table);
+    table.into()
 }

@@ -30,10 +30,10 @@
 //! [`QueryCost::elapsed`]: pool_core::forward::QueryCost
 //! [`ReplicatedReceipt::elapsed`]: pool_ght::replication::ReplicatedReceipt
 
-use crate::cli::{arg_usize, BenchOpts};
+use crate::cli::{arg_usize, Args};
 use crate::exec::run_trials;
 use crate::harness::{QueryKind, Scenario, SystemPair};
-use crate::report::Table;
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_ght::replication::ReplicatedGht;
 use pool_netsim::node::NodeId;
@@ -45,36 +45,6 @@ use pool_workloads::queries::RangeSizeDistribution;
 
 /// Mirrors per key for the GHT leg (GHT §4.3 uses `2^d`; d = 2).
 const GHT_MIRRORS: u32 = 4;
-
-/// The binary's parameter surface (CLI flags + smoke scaling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Params {
-    /// Engine options (`--jobs`, `--smoke`).
-    pub opts: BenchOpts,
-    /// Operations timed per system per level.
-    pub queries: usize,
-    /// Network size.
-    pub nodes: usize,
-}
-
-impl Params {
-    /// Parses the binary's CLI: explicit flags override smoke defaults.
-    pub fn from_env() -> Self {
-        let opts = BenchOpts::from_env();
-        Params {
-            opts,
-            queries: arg_usize("--queries", opts.queries(40)).max(1),
-            nodes: arg_usize("--nodes", opts.nodes(600)),
-        }
-    }
-
-    /// The exact configuration `latency_profile --smoke --jobs N` runs
-    /// with (used by the determinism regression test).
-    pub fn smoke(jobs: usize) -> Self {
-        let opts = BenchOpts::smoke_with_jobs(jobs);
-        Params { opts, queries: opts.queries(40).max(1), nodes: opts.nodes(600) }
-    }
-}
 
 /// One (system, fan-out discipline) measurement under one link regime.
 struct SystemRow {
@@ -201,8 +171,8 @@ fn run_level(
     }
 }
 
-/// Runs the three link regimes on `params.opts.jobs` workers and
-/// aggregates the deterministic table.
+/// Runs the three link regimes on `--jobs` workers and aggregates the
+/// deterministic table.
 ///
 /// # Panics
 ///
@@ -210,15 +180,17 @@ fn run_level(
 /// longer than its serial counterfactual (the critical path is a subset
 /// of the legs, so it can never exceed their sum), or GHT's mirror
 /// fan-out failing to beat sequential mirror writes on the ideal radio.
-pub fn collect(params: &Params) -> Table {
-    let scenario = Scenario::paper(params.nodes, 92_000);
-    let queries = params.queries;
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(40)).max(1);
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
+    let scenario = Scenario::paper(nodes, 92_000);
     let levels: Vec<(&'static str, LinkQuality)> = vec![
         ("ideal (prr = 1)", LinkQuality::Fixed(1.0)),
         ("mild loss (30/45 m)", LinkQuality::Model(PrrModel::new(30.0, 45.0))),
         ("harsh loss (15/42 m)", LinkQuality::Model(PrrModel::new(15.0, 42.0))),
     ];
-    let results = run_trials(params.opts.jobs, levels, |_, (label, quality)| {
+    let results = run_trials(opts.jobs, levels, |_, (label, quality)| {
         run_level(&scenario, quality, queries, label)
     });
 
@@ -226,7 +198,7 @@ pub fn collect(params: &Params) -> Table {
         "Per-operation latency: virtual time across radio regimes and fan-out disciplines",
         &["radio", "system", "fanout", "mean_msgs", "p50_ms", "p99_ms", "mean_ms"],
     );
-    table.meta("nodes", params.nodes);
+    table.meta("nodes", nodes);
     table.meta("queries", queries);
     table.meta("ght_mirrors", GHT_MIRRORS as usize);
     for level in &results {
@@ -269,5 +241,5 @@ pub fn collect(params: &Params) -> Table {
         ght_overlap.latency.mean,
         ght_serial.latency.mean
     );
-    table
+    table.into()
 }

@@ -11,13 +11,11 @@
 //! deployments' ledgers), so the whole experiment is submitted as a
 //! single trial; `--jobs` is accepted for CLI uniformity. Emits
 //! `BENCH_lifetime.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin lifetime --release
-//!       [-- --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
-use pool_bench::harness::{Scenario, SystemPair};
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{Scenario, SystemPair};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_netsim::energy::{EnergyLedger, EnergyModel};
 use pool_netsim::node::NodeId;
@@ -33,9 +31,11 @@ struct LifetimeResult {
     dim_busiest: (NodeId, u64),
 }
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let nodes = arg_usize("--nodes", opts.nodes(600));
+/// Runs the round loop as one trial and returns the table, plus the
+/// first-death summary for stdout.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
     let max_rounds = opts.scale(4000, 150);
     // A small battery so the experiment terminates quickly: ~2000 sends
     // full scale, far fewer in smoke mode.
@@ -119,7 +119,7 @@ fn main() {
 
     // The vtime columns are each system's cumulative virtual clock at the
     // sampled round: the latency cost of having served the same workload.
-    let mut table = pool_bench::Table::new(
+    let mut table = Table::new(
         "Network lifetime (10 inserts + 2 queries per round)",
         &["round", "pool_min_battery", "dim_min_battery", "pool_vtime_s", "dim_vtime_s"],
     );
@@ -141,13 +141,17 @@ fn main() {
             (*dim_vtime).into(),
         ]);
     }
-    opts.emit("lifetime", &table);
-
-    println!("\nfirst node death:");
-    println!("  pool: round {}", dead(result.pool_dead_round));
-    println!("  dim : round {}", dead(result.dim_dead_round));
-    println!(
-        "  pool busiest node {}: {} sends; dim busiest node {}: {} sends",
-        result.pool_busiest.0, result.pool_busiest.1, result.dim_busiest.0, result.dim_busiest.1
-    );
+    let lines = vec![
+        "first node death:".to_owned(),
+        format!("  pool: round {}", dead(result.pool_dead_round)),
+        format!("  dim : round {}", dead(result.dim_dead_round)),
+        format!(
+            "  pool busiest node {}: {} sends; dim busiest node {}: {} sends",
+            result.pool_busiest.0,
+            result.pool_busiest.1,
+            result.dim_busiest.0,
+            result.dim_busiest.1
+        ),
+    ];
+    Report { table, lines }
 }

@@ -9,10 +9,10 @@
 //! ledgered, Pool's sharing beating DIM's hot zone owner) run after
 //! aggregation, exactly as the serial binary always asserted them.
 
-use crate::cli::{arg_usize, BenchOpts};
+use crate::cli::{arg_usize, Args};
 use crate::exec::run_trials;
 use crate::harness::{QueryKind, Scenario, SystemPair};
-use crate::report::Table;
+use crate::report::{Report, Table};
 use pool_core::config::{PoolConfig, SharingPolicy};
 use pool_core::query::RangeQuery;
 use pool_netsim::radio::PrrModel;
@@ -23,36 +23,6 @@ use pool_workloads::queries::RangeSizeDistribution;
 /// The hotspot: most readings cluster here, so one α-cell's index node
 /// overflows its sharing capacity and grows a delegation chain.
 const HOTSPOT: [f64; 3] = [0.85, 0.15, 0.5];
-
-/// The binary's parameter surface (CLI flags + smoke scaling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Params {
-    /// Engine options (`--jobs`, `--smoke`).
-    pub opts: BenchOpts,
-    /// Queries per level.
-    pub queries: usize,
-    /// Network size.
-    pub nodes: usize,
-}
-
-impl Params {
-    /// Parses the binary's CLI: explicit flags override smoke defaults.
-    pub fn from_env() -> Self {
-        let opts = BenchOpts::from_env();
-        Params {
-            opts,
-            queries: arg_usize("--queries", opts.queries(45)).max(1),
-            nodes: arg_usize("--nodes", opts.nodes(600)),
-        }
-    }
-
-    /// The exact configuration `load_balance --smoke --jobs N` runs with
-    /// (used by the determinism regression test).
-    pub fn smoke(jobs: usize) -> Self {
-        let opts = BenchOpts::smoke_with_jobs(jobs);
-        Params { opts, queries: opts.queries(45), nodes: opts.nodes(600) }
-    }
-}
 
 /// How one system's load spread out under one link regime.
 struct SystemStats {
@@ -121,22 +91,24 @@ fn run_level(
     LevelResult { label, pool, dim }
 }
 
-/// Runs both link regimes on `params.opts.jobs` workers and aggregates
-/// the deterministic table.
+/// Runs both link regimes on `--jobs` workers and aggregates the
+/// deterministic table.
 ///
 /// # Panics
 ///
 /// Panics if a regression guard trips: ARQ traffic on an ideal radio,
 /// delegation chains missing from the Reply-layer ledger, or Pool's
 /// sharing failing to cap storage below DIM's hot zone owner.
-pub fn collect(params: &Params) -> Table {
-    let scenario = Scenario::paper(params.nodes, 91_000);
-    let queries = params.queries;
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(45)).max(1);
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
+    let scenario = Scenario::paper(nodes, 91_000);
     let levels: Vec<(&'static str, LinkQuality)> = vec![
         ("ideal (prr = 1)", LinkQuality::Fixed(1.0)),
         ("harsh loss (15/42 m)", LinkQuality::Model(PrrModel::new(15.0, 42.0))),
     ];
-    let results = run_trials(params.opts.jobs, levels, |_, (label, quality)| {
+    let results = run_trials(opts.jobs, levels, |_, (label, quality)| {
         run_level(&scenario, quality, queries, label)
     });
 
@@ -161,7 +133,7 @@ pub fn collect(params: &Params) -> Table {
             "rtx",
         ],
     );
-    table.meta("nodes", params.nodes);
+    table.meta("nodes", nodes);
     table.meta("queries", queries);
     for level in &results {
         for (system, s) in [("pool", &level.pool), ("dim", &level.dim)] {
@@ -205,5 +177,5 @@ pub fn collect(params: &Params) -> Table {
         ideal.pool.storage.max,
         ideal.dim.storage.max
     );
-    table
+    table.into()
 }

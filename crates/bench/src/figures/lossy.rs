@@ -15,13 +15,11 @@
 //! its deployment, link RNG, ledger, and tracer), so the three levels run
 //! concurrently under `--jobs` and `BENCH_lossy.json` is byte-identical
 //! for any worker count.
-//!
-//! Run: `cargo run -p pool-bench --bin lossy_radio --release
-//!       [-- --queries N --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
-use pool_bench::harness::{QueryKind, Scenario, SystemPair};
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{QueryKind, Scenario, SystemPair};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_netsim::radio::PrrModel;
 use pool_netsim::stats::Summary;
@@ -122,11 +120,17 @@ fn run_level(
     }
 }
 
-fn main() {
+/// Runs the three link regimes on `--jobs` workers and returns the
+/// table.
+///
+/// # Panics
+///
+/// Panics if the ideal regime retransmits or answers a query incompletely.
+pub fn run(args: &Args) -> Report {
     // At least one query: the completeness means divide by the count.
-    let opts = BenchOpts::from_env();
-    let queries = arg_usize("--queries", opts.queries(60)).max(1);
-    let nodes = arg_usize("--nodes", opts.nodes(600));
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(60)).max(1);
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
     let scenario = Scenario::paper(nodes, 90_000);
 
     let levels: Vec<(&'static str, LinkQuality)> = vec![
@@ -138,7 +142,7 @@ fn main() {
         run_level(&scenario, quality, queries, label)
     });
 
-    let mut table = pool_bench::Table::new(
+    let mut table = Table::new(
         "Lossy radio: hop-by-hop ARQ, delivery and completeness",
         &[
             "radio",
@@ -173,7 +177,6 @@ fn main() {
             ]);
         }
     }
-    opts.emit("lossy", &table);
 
     // The ideal regime is the regression guard: a perfect link must be
     // indistinguishable from the loss-free seed.
@@ -182,4 +185,5 @@ fn main() {
     assert_eq!(ideal.dim.retransmit_messages, 0, "ideal radio retransmitted (dim)");
     assert!((ideal.pool.mean_completeness - 1.0).abs() < 1e-12, "ideal pool incomplete");
     assert!((ideal.dim.mean_completeness - 1.0).abs() < 1e-12, "ideal dim incomplete");
+    table.into()
 }

@@ -7,41 +7,32 @@
 //! and locates the crossover in match rate. Each query width is an
 //! independent trial (the serial seeds — topology 808, streams 9 — are
 //! unchanged). Emits `BENCH_monitor.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin monitor_cost --release
-//!       [-- --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{connected_deployment, Scenario};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_core::event::Event;
 use pool_core::query::RangeQuery;
 use pool_core::system::PoolSystem;
-use pool_netsim::deployment::Deployment;
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
-use pool_netsim::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let nodes = arg_usize("--nodes", opts.nodes(600));
+/// Runs one trial per query width on `--jobs` workers and returns the
+/// table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let nodes = arg_usize(args, "--nodes", opts.nodes(600));
     let insertions = opts.scale(500, 100);
     let poll_every = opts.scale(50, 25);
     let widths: Vec<f64> =
         if opts.smoke { vec![0.05, 0.2] } else { vec![0.02, 0.05, 0.1, 0.2, 0.4] };
 
     let results = run_trials(opts.jobs, widths, |_, width| {
-        let mut seed = 808u64;
-        let (topology, field) = loop {
-            let dep = Deployment::paper_setting(nodes, 40.0, 20.0, seed).unwrap();
-            let topo = Topology::build(dep.nodes(), 40.0).unwrap();
-            if topo.is_connected() {
-                break (topo, dep.field());
-            }
-            seed += 0x1000;
-        };
+        let (topology, field, seed) = connected_deployment(&Scenario::paper(nodes, 808));
         let query =
             RangeQuery::from_bounds(vec![Some((0.5 - width / 2.0, 0.5 + width / 2.0)), None, None])
                 .unwrap();
@@ -91,7 +82,7 @@ fn main() {
 
     // Latency columns: per-insert (with notification fan-out) vs per-poll
     // query virtual time, in milliseconds.
-    let mut table = pool_bench::Table::new(
+    let mut table = Table::new(
         "Continuous monitor vs periodic polling",
         &[
             "selectivity",
@@ -121,5 +112,5 @@ fn main() {
             poll_lat.p99.into(),
         ]);
     }
-    opts.emit("monitor", &table);
+    table.into()
 }

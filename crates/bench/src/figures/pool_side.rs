@@ -6,21 +6,20 @@
 //! pools are compact but coarse. This sweep locates the trade-off; each
 //! side length is an independent trial (serial seeds `5150 + l`
 //! unchanged). Emits `BENCH_pool_side.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin sweep_pool_side --release
-//!       [-- --queries N --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::run_trials;
-use pool_bench::harness::{measure, QueryKind, Scenario, SystemPair};
+use crate::cli::{arg_usize, Args};
+use crate::exec::run_trials;
+use crate::harness::{measure, QueryKind, Scenario, SystemPair, LATENCY_COLUMNS};
+use crate::report::{Cell, Report, Table};
 use pool_core::config::PoolConfig;
 use pool_workloads::events::EventDistribution;
 use pool_workloads::queries::RangeSizeDistribution;
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let queries = arg_usize("--queries", opts.queries(60));
-    let nodes = arg_usize("--nodes", opts.nodes(900));
+/// Runs the sweep on `--jobs` workers and returns its table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(60));
+    let nodes = arg_usize(args, "--nodes", opts.nodes(900));
     let sides: Vec<u32> = if opts.smoke { vec![6, 10] } else { vec![4, 6, 8, 10, 14, 18] };
 
     let results = run_trials(opts.jobs, sides, |_, side| {
@@ -38,15 +37,13 @@ fn main() {
 
     // Latency columns report the exact-match workload's virtual time.
     let mut columns = vec!["l", "pool_msgs", "pool_cells", "pool_msgs_1partial"];
-    columns.extend(pool_bench::LATENCY_COLUMNS);
-    let mut table = pool_bench::Table::new(
-        "Pool side length sweep (exponential exact-match queries)",
-        &columns,
-    );
+    columns.extend(LATENCY_COLUMNS);
+    let mut table =
+        Table::new("Pool side length sweep (exponential exact-match queries)", &columns);
     table.meta("nodes", nodes);
     table.meta("queries", queries);
     for (side, exact, partial) in &results {
-        let mut row: Vec<pool_bench::Cell> = vec![
+        let mut row: Vec<Cell> = vec![
             (*side).into(),
             exact.pool.mean.into(),
             exact.pool_cells.into(),
@@ -55,5 +52,5 @@ fn main() {
         row.extend(exact.latency_cells());
         table.row(row);
     }
-    opts.emit("pool_side", &table);
+    table.into()
 }

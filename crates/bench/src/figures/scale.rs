@@ -28,10 +28,10 @@
 //! scaling assertion: 10× the nodes may cost at most 15× the build+query
 //! wall-clock.
 
-use crate::cli::{arg_usize, BenchOpts};
+use crate::cli::{arg_usize, Args};
 use crate::exec::derive_seed;
-use crate::harness::QueryKind;
-use crate::report::Table;
+use crate::harness::{connected_deployment, QueryKind, Scenario};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_core::dynamics::{ChurnConfig, ChurnPlanner, RepairQueue};
 use pool_core::event::Event;
@@ -40,7 +40,6 @@ use pool_dim::churn::DimRepairQueue;
 use pool_dim::system::DimSystem;
 use pool_ght::churn::GhtRepairQueue;
 use pool_ght::table::GhtTable;
-use pool_netsim::deployment::Deployment;
 use pool_netsim::geometry::Rect;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
@@ -55,10 +54,6 @@ use std::time::Instant;
 const BASE_SEED: u64 = 52_007;
 /// Event dimensionality (the paper's k = 3).
 const DIMS: usize = 3;
-/// Radio range in meters (§5.1).
-const RADIO: f64 = 40.0;
-/// Target mean neighborhood size (§5.1).
-const NEIGHBORS: f64 = 20.0;
 /// Per-epoch repair budget for the churn step.
 const CHURN_BUDGET: u64 = 400;
 /// A 10× size step may cost at most this factor in build+query time.
@@ -67,49 +62,30 @@ const SUBQUADRATIC_FACTOR: f64 = 15.0;
 /// at least this much.
 const TIMING_FLOOR: f64 = 0.05;
 
-/// The binary's parameter surface (CLI flags + smoke scaling).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Params {
-    /// Engine options (`--smoke`; `--jobs` is accepted but the sweep is
-    /// always serial).
-    pub opts: BenchOpts,
+/// The figure's parameters: flags over full-scale or smoke defaults
+/// (`--jobs` is accepted, but the sweep is always serial).
+struct Params {
     /// Network sizes to sweep, ascending.
-    pub sizes: Vec<usize>,
+    sizes: Vec<usize>,
     /// Events inserted per system at every size.
-    pub inserts: usize,
+    inserts: usize,
     /// Queries (range queries / key lookups) per system at every size.
-    pub queries: usize,
+    queries: usize,
 }
 
 impl Params {
-    /// Parses the binary's CLI: explicit flags override smoke defaults.
     /// `--max-nodes N` truncates the sweep for quick local runs.
-    pub fn from_env() -> Self {
-        let opts = BenchOpts::from_env();
-        let cap = arg_usize("--max-nodes", usize::MAX);
-        let mut sizes = Self::sizes_for(opts);
+    fn from_args(args: &Args) -> Self {
+        let opts = args.opts();
+        let cap = arg_usize(args, "--max-nodes", usize::MAX);
+        let mut sizes =
+            if opts.smoke { vec![300, 600] } else { vec![1_000, 3_000, 10_000, 30_000, 100_000] };
         sizes.retain(|&n| n <= cap);
         assert!(!sizes.is_empty(), "--max-nodes leaves an empty sweep");
         Params {
-            opts,
             sizes,
-            inserts: arg_usize("--inserts", opts.scale(10_000, 200)).max(1),
-            queries: arg_usize("--queries", opts.scale(1_000, 20)).max(1),
-        }
-    }
-
-    /// The exact configuration `sweep_scale --smoke --jobs N` runs with
-    /// (used by the determinism regression test).
-    pub fn smoke(jobs: usize) -> Self {
-        let opts = BenchOpts::smoke_with_jobs(jobs);
-        Params { opts, sizes: Self::sizes_for(opts), inserts: 200, queries: 20 }
-    }
-
-    fn sizes_for(opts: BenchOpts) -> Vec<usize> {
-        if opts.smoke {
-            vec![300, 600]
-        } else {
-            vec![1_000, 3_000, 10_000, 30_000, 100_000]
+            inserts: arg_usize(args, "--inserts", opts.scale(10_000, 200)).max(1),
+            queries: arg_usize(args, "--queries", opts.scale(1_000, 20)).max(1),
         }
     }
 }
@@ -153,19 +129,6 @@ struct SizeResult {
     patched_rows: usize,
     rows: Vec<SystemRow>,
     rss_kb: u64,
-}
-
-/// Builds a connected §5.1 deployment of `n` nodes, retrying the seed
-/// until connected (same policy as the harness).
-fn build_topology(n: usize, mut seed: u64) -> (Topology, Rect) {
-    loop {
-        let dep = Deployment::paper_setting(n, RADIO, NEIGHBORS, seed).expect("valid parameters");
-        let topo = Topology::build(dep.nodes(), RADIO).expect("valid topology");
-        if topo.is_connected() {
-            return (topo, dep.field());
-        }
-        seed = seed.wrapping_add(0x1000);
-    }
 }
 
 /// The incremental-mutation probe: failing a few nodes on a fresh arena
@@ -391,7 +354,7 @@ fn run_ght(
 
 fn run_size(params: &Params, index: usize, n: usize) -> SizeResult {
     let seed = derive_seed(BASE_SEED, index as u64);
-    let (topology, field) = build_topology(n, seed);
+    let (topology, field, _) = connected_deployment(&Scenario::paper(n, seed));
     let patched_rows = probe_incremental_mutation(&topology, n);
     let w = workload(params, n, seed);
     let rows = vec![
@@ -410,7 +373,8 @@ fn run_size(params: &Params, index: usize, n: usize) -> SizeResult {
 /// lost GHT key, an incremental-mutation overlay that grew to rebuild
 /// size, or a 10× size step costing more than 15× the build+query
 /// wall-clock (super-quadratic scaling).
-pub fn collect(params: &Params) -> Table {
+pub fn run(args: &Args) -> Report {
+    let params = &Params::from_args(args);
     let mut results = Vec::with_capacity(params.sizes.len());
     for (index, &n) in params.sizes.iter().enumerate() {
         // Serial on purpose: timing trials must not contend for cores.
@@ -478,5 +442,5 @@ pub fn collect(params: &Params) -> Table {
             );
         }
     }
-    table
+    table.into()
 }

@@ -9,21 +9,20 @@
 //! (`derive_seed(60_000, i)`) — the serial binary reused one deployment
 //! and one RNG across all sizes, coupling every point to its
 //! predecessors. Emits `BENCH_selectivity.json`.
-//!
-//! Run: `cargo run -p pool-bench --bin selectivity_sweep --release
-//!       [-- --queries N --nodes N --jobs N --smoke]`
 
-use pool_bench::cli::{arg_usize, BenchOpts};
-use pool_bench::exec::{derive_seed, run_trials};
-use pool_bench::harness::{measure, QueryKind, Scenario, SystemPair};
+use crate::cli::{arg_usize, Args};
+use crate::exec::{derive_seed, run_trials};
+use crate::harness::{measure, QueryKind, Scenario, SystemPair, LATENCY_COLUMNS};
+use crate::report::{Cell, Report, Table};
 use pool_core::config::PoolConfig;
 use pool_workloads::events::EventDistribution;
 use pool_workloads::queries::RangeSizeDistribution;
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    let queries = arg_usize("--queries", opts.queries(50));
-    let nodes = arg_usize("--nodes", opts.nodes(900));
+/// Runs the sweep on `--jobs` workers and returns its table.
+pub fn run(args: &Args) -> Report {
+    let opts = args.opts();
+    let queries = arg_usize(args, "--queries", opts.queries(50));
+    let nodes = arg_usize(args, "--nodes", opts.nodes(900));
     let sizes: Vec<f64> = if opts.smoke {
         vec![0.05, 0.2, 0.5]
     } else {
@@ -41,13 +40,12 @@ fn main() {
 
     let mut columns =
         vec!["range_size", "pool_msgs", "dim_msgs", "dim_over_pool", "pool_cells", "dim_zones"];
-    columns.extend(pool_bench::LATENCY_COLUMNS);
-    let mut table =
-        pool_bench::Table::new("Selectivity sweep (constant range size per dimension)", &columns);
+    columns.extend(LATENCY_COLUMNS);
+    let mut table = Table::new("Selectivity sweep (constant range size per dimension)", &columns);
     table.meta("nodes", nodes);
     table.meta("queries", queries);
     for (size, m) in &results {
-        let mut row: Vec<pool_bench::report::Cell> = vec![
+        let mut row: Vec<Cell> = vec![
             (*size).into(),
             m.pool.mean.into(),
             m.dim.mean.into(),
@@ -58,5 +56,5 @@ fn main() {
         row.extend(m.latency_cells());
         table.row(row);
     }
-    opts.emit("selectivity", &table);
+    table.into()
 }

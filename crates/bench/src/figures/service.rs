@@ -39,13 +39,13 @@
 //! [`ServiceHandle::serve`]: pool_service::ServiceHandle::serve
 //! [`FaultPlan`]: pool_transport::FaultPlan
 
-use crate::cli::{arg_usize, BenchOpts};
+use crate::cli::{arg_usize, Args, BenchOpts};
 use crate::exec::{derive_seed, run_trials};
-use crate::report::Table;
+use crate::harness::{connected_deployment, Scenario};
+use crate::report::{Report, Table};
 use pool_core::config::PoolConfig;
 use pool_core::event::Event;
 use pool_core::query::RangeQuery;
-use pool_netsim::deployment::Deployment;
 use pool_netsim::geometry::Rect;
 use pool_netsim::node::NodeId;
 use pool_netsim::topology::Topology;
@@ -70,36 +70,27 @@ const GHT_SHARDS: usize = 4;
 /// an answer to fetch).
 const HOT_KEYS: usize = 8;
 
-/// The binary's parameter surface (CLI flags + smoke scaling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Params {
+/// The figure's parameters: flags over full-scale or smoke defaults.
+struct Params {
     /// Engine options (`--jobs`, `--smoke`).
-    pub opts: BenchOpts,
+    opts: BenchOpts,
     /// Scheduled requests per profile.
-    pub requests: usize,
+    requests: usize,
     /// Network size.
-    pub nodes: usize,
+    nodes: usize,
     /// Events (and puts) preloaded before the measured window.
-    pub events: usize,
+    events: usize,
 }
 
 impl Params {
-    /// Parses the binary's CLI: explicit flags override smoke defaults.
-    pub fn from_env() -> Self {
-        let opts = BenchOpts::from_env();
+    fn from_args(args: &Args) -> Self {
+        let opts = args.opts();
         Params {
             opts,
-            requests: arg_usize("--requests", opts.scale(240, 40)).max(8),
-            nodes: arg_usize("--nodes", opts.nodes(300)),
-            events: arg_usize("--events", opts.scale(300, 60)).max(HOT_KEYS),
+            requests: arg_usize(args, "--requests", opts.scale(240, 40)).max(8),
+            nodes: arg_usize(args, "--nodes", opts.nodes(300)),
+            events: arg_usize(args, "--events", opts.scale(300, 60)).max(HOT_KEYS),
         }
-    }
-
-    /// The exact configuration `service_load --smoke --jobs N` runs with
-    /// (used by the determinism regression test).
-    pub fn smoke(jobs: usize) -> Self {
-        let opts = BenchOpts::smoke_with_jobs(jobs);
-        Params { opts, requests: 40, nodes: opts.nodes(300), events: 60 }
     }
 }
 
@@ -160,22 +151,10 @@ struct ProfileSetup {
     horizon: f64,
 }
 
-fn connected_topology(nodes: usize, mut seed: u64) -> (Topology, Rect) {
-    loop {
-        let dep = Deployment::paper_setting(nodes, 40.0, 20.0, seed)
-            .expect("valid deployment parameters");
-        let topo = Topology::build(dep.nodes(), 40.0).expect("valid topology parameters");
-        if topo.is_connected() {
-            return (topo, dep.field());
-        }
-        seed = seed.wrapping_add(0x1000);
-    }
-}
-
 fn setup_profile(params: &Params, profile: Profile) -> ProfileSetup {
     let seed = derive_seed(SEED, profile.index() as u64);
-    let (topology, field) =
-        connected_topology(params.nodes, derive_seed(SEED, 100 + profile.index() as u64));
+    let deploy_seed = derive_seed(SEED, 100 + profile.index() as u64);
+    let (topology, field, _) = connected_deployment(&Scenario::paper(params.nodes, deploy_seed));
     let n = topology.len() as u32;
     let mut rng = StdRng::seed_from_u64(seed);
 
@@ -455,8 +434,9 @@ fn run_arm(params: &Params, profile: Profile, system: SystemKind) -> ArmRow {
 }
 
 /// Runs the full profile × system grid and returns the artifact table.
-/// Deterministic for any `params.opts.jobs` (DESIGN.md §11).
-pub fn collect(params: &Params) -> Table {
+/// Deterministic for any `--jobs` (DESIGN.md §11).
+pub fn run(args: &Args) -> Report {
+    let params = &Params::from_args(args);
     let arms: Vec<(Profile, SystemKind)> = [Profile::Burst, Profile::Sustained, Profile::Chaos]
         .into_iter()
         .flat_map(|p| [SystemKind::Pool, SystemKind::Dim, SystemKind::Ght].map(|s| (p, s)))
@@ -519,5 +499,5 @@ pub fn collect(params: &Params) -> Table {
             row.nc_messages
         );
     }
-    table
+    table.into()
 }

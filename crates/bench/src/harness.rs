@@ -1,6 +1,6 @@
 //! The shared experiment harness driving Pool and DIM side by side.
 //!
-//! Every figure binary follows the same shape: build one deployment, load
+//! Most figures follow the same shape: build one deployment, load
 //! the *same* events into both systems, issue the *same* queries from the
 //! same sinks, and record each system's per-query message cost. Result-set
 //! equality between the two systems (and against brute force) is asserted
@@ -13,6 +13,7 @@ use pool_core::query::RangeQuery;
 use pool_core::system::PoolSystem;
 use pool_dim::system::DimSystem;
 use pool_netsim::deployment::Deployment;
+use pool_netsim::geometry::Rect;
 use pool_netsim::node::NodeId;
 use pool_netsim::stats::Summary;
 use pool_netsim::topology::Topology;
@@ -55,6 +56,32 @@ impl Scenario {
     }
 }
 
+/// Deploys `scenario.nodes` sensors per §5.1 from `scenario.seed`, moving
+/// the seed on by `0x1000` until the topology is connected. Returns the
+/// topology, its field, and the seed it settled on.
+///
+/// # Panics
+///
+/// Panics if the scenario's deployment parameters are invalid.
+pub(crate) fn connected_deployment(scenario: &Scenario) -> (Topology, Rect, u64) {
+    let mut seed = scenario.seed;
+    loop {
+        let dep = Deployment::paper_setting(
+            scenario.nodes,
+            scenario.radio_range,
+            scenario.avg_neighbors,
+            seed,
+        )
+        .expect("valid deployment parameters");
+        let topo =
+            Topology::build(dep.nodes(), scenario.radio_range).expect("valid topology parameters");
+        if topo.is_connected() {
+            return (topo, dep.field(), seed);
+        }
+        seed = seed.wrapping_add(0x1000);
+    }
+}
+
 /// A Pool and a DIM deployment over the *same* network holding the *same*
 /// events.
 pub struct SystemPair {
@@ -76,25 +103,9 @@ impl SystemPair {
     ///
     /// # Panics
     ///
-    /// Panics if no connected deployment is found after many retries, or if
-    /// system construction fails.
+    /// Panics if system construction fails.
     pub fn build(scenario: &Scenario, config: PoolConfig, events: EventDistribution) -> Self {
-        let mut seed = scenario.seed;
-        let (topology, field) = loop {
-            let dep = Deployment::paper_setting(
-                scenario.nodes,
-                scenario.radio_range,
-                scenario.avg_neighbors,
-                seed,
-            )
-            .expect("valid deployment parameters");
-            let topo = Topology::build(dep.nodes(), scenario.radio_range)
-                .expect("valid topology parameters");
-            if topo.is_connected() {
-                break (topo, dep.field());
-            }
-            seed = seed.wrapping_add(0x1000);
-        };
+        let (topology, field, _) = connected_deployment(scenario);
         let config = config.with_dims(scenario.dims).with_seed(scenario.seed);
         // Both systems ride the same substrate — routing, link layer,
         // faults and retries — so the comparison (and the route cache, when
@@ -202,7 +213,7 @@ pub fn run_spec(spec: &pool_workloads::scenario::WorkloadSpec) -> Measurement {
 }
 
 /// [`run_spec`] on an explicit routing substrate.
-pub fn run_spec_with_transport(
+pub(crate) fn run_spec_with_transport(
     spec: &pool_workloads::scenario::WorkloadSpec,
     transport: pool_transport::TransportKind,
 ) -> Measurement {
@@ -213,7 +224,7 @@ pub fn run_spec_with_transport(
 }
 
 /// The canonical latency column names every figure artifact carries, in
-/// the order [`Measurement::latency_cells`] emits them.
+/// the order `Measurement::latency_cells` emits them.
 pub const LATENCY_COLUMNS: [&str; 4] = ["pool_p50_ms", "pool_p99_ms", "dim_p50_ms", "dim_p99_ms"];
 
 /// Per-system cost summaries for one measurement point.
@@ -235,13 +246,13 @@ pub struct Measurement {
 
 impl Measurement {
     /// DIM's mean cost as a multiple of Pool's.
-    pub fn dim_over_pool(&self) -> f64 {
+    pub(crate) fn dim_over_pool(&self) -> f64 {
         self.dim.mean / self.pool.mean
     }
 
     /// The four canonical latency cells ([`LATENCY_COLUMNS`] order):
     /// Pool p50/p99 and DIM p50/p99 per-query virtual time in ms.
-    pub fn latency_cells(&self) -> [crate::report::Cell; 4] {
+    pub(crate) fn latency_cells(&self) -> [crate::report::Cell; 4] {
         [
             self.pool_latency.median.into(),
             self.pool_latency.p99.into(),

@@ -5,16 +5,16 @@
 //! every result set against brute-force ground truth.
 //!
 //! [`exec`] is the deterministic parallel trial-execution engine: every
-//! figure binary decomposes its sweep into independent trials and submits
-//! them to a scoped worker pool (`--jobs N`), with per-trial seed
-//! derivation and order-independent aggregation so the emitted JSON is
+//! figure decomposes its sweep into independent trials and submits them
+//! to a scoped worker pool (`--jobs N`), with per-trial seed derivation
+//! and order-independent aggregation so the emitted JSON is
 //! byte-identical for any worker count. [`report`] renders the aggregated
-//! rows as TSV + canonical JSON artifacts, and [`figures`] holds the
-//! figure drivers that double as library entry points for the determinism
-//! regression tests.
+//! rows as TSV + canonical JSON artifacts.
 //!
-//! The figure binaries (`fig6`, `fig7`, `insertion_cost`, the ablation
-//! sweeps) and the Criterion benches are thin drivers over these modules;
+//! [`figures`] is the registry: one driver per figure, each listed in
+//! [`figures::FIGURES`] with its artifact name and the flags it reads
+//! (checked by [`cli`]). The crate's one binary runs them:
+//! `pool-bench <figure> [flags]`, and `pool-bench list` prints the names;
 //! see EXPERIMENTS.md at the workspace root for the full index.
 
 #![warn(missing_docs)]

@@ -1,17 +1,19 @@
 //! Deterministic result tables: TSV for the terminal, JSON for artifacts.
 //!
-//! Every figure binary aggregates its trial results into a [`Table`] and
-//! emits it twice — as the tab-separated listing the binaries have always
-//! printed, and as a `BENCH_<name>.json` artifact. Formatting is fully
+//! Every figure aggregates its trial results into a [`Table`], and
+//! [`Report::emit`] writes it twice — as a tab-separated listing on
+//! stdout, and as a `BENCH_<name>.json` artifact. Formatting is fully
 //! deterministic (fixed float precision, stable key order, no timestamps),
 //! so a table built from the same trial results is byte-identical no
 //! matter how many workers produced them — the property the determinism
 //! regression test pins across `--jobs` values.
 //!
 //! Wall-clock timings are deliberately *not* representable here: they vary
-//! run to run, so they go to stdout only, never into a JSON artifact.
+//! run to run, so they go to stdout only ([`Report::lines`]), never into a
+//! JSON artifact.
 
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// One table cell. Construction is via `From`, so rows read as plain data:
 /// `[600.into(), 12.5.into(), "pool".into()]`.
@@ -141,8 +143,8 @@ impl Table {
         self
     }
 
-    /// Prints the table to stdout in the binaries' traditional TSV shape.
-    pub fn print_tsv(&self) {
+    /// Prints the table to stdout as TSV.
+    fn print_tsv(&self) {
         println!("\n# {}", self.title);
         println!("{}", self.columns.join("\t"));
         for row in &self.rows {
@@ -184,6 +186,47 @@ impl Table {
     }
 }
 
+/// What a figure produces: the deterministic table that becomes its
+/// artifact, plus lines for stdout only (wall-clock timings, summaries).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// The artifact's contents.
+    pub table: Table,
+    /// Printed after the table, never written to the artifact.
+    pub lines: Vec<String>,
+}
+
+impl From<Table> for Report {
+    fn from(table: Table) -> Self {
+        Report { table, lines: Vec::new() }
+    }
+}
+
+impl Report {
+    /// Prints the table, writes its canonical JSON to `path` (creating the
+    /// directory), then prints the stdout-only lines after a blank line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the artifact cannot be written.
+    pub fn emit(&self, path: &Path) {
+        self.table.print_tsv();
+        if let Some(dir) = path.parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir).expect("create artifact directory");
+            }
+        }
+        std::fs::write(path, self.table.to_json()).expect("write JSON artifact");
+        println!("wrote {}", path.display());
+        if !self.lines.is_empty() {
+            println!();
+        }
+        for line in &self.lines {
+            println!("{line}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +254,18 @@ mod tests {
             let closes = json.matches(close).count();
             assert_eq!(opens, closes, "unbalanced {open}{close}");
         }
+    }
+
+    #[test]
+    fn emit_writes_the_table_json_and_keeps_lines_out_of_it() {
+        let dir = std::env::temp_dir().join(format!("pool-bench-emit-{}", std::process::id()));
+        let path = dir.join("nested").join("BENCH_unit.json");
+        let report = Report { table: sample(), lines: vec!["wall-clock 1.5s".to_owned()] };
+        report.emit(&path);
+        let written = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(written, sample().to_json());
+        assert!(!written.contains("wall-clock"));
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! A trial depends only on its input and owns all of its mutable state,
 //! so the aggregated artifact must be byte-identical for any `--jobs`
-//! value. These tests run the two figure drivers that exercise the most
-//! machinery — fig6 (panel sweep + substrate ablation) and load_balance
-//! (lossy radio + sharing + delegation chains) — at smoke scale on one
-//! worker and on eight, and require the serialized JSON to match byte for
-//! byte. A scheduling-dependent RNG draw, a shared ledger, or an
+//! value. These tests run the figures that exercise the most machinery —
+//! fig6 (panel sweep + substrate ablation), load_balance (lossy radio +
+//! sharing + delegation chains), latency, churn and service — through the
+//! registry at smoke scale on one worker and on eight, and require the
+//! serialized JSON to match byte for byte. A scheduling-dependent RNG draw, a shared ledger, or an
 //! order-sensitive aggregation all show up here as a diff.
 
 use pool_bench::exec::run_trials;
-use pool_bench::figures::{churn, fig6, latency, load_balance, service};
+use pool_bench::figures;
 use pool_bench::harness::{QueryKind, Scenario, SystemPair};
 use pool_core::config::PoolConfig;
 use pool_workloads::events::EventDistribution;
@@ -42,26 +42,29 @@ fn service_handles_are_sync() {
     assert_sync::<pool_service::ServiceHandle<pool_service::GhtBackend>>();
 }
 
-#[test]
-fn fig6_json_is_jobs_invariant() {
-    let serial = fig6::collect(&fig6::Params::smoke(1));
-    let parallel = fig6::collect(&fig6::Params::smoke(8));
+/// `figure`'s artifact JSON from `pool-bench <figure> --smoke --jobs <jobs>`.
+fn smoke_json(figure: &str, jobs: &str) -> String {
+    let (figure, args) = figures::parse(&[figure, "--smoke", "--jobs", jobs]).expect("valid argv");
+    (figure.run)(&args).table.to_json()
+}
+
+/// Runs `figure` at smoke scale on one worker and on eight.
+fn assert_jobs_invariant(figure: &str) {
     assert_eq!(
-        serial.table.to_json(),
-        parallel.table.to_json(),
-        "fig6 artifact differs between --jobs 1 and --jobs 8"
+        smoke_json(figure, "1"),
+        smoke_json(figure, "8"),
+        "{figure} artifact differs between --jobs 1 and --jobs 8"
     );
 }
 
 #[test]
+fn fig6_json_is_jobs_invariant() {
+    assert_jobs_invariant("fig6");
+}
+
+#[test]
 fn load_balance_json_is_jobs_invariant() {
-    let serial = load_balance::collect(&load_balance::Params::smoke(1));
-    let parallel = load_balance::collect(&load_balance::Params::smoke(8));
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "load_balance artifact differs between --jobs 1 and --jobs 8"
-    );
+    assert_jobs_invariant("load_balance");
 }
 
 /// The latency artifact is the determinism contract's sharpest probe:
@@ -69,26 +72,14 @@ fn load_balance_json_is_jobs_invariant() {
 /// clock advance shows up as a diff.
 #[test]
 fn latency_profile_json_is_jobs_invariant() {
-    let serial = latency::collect(&latency::Params::smoke(1));
-    let parallel = latency::collect(&latency::Params::smoke(8));
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "latency_profile artifact differs between --jobs 1 and --jobs 8"
-    );
+    assert_jobs_invariant("latency_profile");
 }
 
 /// Churn trials mutate topologies, grow ledgers, and drain repair queues
 /// mid-flight; none of that may depend on which worker runs the level.
 #[test]
 fn churn_json_is_jobs_invariant() {
-    let serial = churn::collect(&churn::Params::smoke(1));
-    let parallel = churn::collect(&churn::Params::smoke(8));
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "churn artifact differs between --jobs 1 and --jobs 8"
-    );
+    assert_jobs_invariant("churn_resilience");
 }
 
 /// The service artifact layers admission windows, coalesced units,
@@ -97,13 +88,7 @@ fn churn_json_is_jobs_invariant() {
 /// the worker count, both across trials and *within* each serve call.
 #[test]
 fn service_json_is_jobs_invariant() {
-    let serial = service::collect(&service::Params::smoke(1));
-    let parallel = service::collect(&service::Params::smoke(8));
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "service artifact differs between --jobs 1 and --jobs 8"
-    );
+    assert_jobs_invariant("service_load");
 }
 
 /// One trial's complete virtual-time trace, every float captured bit-exact.

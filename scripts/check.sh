@@ -38,35 +38,31 @@ report() {
 }
 
 bench_smoke() {
-    # Every figure binary from the shared manifest, scaled down, on two
+    # Every registered figure (`pool-bench list`), scaled down, on two
     # workers. Validates that the emitted artifact under target/smoke/ is
-    # well-formed JSON — a bench that panics, hangs, or emits garbage
+    # well-formed JSON — a figure that panics, hangs, or emits garbage
     # fails the gate.
-    local bins=()
-    while IFS= read -r bin; do
-        [[ -z "$bin" || "$bin" == \#* ]] && continue
-        bins+=("$bin")
-    done < scripts/figure_bins.txt
+    local bench=target/release/pool-bench
+    local figures=()
+    mapfile -t figures < <("$bench" list)
     rm -rf target/smoke
-    # A misspelt flag must stop a binary with status 2, not run the
-    # default experiment.
-    local status=0
-    target/release/fig6 --smoke --no-such-flag >/dev/null 2>&1 || status=$?
-    if [ "$status" -ne 2 ]; then
-        echo "fig6 --smoke --no-such-flag exited $status, want 2 (unknown flag)" >&2
-        exit 1
-    fi
-    for bin in "${bins[@]}"; do
-        local start=$SECONDS
-        "target/release/$bin" --smoke --jobs 2 >/dev/null
-        printf '    %-24s %4ds\n' "$bin" $((SECONDS - start))
+    # A flag the figure does not read, and a figure the registry does not
+    # know, must stop with status 2 rather than run a default experiment.
+    local probe status
+    for probe in "fig6 --smoke --nodes 7" "no_such_figure"; do
+        status=0
+        # shellcheck disable=SC2086 # the probe is split into arguments on purpose
+        "$bench" $probe >/dev/null 2>&1 || status=$?
+        if [ "$status" -ne 2 ]; then
+            echo "pool-bench $probe exited $status, want 2" >&2
+            exit 1
+        fi
     done
-    local artifacts
-    artifacts=$(ls target/smoke/BENCH_*.json | wc -l)
-    if [ "$artifacts" -ne "${#bins[@]}" ]; then
-        echo "expected ${#bins[@]} smoke artifacts, found $artifacts" >&2
-        exit 1
-    fi
+    for figure in "${figures[@]}"; do
+        local start=$SECONDS
+        "$bench" "$figure" --smoke --jobs 2 >/dev/null
+        printf '    %-24s %4ds\n' "$figure" $((SECONDS - start))
+    done
     for f in target/smoke/BENCH_*.json; do
         python3 -m json.tool "$f" >/dev/null
     done
@@ -95,7 +91,7 @@ EOF
         [ "$name" = "BENCH_scale" ] && timing_re='_ms$|^rss_kb$'
         ./scripts/bench_compare.sh "$f" "$baseline" "$timing_re"
     done
-    echo "    ${#bins[@]} binaries ran; $artifacts artifacts validated against baselines"
+    echo "    ${#figures[@]} figures ran; their artifacts validated against baselines"
 }
 
 reachability() {
